@@ -19,6 +19,7 @@ from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
 DEFAULT_LATENT_DIM = 64
+RECON_BLOCK_ROWS = 256   # rows decoded at once by reconstruction_error
 
 
 @dataclass
@@ -99,12 +100,24 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     return model.decoder.forward(latent[None, :])[0]
 
 
-def reconstruction_error(model: AutoencoderModel, frame: Frame) -> float:
-    """Mean squared error between the frame and its reconstruction."""
-    flat = _check_frame(model, frame)
-    recon = model.decoder.forward(model.encoder.forward(flat[None, :]))[0]
-    diff = recon - flat
-    return float(diff @ diff / model.input_dim)
+def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
+                         latents: np.ndarray) -> np.ndarray:
+    """Per-row mean squared error between `flats` (n, input_dim) and the
+    decoding of `latents` (n, latent_dim), their encodings.
+
+    Decodes RECON_BLOCK_ROWS rows at a time, so only one block of
+    full-width reconstructions is alive at once.
+    """
+    if flats.shape != (latents.shape[0], model.input_dim):
+        raise ContractViolationError(
+            f"reconstruction_error: frames shape {flats.shape}, expected "
+            f"({latents.shape[0]}, {model.input_dim})")
+    errors = np.empty(flats.shape[0])
+    for start in range(0, flats.shape[0], RECON_BLOCK_ROWS):
+        rows = slice(start, start + RECON_BLOCK_ROWS)
+        diff = model.decoder.forward(latents[rows]) - flats[rows]
+        errors[rows] = np.square(diff, out=diff).mean(axis=1)
+    return errors
 
 
 def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from .errors import ConfigError
+
 DEFAULT_WINDOW = 15      # ~0.5 s at 30 fps
 DEFAULT_CONSECUTIVE = 3
 
@@ -46,9 +48,9 @@ class MonitorConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise ConfigError("window must be >= 1")
         if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
+            raise ConfigError("consecutive must be >= 1")
 
 
 @dataclass

@@ -6,18 +6,19 @@ and other callers can run the pipeline without spawning a process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
-                          train_autoencoder, TrainReport)
+                          reconstruction_error, train_autoencoder, TrainReport)
 from .data_io import Frame, ScenarioDataset
 from .errors import ConfigError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import FlowConfig, FlowModel, FlowTrainReport, ScoredSample, train_flow
 from .monitor import MonitorConfig
-from .scoring import ScoreConfig, ScoreStandardization, score_frames
+from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
 
@@ -38,42 +39,51 @@ class RunConfig:
     monitor_threshold: float | None = None  # None: take tau from the checkpoint
 
     def __post_init__(self):
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score_mode {self.score_mode!r}")
+        for name in ("monitor_window", "monitor_consecutive"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # One seed drives the whole run; sub-config seeds follow it.
         self.autoencoder.seed = self.seed
         self.flow.seed = self.seed
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("run config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "autoencoder" in kwargs:
-            kwargs["autoencoder"] = _sub_config(AutoencoderConfig,
-                                                kwargs["autoencoder"])
-        if "flow" in kwargs:
-            kwargs["flow"] = _sub_config(FlowConfig, kwargs["flow"])
-        cfg = cls(**kwargs)
-        if cfg.score_mode not in ("nll", "combined"):
-            raise ConfigError(f"unknown score_mode {cfg.score_mode!r}")
-        return cfg
+        """Build from parsed JSON, checking every key and value type."""
+        return _from_dict(cls, data)
 
 
-def _sub_config(cls, data: dict):
+def _from_dict(cls, data, section: str | None = None):
+    name = section or "run config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{cls.__name__} section must be a JSON object")
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        label = f"{section}.{key}" if section else key
+        allowed = get_args(types[key]) or (types[key],)
+        if is_dataclass(types[key]):
+            value = _from_dict(types[key], value, label)
+        elif not _has_type(value, allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__
+                                for t in allowed)
+            raise ConfigError(f"{label} must be {names}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def _has_type(value, allowed: tuple) -> bool:
+    """Type check of a JSON value: a bool is not an int; an int is a float."""
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
 
 
 @dataclass
@@ -102,9 +112,7 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
 
     nll_cfg = ScoreConfig(mode="nll")
     val_nll = score_frames(ae, flow, dataset.val, nll_cfg)
-    val_recon = np.mean(
-        (np.stack([f.flat() for f in dataset.val])
-         - ae.decoder.forward(val_latents)) ** 2, axis=1)
+    val_recon = reconstruction_error(ae, val_flats, val_latents)
     standardization = ScoreStandardization(
         nll_mean=float(val_nll.mean()),
         nll_std=float(max(val_nll.std(), 1e-12)),

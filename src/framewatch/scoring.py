@@ -51,40 +51,30 @@ def _check_models(ae: AutoencoderModel, flow: FlowModel) -> None:
             f"dimension {flow.dim}")
 
 
-def nll_scores(ae: AutoencoderModel, flow: FlowModel,
-               frames: list[Frame]) -> np.ndarray:
+def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: list[Frame],
+                 config: ScoreConfig | None = None) -> np.ndarray:
+    """Anomaly score of each frame; higher means more anomalous.
+
+    One encoder pass over the whole batch feeds both the NLL and, in
+    combined mode, the reconstruction error.
+    """
+    config = config or ScoreConfig()
     _check_models(ae, flow)
     flats = np.stack([f.flat() for f in frames])
-    return -flow_log_prob_batch(flow, encode_batch(ae, flats))
+    latents = encode_batch(ae, flats)
+    nll = -flow_log_prob_batch(flow, latents)
+    if config.mode == "nll":
+        return nll
+    std = config.standardization
+    if std is None:
+        raise ConfigError("combined mode needs standardization constants")
+    recon = reconstruction_error(ae, flats, latents)
+    z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
+    z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
+    return config.alpha * z_nll + (1.0 - config.alpha) * z_recon
 
 
 def anomaly_score(ae: AutoencoderModel, flow: FlowModel, frame: Frame,
                   config: ScoreConfig | None = None) -> float:
-    """Score one frame; higher means more anomalous."""
-    config = config or ScoreConfig()
-    nll = float(nll_scores(ae, flow, [frame])[0])
-    if config.mode == "nll":
-        return nll
-    std = config.standardization
-    if std is None:
-        raise ConfigError("combined mode needs standardization constants")
-    recon = reconstruction_error(ae, frame)
-    z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
-    z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
-    return config.alpha * z_nll + (1.0 - config.alpha) * z_recon
-
-
-def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: list[Frame],
-                 config: ScoreConfig | None = None) -> np.ndarray:
-    """Vector of anomaly scores, same semantics as anomaly_score."""
-    config = config or ScoreConfig()
-    nll = nll_scores(ae, flow, frames)
-    if config.mode == "nll":
-        return nll
-    std = config.standardization
-    if std is None:
-        raise ConfigError("combined mode needs standardization constants")
-    recon = np.array([reconstruction_error(ae, f) for f in frames])
-    z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
-    z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
-    return config.alpha * z_nll + (1.0 - config.alpha) * z_recon
+    """Score one frame: the single element of `score_frames`."""
+    return float(score_frames(ae, flow, [frame], config)[0])

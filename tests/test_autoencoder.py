@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from framewatch.autoencoder import (AutoencoderConfig, decode, encode,
-                                    init_autoencoder, reconstruction_error,
+                                    encode_batch, init_autoencoder,
+                                    reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict
 from framewatch.data_io import FRAME_SIDE, AnomalyLabel, Frame
@@ -57,13 +58,18 @@ def test_decode_wrong_latent_length():
         decode(init_autoencoder(RngStream(0), 8), np.zeros(9))
 
 
+def _recon_one(model, frame):
+    flats = frame.flat()[None, :]
+    return reconstruction_error(model, flats, encode_batch(model, flats))[0]
+
+
 def test_reconstruction_error_zero_when_identical():
     # zero model reconstructs everything to 0.5, so a 0.5 frame has zero error
-    assert reconstruction_error(_zero_model(), _frame(0.5)) == 0.0
+    assert _recon_one(_zero_model(), _frame(0.5)) == 0.0
 
 
 def test_reconstruction_error_analytic():
-    assert reconstruction_error(_zero_model(), _frame(0.0)) == pytest.approx(0.25)
+    assert _recon_one(_zero_model(), _frame(0.0)) == pytest.approx(0.25)
 
 
 def test_reconstruction_error_matches_loop_oracle():
@@ -74,8 +80,7 @@ def test_reconstruction_error_matches_loop_oracle():
     acc = 0.0
     for i in range(flat.size):
         acc += (recon[i] - flat[i]) ** 2
-    assert reconstruction_error(model, frame) == pytest.approx(acc / flat.size,
-                                                               rel=1e-12)
+    assert _recon_one(model, frame) == pytest.approx(acc / flat.size, rel=1e-12)
 
 
 def test_tiny_model_full_gradient_check():

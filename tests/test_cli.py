@@ -190,3 +190,53 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
     a = (workspace / "out" / "checkpoint.json").read_bytes()
     b = (out2 / "checkpoint.json").read_bytes()
     assert a == b
+
+
+BAD_CONFIGS = {
+    "string_seed": {"seed": "x"},
+    "bool_seed": {"seed": True},
+    "string_epochs": {"autoencoder": {"epochs": "3"}},
+    "float_flow_hidden": {"flow": {"hidden": 16.0}},
+    "string_alpha": {"score_alpha": "0.5"},
+    "null_window": {"monitor_window": None},
+    "list_threshold": {"monitor_threshold": [1.0]},
+    "section_not_object": {"flow": 3},
+    "zero_window": {"monitor_window": 0},
+    "zero_consecutive": {"monitor_consecutive": 0},
+}
+
+
+@pytest.mark.parametrize("command", ["print-config", "train"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2(workspace, tmp_path, capsys, command, name):
+    """Each type or range error is reported at load: exit 2, one line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, **BAD_CONFIGS[name]}))
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--scenario", str(workspace / "scen"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+def test_config_types_positive_control(workspace, tmp_path, capsys):
+    """Ints where floats are declared and null where allowed are accepted,
+    and the run trains and simulates with them."""
+    good = {**SMALL_RUN, "score_alpha": 1, "monitor_threshold": None,
+            "monitor_window": 1, "monitor_consecutive": 1,
+            "flow": {**SMALL_RUN["flow"], "scale_clamp": 3}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(good))
+    assert main(["print-config", "--config", str(cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["score_alpha"] == 1 and printed["monitor_threshold"] is None
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--scenario", str(workspace / "scen"),
+                 "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--checkpoint",
+                 str(out / "checkpoint.json"), "--scenario",
+                 str(workspace / "scen" / "test"), "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "monitor_log.csv").is_file()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framewatch.errors import ConfigError
 from framewatch.monitor import (Action, MonitorConfig, MonitorEvent,
                                 MonitorState, Phase, events_to_csv,
                                 monitor_step, run_monitor)
@@ -127,7 +128,7 @@ def test_event_log_csv():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MonitorConfig(threshold=1.0, window=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MonitorConfig(threshold=1.0, consecutive=0)
