@@ -21,7 +21,7 @@ from .monitor import (Action, MonitorConfig, MonitorState, Phase, monitor_step,
 from .nn import (Activation, AdamState, DenseLayer, adam_step, dense_backward,
                  dense_forward, finite_diff_grad)
 from .pipeline import RunConfig, train_pipeline
-from .rng import RngStream, gaussian_sample
+from .rng import RngStream
 from .scoring import ScoreConfig, anomaly_score
 from .synth import SynthSpec, apply_anomaly, generate_normal, generate_scenario
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import FRAME_PIXELS, Frame
+from .data_io import FRAME_PIXELS, Frame, require_normal_only
 from .errors import ContractViolationError, ProtocolViolationError, TrainingError
 from .nn import (Activation, AdamState, Mlp, adam_step, init_mlp)
 from .rng import RngStream
@@ -137,16 +137,6 @@ def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
     return float(np.mean((recon - flats) ** 2))
 
 
-def _require_normal_only(frames: list[Frame], split_name: str) -> None:
-    if not frames:
-        raise ProtocolViolationError(f"{split_name} split is empty")
-    for frame in frames:
-        if frame.is_anomalous:
-            raise ProtocolViolationError(
-                f"{split_name} split contains anomalous frame {frame.source_id!r}; "
-                "training uses normal samples only")
-
-
 def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
                       config: AutoencoderConfig):
     """Train on normal frames only; deterministic given config.seed.
@@ -154,8 +144,10 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
     Returns (model, report).  Raises ProtocolViolationError if any input
     frame carries an anomaly label.
     """
-    _require_normal_only(train_frames, "train")
-    _require_normal_only(val_frames, "val")
+    for frames, split_name in ((train_frames, "train"), (val_frames, "val")):
+        if not frames:
+            raise ProtocolViolationError(f"{split_name} split is empty")
+        require_normal_only(frames, split_name)
     if config.epochs < 1 or config.batch_size < 1:
         raise ContractViolationError("epochs and batch_size must be >= 1")
 

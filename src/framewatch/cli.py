@@ -4,7 +4,8 @@ Subcommands: gen-synth, train, eval, simulate, print-config.
 
 Exit codes (stable):
     0  success
-    2  configuration error (bad JSON, unknown keys, bad values)
+    2  configuration error (bad JSON, unknown keys, bad values), training
+       divergence or non-finite scores
     3  I/O error (missing files or directories, unreadable data)
     4  dataset protocol violation (anomalous sample in train/val)
     5  checkpoint error (unreadable or incompatible checkpoint)
@@ -19,16 +20,15 @@ import time
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .data_io import decode_pgm, load_scenario, resize_bilinear, Frame, FRAME_SIDE
+from .data_io import Frame, load_scenario, read_frame_pixels
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
 from .evaluation import scores_to_csv
-from .monitor import Action, MonitorConfig, MonitorEvent, MonitorState, \
-    events_to_csv, monitor_step
+from .monitor import Action, MonitorConfig, events_to_csv, run_monitor
 from .pipeline import (RunConfig, evaluate_pipeline, pipeline_checkpoint,
                        train_pipeline)
-from .scoring import score_frames
+from .scoring import anomaly_score
 from .synth import SynthSpec, generate_scenario
 
 EXIT_OK = 0
@@ -36,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PROTOCOL = 4
 EXIT_CHECKPOINT = 5
-
-import numpy as np
 
 
 def _load_run_config(args) -> RunConfig:
@@ -184,32 +182,25 @@ def cmd_simulate(args) -> int:
                  else ckpt_threshold)
     cfg = MonitorConfig(threshold=threshold, window=config.monitor_window,
                         consecutive=config.monitor_consecutive)
-    state = MonitorState()
-    events: list[MonitorEvent] = []
     warned = False
-    for index, path in enumerate(paths):
-        if args.realtime and index:
-            time.sleep(1.0 / cfg.frame_rate)
-        try:
-            pixels, width, height = decode_pgm(path.read_bytes())
-            if (height, width) != (FRAME_SIDE, FRAME_SIDE):
-                pixels = resize_bilinear(pixels)
-            frame = Frame(np.clip(pixels, 0.0, 1.0), source_id=path.name,
-                          timestamp=index)
-            score = float(score_frames(ae, flow, [frame], score_config)[0])
-        except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
-            # Fail-safe: an unreadable frame counts as an anomaly.
-            print(f"warning: frame {path.name} unreadable ({exc}); "
-                  "logging fail-safe stop", file=sys.stderr)
-            warned = True
-            score = float("nan")
-        fault = not np.isfinite(score)
-        state, action = monitor_step(state, score, cfg)
-        smoothed = (sum(state.window_buffer) / len(state.window_buffer)
-                    if state.window_buffer else float("nan"))
-        events.append(MonitorEvent(index, score, smoothed, state.phase,
-                                   action, fault))
 
+    def scores():
+        nonlocal warned
+        for index, path in enumerate(paths):
+            if args.realtime and index:
+                time.sleep(1.0 / cfg.frame_rate)
+            try:
+                score = anomaly_score(ae, flow, Frame(read_frame_pixels(path)),
+                                      score_config)
+            except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
+                # Fail-safe: an unreadable frame counts as an anomaly.
+                print(f"warning: frame {path.name} unreadable ({exc}); "
+                      "logging fail-safe stop", file=sys.stderr)
+                warned = True
+                score = float("nan")
+            yield score
+
+    events = run_monitor(scores(), cfg)
     (out / "monitor_log.csv").write_text(events_to_csv(events), encoding="utf-8")
     stops = [e.frame_index for e in events if e.action is Action.STOP]
     if stops:
@@ -280,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (TrainingError, EvaluationError, ContractViolationError) as exc:
+    except (TrainingError, EvaluationError, ScoringError,
+            ContractViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,7 +9,7 @@ On-disk layout of a scenario:
                                train/val files to assert their normality)
 
 Train and validation splits must contain only normal samples; this is
-enforced at load time, never assumed.
+enforced at load time (require_normal_only), never assumed.
 """
 
 from __future__ import annotations
@@ -94,12 +94,8 @@ class ScenarioDataset:
     taxonomy: dict[str, AnomalyLabel] = field(default_factory=dict)
 
     def validate(self) -> None:
-        for split_name, split in (("train", self.train), ("val", self.val)):
-            for frame in split:
-                if frame.is_anomalous:
-                    raise ProtocolViolationError(
-                        f"{split_name} split contains anomalous frame "
-                        f"{frame.source_id!r}")
+        require_normal_only(self.train, "train")
+        require_normal_only(self.val, "val")
         if not any(not f.is_anomalous for f in self.test):
             raise ProtocolViolationError("test split has no normal frame")
         if not any(f.is_anomalous for f in self.test):
@@ -109,6 +105,15 @@ class ScenarioDataset:
                 raise ProtocolViolationError(
                     f"anomaly type {frame.label.anomaly_type!r} of "
                     f"{frame.source_id!r} missing from taxonomy table")
+
+
+def require_normal_only(frames: list[Frame], split_name: str) -> None:
+    """The normal-only protocol: a train or val split holds no anomaly."""
+    for frame in frames:
+        if frame.is_anomalous:
+            raise ProtocolViolationError(
+                f"{split_name} split contains anomalous frame {frame.source_id!r}; "
+                "train and val must contain only normal samples")
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +173,6 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
-    """Luma conversion (0.299 R + 0.587 G + 0.114 B) for color adapters."""
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ContractViolationError("rgb_to_gray: expected (h, w, 3) image")
-    return rgb[..., 0] * 0.299 + rgb[..., 1] * 0.587 + rgb[..., 2] * 0.114
-
-
 # ---------------------------------------------------------------------------
 # Bilinear resize with edge clamping.
 
@@ -205,6 +203,15 @@ def resize_bilinear(image: np.ndarray, out_h: int = FRAME_SIDE,
     top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
     bot = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
     return top * (1 - fy[:, None]) + bot * fy[:, None]
+
+
+def read_frame_pixels(path: Path) -> np.ndarray:
+    """Pixels of one .pgm file: decoded, resized to 64x64 if needed, clipped
+    to [0, 1]."""
+    pixels, width, height = decode_pgm(path.read_bytes())
+    if (height, width) != (FRAME_SIDE, FRAME_SIDE):
+        pixels = resize_bilinear(pixels)
+    return np.clip(pixels, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +280,12 @@ def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
         raise IOFailure(f"missing split directory {split_dir}")
     frames = []
     for path in sorted(split_dir.glob("*.pgm"), key=lambda p: (_timestamp_of(p.name), p.name)):
-        pixels, width, height = decode_pgm(path.read_bytes())
-        if (height, width) != (FRAME_SIDE, FRAME_SIDE):
-            pixels = resize_bilinear(pixels)
-        label = labels.get(path.name)
-        if split_name in ("train", "val"):
-            if label is not None:
-                raise ProtocolViolationError(
-                    f"{split_name}/{path.name} is labeled anomalous; train and "
-                    "val must contain only normal samples")
-        elif split_name == "test" and path.name not in labels:
+        pixels = read_frame_pixels(path)
+        if split_name == "test" and path.name not in labels:
             raise IOFailure(f"test file {path.name} has no labels.csv entry")
-        frames.append(Frame(np.clip(pixels, 0.0, 1.0),
-                            source_id=f"{split_name}/{path.name}",
+        frames.append(Frame(pixels, source_id=f"{split_name}/{path.name}",
                             timestamp=_timestamp_of(path.name),
-                            label=label))
+                            label=labels.get(path.name)))
     return frames
 
 

@@ -38,7 +38,7 @@ class TrainingError(FramewatchError):
 
 
 class ScoringError(FramewatchError):
-    """Scoring produced a non-finite intermediate; carries layer context."""
+    """Scoring produced a non-finite value."""
 
 
 class EvaluationError(FramewatchError):

@@ -165,17 +165,12 @@ def evaluate(scored_test: list[ScoredSample],
 
     per_type: dict[str, float] = {}
     present_types = sorted({s.anomaly_type for s in pos_samples})
-    for atype in sorted(taxonomy):
+    for atype in sorted(set(taxonomy).union(present_types)):
         subset = np.array([s.score for s in pos_samples if s.anomaly_type == atype])
         if subset.size == 0:
             warnings.append(f"anomaly type {atype!r} has no test samples; omitted")
             continue
         per_type[atype] = auc_from_scores(subset, neg)
-    for atype in present_types:
-        if atype not in per_type:
-            per_type[atype] = auc_from_scores(
-                np.array([s.score for s in pos_samples if s.anomaly_type == atype]),
-                neg)
 
     per_axis: dict[str, float] = {}
     for axis_name, get, values in _AXES:

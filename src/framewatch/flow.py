@@ -219,26 +219,27 @@ def flow_inverse(flow: FlowModel, z: np.ndarray) -> np.ndarray:
 
 
 def flow_log_prob(flow: FlowModel, latent: np.ndarray) -> float:
-    """Exact log-density of the whitened latent under the flow."""
+    """Exact log-density of one latent under the flow (whitened first)."""
     latent = np.asarray(latent, dtype=np.float64)
     if latent.shape != (flow.dim,):
         raise ContractViolationError(
             f"flow_log_prob: latent shape {latent.shape}, expected ({flow.dim},)")
-    zs = flow.whiten(latent)[None, :]
-    log_det = 0.0
-    for k, layer in enumerate(flow.layers):
-        zs, ld = _coupling_forward_batch(layer, zs)
-        if not (np.isfinite(zs).all() and np.isfinite(ld).all()):
-            raise ScoringError(f"non-finite intermediate at coupling layer {k}")
-        log_det += float(ld[0])
-    z = zs[0]
-    return -0.5 * flow.dim * math.log(2.0 * math.pi) - 0.5 * float(z @ z) + log_det
+    return float(flow_log_prob_batch(flow, latent[None, :])[0])
 
 
 def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
+    """Exact log-density of each row of a (n, dim) latent batch.
+
+    A non-finite value at any coupling layer reaches the output (the mask
+    product turns an inf into a NaN, and a NaN stays one), so one check on
+    the result covers every layer.
+    """
     zs, log_det = flow_forward_batch(flow, latents)
-    return (-0.5 * flow.dim * math.log(2.0 * math.pi)
-            - 0.5 * (zs * zs).sum(axis=1) + log_det)
+    log_probs = (-0.5 * flow.dim * math.log(2.0 * math.pi)
+                 - 0.5 * (zs * zs).sum(axis=1) + log_det)
+    if not np.isfinite(log_probs).all():
+        raise ScoringError("non-finite log-density from the flow")
+    return log_probs
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +291,6 @@ def _nll_loss_and_grads(flow: FlowModel, z0: np.ndarray):
     return loss, [g for layer_grads in all_grads for g in layer_grads]
 
 
-def flow_nll_batch(flow: FlowModel, z0: np.ndarray) -> float:
-    """Mean NLL of pre-whitened inputs (evaluation helper)."""
-    zs = z0
-    log_det = np.zeros(zs.shape[0])
-    for layer in flow.layers:
-        zs, ld = _coupling_forward_batch(layer, zs)
-        log_det += ld
-    return float(np.mean(0.5 * flow.dim * math.log(2.0 * math.pi)
-                         + 0.5 * (zs * zs).sum(axis=1) - log_det))
-
-
 def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                config: FlowConfig):
     """Fit the flow to normal latents by maximum likelihood.
@@ -326,7 +316,6 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
     shuffle_rng = rng.derive(1)
 
     train_z0 = flow.whiten(train_latents)
-    val_z0 = flow.whiten(val_latents)
 
     params = flow.params()
     state = AdamState.zeros_like(params)
@@ -349,6 +338,6 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
             flow.set_params(params)
             epoch_loss += loss * batch.shape[0]
         report.train_nll.append(epoch_loss / n)
-        report.val_nll.append(flow_nll_batch(flow, val_z0))
+        report.val_nll.append(float(-flow_log_prob_batch(flow, val_latents).mean()))
     report.epochs_run = config.epochs
     return flow, report

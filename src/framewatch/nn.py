@@ -94,7 +94,7 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     if x.shape != (layer.in_dim,):
         raise ContractViolationError(
             f"dense_forward: input shape {x.shape}, expected ({layer.in_dim},)")
-    return _apply_activation(layer.activation, layer.weights @ x + layer.bias)
+    return dense_forward_batch(layer, x[None, :])[0]
 
 
 def dense_forward_batch(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
@@ -122,16 +122,15 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         raise ContractViolationError(
             f"dense_backward: grad_output shape {grad_output.shape}, "
             f"expected ({layer.out_dim},)")
-    z = layer.weights @ cached_input + layer.bias
-    gz = grad_output * _activation_grad(layer.activation, z)
-    grad_input = layer.weights.T @ gz
-    grad_weights = np.outer(gz, cached_input)
-    return grad_input, grad_weights, gz.copy()
+    grad_input, grad_weights, grad_bias = dense_backward_batch(
+        layer, cached_input[None, :], grad_output[None, :])
+    return grad_input[0], grad_weights, grad_bias
 
 
 def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
                          grad_outputs: np.ndarray):
-    """Batch version of dense_backward; gradients are summed over rows."""
+    """Gradients through the layer for a (n, in_dim) batch; weight and bias
+    gradients are summed over rows."""
     z = cached_inputs @ layer.weights.T + layer.bias
     gz = grad_outputs * _activation_grad(layer.activation, z)
     grad_inputs = gz @ layer.weights

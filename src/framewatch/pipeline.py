@@ -6,18 +6,17 @@ and other callers can run the pipeline without spawning a process.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import get_args, get_type_hints
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
+from .config import from_dict
 from .data_io import Frame, ScenarioDataset
 from .errors import ConfigError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import FlowConfig, FlowModel, FlowTrainReport, ScoredSample, train_flow
-from .monitor import MonitorConfig
 from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
@@ -44,6 +43,10 @@ class RunConfig:
         for name in ("monitor_window", "monitor_consecutive"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.score_alpha <= 1.0:
+            raise ConfigError(f"score_alpha must lie in [0, 1], got {self.score_alpha}")
+        if not 0.0 < self.eval_quantile < 1.0:
+            raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
         # One seed drives the whole run; sub-config seeds follow it.
         self.autoencoder.seed = self.seed
         self.flow.seed = self.seed
@@ -54,36 +57,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build from parsed JSON, checking every key and value type."""
-        return _from_dict(cls, data)
-
-
-def _from_dict(cls, data, section: str | None = None):
-    name = section or "run config"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    types = get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        label = f"{section}.{key}" if section else key
-        allowed = get_args(types[key]) or (types[key],)
-        if is_dataclass(types[key]):
-            value = _from_dict(types[key], value, label)
-        elif not _has_type(value, allowed):
-            names = " or ".join("null" if t is type(None) else t.__name__
-                                for t in allowed)
-            raise ConfigError(f"{label} must be {names}, got {value!r}")
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
-def _has_type(value, allowed: tuple) -> bool:
-    """Type check of a JSON value: a bool is not an int; an int is a float."""
-    if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+        return from_dict(cls, data, "run config")
 
 
 @dataclass
@@ -158,7 +132,3 @@ def evaluate_pipeline(ae: AutoencoderModel, flow: FlowModel,
     report = evaluate(scored, dataset.taxonomy, val_scores, q)
     return report, scored
 
-
-def monitor_config_from(config: RunConfig, threshold: float) -> MonitorConfig:
-    return MonitorConfig(threshold=threshold, window=config.monitor_window,
-                         consecutive=config.monitor_consecutive)

@@ -111,7 +111,3 @@ class RngStream:
                 dtype=np.uint64))[0]
         return RngStream(int(key))
 
-
-def gaussian_sample(rng: RngStream, n: int) -> np.ndarray:
-    """n standard-normal draws from the stream (n >= 1; n == 0 is rejected)."""
-    return rng.gaussian(n)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import from_dict
 from .data_io import (FRAME_SIDE, AnomalyLabel, Frame, ScenarioDataset,
                       encode_pgm, load_scenario)
 from .errors import ConfigError, IOFailure
@@ -69,14 +70,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError("synth spec must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown synth spec keys: {sorted(unknown)}")
-        return cls(**data)
+        return from_dict(cls, json.loads(text), "synth spec")
 
 
 def generate_normal(rng: RngStream, t: int) -> Frame:

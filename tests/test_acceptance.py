@@ -20,7 +20,7 @@ from framewatch.cli import main
 from framewatch.data_io import load_scenario
 from framewatch.evaluation import auc_from_scores
 from framewatch.flow import (FlowConfig, _nll_loss_and_grads, flow_forward_batch,
-                             flow_nll_batch, init_flow, train_flow)
+                             flow_log_prob_batch, init_flow, train_flow)
 from framewatch.monitor import Action, MonitorConfig, Phase, run_monitor
 from framewatch.nn import finite_diff_grad
 from framewatch.pipeline import (RunConfig, evaluate_pipeline, train_pipeline)
@@ -115,7 +115,7 @@ def test_criterion_3_gradient_checks():
 
         def flow_loss(v):
             flow.set_params(unpack(v, shapes))
-            return flow_nll_batch(flow, z0)
+            return float(-flow_log_prob_batch(flow, z0).mean())
 
         theta = pack(flow.params())
         fd = finite_diff_grad(flow_loss, theta, 1e-5)

@@ -203,6 +203,8 @@ BAD_CONFIGS = {
     "section_not_object": {"flow": 3},
     "zero_window": {"monitor_window": 0},
     "zero_consecutive": {"monitor_consecutive": 0},
+    "alpha_above_one": {"score_alpha": 2},
+    "quantile_above_one": {"eval_quantile": 1.5},
 }
 
 
@@ -240,3 +242,35 @@ def test_config_types_positive_control(workspace, tmp_path, capsys):
                  str(out / "checkpoint.json"), "--scenario",
                  str(workspace / "scen" / "test"), "--out", str(tmp_path / "sim")]) == 0
     assert (tmp_path / "sim" / "monitor_log.csv").is_file()
+
+
+BAD_SYNTH_SPECS = {
+    "string_count": {"n_train": "5"},
+    "bool_count": {"n_val": True},
+    "string_anomaly_count": {"n_per_anomaly": {"blob": "3"}},
+    "anomaly_counts_not_object": {"n_per_anomaly": [3]},
+    "float_blob_width": {"blob_width": 4.0},
+    "spec_not_object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SYNTH_SPECS))
+def test_bad_synth_spec_exits_2(tmp_path, capsys, name):
+    """A wrong value type in a synth spec is reported at load: exit 2, one line."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(BAD_SYNTH_SPECS[name]))
+    assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_spec_types_positive_control(tmp_path):
+    """Ints where floats are declared and per-kind counts are accepted."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_SYNTH, "brightness_delta": -1, "noise_p": 0,
+                                "n_per_anomaly": {"blob": 2}}))
+    assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 0
+    ds = load_scenario(tmp_path / "o")
+    assert len(ds.test) == SMALL_SYNTH["n_test_normal"] + 2

@@ -180,6 +180,15 @@ def test_evaluate_missing_type_warns():
     assert "hard" not in report.per_type_auc
 
 
+def test_evaluate_reports_type_absent_from_taxonomy():
+    scored = _scored([0.1, 0.3], [0.9], atype="easy")
+    scored += [ScoredSample("u0", 0.2, anomaly_type="unlisted")]
+    report = evaluate(scored, TAXONOMY, np.array([0.1]), q=0.9)
+    assert report.per_type_auc["unlisted"] == 0.5
+    assert report.per_type_auc["easy"] == 1.0
+    assert report.counts["type:unlisted"] == 1
+
+
 def test_evaluate_no_anomalies_rejected():
     with pytest.raises(EvaluationError):
         evaluate([ScoredSample("n0", 0.1)], TAXONOMY, np.array([0.1]), q=0.9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framewatch.checkpoint import flow_to_dict
-from framewatch.errors import ContractViolationError
+from framewatch.errors import ContractViolationError, ScoringError
 from framewatch.flow import (CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
                              coupling_inverse, flow_forward, flow_inverse,
@@ -153,6 +153,24 @@ def test_log_prob_normalization_qmc():
     points = lo + qmc.Sobol(d=h, scramble=True, seed=5).random(2 ** 20) * (hi - lo)
     mass = np.prod(hi - lo) * np.exp(flow_log_prob_batch(flow, points)).mean()
     assert mass == pytest.approx(1.0, abs=0.02)
+
+
+def _broken_flow(h=4):
+    """A flow whose first scale-net weight matrix is inf, so its output is NaN."""
+    flow = init_flow(RngStream(34), h, num_layers=2, hidden=8)
+    params = flow.params()
+    params[0] = np.full_like(params[0], np.inf)
+    flow.set_params(params)
+    return flow
+
+
+def test_log_prob_non_finite_raises_scoring_error():
+    flow = _broken_flow()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ScoringError):
+            flow_log_prob_batch(flow, np.ones((3, 4)))
+        with pytest.raises(ScoringError):
+            flow_log_prob(flow, np.ones(4))
 
 
 def test_score_antimonotone_in_density():

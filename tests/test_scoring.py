@@ -9,7 +9,7 @@ from framewatch.autoencoder import (RECON_BLOCK_ROWS, decode, encode,
                                     encode_batch, init_autoencoder,
                                     reconstruction_error)
 from framewatch.data_io import FRAME_SIDE, Frame
-from framewatch.errors import ConfigError
+from framewatch.errors import ConfigError, ScoringError
 from framewatch.flow import flow_log_prob, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
@@ -73,6 +73,16 @@ def test_combined_without_standardization_rejected(models, frames):
     ae, flow = models
     with pytest.raises(ConfigError):
         score_frames(ae, flow, frames[:2], ScoreConfig(mode="combined"))
+
+
+def test_non_finite_flow_raises_scoring_error(frames):
+    ae = init_autoencoder(RngStream(11), LATENT)
+    flow = init_flow(RngStream(12), LATENT, num_layers=4, hidden=16)
+    params = flow.params()
+    params[0] = np.full_like(params[0], np.inf)
+    flow.set_params(params)
+    with np.errstate(invalid="ignore"), pytest.raises(ScoringError):
+        score_frames(ae, flow, frames[:3])
 
 
 @pytest.fixture(scope="module")
