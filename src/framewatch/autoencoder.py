@@ -128,7 +128,7 @@ def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
     loss = float(np.mean(diff * diff))
     grad_recon = 2.0 * diff / diff.size
     grad_latent, dec_grads = model.decoder.backward(dec_cache, grad_recon)
-    _, enc_grads = model.encoder.backward(enc_cache, grad_latent)
+    _, enc_grads = model.encoder.backward(enc_cache, grad_latent, input_grad=False)
     return loss, enc_grads + dec_grads
 
 
@@ -173,10 +173,8 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
                 raise TrainingError(
                     f"autoencoder loss non-finite at epoch {epoch}, "
                     f"batch {start // config.batch_size}")
-            params, state = adam_step(params, grads, state, lr=config.lr,
-                                      beta1=config.beta1, beta2=config.beta2,
-                                      epsilon=config.epsilon)
-            model.set_params(params)
+            adam_step(params, grads, state, lr=config.lr, beta1=config.beta1,
+                      beta2=config.beta2, epsilon=config.epsilon)
             epoch_loss += loss * batch.shape[0]
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(_mean_mse(model, val_x))

@@ -332,10 +332,8 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                 raise TrainingError(
                     f"flow NLL non-finite at epoch {epoch}, "
                     f"batch {start // config.batch_size}")
-            params, state = adam_step(params, grads, state, lr=config.lr,
-                                      beta1=config.beta1, beta2=config.beta2,
-                                      epsilon=config.epsilon)
-            flow.set_params(params)
+            adam_step(params, grads, state, lr=config.lr, beta1=config.beta1,
+                      beta2=config.beta2, epsilon=config.epsilon)
             epoch_loss += loss * batch.shape[0]
         report.train_nll.append(epoch_loss / n)
         report.val_nll.append(float(-flow_log_prob_batch(flow, val_latents).mean()))

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels with hand-derived gradients.
 
-Everything is float64 and pure: forward passes never mutate layers, and
-the Adam update returns fresh arrays.  Gradients are derived per layer
-type rather than traced, which keeps them checkable against central
-finite differences.
+Everything is float64.  Forward and backward passes never mutate layers;
+the Adam update writes the parameter and moment arrays in place, a cache
+block at a time, so a training loop's layers hold the updated values
+without a copy.  Gradients are derived per layer type rather than traced,
+which keeps them checkable against central finite differences.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import ContractViolationError, TrainingError
 from .rng import RngStream
 
 LEAKY_SLOPE = 0.01
+ADAM_BLOCK = 1 << 15   # elements per array updated at once by adam_step
 
 
 class Activation(enum.Enum):
@@ -97,12 +99,17 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     return dense_forward_batch(layer, x[None, :])[0]
 
 
-def dense_forward_batch(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
-    """Row-wise forward for a (n, in_dim) batch."""
+def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
+    """W x + b for each row of a (n, in_dim) batch."""
     if xs.ndim != 2 or xs.shape[1] != layer.in_dim:
         raise ContractViolationError(
-            f"dense_forward_batch: input shape {xs.shape}, expected (n, {layer.in_dim})")
-    return _apply_activation(layer.activation, xs @ layer.weights.T + layer.bias)
+            f"dense layer: input shape {xs.shape}, expected (n, {layer.in_dim})")
+    return xs @ layer.weights.T + layer.bias
+
+
+def dense_forward_batch(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
+    """Row-wise forward for a (n, in_dim) batch."""
+    return _apply_activation(layer.activation, _pre_activation(layer, xs))
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
@@ -128,12 +135,20 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
 
 
 def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
-                         grad_outputs: np.ndarray):
+                         grad_outputs: np.ndarray,
+                         pre_activations: np.ndarray | None = None,
+                         input_grad: bool = True):
     """Gradients through the layer for a (n, in_dim) batch; weight and bias
-    gradients are summed over rows."""
-    z = cached_inputs @ layer.weights.T + layer.bias
+    gradients are summed over rows.
+
+    `pre_activations` is the forward pass's W x + b; it is recomputed when
+    not given.  With input_grad=False the input gradient is None and its
+    matmul is skipped.
+    """
+    z = (_pre_activation(layer, cached_inputs) if pre_activations is None
+         else pre_activations)
     gz = grad_outputs * _activation_grad(layer.activation, z)
-    grad_inputs = gz @ layer.weights
+    grad_inputs = gz @ layer.weights if input_grad else None
     grad_weights = gz.T @ cached_inputs
     grad_bias = gz.sum(axis=0)
     return grad_inputs, grad_weights, grad_bias
@@ -160,18 +175,24 @@ class Mlp:
         return xs
 
     def forward_cached(self, xs: np.ndarray):
-        """Forward pass keeping each layer's input for the backward pass."""
+        """Forward pass keeping each layer's (input, pre-activation) for the
+        backward pass."""
         cache = []
         for layer in self.layers:
-            cache.append(xs)
-            xs = dense_forward_batch(layer, xs)
+            z = _pre_activation(layer, xs)
+            cache.append((xs, z))
+            xs = _apply_activation(layer.activation, z)
         return xs, cache
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray):
-        """Returns (grad_input, param_grads) with param_grads ordered as params()."""
+    def backward(self, cache: list[tuple[np.ndarray, np.ndarray]],
+                 grad_out: np.ndarray, input_grad: bool = True):
+        """Returns (grad_input, param_grads) with param_grads ordered as
+        params(); grad_input is None when input_grad is False."""
         grads: list[np.ndarray] = []
-        for layer, cached in zip(reversed(self.layers), reversed(cache)):
-            grad_out, gw, gb = dense_backward_batch(layer, cached, grad_out)
+        for i in reversed(range(len(self.layers))):
+            xs, z = cache[i]
+            grad_out, gw, gb = dense_backward_batch(
+                self.layers[i], xs, grad_out, z, input_grad=input_grad or i > 0)
             grads.append(gb)
             grads.append(gw)
         grads.reverse()
@@ -202,7 +223,7 @@ def init_mlp(rng: RngStream, dims: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Adam optimizer (functional, over lists of parameter arrays).
+# Adam optimizer (in place, over lists of parameter arrays).
 
 @dataclass
 class AdamState:
@@ -218,26 +239,67 @@ class AdamState:
 
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
               state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+              beta2: float = 0.999, epsilon: float = 1e-8) -> None:
+    """One bias-corrected Adam update (Kingma & Ba, Alg. 1), in place.
+
+    Writes `params`, `state.first_moment` and `state.second_moment` and
+    increments `state.step_count`.  Each array is walked ADAM_BLOCK
+    elements at a time, so a block's operands stay in cache across the
+    update's passes.  Every check, including the finite check of every
+    gradient, runs before anything is written: a failed step leaves params
+    and state untouched.
+    """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ContractViolationError("adam_step: betas must lie in [0, 1)")
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
+    if not (len(params) == len(grads) == len(state.first_moment)
+            == len(state.second_moment)):
         raise ContractViolationError("adam_step: params/grads/state length mismatch")
     t = state.step_count + 1
-    new_params, new_m, new_v = [], [], []
-    for i, (p, g) in enumerate(zip(params, grads)):
+    # The update goes through flat views; reshape(-1) of a non-contiguous
+    # array is a copy, and writing to it would lose the update.
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.first_moment,
+                                         state.second_moment)):
+        for what, a in (("parameter", p), ("gradient", g),
+                        ("first moment", m), ("second moment", v)):
+            if a.shape != p.shape:
+                raise ContractViolationError(
+                    f"adam_step: {what} {i} has shape {a.shape}, parameter has {p.shape}")
+            if not (a.flags.c_contiguous and a.flags.writeable):
+                raise ContractViolationError(
+                    f"adam_step: {what} {i} must be a C-contiguous writable array")
+    for i, g in enumerate(grads):
         if not np.isfinite(g).all():
             raise TrainingError(f"adam_step: non-finite gradient at step {t}, "
                                 f"parameter {i}")
-        m = beta1 * state.first_moment[i] + (1.0 - beta1) * g
-        v = beta2 * state.second_moment[i] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t)
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+    scratch_a = np.empty(block)
+    scratch_b = np.empty(block)
+    for arrays in zip(params, grads, state.first_moment, state.second_moment):
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        for start in range(0, p.size, ADAM_BLOCK):
+            cut = slice(start, start + ADAM_BLOCK)
+            pb, gb, mb, vb = p[cut], g[cut], m[cut], v[cut]
+            a, b = scratch_a[:pb.size], scratch_b[:pb.size]
+            # m = beta1*m + (1-beta1)*g
+            np.multiply(mb, beta1, out=mb)
+            np.multiply(gb, 1.0 - beta1, out=a)
+            np.add(mb, a, out=mb)
+            # v = beta2*v + ((1-beta2)*g)*g
+            np.multiply(vb, beta2, out=vb)
+            np.multiply(gb, 1.0 - beta2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            np.divide(vb, c2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, epsilon, out=a)
+            np.divide(mb, c1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(pb, b, out=pb)
+    state.step_count = t
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,18 @@ class SynthSpec:
                   *self.n_per_anomaly.values()]
         if any(c < 0 for c in counts):
             raise ConfigError("all sample counts must be >= 0")
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ConfigError("noise_p must lie in [0, 1]")
+        if self.n_test_normal == 0 or sum(self.n_per_anomaly.values()) == 0:
+            raise ConfigError("the test split needs normal and anomalous frames: "
+                              "n_test_normal and the n_per_anomaly total must be >= 1")
+        for name in ("blob_width", "blob_height"):
+            if not 1 <= getattr(self, name) <= FRAME_SIDE:
+                raise ConfigError(f"{name} must lie in [1, {FRAME_SIDE}], "
+                                  f"got {getattr(self, name)}")
+        for name, lo in (("noise_p", 0.0), ("blob_intensity", 0.0),
+                         ("brightness_delta", -1.0)):
+            if not lo <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [{lo:g}, 1], "
+                                  f"got {getattr(self, name)}")
         for kind in self.n_per_anomaly:
             if kind not in ANOMALY_KINDS:
                 raise ConfigError(f"unknown anomaly kind {kind!r}")

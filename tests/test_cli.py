@@ -251,12 +251,21 @@ BAD_SYNTH_SPECS = {
     "anomaly_counts_not_object": {"n_per_anomaly": [3]},
     "float_blob_width": {"blob_width": 4.0},
     "spec_not_object": [1, 2],
+    "negative_blob_width": {"blob_width": -3},
+    "zero_blob_height": {"blob_height": 0},
+    "blob_wider_than_frame": {"blob_width": FRAME_SIDE + 36},
+    "blob_intensity_above_one": {"blob_intensity": 7},
+    "negative_blob_intensity": {"blob_intensity": -0.1},
+    "brightness_delta_below_minus_one": {"brightness_delta": -1.5},
+    "no_normal_test_frames": {"n_test_normal": 0},
+    "no_anomalous_test_frames": {"n_per_anomaly": {"blob": 0, "dim_light": 0}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SYNTH_SPECS))
 def test_bad_synth_spec_exits_2(tmp_path, capsys, name):
-    """A wrong value type in a synth spec is reported at load: exit 2, one line."""
+    """A wrong value type or an out-of-range value in a synth spec is
+    reported at load, before any file is written: exit 2, one line."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(BAD_SYNTH_SPECS[name]))
     assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 2
@@ -270,6 +279,8 @@ def test_synth_spec_types_positive_control(tmp_path):
     """Ints where floats are declared and per-kind counts are accepted."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**SMALL_SYNTH, "brightness_delta": -1, "noise_p": 0,
+                                "blob_width": 1, "blob_height": FRAME_SIDE,
+                                "blob_intensity": 1,
                                 "n_per_anomaly": {"blob": 2}}))
     assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 0
     ds = load_scenario(tmp_path / "o")

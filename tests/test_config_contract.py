@@ -1,0 +1,83 @@
+"""Exit-code contract of config loading, probed with mutated valid configs.
+
+Each example takes a valid run config or synth spec, mutates one key
+(dropped, given a value of another JSON type, or given an out-of-range
+number) and loads it the way the CLI does. Loading either succeeds or
+reports a ConfigError (exit 2); it never escapes as another exception and
+never writes a file.
+"""
+
+import copy
+import json
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framewatch.cli import main
+from framewatch.errors import ConfigError
+from framewatch.pipeline import RunConfig
+from framewatch.synth import SynthSpec
+
+VALID_RUN = RunConfig().to_dict()
+VALID_SYNTH = asdict(SynthSpec())
+
+
+def _key_paths(data, prefix=()):
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+OTHER_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+NUMBERS = st.one_of(
+    st.sampled_from([0, -1, 1, 2, 64, 65, -1.5, 1.5, 1e308, -1e308, 10 ** 30]),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def mutated(draw, valid):
+    data = copy.deepcopy(valid)
+    path = draw(st.sampled_from(list(_key_paths(valid))))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["drop", "other_type", "number"]))
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(OTHER_JSON if kind == "other_type" else NUMBERS)
+    return data
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutated(VALID_RUN))
+def test_mutated_run_config_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["print-config", "--config", str(cfg)]) in (0, 2)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.json"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutated(VALID_SYNTH))
+def test_mutated_synth_spec_loads_or_raises_config_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(data))
+        try:
+            SynthSpec.from_json(spec.read_text())
+        except ConfigError:
+            # Rejected at load, so gen-synth exits 2 before writing anything.
+            out = Path(tmp) / "out"
+            assert main(["gen-synth", "--config", str(spec), "--out", str(out)]) == 2
+            assert not out.exists()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["spec.json"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from framewatch.errors import ContractViolationError, TrainingError
-from framewatch.nn import (Activation, AdamState, DenseLayer, adam_step,
-                           dense_backward, dense_forward, finite_diff_grad,
-                           init_dense)
+from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer,
+                           adam_step, dense_backward, dense_backward_batch,
+                           dense_forward, dense_forward_batch, finite_diff_grad,
+                           init_dense, init_mlp)
 from framewatch.rng import RngStream
 
 from _helpers import max_rel_err, pack, unpack
@@ -100,14 +101,64 @@ def test_gradient_check_many_random_layers():
 # ---------------------------------------------------------------------------
 # Adam
 
+def reference_adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999,
+                        epsilon=1e-8):
+    """The functional Adam update the in-place one must match bit for bit:
+    returns (new_params, new_state) and leaves its arguments untouched."""
+    t = state.step_count + 1
+    new_params, new_m, new_v = [], [], []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m = beta1 * state.first_moment[i] + (1.0 - beta1) * g
+        v = beta2 * state.second_moment[i] + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + epsilon))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, AdamState(new_m, new_v, t)
+
+
+def _bits(arrays):
+    return [a.view(np.uint64).copy() for a in arrays]
+
+
+def _snapshot(params, state):
+    return (_bits(params), _bits(state.first_moment), _bits(state.second_moment),
+            state.step_count)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
+
+
+def test_adam_in_place_matches_functional_oracle_bitwise():
+    rng = RngStream(41)
+    shapes = [(2 * ADAM_BLOCK + 5,), (7, 3)]
+    params = [rng.gaussian(int(np.prod(s))).reshape(s) for s in shapes]
+    state = AdamState.zeros_like(params)
+    ref_params = [p.copy() for p in params]
+    ref_state = AdamState.zeros_like(params)
+    hyper = dict(lr=3e-3, beta1=0.8, beta2=0.99, epsilon=1e-6)
+    for _ in range(3):
+        grads = [rng.gaussian(int(np.prod(s))).reshape(s) for s in shapes]
+        assert adam_step(params, grads, state, **hyper) is None
+        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state,
+                                                    **hyper)
+        assert _same_bits(params, ref_params)
+        assert _same_bits(state.first_moment, ref_state.first_moment)
+        assert _same_bits(state.second_moment, ref_state.second_moment)
+    assert state.step_count == ref_state.step_count == 3
+
+
 def test_adam_zero_gradient_is_identity():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    before = [p.copy() for p in params]
     state = AdamState.zeros_like(params)
     for _ in range(5):
-        new_params, state = adam_step(params, [np.zeros(2), np.zeros((1, 1))],
-                                      state)
-        assert all(np.array_equal(a, b) for a, b in zip(params, new_params))
-        params = new_params
+        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
+        assert all(np.array_equal(a, b) for a, b in zip(params, before))
+    assert state.step_count == 5
 
 
 def test_adam_first_step_hand_oracle():
@@ -115,11 +166,11 @@ def test_adam_first_step_hand_oracle():
     g = 0.25
     lr = 0.01
     eps = 1e-8
-    (new,), _ = adam_step([np.array([1.0])], [np.array([g])],
-                          AdamState.zeros_like([np.array([1.0])]),
-                          lr=lr, epsilon=eps)
+    params = [np.array([1.0])]
+    adam_step(params, [np.array([g])], AdamState.zeros_like(params),
+              lr=lr, epsilon=eps)
     expected = 1.0 - lr * g / (abs(g) + eps)
-    assert new[0] == pytest.approx(expected, abs=1e-15)
+    assert params[0][0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_adam_constant_gradient_monotone():
@@ -127,7 +178,7 @@ def test_adam_constant_gradient_monotone():
     state = AdamState.zeros_like(params)
     values = [5.0]
     for _ in range(100):
-        params, state = adam_step(params, [np.array([1.0])], state, lr=0.01)
+        adam_step(params, [np.array([1.0])], state, lr=0.01)
         values.append(float(params[0][0]))
     assert all(b < a for a, b in zip(values, values[1:]))
     assert state.step_count == 100
@@ -136,9 +187,45 @@ def test_adam_constant_gradient_monotone():
 def test_adam_nonfinite_gradient_reports_step():
     params = [np.array([1.0])]
     state = AdamState.zeros_like(params)
-    params, state = adam_step(params, [np.array([1.0])], state)
+    adam_step(params, [np.array([1.0])], state)
     with pytest.raises(TrainingError, match="step 2"):
         adam_step(params, [np.array([np.nan])], state)
+
+
+def test_adam_failed_step_changes_nothing():
+    rng = RngStream(43)
+    shapes = [(ADAM_BLOCK + 3,), (4, 5), (6,)]
+    params = [rng.gaussian(int(np.prod(s))).reshape(s) for s in shapes]
+    state = AdamState.zeros_like(params)
+    adam_step(params, [rng.gaussian(p.size).reshape(p.shape) for p in params], state)
+    before = _snapshot(params, state)
+    grads = [rng.gaussian(p.size).reshape(p.shape) for p in params]
+    grads[-1][2] = np.nan
+    with pytest.raises(TrainingError, match=r"step 2\b.*parameter 2"):
+        adam_step(params, grads, state)
+    after = _snapshot(params, state)
+    assert all(_same_bits(a, b) for a, b in zip(before[:3], after[:3]))
+    assert after[3] == before[3] == 1
+
+
+def test_adam_rejects_non_contiguous_param():
+    params = [np.ones((4, 4))[:, ::2]]
+    with pytest.raises(ContractViolationError, match="C-contiguous"):
+        adam_step(params, [np.zeros((4, 2))], AdamState.zeros_like(params))
+
+
+def test_adam_rejects_read_only_or_misshapen_arrays():
+    params = [np.ones(3)]
+    frozen = np.ones(3)
+    frozen.flags.writeable = False
+    with pytest.raises(ContractViolationError, match="writable"):
+        adam_step([frozen], [np.zeros(3)], AdamState.zeros_like(params))
+    with pytest.raises(ContractViolationError, match="shape"):
+        adam_step(params, [np.zeros((3, 1))], AdamState.zeros_like(params))
+    state = AdamState([np.zeros(4)], [np.zeros(3)])
+    with pytest.raises(ContractViolationError, match="first moment 0"):
+        adam_step(params, [np.zeros(3)], state)
+    assert np.array_equal(params[0], np.ones(3)) and state.step_count == 0
 
 
 def test_adam_rejects_bad_betas():
@@ -146,6 +233,29 @@ def test_adam_rejects_bad_betas():
     with pytest.raises(ContractViolationError):
         adam_step(params, [np.array([0.0])], AdamState.zeros_like(params),
                   beta1=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Cached pre-activations
+
+@pytest.mark.parametrize("act", list(Activation))
+def test_mlp_backward_cached_matches_recomputing_layers(act):
+    rng = RngStream(hash(act.value) & 0xFFFF)
+    mlp = init_mlp(rng, (6, 5, 4), [act, act])
+    xs = rng.gaussian(3 * 6).reshape(3, 6)
+    g = rng.gaussian(3 * 4).reshape(3, 4)
+    out, cache = mlp.forward_cached(xs)
+    assert np.array_equal(out, mlp.forward(xs))
+    gin, grads = mlp.backward(cache, g)
+
+    inputs = [xs, dense_forward_batch(mlp.layers[0], xs)]
+    g1, gw1, gb1 = dense_backward_batch(mlp.layers[1], inputs[1], g)
+    g0, gw0, gb0 = dense_backward_batch(mlp.layers[0], inputs[0], g1)
+    assert _same_bits([gin] + grads, [g0, gw0, gb0, gw1, gb1])
+
+    no_gin, same_grads = mlp.backward(cache, g, input_grad=False)
+    assert no_gin is None
+    assert _same_bits(same_grads, grads)
 
 
 # ---------------------------------------------------------------------------
