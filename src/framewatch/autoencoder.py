@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_ranges
 from .data_io import FRAME_PIXELS, Frame, require_normal_only
 from .errors import ContractViolationError, ProtocolViolationError, TrainingError
 from .nn import (Activation, AdamState, Mlp, adam_step, init_mlp)
@@ -32,6 +33,11 @@ class AutoencoderConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        check_ranges(self, "autoencoder.",
+                     at_least_one=("epochs", "batch_size", "latent_dim"),
+                     positive=("lr", "epsilon"), unit=("beta1", "beta2"))
 
 
 @dataclass
@@ -74,30 +80,9 @@ def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
     )
 
 
-def _check_frame(model: AutoencoderModel, frame: Frame) -> np.ndarray:
-    flat = frame.flat()
-    if flat.shape != (model.input_dim,):
-        raise ContractViolationError(
-            f"frame has {flat.shape[0]} pixels, model expects {model.input_dim}")
-    return flat
-
-
-def encode(model: AutoencoderModel, frame: Frame) -> np.ndarray:
-    """Latent embedding of a frame; deterministic and pure."""
-    return model.encoder.forward(_check_frame(model, frame)[None, :])[0]
-
-
 def encode_batch(model: AutoencoderModel, flats: np.ndarray) -> np.ndarray:
+    """Latent embedding of each row of a (n, input_dim) batch of flat frames."""
     return model.encoder.forward(flats)
-
-
-def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
-    """Reconstruction (flat pixel vector in [0, 1]) from a latent vector."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != (model.latent_dim,):
-        raise ContractViolationError(
-            f"latent length {latent.shape}, expected ({model.latent_dim},)")
-    return model.decoder.forward(latent[None, :])[0]
 
 
 def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,

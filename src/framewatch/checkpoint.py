@@ -1,4 +1,4 @@
-"""JSON checkpoints for the autoencoder, the flow, and the full pipeline.
+"""JSON checkpoints of the full pipeline: autoencoder, flow and scoring.
 
 A checkpoint is one JSON file with `format_version` 2. Every parameter
 array (weights, biases, coupling masks, whitening vectors) is stored as
@@ -173,10 +173,6 @@ def _autoencoder(spec: dict) -> AutoencoderModel:
                             input_dim=spec["input_dim"])
 
 
-def autoencoder_from_dict(data: dict) -> AutoencoderModel:
-    return _autoencoder(_read_autoencoder(data, "checkpoint"))
-
-
 def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -231,10 +227,6 @@ def _flow(spec: dict) -> FlowModel:
     return FlowModel(layers=layers, dim=spec["dim"],
                      whitening_mean=spec["whitening_mean"],
                      whitening_std=spec["whitening_std"])
-
-
-def flow_from_dict(data: dict) -> FlowModel:
-    return _flow(_read_flow(data, "checkpoint"))
 
 
 def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .data_io import Frame, load_scenario, read_frame_pixels
+from .data_io import FRAME_RATE, Frame, load_scenario, read_frame_pixels
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
@@ -28,7 +28,7 @@ from .evaluation import scores_to_csv
 from .monitor import Action, MonitorConfig, events_to_csv, run_monitor
 from .pipeline import (RunConfig, evaluate_pipeline, pipeline_checkpoint,
                        train_pipeline)
-from .scoring import anomaly_score
+from .scoring import score_frames
 from .synth import SynthSpec, generate_scenario
 
 EXIT_OK = 0
@@ -188,10 +188,10 @@ def cmd_simulate(args) -> int:
         nonlocal warned
         for index, path in enumerate(paths):
             if args.realtime and index:
-                time.sleep(1.0 / cfg.frame_rate)
+                time.sleep(1.0 / FRAME_RATE)
             try:
-                score = anomaly_score(ae, flow, Frame(read_frame_pixels(path)),
-                                      score_config)
+                frame = Frame(read_frame_pixels(path))
+                score = float(score_frames(ae, flow, [frame], score_config)[0])
             except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
                 # Fail-safe: an unreadable frame counts as an anomaly.
                 print(f"warning: frame {path.name} unreadable ({exc}); "

@@ -2,7 +2,8 @@
 
 One checker serves the run config (with its nested sections) and the
 synthetic scenario spec, so both reject a bad value with ConfigError
-(exit 2) naming its dotted key.
+(exit 2) naming its dotted key.  Range checks run in each config's
+__post_init__, so a bad value fails at load, before any training.
 """
 
 from __future__ import annotations
@@ -51,3 +52,18 @@ def _check(value, allowed: tuple, label: str) -> None:
     if not ok:
         names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
         raise ConfigError(f"{label} must be {names}, got {value!r}")
+
+
+def check_ranges(config, prefix: str, at_least_one=(), positive=(),
+                 unit=()) -> None:
+    """Range checks for a config's __post_init__: each `at_least_one` field
+    must be >= 1, each `positive` field > 0 and each `unit` field in
+    [0, 1).  A failure is a ConfigError naming `prefix + field`; NaN fails
+    every check."""
+    for names, ok, bound in ((at_least_one, lambda v: v >= 1, ">= 1"),
+                             (positive, lambda v: v > 0.0, "> 0"),
+                             (unit, lambda v: 0.0 <= v < 1.0, "in [0, 1)")):
+        for name in names:
+            value = getattr(config, name)
+            if not ok(value):
+                raise ConfigError(f"{prefix}{name} must be {bound}, got {value}")

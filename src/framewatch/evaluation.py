@@ -88,17 +88,11 @@ def auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
     return u / (pos.size * neg.size)
 
 
-def auc(scored: list[ScoredSample]) -> float:
-    """AUC of the anomalous-vs-normal score separation."""
-    pos, neg = _split_scores(scored)
-    return auc_from_scores(pos, neg)
-
-
 def roc_curve(scored: list[ScoredSample]) -> list[RocPoint]:
     """ROC points, one per distinct score threshold, plus both endpoints.
 
     A sample is predicted anomalous when score >= threshold.  The
-    trapezoidal area under the returned curve equals auc().
+    trapezoidal area under the returned curve equals auc_from_scores().
     """
     pos, neg = _split_scores(scored)
     scores = np.concatenate([neg, pos])
@@ -118,14 +112,6 @@ def roc_curve(scored: list[ScoredSample]) -> list[RocPoint]:
         points.append(RocPoint(float(scores[i]), tp / pos.size, fp / neg.size))
         i = j + 1
     return points
-
-
-def roc_auc_trapezoid(points: list[RocPoint]) -> float:
-    area = 0.0
-    for a, b in zip(points, points[1:]):
-        area += (b.false_positive_rate - a.false_positive_rate) * \
-            (a.true_positive_rate + b.true_positive_rate) / 2.0
-    return area
 
 
 def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_ranges
 from .errors import ContractViolationError, ScoringError, TrainingError
 from .nn import Activation, AdamState, Mlp, adam_step, init_mlp
 from .rng import RngStream
@@ -115,6 +116,12 @@ class FlowConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    def __post_init__(self):
+        check_ranges(self, "flow.",
+                     at_least_one=("epochs", "batch_size", "num_layers", "hidden"),
+                     positive=("lr", "epsilon", "scale_clamp"),
+                     unit=("beta1", "beta2"))
+
 
 @dataclass
 class FlowTrainReport:
@@ -122,10 +129,6 @@ class FlowTrainReport:
     val_nll: list[float] = field(default_factory=list)
     epochs_run: int = 0
     seed: int = 0
-
-
-def alternating_mask(dim: int, parity: int) -> np.ndarray:
-    return ((np.arange(dim) % 2) == (parity % 2)).astype(np.float64)
 
 
 def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
@@ -138,7 +141,7 @@ def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
     layers = []
     for k in range(num_layers):
         layers.append(CouplingLayer(
-            mask=alternating_mask(dim, k),
+            mask=((np.arange(dim) % 2) == (k % 2)).astype(np.float64),
             scale_net=init_mlp(rng.derive(2 * k), (dim, hidden, dim), net_acts),
             shift_net=init_mlp(rng.derive(2 * k + 1), (dim, hidden, dim), net_acts),
             scale_clamp=scale_clamp,
@@ -176,29 +179,12 @@ def coupling_forward(layer: CouplingLayer, x: np.ndarray):
     return ys[0], float(log_det[0])
 
 
-def coupling_inverse(layer: CouplingLayer, y: np.ndarray) -> np.ndarray:
-    """Exact inverse of coupling_forward."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (layer.mask.size,):
-        raise ContractViolationError(
-            f"coupling_inverse: input shape {y.shape}, expected ({layer.mask.size},)")
-    if not np.isfinite(y).all():
-        raise ContractViolationError("coupling_inverse: non-finite input")
-    return _coupling_inverse_batch(layer, y[None, :])[0]
-
-
 def _coupling_inverse_batch(layer: CouplingLayer, ys: np.ndarray) -> np.ndarray:
     masked = ys * layer.mask  # pass-through dims are unchanged by forward
     s = _clamped_scale(layer, layer.scale_net.forward(masked))
     t = layer.shift_net.forward(masked)
     inv_mask = 1.0 - layer.mask
     return masked + inv_mask * ((ys - t) * np.exp(-s))
-
-
-def flow_forward(flow: FlowModel, latent: np.ndarray):
-    """Whiten then apply all couplings; returns (z, total_log_det)."""
-    zs, log_det = flow_forward_batch(flow, np.asarray(latent, dtype=np.float64)[None, :])
-    return zs[0], float(log_det[0])
 
 
 def flow_forward_batch(flow: FlowModel, latents: np.ndarray):
@@ -210,21 +196,12 @@ def flow_forward_batch(flow: FlowModel, latents: np.ndarray):
     return zs, log_det
 
 
-def flow_inverse(flow: FlowModel, z: np.ndarray) -> np.ndarray:
-    """Inverse of flow_forward, back to the (whitened) latent space input."""
-    zs = np.asarray(z, dtype=np.float64)[None, :]
+def flow_inverse_batch(flow: FlowModel, zs: np.ndarray) -> np.ndarray:
+    """Inverse of flow_forward_batch for a (n, dim) batch, back to the
+    whitened latents (whitening is not undone)."""
     for layer in reversed(flow.layers):
         zs = _coupling_inverse_batch(layer, zs)
-    return zs[0]
-
-
-def flow_log_prob(flow: FlowModel, latent: np.ndarray) -> float:
-    """Exact log-density of one latent under the flow (whitened first)."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != (flow.dim,):
-        raise ContractViolationError(
-            f"flow_log_prob: latent shape {latent.shape}, expected ({flow.dim},)")
-    return float(flow_log_prob_batch(flow, latent[None, :])[0])
+    return zs
 
 
 def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ class MonitorConfig:
     threshold: float
     window: int = DEFAULT_WINDOW
     consecutive: int = DEFAULT_CONSECUTIVE
-    frame_rate: int = 30
 
     def __post_init__(self):
         if self.window < 1:

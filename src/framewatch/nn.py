@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,15 +90,6 @@ def init_dense(rng: RngStream, in_dim: int, out_dim: int,
     return DenseLayer(w, np.zeros(out_dim), activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """activation(W x + b) for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.in_dim,):
-        raise ContractViolationError(
-            f"dense_forward: input shape {x.shape}, expected ({layer.in_dim},)")
-    return dense_forward_batch(layer, x[None, :])[0]
-
-
 def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
     """W x + b for each row of a (n, in_dim) batch."""
     if xs.ndim != 2 or xs.shape[1] != layer.in_dim:
@@ -110,28 +101,6 @@ def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
 def dense_forward_batch(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
     """Row-wise forward for a (n, in_dim) batch."""
     return _apply_activation(layer.activation, _pre_activation(layer, xs))
-
-
-def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   grad_output: np.ndarray):
-    """Gradients of a scalar loss through the layer.
-
-    Returns (grad_input, grad_weights, grad_bias) for the forward pass
-    that consumed cached_input.
-    """
-    cached_input = np.asarray(cached_input, dtype=np.float64)
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    if cached_input.shape != (layer.in_dim,):
-        raise ContractViolationError(
-            f"dense_backward: cached_input shape {cached_input.shape}, "
-            f"expected ({layer.in_dim},)")
-    if grad_output.shape != (layer.out_dim,):
-        raise ContractViolationError(
-            f"dense_backward: grad_output shape {grad_output.shape}, "
-            f"expected ({layer.out_dim},)")
-    grad_input, grad_weights, grad_bias = dense_backward_batch(
-        layer, cached_input[None, :], grad_output[None, :])
-    return grad_input[0], grad_weights, grad_bias
 
 
 def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
@@ -301,27 +270,3 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             np.subtract(pb, b, out=pb)
     state.step_count = t
 
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient estimation (the oracle for every hand-derived
-# gradient in this package).
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function."""
-    if eps <= 0.0:
-        raise ContractViolationError("finite_diff_grad: eps must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[i] += eps
-        xm.flat[i] -= eps
-        fp = f(xp)
-        fm = f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ContractViolationError(
-                f"finite_diff_grad: non-finite evaluation at component {i}")
-        grad.flat[i] = (fp - fm) / (2.0 * eps)
-    return grad

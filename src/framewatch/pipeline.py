@@ -12,7 +12,7 @@ import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
-from .config import from_dict
+from .config import check_ranges, from_dict
 from .data_io import Frame, ScenarioDataset
 from .errors import ConfigError
 from .evaluation import EvalReport, choose_threshold, evaluate
@@ -40,9 +40,7 @@ class RunConfig:
     def __post_init__(self):
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"unknown score_mode {self.score_mode!r}")
-        for name in ("monitor_window", "monitor_consecutive"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_ranges(self, "", at_least_one=("monitor_window", "monitor_consecutive"))
         if not 0.0 <= self.score_alpha <= 1.0:
             raise ConfigError(f"score_alpha must lie in [0, 1], got {self.score_alpha}")
         if not 0.0 < self.eval_quantile < 1.0:

@@ -73,8 +73,3 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: list[Frame],
     z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
     return config.alpha * z_nll + (1.0 - config.alpha) * z_recon
 
-
-def anomaly_score(ae: AutoencoderModel, flow: FlowModel, frame: Frame,
-                  config: ScoreConfig | None = None) -> float:
-    """Score one frame: the single element of `score_frames`."""
-    return float(score_frames(ae, flow, [frame], config)[0])

@@ -20,15 +20,15 @@ from framewatch.cli import main
 from framewatch.data_io import load_scenario
 from framewatch.evaluation import auc_from_scores
 from framewatch.flow import (FlowConfig, _nll_loss_and_grads, flow_forward_batch,
-                             flow_log_prob_batch, init_flow, train_flow)
+                             flow_inverse_batch, flow_log_prob_batch, init_flow,
+                             train_flow)
 from framewatch.monitor import Action, MonitorConfig, Phase, run_monitor
-from framewatch.nn import finite_diff_grad
 from framewatch.pipeline import (RunConfig, evaluate_pipeline, train_pipeline)
 from framewatch.rng import RngStream
 from framewatch.scoring import score_frames
 from framewatch.synth import SynthSpec, generate_normal, generate_scenario
 
-from _helpers import brute_force_auc, max_rel_err, pack, unpack
+from _helpers import brute_force_auc, finite_diff_grad, max_rel_err, pack, unpack
 
 
 def _report(criterion, name, ok, detail=""):
@@ -48,10 +48,7 @@ def test_criterion_1_invertibility():
         flow = init_flow(rng, 64, num_layers=8)
         xs = rng.gaussian(1000 * 64).reshape(1000, 64)
         zs, _ = flow_forward_batch(flow, xs)
-        back = zs
-        from framewatch.flow import _coupling_inverse_batch
-        for layer in reversed(flow.layers):
-            back = _coupling_inverse_batch(layer, back)
+        back = flow_inverse_batch(flow, zs)
         worst = max(worst, float(np.abs(back - flow.whiten(xs)).max()))
     elapsed = time.time() - start
     _report(1, "flow invertibility", worst < 1e-9 and elapsed < 30.0,

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from framewatch.autoencoder import (AutoencoderConfig, decode, encode,
-                                    encode_batch, init_autoencoder,
-                                    reconstruction_error,
+from framewatch.autoencoder import (AutoencoderConfig, encode_batch,
+                                    init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict
 from framewatch.data_io import FRAME_SIDE, AnomalyLabel, Frame
 from framewatch.errors import ContractViolationError, ProtocolViolationError
-from framewatch.nn import finite_diff_grad
 from framewatch.rng import RngStream
 
-from _helpers import max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, unpack
 
 
 def _frame(value=0.5, seed=None):
@@ -21,6 +19,16 @@ def _frame(value=0.5, seed=None):
         pixels = RngStream(seed).uniform(FRAME_SIDE * FRAME_SIDE).reshape(
             FRAME_SIDE, FRAME_SIDE)
     return Frame(pixels)
+
+
+def encode(model, frame):
+    """Latent of one frame, as a batch of one."""
+    return encode_batch(model, frame.flat()[None, :])[0]
+
+
+def decode(model, latent):
+    """Reconstruction of one latent, as a batch of one."""
+    return model.decoder.forward(np.asarray(latent)[None, :])[0]
 
 
 def _zero_model(latent_dim=8):

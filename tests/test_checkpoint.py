@@ -1,17 +1,24 @@
 import base64
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framewatch import checkpoint as ckpt
-from framewatch.autoencoder import AutoencoderConfig, init_autoencoder
+from framewatch.autoencoder import AutoencoderConfig, encode_batch, init_autoencoder
 from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import CheckpointError
-from framewatch.flow import FlowConfig, flow_log_prob, init_flow
+from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow
 from framewatch.rng import RngStream
-from framewatch.scoring import ScoreConfig, ScoreStandardization, anomaly_score
+from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
 
 
 def _frame(seed):
@@ -20,23 +27,31 @@ def _frame(seed):
     return Frame(pixels)
 
 
+def _reload(tmp_path, ae, flow, score_config=None, **kwargs):
+    """Save a pipeline checkpoint and load it back:
+    (ae, flow, score_config, threshold)."""
+    path = tmp_path / "pipeline.json"
+    ckpt.save_json(ckpt.pipeline_to_dict(ae, flow, score_config or ScoreConfig(),
+                                         threshold=3.5, threshold_quantile=0.99,
+                                         **kwargs), path)
+    return ckpt.pipeline_from_dict(ckpt.load_json(path))
+
+
 def test_autoencoder_round_trip_bit_exact(tmp_path):
     model = init_autoencoder(RngStream(1), 16)
-    path = tmp_path / "ae.json"
-    ckpt.save_json(ckpt.autoencoder_to_dict(model, AutoencoderConfig(seed=1)), path)
-    reloaded = ckpt.autoencoder_from_dict(ckpt.load_json(path))
-    frame = _frame(2)
-    from framewatch.autoencoder import encode
-    assert np.array_equal(encode(model, frame), encode(reloaded, frame))
+    flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
+    reloaded, _, _, _ = _reload(tmp_path, model, flow,
+                                ae_config=AutoencoderConfig(seed=1))
+    flats = _frame(2).flat()[None, :]
+    assert np.array_equal(encode_batch(model, flats), encode_batch(reloaded, flats))
 
 
 def test_flow_round_trip_bit_exact(tmp_path):
+    ae = init_autoencoder(RngStream(1), 16)
     flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
-    path = tmp_path / "flow.json"
-    ckpt.save_json(ckpt.flow_to_dict(flow, FlowConfig(seed=3)), path)
-    reloaded = ckpt.flow_from_dict(ckpt.load_json(path))
-    latent = RngStream(4).gaussian(16)
-    assert flow_log_prob(flow, latent) == flow_log_prob(reloaded, latent)
+    _, reloaded, _, _ = _reload(tmp_path, ae, flow, flow_config=FlowConfig(seed=3))
+    latent = RngStream(4).gaussian(16)[None, :]
+    assert flow_log_prob_batch(flow, latent)[0] == flow_log_prob_batch(reloaded, latent)[0]
 
 
 def test_pipeline_round_trip_score_identical(tmp_path):
@@ -44,29 +59,24 @@ def test_pipeline_round_trip_score_identical(tmp_path):
     flow = init_flow(RngStream(6), 16, num_layers=2, hidden=16)
     score_cfg = ScoreConfig(mode="nll",
                             standardization=ScoreStandardization(1.0, 2.0, 0.1, 0.2))
-    data = ckpt.pipeline_to_dict(ae, flow, score_cfg, threshold=3.5,
-                                 threshold_quantile=0.99, seed=7)
-    path = tmp_path / "pipeline.json"
-    ckpt.save_json(data, path)
-    ae2, flow2, cfg2, tau = ckpt.pipeline_from_dict(ckpt.load_json(path))
+    ae2, flow2, cfg2, tau = _reload(tmp_path, ae, flow, score_cfg, seed=7)
     assert tau == 3.5
     frame = _frame(8)
-    assert anomaly_score(ae, flow, frame) == anomaly_score(ae2, flow2, frame)
+    assert score_frames(ae, flow, [frame])[0] == score_frames(ae2, flow2, [frame])[0]
 
 
 def test_wrong_kind_rejected():
     flow = init_flow(RngStream(3), 8, num_layers=2, hidden=8)
     data = ckpt.flow_to_dict(flow)
     with pytest.raises(CheckpointError, match="model_kind"):
-        ckpt.autoencoder_from_dict(data)
+        ckpt.pipeline_from_dict(data)
 
 
 def test_wrong_version_rejected():
-    flow = init_flow(RngStream(3), 8, num_layers=2, hidden=8)
-    data = ckpt.flow_to_dict(flow)
+    data = _small_pipeline_dict()
     data["format_version"] = 99
     with pytest.raises(CheckpointError, match="format_version"):
-        ckpt.flow_from_dict(data)
+        ckpt.pipeline_from_dict(data)
 
 
 def test_latent_dim_mismatch_rejected():
@@ -94,9 +104,8 @@ def test_serialized_floats_round_trip_exactly(tmp_path):
     planted = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).max]
     model.encoder.layers[0].weights[0, :4] = planted
     model.decoder.layers[-1].bias[:4] = planted
-    path = tmp_path / "ae.json"
-    ckpt.save_json(ckpt.autoencoder_to_dict(model), path)
-    reloaded = ckpt.autoencoder_from_dict(json.loads(path.read_text()))
+    flow = init_flow(RngStream(10), 8, num_layers=2, hidden=8)
+    reloaded, _, _, _ = _reload(tmp_path, model, flow)
     for a, b in zip(model.params(), reloaded.params()):
         assert b.dtype == np.float64 and b.flags.owndata and b.flags.writeable
         assert b.flags.c_contiguous
@@ -182,3 +191,118 @@ def test_malformed_checkpoint_exits_5(tmp_path, capsys, case):
 
 def test_small_pipeline_checkpoint_is_valid():
     ckpt.pipeline_from_dict(_small_pipeline_dict())
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract of checkpoint loading, probed with mutated checkpoints.
+# Each example is one of the hand-picked cases above, or the small valid
+# checkpoint with one mutation: a key or list entry dropped, a value swapped
+# for one of another JSON type, a base64 array string truncated, or a mask
+# bit set to 0.5. `simulate` must reject it with exit 5 and one stderr line.
+
+# Descriptive fields the loader does not read; changing them leaves a valid
+# checkpoint, so they are not mutated.
+UNREAD_KEYS = {("latent_dim",), ("threshold_quantile",), ("seed",)}
+UNREAD_NESTED = {"seed", "train_config"}
+ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
+HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
+
+
+def _json_paths(data, prefix=()):
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        path = prefix + (key,)
+        if path in UNREAD_KEYS or (prefix and key in UNREAD_NESTED):
+            continue
+        yield path
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, path)
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _json_type(value):
+    for name, types in (("bool", bool), ("number", (int, float)), ("string", str),
+                        ("list", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+    return "null"
+
+
+JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(),
+    "number": st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0)),
+    "string": st.text(max_size=4), "list": st.lists(st.integers(-3, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+}
+VALID_PIPELINE = _small_pipeline_dict()
+PATHS = list(_json_paths(VALID_PIPELINE))
+ARRAY_PATHS = [p for p in PATHS if ARRAY_KEYS & set(p[-2:])
+               and isinstance(_at(VALID_PIPELINE, p), str)]
+
+
+@st.composite
+def _mutations(draw):
+    """A short description of one malformed checkpoint; _checkpoint_bytes
+    builds it."""
+    kind = draw(st.sampled_from(["hand_picked", "drop", "other_type", "truncate",
+                                 "mask_half"]))
+    if kind == "hand_picked":
+        return kind, draw(st.sampled_from(HAND_PICKED))
+    if kind == "mask_half":
+        masks = VALID_PIPELINE["flow"]["masks"]
+        return (kind, draw(st.integers(0, len(masks) - 1)),
+                draw(st.integers(0, VALID_PIPELINE["flow"]["latent_dim"] - 1)))
+    path = draw(st.sampled_from(ARRAY_PATHS if kind == "truncate" else PATHS))
+    value = _at(VALID_PIPELINE, path)
+    if kind == "drop":
+        return kind, path
+    if kind == "truncate":
+        return kind, path, draw(st.integers(0, len(value) - 1))
+    others = sorted(set(JSON_VALUES) - {_json_type(value)})
+    return kind, path, draw(JSON_VALUES[draw(st.sampled_from(others))])
+
+
+def _checkpoint_bytes(mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "hand_picked" and args[0] in RAW_MALFORMED:
+        return RAW_MALFORMED[args[0]]
+    data = copy.deepcopy(VALID_PIPELINE)
+    if kind == "hand_picked":
+        MALFORMED[args[0]](data)
+    elif kind == "mask_half":
+        k, i = args
+        masks = data["flow"]["masks"]
+        mask = np.frombuffer(base64.b64decode(masks[k]), dtype="<f8").copy()
+        mask[i] = 0.5
+        masks[k] = _b64(mask)
+    else:
+        path = args[0]
+        parent, key = _at(data, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "truncate":
+            parent[key] = parent[key][:args[1]]
+        else:
+            parent[key] = args[1]
+    return json.dumps(data).encode()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mutations())
+def test_mutated_checkpoint_exits_5(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_bytes(_checkpoint_bytes(mutation))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", "--checkpoint", str(path),
+                         "--scenario", str(Path(tmp) / "frames"),
+                         "--out", str(Path(tmp) / "out")])
+    assert code == 5
+    assert err.getvalue().startswith("checkpoint error: ")
+    assert err.getvalue().count("\n") == 1

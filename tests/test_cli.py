@@ -1,11 +1,15 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from framewatch.checkpoint import load_json, pipeline_from_dict
 from framewatch.cli import main
-from framewatch.data_io import FRAME_SIDE, encode_pgm, load_scenario
+from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, load_scenario,
+                                read_frame_pixels)
+from framewatch.scoring import score_frames
 
 SMALL_SYNTH = {
     "seed": 7,
@@ -128,15 +132,27 @@ def test_simulate_normal_stream_no_trigger(workspace, tmp_path, capsys):
 
 
 def test_simulate_anomalous_stream_triggers(workspace, tmp_path, capsys):
+    """The stream triggers, and each logged score (one frame scored as a
+    batch of one) agrees with one score_frames call over the whole stream.
+    Not bit for bit: a one-row product runs a different BLAS kernel, and
+    the two differ by up to about 1e-12 relative."""
     from framewatch.synth import SynthSpec, generate_stream
     stream = tmp_path / "stream"
     generate_stream(SynthSpec(**SMALL_SYNTH), stream, n_normal=30,
                     anomaly_kind="dim_light", n_anomalous=40)
     out = tmp_path / "sim"
+    checkpoint = workspace / "out" / "checkpoint.json"
     assert main(["simulate", "--config", str(workspace / "run.json"),
-                 "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+                 "--checkpoint", str(checkpoint),
                  "--scenario", str(stream), "--out", str(out)]) == 0
     assert "trigger at frame" in capsys.readouterr().out
+
+    ae, flow, score_config, _ = pipeline_from_dict(load_json(checkpoint))
+    frames = [Frame(read_frame_pixels(p)) for p in sorted(stream.glob("*.pgm"))]
+    batch = score_frames(ae, flow, frames, score_config)
+    with open(out / "monitor_log.csv", newline="") as log:
+        logged = [float(row["score"]) for row in csv.DictReader(log)]
+    assert logged == pytest.approx(batch.tolist(), rel=1e-9)
 
 
 def test_simulate_unreadable_frame_fails_safe(workspace, tmp_path, capsys):
@@ -205,6 +221,16 @@ BAD_CONFIGS = {
     "zero_consecutive": {"monitor_consecutive": 0},
     "alpha_above_one": {"score_alpha": 2},
     "quantile_above_one": {"eval_quantile": 1.5},
+    "zero_flow_epochs": {"flow": {"epochs": 0}},
+    "zero_autoencoder_batch_size": {"autoencoder": {"batch_size": 0}},
+    "zero_latent_dim": {"autoencoder": {"latent_dim": 0}},
+    "zero_flow_layers": {"flow": {"num_layers": 0}},
+    "zero_flow_hidden": {"flow": {"hidden": 0}},
+    "negative_autoencoder_lr": {"autoencoder": {"lr": -1}},
+    "zero_flow_epsilon": {"flow": {"epsilon": 0}},
+    "autoencoder_beta1_one": {"autoencoder": {"beta1": 1.0}},
+    "negative_flow_beta2": {"flow": {"beta2": -0.1}},
+    "zero_scale_clamp": {"flow": {"scale_clamp": 0}},
 }
 
 
@@ -229,7 +255,7 @@ def test_config_types_positive_control(workspace, tmp_path, capsys):
     and the run trains and simulates with them."""
     good = {**SMALL_RUN, "score_alpha": 1, "monitor_threshold": None,
             "monitor_window": 1, "monitor_consecutive": 1,
-            "flow": {**SMALL_RUN["flow"], "scale_clamp": 3}}
+            "flow": {**SMALL_RUN["flow"], "scale_clamp": 3, "beta1": 0}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(good))
     assert main(["print-config", "--config", str(cfg)]) == 0

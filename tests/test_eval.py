@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from framewatch.data_io import AnomalyLabel
 from framewatch.errors import EvaluationError
-from framewatch.evaluation import (auc, auc_from_scores, choose_threshold,
-                                   evaluate, roc_auc_trapezoid, roc_curve,
-                                   scores_to_csv)
+from framewatch.evaluation import (auc_from_scores, choose_threshold, evaluate,
+                                   roc_curve, scores_to_csv)
 from framewatch.flow import ScoredSample
 from framewatch.rng import RngStream
 
-from _helpers import brute_force_auc
+from _helpers import brute_force_auc, roc_auc_trapezoid
 
 
 def _scored(normals, anomalies, atype="tape"):
@@ -23,20 +22,20 @@ def _scored(normals, anomalies, atype="tape"):
 
 def test_auc_four_sample_example():
     # pairs: (0.3 vs 0.1, 0.3 vs 0.2, 0.15 vs 0.1, 0.15 vs 0.2) -> 3/4
-    assert auc(_scored([0.1, 0.2], [0.3, 0.15])) == 0.75
+    assert auc_from_scores([0.3, 0.15], [0.1, 0.2]) == 0.75
 
 
 def test_auc_perfect_separation():
-    assert auc(_scored([0.1, 0.2, 0.3], [0.4, 0.5])) == 1.0
+    assert auc_from_scores([0.4, 0.5], [0.1, 0.2, 0.3]) == 1.0
 
 
 def test_auc_all_ties():
-    assert auc(_scored([1.0, 1.0], [1.0, 1.0, 1.0])) == 0.5
+    assert auc_from_scores([1.0, 1.0, 1.0], [1.0, 1.0]) == 0.5
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(EvaluationError):
-        auc([ScoredSample("n0", 0.1)])
+        auc_from_scores([], [0.1])
 
 
 def test_auc_matches_brute_force_with_ties():
@@ -95,7 +94,7 @@ def test_roc_trapezoid_equals_auc():
         neg = np.round(rng.uniform(25) * 4) / 4
         scored = _scored(neg, pos)
         assert roc_auc_trapezoid(roc_curve(scored)) == \
-            pytest.approx(auc(scored), abs=1e-12)
+            pytest.approx(auc_from_scores(pos, neg), abs=1e-12)
 
 
 def test_roc_collapses_duplicate_scores():

@@ -7,13 +7,12 @@ from framewatch.checkpoint import flow_to_dict
 from framewatch.errors import ContractViolationError, ScoringError
 from framewatch.flow import (CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
-                             coupling_inverse, flow_forward, flow_inverse,
-                             flow_log_prob, flow_log_prob_batch, init_flow,
-                             train_flow)
-from framewatch.nn import Activation, finite_diff_grad, init_mlp
+                             flow_forward_batch, flow_inverse_batch,
+                             flow_log_prob_batch, init_flow, train_flow)
+from framewatch.nn import Activation, init_mlp
 from framewatch.rng import RngStream
 
-from _helpers import max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, unpack
 
 
 def _zero_coupling(h=4, parity=0):
@@ -65,7 +64,8 @@ def test_rigged_coupling_inverse_analytic():
     layer = _rigged_coupling(0.7, -1.3)
     x = np.array([2.0, 5.0])
     y, _ = coupling_forward(layer, x)
-    assert np.allclose(coupling_inverse(layer, y), x, atol=1e-12)
+    one_layer = FlowModel([layer], 2, np.zeros(2), np.ones(2))
+    assert np.allclose(flow_inverse_batch(one_layer, y[None, :])[0], x, atol=1e-12)
 
 
 def test_coupling_log_det_matches_jacobian():
@@ -112,8 +112,8 @@ def test_round_trip_many_vectors():
     xs = rng.gaussian(1000 * 8).reshape(1000, 8)
     worst = 0.0
     for x in xs:
-        z, _ = flow_forward(flow, x)
-        back = flow_inverse(flow, z)
+        zs, _ = flow_forward_batch(flow, x[None, :])
+        back = flow_inverse_batch(flow, zs)[0]
         worst = max(worst, float(np.abs(back - flow.whiten(x)).max()))
     assert worst < 1e-9
 
@@ -123,17 +123,17 @@ def test_log_det_bounded_by_clamp():
     flow = init_flow(rng, 8, num_layers=8)
     for _ in range(50):
         x = 100.0 * rng.gaussian(8)  # far off-manifold
-        _, log_det = flow_forward(flow, x)
-        assert abs(log_det) <= 8 * 8 * 3.0  # K * h * s_max
+        _, log_det = flow_forward_batch(flow, x[None, :])
+        assert abs(log_det[0]) <= 8 * 8 * 3.0  # K * h * s_max
 
 
 def test_log_prob_identity_flow_at_mode():
-    assert flow_log_prob(_identity_flow(2), np.zeros(2)) == \
+    assert flow_log_prob_batch(_identity_flow(2), np.zeros((1, 2)))[0] == \
         pytest.approx(-1.8378770664, abs=1e-9)
 
 
 def test_log_prob_identity_flow_h1():
-    assert flow_log_prob(_identity_flow(1), np.array([1.0])) == \
+    assert flow_log_prob_batch(_identity_flow(1), np.array([[1.0]]))[0] == \
         pytest.approx(-1.4189385332, abs=1e-9)
 
 
@@ -146,7 +146,7 @@ def test_log_prob_normalization_qmc():
     flow.set_params([0.4 * p for p in flow.params()])
 
     base = RngStream(22).gaussian(4000 * h).reshape(4000, h)
-    mapped = np.array([flow_inverse(flow, z) for z in base])
+    mapped = flow_inverse_batch(flow, base)
     lo = mapped.min(axis=0) - 0.5
     hi = mapped.max(axis=0) + 0.5
 
@@ -170,14 +170,14 @@ def test_log_prob_non_finite_raises_scoring_error():
         with pytest.raises(ScoringError):
             flow_log_prob_batch(flow, np.ones((3, 4)))
         with pytest.raises(ScoringError):
-            flow_log_prob(flow, np.ones(4))
+            flow_log_prob_batch(flow, np.ones((1, 4)))
 
 
 def test_score_antimonotone_in_density():
     flow = init_flow(RngStream(30), 4, num_layers=2, hidden=8)
     rng = RngStream(31)
     latents = rng.gaussian(50 * 4).reshape(50, 4)
-    log_probs = np.array([flow_log_prob(flow, u) for u in latents])
+    log_probs = np.array([flow_log_prob_batch(flow, u[None, :])[0] for u in latents])
     scores = -log_probs
     assert np.array_equal(np.argsort(log_probs), np.argsort(scores)[::-1])
 

@@ -3,30 +3,29 @@ import pytest
 
 from framewatch.errors import ContractViolationError, TrainingError
 from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer,
-                           adam_step, dense_backward, dense_backward_batch,
-                           dense_forward, dense_forward_batch, finite_diff_grad,
+                           adam_step, dense_backward_batch, dense_forward_batch,
                            init_dense, init_mlp)
 from framewatch.rng import RngStream
 
-from _helpers import max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, unpack
 
 
 def test_dense_forward_identity():
     layer = DenseLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)
-    assert np.array_equal(dense_forward(layer, np.array([1.0, 2.0, 3.0])),
-                          np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(dense_forward_batch(layer, np.array([[1.0, 2.0, 3.0]])),
+                          np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_dense_forward_affine_scalar():
     layer = DenseLayer(np.array([[2.0]]), np.array([1.0]), Activation.IDENTITY)
-    assert dense_forward(layer, np.array([3.0]))[0] == 7.0
+    assert dense_forward_batch(layer, np.array([[3.0]]))[0, 0] == 7.0
 
 
 def test_dense_forward_matches_loop_oracle():
     rng = RngStream(17)
     layer = init_dense(rng, 4, 3, Activation.TANH)
     x = rng.gaussian(4)
-    got = dense_forward(layer, x)
+    got = dense_forward_batch(layer, x[None, :])[0]
     for i in range(3):
         acc = layer.bias[i]
         for j in range(4):
@@ -37,7 +36,7 @@ def test_dense_forward_matches_loop_oracle():
 def test_dense_forward_shape_mismatch():
     layer = DenseLayer(np.eye(3), np.zeros(3))
     with pytest.raises(ContractViolationError):
-        dense_forward(layer, np.zeros(4))
+        dense_forward_batch(layer, np.zeros((1, 4)))
 
 
 def test_dense_backward_linear_outer_product():
@@ -45,14 +44,14 @@ def test_dense_backward_linear_outer_product():
     layer = init_dense(rng, 5, 3, Activation.IDENTITY)
     x = rng.gaussian(5)
     g = rng.gaussian(3)
-    _, gw, gb = dense_backward(layer, x, g)
+    _, gw, gb = dense_backward_batch(layer, x[None, :], g[None, :])
     assert np.allclose(gw, np.outer(g, x))
     assert np.allclose(gb, g)
 
 
 def test_dense_backward_zero_grad():
     layer = init_dense(RngStream(4), 4, 4, Activation.LEAKY_RELU)
-    gin, gw, gb = dense_backward(layer, np.ones(4), np.zeros(4))
+    gin, gw, gb = dense_backward_batch(layer, np.ones((1, 4)), np.zeros((1, 4)))
     assert not gin.any() and not gw.any() and not gb.any()
 
 
@@ -63,14 +62,14 @@ def test_dense_backward_matches_finite_diff(act):
     layer = init_dense(rng, 4, 3, act)
     x = rng.gaussian(4)
 
-    gin, gw, gb = dense_backward(layer, x, np.ones(3))
+    gin, gw, gb = dense_backward_batch(layer, x[None, :], np.ones((1, 3)))
 
     shapes = [layer.weights.shape, layer.bias.shape, x.shape]
     theta = pack([layer.weights, layer.bias, x])
 
     def f(v):
         w, b, xi = unpack(v, shapes)
-        return float(dense_forward(DenseLayer(w, b, act), xi).sum())
+        return float(dense_forward_batch(DenseLayer(w, b, act), xi[None, :]).sum())
 
     fd = finite_diff_grad(f, theta, 1e-5)
     assert max_rel_err(pack([gw, gb, gin]), fd) < 1e-4
@@ -87,12 +86,12 @@ def test_gradient_check_many_random_layers():
         layer = init_dense(rng, in_dim, out_dim, act)
         x = rng.gaussian(in_dim)
         g = rng.gaussian(out_dim)
-        gin, gw, gb = dense_backward(layer, x, g)
+        gin, gw, gb = dense_backward_batch(layer, x[None, :], g[None, :])
         shapes = [layer.weights.shape, layer.bias.shape, x.shape]
 
         def f(v):
             w, b, xi = unpack(v, shapes)
-            return float(dense_forward(DenseLayer(w, b, act), xi) @ g)
+            return float(dense_forward_batch(DenseLayer(w, b, act), xi[None, :])[0] @ g)
 
         fd = finite_diff_grad(f, pack([layer.weights, layer.bias, x]), 1e-5)
         assert max_rel_err(pack([gw, gb, gin]), fd) < 1e-4

@@ -1,20 +1,19 @@
-"""Combined-mode scoring: batched kernel against a per-frame oracle, the
-one-frame wrapper, and the standardization that training derives."""
+"""Combined-mode scoring: batched kernel against a per-frame oracle, a
+batch of one against the batch, and the standardization that training
+derives."""
 
 import numpy as np
 import pytest
 
 from framewatch import checkpoint as ckpt
-from framewatch.autoencoder import (RECON_BLOCK_ROWS, decode, encode,
-                                    encode_batch, init_autoencoder,
-                                    reconstruction_error)
+from framewatch.autoencoder import (RECON_BLOCK_ROWS, encode_batch,
+                                    init_autoencoder, reconstruction_error)
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import ConfigError, ScoringError
-from framewatch.flow import flow_log_prob, init_flow
+from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
-from framewatch.scoring import (ScoreConfig, ScoreStandardization,
-                                anomaly_score, score_frames)
+from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
 from framewatch.synth import SynthSpec, generate_scenario
 
 LATENT = 8
@@ -42,10 +41,10 @@ def frames():
 
 
 def _oracle_score(ae, flow, frame, config):
-    """One frame at a time through the single-sample APIs."""
-    latent = encode(ae, frame)
-    nll = -flow_log_prob(flow, latent)
-    recon = float(np.mean((decode(ae, latent) - frame.flat()) ** 2))
+    """One frame at a time, each model call on a batch of one."""
+    latent = encode_batch(ae, frame.flat()[None, :])
+    nll = -flow_log_prob_batch(flow, latent)[0]
+    recon = float(np.mean((ae.decoder.forward(latent)[0] - frame.flat()) ** 2))
     std = config.standardization
     return (config.alpha * (nll - std.nll_mean) / std.nll_std
             + (1.0 - config.alpha) * (recon - std.recon_mean) / std.recon_std)
@@ -60,11 +59,11 @@ def test_combined_batch_matches_per_frame_oracle(models, frames):
 
 
 @pytest.mark.parametrize("config", [ScoreConfig(), COMBINED], ids=["nll", "combined"])
-def test_anomaly_score_equals_score_frames_element(models, frames, config):
+def test_batch_of_one_equals_score_frames_element(models, frames, config):
     ae, flow = models
     batch = score_frames(ae, flow, frames[:20], config)
     for i in (0, 7, 19):
-        single = anomaly_score(ae, flow, frames[i], config)
+        single = float(score_frames(ae, flow, [frames[i]], config)[0])
         assert isinstance(single, float)
         assert single == pytest.approx(batch[i], rel=1e-12)
 
