@@ -4,6 +4,12 @@ Encoder 4096 -> 512 -> 128 -> h (LeakyRelu throughout), decoder mirrored
 with a final Sigmoid so reconstructions stay in [0, 1].  The latent
 vector feeds the density model; reconstruction error is an auxiliary
 score.
+
+Training runs in float32: parameters, Adam moments, frames, activations
+and gradients, while the reported losses are summed in float64.  The
+trained model is cast back to float64, which is exact, so everything
+downstream (flow training, score standardization, the threshold, scoring
+and the `<f8` checkpoint) sees and computes with a float64 model.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
     latent, enc_cache = model.encoder.forward_cached(batch)
     recon, dec_cache = model.decoder.forward_cached(latent)
     diff = recon - batch
-    loss = float(np.mean(diff * diff))
+    loss = float(np.mean(diff * diff, dtype=np.float64))
     grad_recon = 2.0 * diff / diff.size
     grad_latent, dec_grads = model.decoder.backward(dec_cache, grad_recon)
     _, enc_grads = model.encoder.backward(enc_cache, grad_latent, input_grad=False)
@@ -119,13 +125,15 @@ def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
 
 def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
     recon = model.decoder.forward(model.encoder.forward(flats))
-    return float(np.mean((recon - flats) ** 2))
+    return float(np.mean((recon - flats) ** 2, dtype=np.float64))
 
 
 def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
                       config: AutoencoderConfig):
     """Train on normal frames only; deterministic given config.seed.
 
+    The float64 initialisation is cast to float32 and trained in float32;
+    the returned model is float64, each value exactly a float32 one.
     Returns (model, report).  Raises ProtocolViolationError if any input
     frame carries an anomaly label.
     """
@@ -138,10 +146,11 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
 
     rng = RngStream(config.seed)
     model = init_autoencoder(rng.derive(0), config.latent_dim)
+    model.set_params([p.astype(np.float32) for p in model.params()])
     shuffle_rng = rng.derive(1)
 
-    train_x = np.stack([f.flat() for f in train_frames])
-    val_x = np.stack([f.flat() for f in val_frames])
+    train_x = np.stack([f.flat() for f in train_frames], dtype=np.float32)
+    val_x = np.stack([f.flat() for f in val_frames], dtype=np.float32)
 
     params = model.params()
     state = AdamState.zeros_like(params)
@@ -164,6 +173,10 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(_mean_mse(model, val_x))
     report.epochs_run = config.epochs
+    # Free the moments and the last gradients before the float64 copy is
+    # made, so that the copy can reuse their memory.
+    del state, grads
+    model.set_params([p.astype(np.float64) for p in params])
     if report.val_loss[-1] > report.val_loss[0]:
         report.warnings.append(
             "validation loss did not improve over training "

@@ -8,7 +8,8 @@ bit-exactly by construction. Scalars (threshold, standardization, alpha)
 stay JSON numbers.
 
 Loading validates the whole document (keys, types, enums, shapes, decoded
-lengths, finiteness) before any model is built, and every failure raises
+lengths, finiteness, and the descriptive seeds, training configs and
+threshold quantile) before any model is built, and every failure raises
 CheckpointError. Version 1 files, which held decimal lists, are rejected:
 retrain to write a version 2 checkpoint.
 """
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderConfig, AutoencoderModel
-from .errors import CheckpointError
+from .config import from_dict
+from .errors import CheckpointError, ConfigError
 from .flow import CouplingLayer, FlowConfig, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization
@@ -35,8 +37,8 @@ _F8 = np.dtype("<f8")
 
 
 def _encode(array: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(array, dtype=_F8).tobytes()).decode("ascii")
+    # b64encode reads the array's buffer; tobytes() would copy it first.
+    return base64.b64encode(np.ascontiguousarray(array, dtype=_F8)).decode("ascii")
 
 
 def _decode(text, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -77,6 +79,27 @@ def _number(data, key: str, where: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise CheckpointError(f"{where}.{key}: expected a finite number")
     return float(value)
+
+
+def _seed(data, where: str) -> None:
+    value = _get(data, "seed", where)
+    if value is not None and type(value) is not int:
+        raise CheckpointError(f"{where}.seed: expected null or an integer")
+
+
+def _train_config(data, cls, where: str) -> None:
+    """The nested `train_config` is null or a complete, valid `cls`."""
+    value = _get(data, "train_config", where)
+    if value is None:
+        return
+    names = [f.name for f in fields(cls)]
+    if not isinstance(value, dict) or sorted(value) != sorted(names):
+        raise CheckpointError(
+            f"{where}.train_config: expected null or exactly the keys {names}")
+    try:
+        from_dict(cls, value, "train_config")
+    except ConfigError as exc:
+        raise CheckpointError(f"{where}.train_config: {exc}") from None
 
 
 def _list(data, key: str, where: str, length: int) -> list:
@@ -158,6 +181,8 @@ def _read_autoencoder(data, where: str) -> dict:
     _check_kind(data, "autoencoder", where)
     latent = _positive_int(data, "latent_dim", where)
     pixels = _positive_int(data, "input_dim", where)
+    _seed(data, where)
+    _train_config(data, AutoencoderConfig, where)
     return dict(
         encoder=_read_mlp(_get(data, "encoder", where), f"{where}.encoder",
                           pixels, latent),
@@ -192,6 +217,8 @@ def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
 def _read_flow(data, where: str) -> dict:
     _check_kind(data, "flow", where)
     dim = _positive_int(data, "latent_dim", where)
+    _seed(data, where)
+    _train_config(data, FlowConfig, where)
     masks = _get(data, "masks", where)
     if not isinstance(masks, list):
         raise CheckpointError(f"{where}.masks: expected a list")
@@ -270,6 +297,13 @@ def pipeline_from_dict(data: dict):
     if ae["latent_dim"] != flow["dim"]:
         raise CheckpointError("pipeline checkpoint is inconsistent: autoencoder "
                               f"latent_dim {ae['latent_dim']} vs flow dim {flow['dim']}")
+    if _positive_int(data, "latent_dim", "checkpoint") != ae["latent_dim"]:
+        raise CheckpointError("checkpoint.latent_dim: does not match the autoencoder "
+                              f"latent_dim {ae['latent_dim']}")
+    _seed(data, "checkpoint")
+    quantile = _number(data, "threshold_quantile", "checkpoint")
+    if not 0.0 < quantile < 1.0:
+        raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")
     mode = _get(data, "score_mode", "checkpoint")
     if mode not in SCORE_MODES:
         raise CheckpointError(f"checkpoint.score_mode: unknown score mode {mode!r}")
@@ -285,8 +319,11 @@ def pipeline_from_dict(data: dict):
 
 
 def save_json(data: dict, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    """Write `data` as indented, key-sorted JSON, streamed to the file so the
+    whole text is never held in memory at once."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def load_json(path: Path | str) -> dict:

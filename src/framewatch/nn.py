@@ -1,10 +1,13 @@
 """Dense linear-algebra kernels with hand-derived gradients.
 
-Everything is float64.  Forward and backward passes never mutate layers;
-the Adam update writes the parameter and moment arrays in place, a cache
-block at a time, so a training loop's layers hold the updated values
-without a copy.  Gradients are derived per layer type rather than traced,
-which keeps them checkable against central finite differences.
+The kernels are dtype-generic over float32 and float64: a layer keeps the
+float dtype of its arrays (any other input becomes float64), and
+activations, gradients and Adam's scratch follow it, so a float32 model
+trains in float32 end to end.  Forward and backward passes never mutate
+layers; the Adam update writes the parameter and moment arrays in place,
+a cache block at a time, so a training loop's layers hold the updated
+values without a copy.  Gradients are derived per layer type rather than
+traced, which keeps them checkable against central finite differences.
 """
 
 from __future__ import annotations
@@ -30,25 +33,40 @@ class Activation(enum.Enum):
     IDENTITY = "identity"
 
 
+def _float_array(a) -> np.ndarray:
+    """`a` as an array: float32 and float64 arrays as they are, anything
+    else converted to float64."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-z) overflows to inf for z below about -88.7 in float32 (-709 in
+    # float64), and 1 / inf is the correct limit 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _apply_activation(act: Activation, z: np.ndarray) -> np.ndarray:
     if act is Activation.LEAKY_RELU:
         return np.where(z >= 0.0, z, LEAKY_SLOPE * z)
     if act is Activation.TANH:
         return np.tanh(z)
     if act is Activation.SIGMOID:
-        return 1.0 / (1.0 + np.exp(-z))
+        return _sigmoid(z)
     return z
 
 
 def _activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation, evaluated at pre-activation z."""
+    """d activation / d pre-activation, evaluated at pre-activation z, in
+    z's dtype."""
     if act is Activation.LEAKY_RELU:
-        return np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
+        return np.where(z >= 0.0, z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE))
     if act is Activation.TANH:
         t = np.tanh(z)
         return 1.0 - t * t
     if act is Activation.SIGMOID:
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = _sigmoid(z)
         return s * (1.0 - s)
     return np.ones_like(z)
 
@@ -62,8 +80,12 @@ class DenseLayer:
     activation: Activation = Activation.IDENTITY
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = _float_array(self.weights)
+        self.bias = _float_array(self.bias)
+        if self.weights.dtype != self.bias.dtype:
+            raise ContractViolationError(
+                f"DenseLayer: weights are {self.weights.dtype}, bias is "
+                f"{self.bias.dtype}")
         if self.weights.ndim != 2 or self.bias.ndim != 1:
             raise ContractViolationError("DenseLayer: weights must be 2-D, bias 1-D")
         if self.weights.shape[0] != self.bias.shape[0]:
@@ -178,8 +200,8 @@ class Mlp:
         if len(params) != 2 * len(self.layers):
             raise ContractViolationError("set_params: wrong parameter count")
         for i, layer in enumerate(self.layers):
-            layer.weights = np.asarray(params[2 * i], dtype=np.float64)
-            layer.bias = np.asarray(params[2 * i + 1], dtype=np.float64)
+            layer.weights = _float_array(params[2 * i])
+            layer.bias = _float_array(params[2 * i + 1])
 
 
 def init_mlp(rng: RngStream, dims: Sequence[int],
@@ -212,7 +234,8 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
     """One bias-corrected Adam update (Kingma & Ba, Alg. 1), in place.
 
     Writes `params`, `state.first_moment` and `state.second_moment` and
-    increments `state.step_count`.  Each array is walked ADAM_BLOCK
+    increments `state.step_count`.  Every array shares one float dtype, in
+    which the update is computed.  Each array is walked ADAM_BLOCK
     elements at a time, so a block's operands stay in cache across the
     update's passes.  Every check, including the finite check of every
     gradient, runs before anything is written: a failed step leaves params
@@ -224,6 +247,7 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             == len(state.second_moment)):
         raise ContractViolationError("adam_step: params/grads/state length mismatch")
     t = state.step_count + 1
+    dtype = params[0].dtype if params else np.float64
     # The update goes through flat views; reshape(-1) of a non-contiguous
     # array is a copy, and writing to it would lose the update.
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.first_moment,
@@ -233,6 +257,9 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             if a.shape != p.shape:
                 raise ContractViolationError(
                     f"adam_step: {what} {i} has shape {a.shape}, parameter has {p.shape}")
+            if a.dtype != dtype:
+                raise ContractViolationError(
+                    f"adam_step: {what} {i} is {a.dtype}, parameter 0 is {dtype}")
             if not (a.flags.c_contiguous and a.flags.writeable):
                 raise ContractViolationError(
                     f"adam_step: {what} {i} must be a C-contiguous writable array")
@@ -243,8 +270,8 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-    scratch_a = np.empty(block)
-    scratch_b = np.empty(block)
+    scratch_a = np.empty(block, dtype)
+    scratch_b = np.empty(block, dtype)
     for arrays in zip(params, grads, state.first_moment, state.second_moment):
         p, g, m, v = (a.reshape(-1) for a in arrays)
         for start in range(0, p.size, ADAM_BLOCK):

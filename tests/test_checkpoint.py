@@ -118,7 +118,10 @@ def _small_pipeline_dict():
     score_cfg = ScoreConfig(mode="nll",
                             standardization=ScoreStandardization(1.0, 2.0, 0.1, 0.2))
     return ckpt.pipeline_to_dict(ae, flow, score_cfg, threshold=3.5,
-                                 threshold_quantile=0.99)
+                                 threshold_quantile=0.99,
+                                 ae_config=AutoencoderConfig(seed=5, latent_dim=4),
+                                 flow_config=FlowConfig(seed=6, num_layers=2, hidden=4),
+                                 seed=7)
 
 
 def _b64(values):
@@ -163,6 +166,16 @@ MALFORMED = {
     "standardization_missing_key": _delete("score_standardization", "nll_std"),
     "v1_file": _set("format_version", 1),
     "v1_nested_autoencoder": _set("autoencoder", "format_version", 1),
+    "top_latent_dim_mismatch": _set("latent_dim", 5),
+    "quantile_of_one": _set("threshold_quantile", 1.0),
+    "quantile_of_zero": _set("threshold_quantile", 0),
+    "float_seed": _set("seed", 7.5),
+    "bool_nested_seed": _set("flow", "seed", True),
+    "train_config_list": _set("autoencoder", "train_config", [1]),
+    "train_config_missing_key": _delete("flow", "train_config", "hidden"),
+    "train_config_unknown_key": _set("flow", "train_config", "depth", 3),
+    "train_config_out_of_range": _set("autoencoder", "train_config", "lr", -1.0),
+    "train_config_wrong_type": _set("flow", "train_config", "epochs", 2.5),
 }
 
 
@@ -193,6 +206,23 @@ def test_small_pipeline_checkpoint_is_valid():
     ckpt.pipeline_from_dict(_small_pipeline_dict())
 
 
+def test_null_metadata_is_valid():
+    data = _small_pipeline_dict()
+    for part in (data, data["autoencoder"], data["flow"]):
+        part["seed"] = None
+    data["autoencoder"]["train_config"] = data["flow"]["train_config"] = None
+    ckpt.pipeline_from_dict(data)
+
+
+def test_save_json_bytes_match_json_dumps(tmp_path):
+    data = _small_pipeline_dict()
+    data["note"] = ["\u00e9", -0.0, 5e-324, {"b": None, "a": [True, 1.5e300]}]
+    path = tmp_path / "checkpoint.json"
+    ckpt.save_json(data, path)
+    expected = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Exit-code contract of checkpoint loading, probed with mutated checkpoints.
 # Each example is one of the hand-picked cases above, or the small valid
@@ -200,10 +230,10 @@ def test_small_pipeline_checkpoint_is_valid():
 # for one of another JSON type, a base64 array string truncated, or a mask
 # bit set to 0.5. `simulate` must reject it with exit 5 and one stderr line.
 
-# Descriptive fields the loader does not read; changing them leaves a valid
-# checkpoint, so they are not mutated.
-UNREAD_KEYS = {("latent_dim",), ("threshold_quantile",), ("seed",)}
-UNREAD_NESTED = {"seed", "train_config"}
+# Fields that may also be null: swapping their value for null leaves a
+# valid checkpoint, so null is not one of their swaps.
+NULLABLE = {("seed",), ("autoencoder", "seed"), ("flow", "seed"),
+            ("autoencoder", "train_config"), ("flow", "train_config")}
 ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
 
@@ -212,8 +242,6 @@ def _json_paths(data, prefix=()):
     items = data.items() if isinstance(data, dict) else enumerate(data)
     for key, value in items:
         path = prefix + (key,)
-        if path in UNREAD_KEYS or (prefix and key in UNREAD_NESTED):
-            continue
         yield path
         if isinstance(value, (dict, list)):
             yield from _json_paths(value, path)
@@ -263,7 +291,8 @@ def _mutations(draw):
         return kind, path
     if kind == "truncate":
         return kind, path, draw(st.integers(0, len(value) - 1))
-    others = sorted(set(JSON_VALUES) - {_json_type(value)})
+    others = sorted(set(JSON_VALUES) - {_json_type(value)}
+                    - ({"null"} if path in NULLABLE else set()))
     return kind, path, draw(JSON_VALUES[draw(st.sampled_from(others))])
 
 

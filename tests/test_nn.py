@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from framewatch.autoencoder import AutoencoderConfig, train_autoencoder
+from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError, TrainingError
-from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer,
+from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer, Mlp,
                            adam_step, dense_backward_batch, dense_forward_batch,
                            init_dense, init_mlp)
 from framewatch.rng import RngStream
@@ -117,8 +121,13 @@ def reference_adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999,
     return new_params, AdamState(new_m, new_v, t)
 
 
+def _uint_view(a):
+    """`a`'s bits as unsigned integers of its itemsize."""
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
 def _bits(arrays):
-    return [a.view(np.uint64).copy() for a in arrays]
+    return [_uint_view(a).copy() for a in arrays]
 
 
 def _snapshot(params, state):
@@ -128,19 +137,24 @@ def _snapshot(params, state):
 
 def _same_bits(a, b):
     return len(a) == len(b) and all(
-        np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
+        x.dtype == y.dtype and np.array_equal(_uint_view(x), _uint_view(y))
+        for x, y in zip(a, b))
 
 
-def test_adam_in_place_matches_functional_oracle_bitwise():
+def _check_adam_against_oracle(dtype):
     rng = RngStream(41)
     shapes = [(2 * ADAM_BLOCK + 5,), (7, 3)]
-    params = [rng.gaussian(int(np.prod(s))).reshape(s) for s in shapes]
+
+    def draw():
+        return [rng.gaussian(int(np.prod(s))).reshape(s).astype(dtype) for s in shapes]
+
+    params = draw()
     state = AdamState.zeros_like(params)
     ref_params = [p.copy() for p in params]
     ref_state = AdamState.zeros_like(params)
     hyper = dict(lr=3e-3, beta1=0.8, beta2=0.99, epsilon=1e-6)
     for _ in range(3):
-        grads = [rng.gaussian(int(np.prod(s))).reshape(s) for s in shapes]
+        grads = draw()
         assert adam_step(params, grads, state, **hyper) is None
         ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state,
                                                     **hyper)
@@ -148,6 +162,16 @@ def test_adam_in_place_matches_functional_oracle_bitwise():
         assert _same_bits(state.first_moment, ref_state.first_moment)
         assert _same_bits(state.second_moment, ref_state.second_moment)
     assert state.step_count == ref_state.step_count == 3
+    assert all(a.dtype == dtype for a in params + state.first_moment
+               + state.second_moment)
+
+
+def test_adam_in_place_matches_functional_oracle_bitwise():
+    _check_adam_against_oracle(np.float64)
+
+
+def test_adam_float32_in_place_matches_functional_oracle_bitwise():
+    _check_adam_against_oracle(np.float32)
 
 
 def test_adam_zero_gradient_is_identity():
@@ -227,6 +251,17 @@ def test_adam_rejects_read_only_or_misshapen_arrays():
     assert np.array_equal(params[0], np.ones(3)) and state.step_count == 0
 
 
+def test_adam_rejects_mixed_dtypes():
+    params = [np.ones(3, np.float32), np.ones(2)]
+    state = AdamState.zeros_like(params)
+    with pytest.raises(ContractViolationError, match="parameter 1 is float64"):
+        adam_step(params, [np.zeros(3, np.float32), np.zeros(2)], state)
+    params = [np.ones(3, np.float32)]
+    with pytest.raises(ContractViolationError, match="gradient 0 is float64"):
+        adam_step(params, [np.zeros(3)], AdamState.zeros_like(params))
+    assert state.step_count == 0
+
+
 def test_adam_rejects_bad_betas():
     params = [np.array([1.0])]
     with pytest.raises(ContractViolationError):
@@ -255,6 +290,77 @@ def test_mlp_backward_cached_matches_recomputing_layers(act):
     no_gin, same_grads = mlp.backward(cache, g, input_grad=False)
     assert no_gin is None
     assert _same_bits(same_grads, grads)
+
+
+# ---------------------------------------------------------------------------
+# dtypes: float32 in, float32 out.  A silent promotion to float64 would pass
+# every other test and only lose the float32 speed-up.
+
+F32 = np.float32
+
+
+def _f32_layer(rng, in_dim, out_dim, act):
+    layer = init_dense(rng, in_dim, out_dim, act)
+    return DenseLayer(layer.weights.astype(F32), layer.bias.astype(F32), act)
+
+
+@pytest.mark.parametrize("act", list(Activation))
+def test_float32_kernels_keep_float32(act):
+    rng = RngStream(hash(act.value) & 0xFFFF)
+    mlp = Mlp([_f32_layer(rng, 6, 5, act), _f32_layer(rng, 5, 4, act)])
+    assert all(p.dtype == F32 for p in mlp.params())
+    xs = rng.gaussian(3 * 6).reshape(3, 6).astype(F32)
+    g = rng.gaussian(3 * 4).reshape(3, 4).astype(F32)
+    layer = mlp.layers[0]
+    assert dense_forward_batch(layer, xs).dtype == F32
+    g0 = rng.gaussian(3 * 5).reshape(3, 5).astype(F32)
+    assert [a.dtype for a in dense_backward_batch(layer, xs, g0)] == [F32] * 3
+
+    out, cache = mlp.forward_cached(xs)
+    assert out.dtype == F32 and all(a.dtype == F32 for pair in cache for a in pair)
+    gin, param_grads = mlp.backward(cache, g)
+    assert gin.dtype == F32 and all(a.dtype == F32 for a in param_grads)
+    state = AdamState.zeros_like(mlp.params())
+    assert all(a.dtype == F32 for a in state.first_moment + state.second_moment)
+
+
+def test_set_params_keeps_float_dtypes():
+    mlp = init_mlp(RngStream(3), (4, 3, 2), [Activation.TANH] * 2)
+    mlp.set_params([p.astype(F32) for p in mlp.params()])
+    assert all(p.dtype == F32 for p in mlp.params())
+    mlp.set_params([p.astype(np.float64) for p in mlp.params()])
+    assert all(p.dtype == np.float64 for p in mlp.params())
+    mlp.set_params([np.zeros(p.shape, dtype=np.int64) for p in mlp.params()])
+    assert all(p.dtype == np.float64 for p in mlp.params())
+
+
+def test_dense_layer_rejects_mixed_dtypes():
+    with pytest.raises(ContractViolationError, match="float32"):
+        DenseLayer(np.eye(2, dtype=F32), np.zeros(2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_far_below_zero_is_zero_without_warning(dtype):
+    layer = DenseLayer(np.ones((1, 1), dtype), np.zeros(1, dtype), Activation.SIGMOID)
+    xs = np.array([[-100.0], [-1000.0]], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = dense_forward_batch(layer, xs)
+        _, gw, gb = dense_backward_batch(layer, xs, np.ones((2, 1), dtype))
+    assert out.dtype == gw.dtype == gb.dtype == dtype
+    assert out[1, 0] == 0.0 and np.isfinite(gw).all()
+    if dtype is np.float32:
+        assert out[0, 0] == 0.0
+
+
+def test_train_autoencoder_returns_float32_exact_float64():
+    frames = [Frame(RngStream(s).uniform(FRAME_SIDE * FRAME_SIDE).reshape(
+        FRAME_SIDE, FRAME_SIDE)) for s in range(6)]
+    cfg = AutoencoderConfig(epochs=2, batch_size=2, seed=4, latent_dim=8)
+    model, _ = train_autoencoder(frames[:4], frames[4:], cfg)
+    for a in model.params():
+        assert a.dtype == np.float64
+        assert _same_bits([a], [a.astype(F32).astype(np.float64)])
 
 
 # ---------------------------------------------------------------------------
