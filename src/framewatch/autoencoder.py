@@ -34,7 +34,6 @@ class AutoencoderConfig:
     epochs: int = 50
     batch_size: int = 64
     lr: float = 1e-3
-    seed: int = 0
     latent_dim: int = DEFAULT_LATENT_DIM
     beta1: float = 0.9
     beta2: float = 0.999
@@ -50,8 +49,14 @@ class AutoencoderConfig:
 class AutoencoderModel:
     encoder: Mlp
     decoder: Mlp
-    latent_dim: int
-    input_dim: int = FRAME_PIXELS
+
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder.out_dim
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder.in_dim
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
@@ -67,7 +72,6 @@ class TrainReport:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     epochs_run: int = 0
-    seed: int = 0
     warnings: list[str] = field(default_factory=list)
 
 
@@ -81,8 +85,6 @@ def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
     return AutoencoderModel(
         encoder=init_mlp(rng, enc_dims, enc_acts),
         decoder=init_mlp(rng, dec_dims, dec_acts),
-        latent_dim=latent_dim,
-        input_dim=input_dim,
     )
 
 
@@ -129,8 +131,8 @@ def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
 
 
 def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
-                      config: AutoencoderConfig):
-    """Train on normal frames only; deterministic given config.seed.
+                      config: AutoencoderConfig, seed: int = 0):
+    """Train on normal frames only; deterministic given `seed`.
 
     The float64 initialisation is cast to float32 and trained in float32;
     the returned model is float64, each value exactly a float32 one.
@@ -144,7 +146,7 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
     if config.epochs < 1 or config.batch_size < 1:
         raise ContractViolationError("epochs and batch_size must be >= 1")
 
-    rng = RngStream(config.seed)
+    rng = RngStream(seed)
     model = init_autoencoder(rng.derive(0), config.latent_dim)
     model.set_params([p.astype(np.float32) for p in model.params()])
     shuffle_rng = rng.derive(1)
@@ -154,7 +156,7 @@ def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
 
     params = model.params()
     state = AdamState.zeros_like(params)
-    report = TrainReport(seed=config.seed)
+    report = TrainReport()
     n = train_x.shape[0]
 
     for epoch in range(config.epochs):

@@ -1,17 +1,21 @@
 """JSON checkpoints of the full pipeline: autoencoder, flow and scoring.
 
-A checkpoint is one JSON file with `format_version` 2. Every parameter
-array (weights, biases, coupling masks, whitening vectors) is stored as
-one base64 string of its raw little-endian float64 (`<f8`) bytes, next to
-the dims that declare its shape, so a reloaded model reproduces scores
-bit-exactly by construction. Scalars (threshold, standardization, alpha)
-stay JSON numbers.
+A checkpoint is one JSON file with `format_version` 3, and each fact is
+stored once: `format_version`, `model_kind` and the run `seed` only at the
+top level, and the input and latent dims only in each network's
+`layer_dims`. Every parameter array (weights, biases, coupling masks,
+whitening vectors) is stored as one base64 string of its raw
+little-endian float64 (`<f8`) bytes, so a reloaded model reproduces
+scores bit-exactly by construction. Scalars (threshold, standardization,
+alpha) stay JSON numbers.
 
-Loading validates the whole document (keys, types, enums, shapes, decoded
-lengths, finiteness, and the descriptive seeds, training configs and
-threshold quantile) before any model is built, and every failure raises
-CheckpointError. Version 1 files, which held decimal lists, are rejected:
-retrain to write a version 2 checkpoint.
+Loading reads `input_dim` and `latent_dim` from the encoder's
+`layer_dims`, checks the decoder, the coupling masks and nets and the
+whitening vectors against them, and validates the rest of the document
+(keys, types, enums, decoded lengths, finiteness, and the descriptive
+seed, training configs and threshold quantile) before any model is
+built; every failure raises CheckpointError. Version 1 and 2 files are
+rejected: retrain to write a version 3 checkpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .flow import CouplingLayer, FlowConfig, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _F8 = np.dtype("<f8")
 
 
@@ -41,8 +45,10 @@ def _encode(array: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(array, dtype=_F8)).decode("ascii")
 
 
-def _decode(text, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """A fresh, writable, C-contiguous float64 array of `shape`."""
+def _decode(text, shape: tuple[int, ...], where: str,
+            size: str | None = None) -> np.ndarray:
+    """A fresh, writable, C-contiguous float64 array of `shape`; `size`
+    names the shape in the length-mismatch message."""
     if not isinstance(text, str):
         raise CheckpointError(f"{where}: expected a base64 string")
     try:
@@ -51,8 +57,8 @@ def _decode(text, shape: tuple[int, ...], where: str) -> np.ndarray:
         raise CheckpointError(f"{where}: invalid base64: {exc}") from exc
     expected = _F8.itemsize * math.prod(shape)
     if len(raw) != expected:
-        raise CheckpointError(f"{where}: decodes to {len(raw)} bytes, shape "
-                              f"{list(shape)} needs {expected}")
+        raise CheckpointError(f"{where}: decodes to {len(raw)} bytes, "
+                              f"{size or f'shape {list(shape)}'} needs {expected}")
     array = np.frombuffer(raw, dtype=_F8).reshape(shape).astype(np.float64)
     if not np.isfinite(array).all():
         raise CheckpointError(f"{where}: non-finite value")
@@ -67,24 +73,11 @@ def _get(data, key: str, where: str):
     return data[key]
 
 
-def _positive_int(data, key: str, where: str) -> int:
-    value = _get(data, key, where)
-    if type(value) is not int or value < 1:
-        raise CheckpointError(f"{where}.{key}: expected a positive integer")
-    return value
-
-
 def _number(data, key: str, where: str) -> float:
     value = _get(data, key, where)
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise CheckpointError(f"{where}.{key}: expected a finite number")
     return float(value)
-
-
-def _seed(data, where: str) -> None:
-    value = _get(data, "seed", where)
-    if value is not None and type(value) is not int:
-        raise CheckpointError(f"{where}.seed: expected null or an integer")
 
 
 def _train_config(data, cls, where: str) -> None:
@@ -118,17 +111,18 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def _read_mlp(data, where: str, in_dim: int, out_dim: int) -> list[tuple]:
-    """Validated (weights, bias, activation) per layer of an `in_dim` ->
-    `out_dim` network."""
+def _read_mlp(data, where: str, ends=None) -> list[tuple]:
+    """Validated (weights, bias, activation) per layer.  `ends`, if given,
+    is the ((name, dim), (name, dim)) the network must map between."""
     dims = _get(data, "layer_dims", where)
     if (not isinstance(dims, list) or len(dims) < 2
             or any(type(d) is not int or d < 1 for d in dims)):
         raise CheckpointError(
             f"{where}.layer_dims: expected a list of two or more positive integers")
-    if (dims[0], dims[-1]) != (in_dim, out_dim):
+    if ends and (dims[0], dims[-1]) != (ends[0][1], ends[1][1]):
+        (a, m), (b, n) = ends
         raise CheckpointError(f"{where}.layer_dims: maps {dims[0]} -> {dims[-1]}, "
-                              f"expected {in_dim} -> {out_dim}")
+                              f"expected {a} {m} -> {b} {n}")
     n = len(dims) - 1
     acts = _list(data, "activations", where, n)
     weights = _list(data, "weights", where, n)
@@ -150,59 +144,33 @@ def _mlp(spec: list[tuple]) -> Mlp:
     return Mlp([DenseLayer(w, b, act) for w, b, act in spec])
 
 
-def _check_kind(data, expected: str, where: str = "checkpoint") -> None:
-    if not isinstance(data, dict):
-        raise CheckpointError(f"{where}: expected a JSON object")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{where}: unsupported format_version {version!r}; this build reads "
-            f"only format_version {FORMAT_VERSION}, retrain to write a new checkpoint")
-    kind = data.get("model_kind")
-    if kind != expected:
-        raise CheckpointError(f"{where}: expected model_kind {expected!r}, got {kind!r}")
-
-
 def autoencoder_to_dict(model: AutoencoderModel,
                         config: AutoencoderConfig | None = None) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "model_kind": "autoencoder",
-        "latent_dim": model.latent_dim,
-        "input_dim": model.input_dim,
         "encoder": _mlp_to_dict(model.encoder),
         "decoder": _mlp_to_dict(model.decoder),
         "train_config": asdict(config) if config else None,
-        "seed": config.seed if config else None,
     }
 
 
 def _read_autoencoder(data, where: str) -> dict:
-    _check_kind(data, "autoencoder", where)
-    latent = _positive_int(data, "latent_dim", where)
-    pixels = _positive_int(data, "input_dim", where)
-    _seed(data, where)
+    """The validated encoder and decoder specs.  The encoder's layer_dims
+    define input_dim and latent_dim; the decoder must map them back."""
     _train_config(data, AutoencoderConfig, where)
-    return dict(
-        encoder=_read_mlp(_get(data, "encoder", where), f"{where}.encoder",
-                          pixels, latent),
-        decoder=_read_mlp(_get(data, "decoder", where), f"{where}.decoder",
-                          latent, pixels),
-        latent_dim=latent, input_dim=pixels)
+    encoder = _read_mlp(_get(data, "encoder", where), f"{where}.encoder")
+    pixels, latent = encoder[0][0].shape[1], encoder[-1][0].shape[0]
+    decoder = _read_mlp(_get(data, "decoder", where), f"{where}.decoder",
+                        (("latent_dim", latent), ("input_dim", pixels)))
+    return dict(encoder=encoder, decoder=decoder, latent_dim=latent)
 
 
 def _autoencoder(spec: dict) -> AutoencoderModel:
     return AutoencoderModel(encoder=_mlp(spec["encoder"]),
-                            decoder=_mlp(spec["decoder"]),
-                            latent_dim=spec["latent_dim"],
-                            input_dim=spec["input_dim"])
+                            decoder=_mlp(spec["decoder"]))
 
 
 def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "model_kind": "flow",
-        "latent_dim": model.dim,
         "scale_clamp": model.layers[0].scale_clamp if model.layers else None,
         "masks": [_encode(layer.mask) for layer in model.layers],
         "scale_nets": [_mlp_to_dict(layer.scale_net) for layer in model.layers],
@@ -210,15 +178,14 @@ def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
         "whitening_mean": _encode(model.whitening_mean),
         "whitening_std": _encode(model.whitening_std),
         "train_config": asdict(config) if config else None,
-        "seed": config.seed if config else None,
     }
 
 
-def _read_flow(data, where: str) -> dict:
-    _check_kind(data, "flow", where)
-    dim = _positive_int(data, "latent_dim", where)
-    _seed(data, where)
+def _read_flow(data, where: str, dim: int) -> dict:
+    """The validated flow spec over the autoencoder's `dim` latents."""
     _train_config(data, FlowConfig, where)
+    latent = ("latent_dim", dim)
+    size = f"latent_dim {dim}"
     masks = _get(data, "masks", where)
     if not isinstance(masks, list):
         raise CheckpointError(f"{where}.masks: expected a list")
@@ -230,20 +197,23 @@ def _read_flow(data, where: str) -> dict:
         raise CheckpointError(f"{where}.scale_clamp: must be positive")
     layers = []
     for k in range(n):
-        mask = _decode(masks[k], (dim,), f"{where}.masks[{k}]")
+        mask = _decode(masks[k], (dim,), f"{where}.masks[{k}]", size)
         if not (np.isin(mask, (0.0, 1.0)).all() and 0.0 < mask.sum() < dim):
             raise CheckpointError(f"{where}.masks[{k}]: must hold both 0 and 1 "
                                   "and nothing else")
         layers.append(dict(
             mask=mask, scale_clamp=clamp,
-            scale_net=_read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]", dim, dim),
-            shift_net=_read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]", dim, dim)))
-    std = _decode(_get(data, "whitening_std", where), (dim,), f"{where}.whitening_std")
+            scale_net=_read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]",
+                                (latent, latent)),
+            shift_net=_read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]",
+                                (latent, latent))))
+    std = _decode(_get(data, "whitening_std", where), (dim,),
+                  f"{where}.whitening_std", size)
     if not (std > 0.0).all():
         raise CheckpointError(f"{where}.whitening_std: must be positive")
     return dict(layers=layers, dim=dim, whitening_std=std,
                 whitening_mean=_decode(_get(data, "whitening_mean", where), (dim,),
-                                       f"{where}.whitening_mean"))
+                                       f"{where}.whitening_mean", size))
 
 
 def _flow(spec: dict) -> FlowModel:
@@ -266,7 +236,6 @@ def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,
     return {
         "format_version": FORMAT_VERSION,
         "model_kind": "pipeline",
-        "latent_dim": ae.latent_dim,
         "autoencoder": autoencoder_to_dict(ae, ae_config),
         "flow": flow_to_dict(flow, flow_config),
         "score_mode": score_config.mode,
@@ -290,17 +259,23 @@ def _read_standardization(data, where: str) -> ScoreStandardization:
 
 def pipeline_from_dict(data: dict):
     """Returns (ae, flow, score_config, threshold)."""
-    _check_kind(data, "pipeline")
+    if not isinstance(data, dict):
+        raise CheckpointError("checkpoint: expected a JSON object")
+    kind = data.get("model_kind")
+    if kind != "pipeline":
+        raise CheckpointError(f"checkpoint: expected model_kind 'pipeline', got {kind!r}")
+    version = data.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint: unsupported format_version {version!r}; this build reads "
+            f"only format_version {FORMAT_VERSION}, retrain to write a new checkpoint")
     ae = _read_autoencoder(_get(data, "autoencoder", "checkpoint"),
                            "checkpoint.autoencoder")
-    flow = _read_flow(_get(data, "flow", "checkpoint"), "checkpoint.flow")
-    if ae["latent_dim"] != flow["dim"]:
-        raise CheckpointError("pipeline checkpoint is inconsistent: autoencoder "
-                              f"latent_dim {ae['latent_dim']} vs flow dim {flow['dim']}")
-    if _positive_int(data, "latent_dim", "checkpoint") != ae["latent_dim"]:
-        raise CheckpointError("checkpoint.latent_dim: does not match the autoencoder "
-                              f"latent_dim {ae['latent_dim']}")
-    _seed(data, "checkpoint")
+    flow = _read_flow(_get(data, "flow", "checkpoint"), "checkpoint.flow",
+                      ae["latent_dim"])
+    seed = _get(data, "seed", "checkpoint")
+    if seed is not None and type(seed) is not int:
+        raise CheckpointError("checkpoint.seed: expected null or an integer")
     quantile = _number(data, "threshold_quantile", "checkpoint")
     if not 0.0 < quantile < 1.0:
         raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")

@@ -6,7 +6,8 @@ Exit codes (stable):
     0  success
     2  configuration error (bad JSON, unknown keys, bad values), training
        divergence or non-finite scores
-    3  I/O error (missing files or directories, unreadable data)
+    3  I/O error (missing files or directories, unreadable data, unwritable
+       outputs)
     4  dataset protocol violation (anomalous sample in train/val)
     5  checkpoint error (unreadable or incompatible checkpoint)
 """
@@ -20,6 +21,7 @@ import time
 from pathlib import Path
 
 from . import checkpoint as ckpt
+from .config import from_dict
 from .data_io import FRAME_RATE, Frame, load_scenario, read_frame_pixels
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
@@ -38,23 +40,25 @@ EXIT_PROTOCOL = 4
 EXIT_CHECKPOINT = 5
 
 
+def _read_json(name: str, what: str):
+    """Parsed JSON of the `what` file `name`: IOFailure if it is missing,
+    ConfigError if it is not UTF-8 JSON."""
+    path = Path(name)
+    if not path.is_file():
+        raise IOFailure(f"{what} file {path} does not exist")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise ConfigError(f"{path}: unreadable: {exc}") from exc
+
+
 def _load_run_config(args) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise IOFailure(f"config file {path} does not exist")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
-                              f"column {exc.colno}: {exc.msg}") from exc
-        config = RunConfig.from_dict(data)
-    else:
-        config = RunConfig.from_dict({})
+    config = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
     if args.seed is not None:
         config.seed = args.seed
-        config.autoencoder.seed = args.seed
-        config.flow.seed = args.seed
     if getattr(args, "scenario", None):
         config.scenario = args.scenario
     if getattr(args, "out", None):
@@ -80,17 +84,8 @@ def _require_scenario(config: RunConfig) -> Path:
 
 
 def cmd_gen_synth(args) -> int:
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise IOFailure(f"spec file {path} does not exist")
-        try:
-            spec = SynthSpec.from_json(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
-                              f"column {exc.colno}: {exc.msg}") from exc
-    else:
-        spec = SynthSpec()
+    spec = (from_dict(SynthSpec, _read_json(args.config, "spec"), "synth spec")
+            if args.config else SynthSpec())
     if args.seed is not None:
         spec.seed = args.seed
     if not args.out:
@@ -262,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IOFailure, ParseError) as exc:
+    except (IOFailure, ParseError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ProtocolViolationError as exc:

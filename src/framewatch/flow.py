@@ -108,7 +108,6 @@ class FlowConfig:
     epochs: int = 60
     batch_size: int = 64
     lr: float = 1e-3
-    seed: int = 0
     num_layers: int = DEFAULT_NUM_LAYERS
     scale_clamp: float = DEFAULT_SCALE_CLAMP
     hidden: int = DEFAULT_HIDDEN
@@ -128,7 +127,6 @@ class FlowTrainReport:
     train_nll: list[float] = field(default_factory=list)
     val_nll: list[float] = field(default_factory=list)
     epochs_run: int = 0
-    seed: int = 0
 
 
 def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
@@ -269,11 +267,11 @@ def _nll_loss_and_grads(flow: FlowModel, z0: np.ndarray):
 
 
 def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
-               config: FlowConfig):
+               config: FlowConfig, seed: int = 0):
     """Fit the flow to normal latents by maximum likelihood.
 
     Whitening statistics come from the training latents only.  Returns
-    (model, report); deterministic given config.seed.
+    (model, report); deterministic given `seed`.
     """
     train_latents = np.asarray(train_latents, dtype=np.float64)
     val_latents = np.asarray(val_latents, dtype=np.float64)
@@ -285,7 +283,7 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                                      "non-empty (n, h) array")
     dim = train_latents.shape[1]
 
-    rng = RngStream(config.seed)
+    rng = RngStream(seed)
     flow = init_flow(rng.derive(0), dim, config.num_layers, config.scale_clamp,
                      config.hidden,
                      whitening_mean=train_latents.mean(axis=0),
@@ -296,7 +294,7 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
 
     params = flow.params()
     state = AdamState.zeros_like(params)
-    report = FlowTrainReport(seed=config.seed)
+    report = FlowTrainReport()
     n = train_z0.shape[0]
 
     for epoch in range(config.epochs):

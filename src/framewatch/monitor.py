@@ -46,6 +46,8 @@ class MonitorConfig:
     consecutive: int = DEFAULT_CONSECUTIVE
 
     def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ConfigError(f"threshold must be finite, got {self.threshold}")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
         if self.consecutive < 1:

@@ -6,6 +6,7 @@ and other callers can run the pipeline without spawning a process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +24,8 @@ from .checkpoint import pipeline_to_dict
 
 @dataclass
 class RunConfig:
-    """Effective configuration of a full run; every field has a default."""
+    """Effective configuration of a full run; every field has a default.
+    `seed` seeds both the autoencoder and the flow."""
 
     seed: int = 7
     scenario: str | None = None
@@ -45,9 +47,9 @@ class RunConfig:
             raise ConfigError(f"score_alpha must lie in [0, 1], got {self.score_alpha}")
         if not 0.0 < self.eval_quantile < 1.0:
             raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
-        # One seed drives the whole run; sub-config seeds follow it.
-        self.autoencoder.seed = self.seed
-        self.flow.seed = self.seed
+        if self.monitor_threshold is not None and not math.isfinite(self.monitor_threshold):
+            raise ConfigError(
+                f"monitor_threshold must be finite or null, got {self.monitor_threshold}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -74,13 +76,14 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     validation-based score standardization and trigger threshold."""
     dataset.validate()
     ae, ae_report = train_autoencoder(dataset.train, dataset.val,
-                                      config.autoencoder)
+                                      config.autoencoder, config.seed)
 
     train_flats = np.stack([f.flat() for f in dataset.train])
     val_flats = np.stack([f.flat() for f in dataset.val])
     train_latents = encode_batch(ae, train_flats)
     val_latents = encode_batch(ae, val_flats)
-    flow, flow_report = train_flow(train_latents, val_latents, config.flow)
+    flow, flow_report = train_flow(train_latents, val_latents, config.flow,
+                                   config.seed)
 
     nll_cfg = ScoreConfig(mode="nll")
     val_nll = score_frames(ae, flow, dataset.val, nll_cfg)

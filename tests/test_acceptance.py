@@ -152,7 +152,7 @@ def test_criterion_4_auc():
 def test_criterion_5_flow_learning():
     latents = RngStream(6000).gaussian(5000 * 4).reshape(5000, 4)
     val = RngStream(6001).gaussian(1000 * 4).reshape(1000, 4)
-    flow, report = train_flow(latents, val, FlowConfig(epochs=30, seed=1))
+    flow, report = train_flow(latents, val, FlowConfig(epochs=30), seed=1)
     entropy = 2.0 * (1.0 + math.log(2.0 * math.pi))
     diff = abs(report.val_nll[-1] - entropy)
     _report(5, "flow learning sanity", diff < 0.1,

@@ -112,17 +112,17 @@ def test_tiny_model_full_gradient_check():
 def test_train_memorizes_single_frame():
     frame = _frame(seed=4)
     _, report = train_autoencoder([frame], [frame],
-                                  AutoencoderConfig(epochs=50, batch_size=1,
-                                                    seed=3))
+                                  AutoencoderConfig(epochs=50, batch_size=1),
+                                  seed=3)
     assert report.train_loss[-1] < 1e-3
     assert report.epochs_run == 50
 
 
 def test_train_deterministic_checkpoints():
     frames = [_frame(seed=s) for s in range(6)]
-    cfg = AutoencoderConfig(epochs=3, batch_size=2, seed=12, latent_dim=8)
-    model_a, _ = train_autoencoder(frames[:4], frames[4:], cfg)
-    model_b, _ = train_autoencoder(frames[:4], frames[4:], cfg)
+    cfg = AutoencoderConfig(epochs=3, batch_size=2, latent_dim=8)
+    model_a, _ = train_autoencoder(frames[:4], frames[4:], cfg, seed=12)
+    model_b, _ = train_autoencoder(frames[:4], frames[4:], cfg, seed=12)
     assert autoencoder_to_dict(model_a, cfg) == autoencoder_to_dict(model_b, cfg)
 
 
@@ -142,7 +142,7 @@ def test_train_rejects_anomalous_frame():
 def test_trained_latent_is_bounded():
     # regression bound from the reference run: latents stay well below 1e3
     frames = [_frame(seed=s) for s in range(8)]
-    cfg = AutoencoderConfig(epochs=5, batch_size=4, seed=1, latent_dim=8)
-    model, _ = train_autoencoder(frames[:6], frames[6:], cfg)
+    cfg = AutoencoderConfig(epochs=5, batch_size=4, latent_dim=8)
+    model, _ = train_autoencoder(frames[:6], frames[6:], cfg, seed=1)
     for frame in frames[:6]:
         assert np.abs(encode(model, frame)).max() < 1e3

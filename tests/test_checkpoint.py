@@ -41,7 +41,7 @@ def test_autoencoder_round_trip_bit_exact(tmp_path):
     model = init_autoencoder(RngStream(1), 16)
     flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
     reloaded, _, _, _ = _reload(tmp_path, model, flow,
-                                ae_config=AutoencoderConfig(seed=1))
+                                ae_config=AutoencoderConfig(), seed=1)
     flats = _frame(2).flat()[None, :]
     assert np.array_equal(encode_batch(model, flats), encode_batch(reloaded, flats))
 
@@ -49,7 +49,7 @@ def test_autoencoder_round_trip_bit_exact(tmp_path):
 def test_flow_round_trip_bit_exact(tmp_path):
     ae = init_autoencoder(RngStream(1), 16)
     flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
-    _, reloaded, _, _ = _reload(tmp_path, ae, flow, flow_config=FlowConfig(seed=3))
+    _, reloaded, _, _ = _reload(tmp_path, ae, flow, flow_config=FlowConfig(), seed=3)
     latent = RngStream(4).gaussian(16)[None, :]
     assert flow_log_prob_batch(flow, latent)[0] == flow_log_prob_batch(reloaded, latent)[0]
 
@@ -119,8 +119,8 @@ def _small_pipeline_dict():
                             standardization=ScoreStandardization(1.0, 2.0, 0.1, 0.2))
     return ckpt.pipeline_to_dict(ae, flow, score_cfg, threshold=3.5,
                                  threshold_quantile=0.99,
-                                 ae_config=AutoencoderConfig(seed=5, latent_dim=4),
-                                 flow_config=FlowConfig(seed=6, num_layers=2, hidden=4),
+                                 ae_config=AutoencoderConfig(latent_dim=4),
+                                 flow_config=FlowConfig(num_layers=2, hidden=4),
                                  seed=7)
 
 
@@ -153,7 +153,8 @@ MALFORMED = {
     "weights_list_too_short": _set(*ENC, "weights", [_b64(np.ones(16 * 8))]),
     "unknown_activation": _set(*ENC, "activations", 0, "relu6"),
     "list_as_activation": _set(*ENC, "activations", 0, ["tanh"]),
-    "string_dimension": _set("flow", "latent_dim", "4"),
+    "string_dimension": _set(*ENC, "layer_dims", 0, "16"),
+    "decoder_dims_mismatch": _set("autoencoder", "decoder", "layer_dims", 0, 5),
     "nan_weight": _set(*ENC, "weights", 0, _b64([np.nan] * (16 * 8))),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),
@@ -165,12 +166,10 @@ MALFORMED = {
     "all_one_mask": _set("flow", "masks", 0, _b64(np.ones(4))),
     "standardization_missing_key": _delete("score_standardization", "nll_std"),
     "v1_file": _set("format_version", 1),
-    "v1_nested_autoencoder": _set("autoencoder", "format_version", 1),
-    "top_latent_dim_mismatch": _set("latent_dim", 5),
+    "v2_file": _set("format_version", 2),
     "quantile_of_one": _set("threshold_quantile", 1.0),
     "quantile_of_zero": _set("threshold_quantile", 0),
     "float_seed": _set("seed", 7.5),
-    "bool_nested_seed": _set("flow", "seed", True),
     "train_config_list": _set("autoencoder", "train_config", [1]),
     "train_config_missing_key": _delete("flow", "train_config", "hidden"),
     "train_config_unknown_key": _set("flow", "train_config", "depth", 3),
@@ -208,10 +207,22 @@ def test_small_pipeline_checkpoint_is_valid():
 
 def test_null_metadata_is_valid():
     data = _small_pipeline_dict()
-    for part in (data, data["autoencoder"], data["flow"]):
-        part["seed"] = None
+    data["seed"] = None
     data["autoencoder"]["train_config"] = data["flow"]["train_config"] = None
     ckpt.pipeline_from_dict(data)
+
+
+def test_each_fact_stored_once():
+    """The version, kind and seed appear only at the top level, and the
+    dims only as layer_dims.  Each train_config is a verbatim record of the
+    training config, so its own `latent_dim` field is not a copy."""
+    data = _small_pipeline_dict()
+    paths = [p for p in _json_paths(data) if "train_config" not in p[:-1]]
+    keys = [p[-1] for p in paths]
+    for key in ("format_version", "model_kind", "seed"):
+        assert [p for p in paths if p[-1] == key] == [(key,)]
+    assert "latent_dim" not in keys and "input_dim" not in keys
+    assert data["format_version"] == 3
 
 
 def test_save_json_bytes_match_json_dumps(tmp_path):
@@ -232,8 +243,7 @@ def test_save_json_bytes_match_json_dumps(tmp_path):
 
 # Fields that may also be null: swapping their value for null leaves a
 # valid checkpoint, so null is not one of their swaps.
-NULLABLE = {("seed",), ("autoencoder", "seed"), ("flow", "seed"),
-            ("autoencoder", "train_config"), ("flow", "train_config")}
+NULLABLE = {("seed",), ("autoencoder", "train_config"), ("flow", "train_config")}
 ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
 
@@ -268,6 +278,7 @@ JSON_VALUES = {
     "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
 }
 VALID_PIPELINE = _small_pipeline_dict()
+LATENT_DIM = VALID_PIPELINE["autoencoder"]["encoder"]["layer_dims"][-1]
 PATHS = list(_json_paths(VALID_PIPELINE))
 ARRAY_PATHS = [p for p in PATHS if ARRAY_KEYS & set(p[-2:])
                and isinstance(_at(VALID_PIPELINE, p), str)]
@@ -284,7 +295,7 @@ def _mutations(draw):
     if kind == "mask_half":
         masks = VALID_PIPELINE["flow"]["masks"]
         return (kind, draw(st.integers(0, len(masks) - 1)),
-                draw(st.integers(0, VALID_PIPELINE["flow"]["latent_dim"] - 1)))
+                draw(st.integers(0, LATENT_DIM - 1)))
     path = draw(st.sampled_from(ARRAY_PATHS if kind == "truncate" else PATHS))
     value = _at(VALID_PIPELINE, path)
     if kind == "drop":

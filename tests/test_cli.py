@@ -198,6 +198,25 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 11
 
 
+@pytest.mark.parametrize("command, output", [("train", "checkpoint.json"),
+                                             ("eval", "scores.csv"),
+                                             ("simulate", "monitor_log.csv")])
+def test_unwritable_output_exits_3(workspace, tmp_path, capsys, command, output):
+    """An output file that cannot be written (here, a directory already
+    sits at its path) is an I/O error: exit 3, one line."""
+    out = tmp_path / "o"
+    (out / output).mkdir(parents=True)
+    scenario = workspace / "scen" / ("test" if command == "simulate" else "")
+    argv = [command, "--config", str(workspace / "run.json"),
+            "--scenario", str(scenario), "--out", str(out)]
+    if command != "train":
+        argv += ["--checkpoint", str(workspace / "out" / "checkpoint.json")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_train_determinism_byte_identical(workspace, tmp_path):
     out2 = tmp_path / "out2"
     assert main(["train", "--config", str(workspace / "run.json"),
@@ -231,6 +250,12 @@ BAD_CONFIGS = {
     "autoencoder_beta1_one": {"autoencoder": {"beta1": 1.0}},
     "negative_flow_beta2": {"flow": {"beta2": -0.1}},
     "zero_scale_clamp": {"flow": {"scale_clamp": 0}},
+    "nan_threshold": {"monitor_threshold": float("nan")},
+    "infinite_threshold": {"monitor_threshold": float("inf")},
+    "negative_infinite_threshold": {"monitor_threshold": float("-inf")},
+    "autoencoder_seed": {"autoencoder": {"seed": 3}},
+    "flow_seed": {"flow": {"seed": 3}},
+    "not_utf8": b'\xff\xfe{"seed": 7}',
 }
 
 
@@ -239,7 +264,11 @@ BAD_CONFIGS = {
 def test_bad_config_exits_2(workspace, tmp_path, capsys, command, name):
     """Each type or range error is reported at load: exit 2, one line."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SMALL_RUN, **BAD_CONFIGS[name]}))
+    bad = BAD_CONFIGS[name]
+    if isinstance(bad, bytes):
+        cfg.write_bytes(bad)
+    else:
+        cfg.write_text(json.dumps({**SMALL_RUN, **bad}))
     argv = [command, "--config", str(cfg)]
     if command == "train":
         argv += ["--scenario", str(workspace / "scen"), "--out", str(tmp_path / "o")]
@@ -285,6 +314,7 @@ BAD_SYNTH_SPECS = {
     "brightness_delta_below_minus_one": {"brightness_delta": -1.5},
     "no_normal_test_frames": {"n_test_normal": 0},
     "no_anomalous_test_frames": {"n_per_anomaly": {"blob": 0, "dim_light": 0}},
+    "not_utf8": b"\xff\xfe{}",
 }
 
 
@@ -293,7 +323,11 @@ def test_bad_synth_spec_exits_2(tmp_path, capsys, name):
     """A wrong value type or an out-of-range value in a synth spec is
     reported at load, before any file is written: exit 2, one line."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(BAD_SYNTH_SPECS[name]))
+    bad = BAD_SYNTH_SPECS[name]
+    if isinstance(bad, bytes):
+        spec.write_bytes(bad)
+    else:
+        spec.write_text(json.dumps(bad))
     assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")

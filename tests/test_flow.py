@@ -204,9 +204,9 @@ def test_train_flow_deterministic():
     rng = RngStream(40)
     latents = rng.gaussian(64 * 4).reshape(64, 4)
     val = rng.gaussian(16 * 4).reshape(16, 4)
-    cfg = FlowConfig(epochs=3, batch_size=16, seed=9, num_layers=2, hidden=8)
-    flow_a, _ = train_flow(latents, val, cfg)
-    flow_b, _ = train_flow(latents, val, cfg)
+    cfg = FlowConfig(epochs=3, batch_size=16, num_layers=2, hidden=8)
+    flow_a, _ = train_flow(latents, val, cfg, seed=9)
+    flow_b, _ = train_flow(latents, val, cfg, seed=9)
     assert flow_to_dict(flow_a, cfg) == flow_to_dict(flow_b, cfg)
 
 
@@ -214,8 +214,8 @@ def test_train_flow_whitening_from_train_only():
     rng = RngStream(41)
     latents = 5.0 + 2.0 * rng.gaussian(128 * 4).reshape(128, 4)
     val = rng.gaussian(16 * 4).reshape(16, 4)  # deliberately different stats
-    cfg = FlowConfig(epochs=1, batch_size=32, seed=9, num_layers=2, hidden=8)
-    flow, _ = train_flow(latents, val, cfg)
+    cfg = FlowConfig(epochs=1, batch_size=32, num_layers=2, hidden=8)
+    flow, _ = train_flow(latents, val, cfg, seed=9)
     assert np.allclose(flow.whitening_mean, latents.mean(axis=0))
     assert np.allclose(flow.whitening_std, latents.std(axis=0))
 

@@ -132,3 +132,5 @@ def test_config_validation():
         MonitorConfig(threshold=1.0, window=0)
     with pytest.raises(ConfigError):
         MonitorConfig(threshold=1.0, consecutive=0)
+    with pytest.raises(ConfigError):
+        MonitorConfig(threshold=float("nan"))

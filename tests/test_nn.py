@@ -356,8 +356,8 @@ def test_sigmoid_far_below_zero_is_zero_without_warning(dtype):
 def test_train_autoencoder_returns_float32_exact_float64():
     frames = [Frame(RngStream(s).uniform(FRAME_SIDE * FRAME_SIDE).reshape(
         FRAME_SIDE, FRAME_SIDE)) for s in range(6)]
-    cfg = AutoencoderConfig(epochs=2, batch_size=2, seed=4, latent_dim=8)
-    model, _ = train_autoencoder(frames[:4], frames[4:], cfg)
+    cfg = AutoencoderConfig(epochs=2, batch_size=2, latent_dim=8)
+    model, _ = train_autoencoder(frames[:4], frames[4:], cfg, seed=4)
     for a in model.params():
         assert a.dtype == np.float64
         assert _same_bits([a], [a.astype(F32).astype(np.float64)])
