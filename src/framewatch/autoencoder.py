@@ -115,8 +115,8 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
 
 def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
     """Mean-over-batch-and-pixels MSE loss and its parameter gradients."""
-    latent, enc_cache = model.encoder.forward_cached(batch)
-    recon, dec_cache = model.decoder.forward_cached(latent)
+    enc_cache, dec_cache = [], []
+    recon = model.decoder.forward(model.encoder.forward(batch, enc_cache), dec_cache)
     diff = recon - batch
     loss = float(np.mean(diff * diff, dtype=np.float64))
     grad_recon = 2.0 * diff / diff.size

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -77,6 +79,17 @@ def _require_out(config: RunConfig) -> Path:
     return out
 
 
+def _check_writable(out: Path, names: tuple[str, ...]) -> None:
+    """IOFailure unless each output `names` under `out` can be written: no
+    non-file sits at its path and the directory is writable."""
+    for name in names:
+        path = out / name
+        if path.exists() and not path.is_file():
+            raise IOFailure(f"output {path} exists and is not a file")
+    if not os.access(out, os.W_OK):
+        raise IOFailure(f"output directory {out} is not writable")
+
+
 def _require_scenario(config: RunConfig) -> Path:
     if not config.scenario:
         raise ConfigError("no scenario: pass --scenario or set 'scenario' in the config")
@@ -101,22 +114,14 @@ def cmd_gen_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     out = _require_out(config)
+    _check_writable(out, ("checkpoint.json", "train_report.json"))
     dataset = load_scenario(_require_scenario(config))
     trained = train_pipeline(dataset, config)
 
     ckpt.save_json(pipeline_checkpoint(trained, config), out / "checkpoint.json")
     report = {
-        "autoencoder": {
-            "train_loss": trained.ae_report.train_loss,
-            "val_loss": trained.ae_report.val_loss,
-            "epochs_run": trained.ae_report.epochs_run,
-            "warnings": trained.ae_report.warnings,
-        },
-        "flow": {
-            "train_nll": trained.flow_report.train_nll,
-            "val_nll": trained.flow_report.val_nll,
-            "epochs_run": trained.flow_report.epochs_run,
-        },
+        "autoencoder": asdict(trained.ae_report),
+        "flow": asdict(trained.flow_report),
         "threshold": trained.threshold,
         "seed": config.seed,
         "config": config.to_dict(),

@@ -52,29 +52,21 @@ class EvalReport:
         }, indent=2, sort_keys=True)
 
 
+def _tie_runs(sorted_vals: np.ndarray) -> np.ndarray:
+    """Boundaries b of the runs of equal values in a sorted array: run k is
+    sorted_vals[b[k]:b[k + 1]]."""
+    inner = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    return np.concatenate(([0], inner, [sorted_vals.size]))
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank range."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+    bounds = _tie_runs(values[order])
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] - 1) / 2.0 + 1.0,
+                             np.diff(bounds))
     return ranks
-
-
-def _split_scores(scored: list[ScoredSample]):
-    pos = np.array([s.score for s in scored if s.anomaly_type is not None])
-    neg = np.array([s.score for s in scored if s.anomaly_type is None])
-    if pos.size == 0 or neg.size == 0:
-        raise EvaluationError(
-            "AUC needs at least one normal and one anomalous sample "
-            f"(got {neg.size} normal, {pos.size} anomalous)")
-    return pos, neg
 
 
 def auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -94,24 +86,23 @@ def roc_curve(scored: list[ScoredSample]) -> list[RocPoint]:
     A sample is predicted anomalous when score >= threshold.  The
     trapezoidal area under the returned curve equals auc_from_scores().
     """
-    pos, neg = _split_scores(scored)
+    pos = np.array([s.score for s in scored if s.anomaly_type is not None])
+    neg = np.array([s.score for s in scored if s.anomaly_type is None])
+    if pos.size == 0 or neg.size == 0:
+        raise EvaluationError(
+            "AUC needs at least one normal and one anomalous sample "
+            f"(got {neg.size} normal, {pos.size} anomalous)")
     scores = np.concatenate([neg, pos])
-    labels = np.concatenate([np.zeros(neg.size), np.ones(pos.size)])
     order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-
-    points = [RocPoint(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[j + 1] == scores[i]:
-            j += 1
-        tp += int(labels[i:j + 1].sum())
-        fp += (j - i + 1) - int(labels[i:j + 1].sum())
-        points.append(RocPoint(float(scores[i]), tp / pos.size, fp / neg.size))
-        i = j + 1
-    return points
+    scores = scores[order]
+    bounds = _tie_runs(scores)
+    ends = bounds[1:]
+    tp = np.cumsum(order >= neg.size)[ends - 1]
+    fp = ends - tp
+    return [RocPoint(float("inf"), 0.0, 0.0)] + [
+        RocPoint(*point) for point in zip(scores[bounds[:-1]].tolist(),
+                                          (tp / pos.size).tolist(),
+                                          (fp / neg.size).tolist())]
 
 
 def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:

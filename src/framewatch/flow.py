@@ -9,6 +9,11 @@ The raw scale output of each coupling net is squashed to
 ``s_max * tanh(raw / s_max)``, so |s| < s_max everywhere: the layer is
 always invertible and no single layer can contribute an unbounded
 log-determinant on off-manifold inputs.
+
+One loop over the coupling layers, with one s/t conditioner, serves the
+forward pass, the inverse, the single-layer transform and the training
+loss, which asks it for a backward tape; one log-density expression
+serves scoring and the loss.
 """
 
 from __future__ import annotations
@@ -151,18 +156,40 @@ def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
     return FlowModel(layers, dim, whitening_mean, whitening_std)
 
 
-def _clamped_scale(layer: CouplingLayer, raw: np.ndarray) -> np.ndarray:
-    return layer.scale_clamp * np.tanh(raw / layer.scale_clamp)
+def _couple(layers: list[CouplingLayer], xs: np.ndarray, inverse: bool = False,
+            tape: list | None = None):
+    """Run coupling layers over a (n, dim) batch; returns (out, log_det).
+
+    Forward applies each layer in order as masked + (1 - mask) * (x *
+    exp(s) + t); inverse undoes them in reverse order.  s and t come from
+    the masked dims, which no layer changes, and log_det is the forward
+    map's log-determinant in both directions.  When `tape` is a list, each
+    forward layer appends (input, scale-net cache, shift-net cache, s,
+    tanh(raw / s_max)) to it for the backward pass.
+    """
+    log_det = np.zeros(xs.shape[0])
+    for layer in (reversed(layers) if inverse else layers):
+        masked = xs * layer.mask
+        s_cache, t_cache = ([], []) if tape is not None else (None, None)
+        u = np.tanh(layer.scale_net.forward(masked, s_cache) / layer.scale_clamp)
+        s = layer.scale_clamp * u
+        t = layer.shift_net.forward(masked, t_cache)
+        inv_mask = 1.0 - layer.mask
+        if inverse:
+            xs = masked + inv_mask * ((xs - t) * np.exp(-s))
+        else:
+            if tape is not None:
+                tape.append((xs, s_cache, t_cache, s, u))
+            xs = masked + inv_mask * (xs * np.exp(s) + t)
+        log_det += (inv_mask * s).sum(axis=1)
+    return xs, log_det
 
 
-def _coupling_forward_batch(layer: CouplingLayer, xs: np.ndarray):
-    masked = xs * layer.mask
-    s = _clamped_scale(layer, layer.scale_net.forward(masked))
-    t = layer.shift_net.forward(masked)
-    inv_mask = 1.0 - layer.mask
-    ys = masked + inv_mask * (xs * np.exp(s) + t)
-    log_det = (inv_mask * s).sum(axis=1)
-    return ys, log_det
+def _log_density(zs: np.ndarray, log_det: np.ndarray) -> np.ndarray:
+    """Change of variables: standard normal log-density of each row of the
+    flow output `zs` plus the forward log-determinant."""
+    return (-0.5 * zs.shape[1] * math.log(2.0 * math.pi)
+            - 0.5 * (zs * zs).sum(axis=1) + log_det)
 
 
 def coupling_forward(layer: CouplingLayer, x: np.ndarray):
@@ -173,33 +200,18 @@ def coupling_forward(layer: CouplingLayer, x: np.ndarray):
             f"coupling_forward: input shape {x.shape}, expected ({layer.mask.size},)")
     if not np.isfinite(x).all():
         raise ContractViolationError("coupling_forward: non-finite input")
-    ys, log_det = _coupling_forward_batch(layer, x[None, :])
+    ys, log_det = _couple([layer], x[None, :])
     return ys[0], float(log_det[0])
 
 
-def _coupling_inverse_batch(layer: CouplingLayer, ys: np.ndarray) -> np.ndarray:
-    masked = ys * layer.mask  # pass-through dims are unchanged by forward
-    s = _clamped_scale(layer, layer.scale_net.forward(masked))
-    t = layer.shift_net.forward(masked)
-    inv_mask = 1.0 - layer.mask
-    return masked + inv_mask * ((ys - t) * np.exp(-s))
-
-
 def flow_forward_batch(flow: FlowModel, latents: np.ndarray):
-    zs = flow.whiten(latents)
-    log_det = np.zeros(zs.shape[0])
-    for layer in flow.layers:
-        zs, ld = _coupling_forward_batch(layer, zs)
-        log_det += ld
-    return zs, log_det
+    return _couple(flow.layers, flow.whiten(latents))
 
 
 def flow_inverse_batch(flow: FlowModel, zs: np.ndarray) -> np.ndarray:
     """Inverse of flow_forward_batch for a (n, dim) batch, back to the
     whitened latents (whitening is not undone)."""
-    for layer in reversed(flow.layers):
-        zs = _coupling_inverse_batch(layer, zs)
-    return zs
+    return _couple(flow.layers, zs, inverse=True)[0]
 
 
 def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
@@ -209,9 +221,7 @@ def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
     product turns an inf into a NaN, and a NaN stays one), so one check on
     the result covers every layer.
     """
-    zs, log_det = flow_forward_batch(flow, latents)
-    log_probs = (-0.5 * flow.dim * math.log(2.0 * math.pi)
-                 - 0.5 * (zs * zs).sum(axis=1) + log_det)
+    log_probs = _log_density(*flow_forward_batch(flow, latents))
     if not np.isfinite(log_probs).all():
         raise ScoringError("non-finite log-density from the flow")
     return log_probs
@@ -223,34 +233,19 @@ def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
 def _nll_loss_and_grads(flow: FlowModel, z0: np.ndarray):
     """Mean NLL over a batch of pre-whitened inputs, plus parameter grads.
 
-    Per-layer caches hold everything needed to backpropagate through the
+    The forward tape holds everything needed to backpropagate through the
     coupling transform by hand: x * exp(s) + t on the transformed dims,
     with s = s_max * tanh(raw / s_max) conditioned on the masked dims.
     """
     n = z0.shape[0]
-    xs = z0
-    caches = []
-    total_log_det = np.zeros(n)
-    for layer in flow.layers:
-        masked = xs * layer.mask
-        raw_s, s_cache = layer.scale_net.forward_cached(masked)
-        t, t_cache = layer.shift_net.forward_cached(masked)
-        u = np.tanh(raw_s / layer.scale_clamp)
-        s = layer.scale_clamp * u
-        inv_mask = 1.0 - layer.mask
-        ys = masked + inv_mask * (xs * np.exp(s) + t)
-        total_log_det += (inv_mask * s).sum(axis=1)
-        caches.append((xs, s_cache, t_cache, s, u))
-        xs = ys
-    z = xs
-    loss = float(np.mean(
-        0.5 * flow.dim * math.log(2.0 * math.pi)
-        + 0.5 * (z * z).sum(axis=1) - total_log_det))
+    tape: list = []
+    z, log_det = _couple(flow.layers, z0, tape=tape)
+    loss = float(np.mean(-_log_density(z, log_det)))
 
     grad_y = z / n
     all_grads: list[list[np.ndarray]] = []
     for layer, (x_in, s_cache, t_cache, s, u) in zip(reversed(flow.layers),
-                                                     reversed(caches)):
+                                                     reversed(tape)):
         inv_mask = 1.0 - layer.mask
         e_s = np.exp(s)
         # d loss / d s: through y = x * exp(s) + t and through -log_det.

@@ -8,7 +8,10 @@ next frame it starts backtracking.  BACKTRACK is terminal: the mission
 is aborted and the monitor never returns to ADVANCE.
 
 A non-finite score is a monitor fault and triggers an immediate
-fail-safe Stop, logged distinctly.
+fail-safe Stop, logged distinctly; it does not enter the window.
+
+`monitor_step` keeps the trailing mean in the state, where `run_monitor`
+reads it for the log.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class MonitorConfig:
 class MonitorState:
     phase: Phase = Phase.ADVANCE
     window_buffer: deque = field(default_factory=deque)
+    smoothed: float = math.nan   # trailing mean of window_buffer; NaN while empty
     consecutive_over: int = 0
     frames_seen: int = 0
     trigger_frame: Optional[int] = None
@@ -75,45 +79,31 @@ class MonitorEvent:
 
 def monitor_step(state: MonitorState, score: float,
                  cfg: MonitorConfig) -> tuple[MonitorState, Action]:
-    """Advance the state machine by one frame; mutates and returns state."""
+    """Advance the state machine by one frame; mutates and returns state.
+
+    The action is named after the phase the frame leaves the monitor in.
+    """
     frame = state.frames_seen
     state.frames_seen += 1
+    # A non-finite score leaves the window alone and, while advancing,
+    # stops at once: a hazard monitor must not silently advance.
+    fault = not math.isfinite(score)
+    if not fault:
+        state.window_buffer.append(score)
+        while len(state.window_buffer) > cfg.window:
+            state.window_buffer.popleft()
+        state.smoothed = sum(state.window_buffer) / len(state.window_buffer)
 
-    if not math.isfinite(score):
-        # Fail closed: a hazard monitor must not silently advance.
-        if state.phase is Phase.ADVANCE:
-            state.phase = Phase.STOP
-            state.trigger_frame = frame
-            return state, Action.STOP
-        if state.phase is Phase.STOP:
-            state.phase = Phase.BACKTRACK
-        return state, Action.BACKTRACK
-
-    state.window_buffer.append(score)
-    while len(state.window_buffer) > cfg.window:
-        state.window_buffer.popleft()
-    smoothed = sum(state.window_buffer) / len(state.window_buffer)
-
-    if state.phase is Phase.ADVANCE:
-        if smoothed > cfg.threshold:
-            state.consecutive_over = min(state.consecutive_over + 1, cfg.consecutive)
-        else:
-            state.consecutive_over = 0
-        if state.consecutive_over >= cfg.consecutive:
-            state.phase = Phase.STOP
-            state.trigger_frame = frame
-            return state, Action.STOP
-        return state, Action.ADVANCE
     if state.phase is Phase.STOP:
         state.phase = Phase.BACKTRACK
-        return state, Action.BACKTRACK
-    return state, Action.BACKTRACK
-
-
-def _smoothed_of(state: MonitorState) -> float:
-    if not state.window_buffer:
-        return float("nan")
-    return sum(state.window_buffer) / len(state.window_buffer)
+    elif state.phase is Phase.ADVANCE:
+        if not fault:
+            state.consecutive_over = (min(state.consecutive_over + 1, cfg.consecutive)
+                                      if state.smoothed > cfg.threshold else 0)
+        if fault or state.consecutive_over >= cfg.consecutive:
+            state.phase = Phase.STOP
+            state.trigger_frame = frame
+    return state, Action[state.phase.name]
 
 
 def run_monitor(scores: Iterable[float], cfg: MonitorConfig) -> list[MonitorEvent]:
@@ -121,15 +111,14 @@ def run_monitor(scores: Iterable[float], cfg: MonitorConfig) -> list[MonitorEven
     state = MonitorState()
     events = []
     for frame, score in enumerate(scores):
-        fault = not math.isfinite(score)
         state, action = monitor_step(state, score, cfg)
         events.append(MonitorEvent(
             frame_index=frame,
             score=score,
-            smoothed=_smoothed_of(state),
+            smoothed=state.smoothed,
             phase=state.phase,
             action=action,
-            fault=fault,
+            fault=not math.isfinite(score),
         ))
     return events
 

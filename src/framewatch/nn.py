@@ -8,6 +8,10 @@ layers; the Adam update writes the parameter and moment arrays in place,
 a cache block at a time, so a training loop's layers hold the updated
 values without a copy.  Gradients are derived per layer type rather than
 traced, which keeps them checkable against central finite differences.
+
+One forward kernel serves inference and training: given a cache list,
+`dense_forward_batch` and `Mlp.forward` append each layer's (input,
+pre-activation) to it for `Mlp.backward`; inference passes none.
 """
 
 from __future__ import annotations
@@ -120,9 +124,15 @@ def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
     return xs @ layer.weights.T + layer.bias
 
 
-def dense_forward_batch(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
-    """Row-wise forward for a (n, in_dim) batch."""
-    return _apply_activation(layer.activation, _pre_activation(layer, xs))
+def dense_forward_batch(layer: DenseLayer, xs: np.ndarray,
+                        cache: list | None = None) -> np.ndarray:
+    """Row-wise forward for a (n, in_dim) batch.  When `cache` is a list,
+    the layer's (input, pre-activation) is appended to it for the backward
+    pass."""
+    z = _pre_activation(layer, xs)
+    if cache is not None:
+        cache.append((xs, z))
+    return _apply_activation(layer.activation, z)
 
 
 def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
@@ -160,20 +170,12 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
+    def forward(self, xs: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Forward pass; when `cache` is a list, each layer's (input,
+        pre-activation) is appended to it for backward()."""
         for layer in self.layers:
-            xs = dense_forward_batch(layer, xs)
+            xs = dense_forward_batch(layer, xs, cache)
         return xs
-
-    def forward_cached(self, xs: np.ndarray):
-        """Forward pass keeping each layer's (input, pre-activation) for the
-        backward pass."""
-        cache = []
-        for layer in self.layers:
-            z = _pre_activation(layer, xs)
-            cache.append((xs, z))
-            xs = _apply_activation(layer.activation, z)
-        return xs, cache
 
     def backward(self, cache: list[tuple[np.ndarray, np.ndarray]],
                  grad_out: np.ndarray, input_grad: bool = True):

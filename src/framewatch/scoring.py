@@ -43,6 +43,16 @@ class ScoreConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
 
+    def combined(self, nll: np.ndarray, recon: np.ndarray) -> np.ndarray:
+        """Combined-mode score: alpha * standardized NLL plus (1 - alpha) *
+        standardized reconstruction error."""
+        std = self.standardization
+        if std is None:
+            raise ConfigError("combined mode needs standardization constants")
+        z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
+        z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
+        return self.alpha * z_nll + (1.0 - self.alpha) * z_recon
+
 
 def _check_models(ae: AutoencoderModel, flow: FlowModel) -> None:
     if ae.latent_dim != flow.dim:
@@ -65,11 +75,5 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: list[Frame],
     nll = -flow_log_prob_batch(flow, latents)
     if config.mode == "nll":
         return nll
-    std = config.standardization
-    if std is None:
-        raise ConfigError("combined mode needs standardization constants")
-    recon = reconstruction_error(ae, flats, latents)
-    z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
-    z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
-    return config.alpha * z_nll + (1.0 - config.alpha) * z_recon
+    return config.combined(nll, reconstruction_error(ae, flats, latents))
 

@@ -15,13 +15,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import from_dict
 from .data_io import (FRAME_SIDE, AnomalyLabel, Frame, ScenarioDataset,
                       encode_pgm, load_scenario)
 from .errors import ConfigError, IOFailure
@@ -77,10 +75,6 @@ class SynthSpec:
         for kind in self.n_per_anomaly:
             if kind not in ANOMALY_KINDS:
                 raise ConfigError(f"unknown anomaly kind {kind!r}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthSpec":
-        return from_dict(cls, json.loads(text), "synth spec")
 
 
 def generate_normal(rng: RngStream, t: int) -> Frame:

@@ -1,11 +1,14 @@
 """Shared test utilities: parameter flattening, relative error and the
-oracles that hand-derived gradients and the rank AUC are checked against."""
+oracles that hand-derived gradients, the rank AUC, the tie grouping of
+ranks and ROC points, and the monitor fold are checked against."""
 
 import math
 
 import numpy as np
 
-from framewatch.errors import ContractViolationError
+from framewatch.errors import ContractViolationError, EvaluationError
+from framewatch.evaluation import RocPoint
+from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
 
 
 def pack(params):
@@ -64,3 +67,94 @@ def finite_diff_grad(f, x, eps=1e-5):
                 f"finite_diff_grad: non-finite evaluation at component {i}")
         grad.flat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def reference_average_ranks(values):
+    """Average ranks by a Python loop over each run of tied scores."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_roc_curve(scored):
+    """ROC points by a Python loop over each run of tied scores."""
+    pos = np.array([s.score for s in scored if s.anomaly_type is not None])
+    neg = np.array([s.score for s in scored if s.anomaly_type is None])
+    if pos.size == 0 or neg.size == 0:
+        raise EvaluationError("AUC needs at least one normal and one anomalous sample")
+    scores = np.concatenate([neg, pos])
+    labels = np.concatenate([np.zeros(neg.size), np.ones(pos.size)])
+    order = np.argsort(-scores, kind="stable")
+    scores, labels = scores[order], labels[order]
+
+    points = [RocPoint(float("inf"), 0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[j + 1] == scores[i]:
+            j += 1
+        tp += int(labels[i:j + 1].sum())
+        fp += (j - i + 1) - int(labels[i:j + 1].sum())
+        points.append(RocPoint(float(scores[i]), tp / pos.size, fp / neg.size))
+        i = j + 1
+    return points
+
+
+def reference_monitor_step(state, score, cfg):
+    """The monitor state machine with one return per branch; the trailing
+    mean is recomputed by reference_run_monitor, not kept in the state."""
+    frame = state.frames_seen
+    state.frames_seen += 1
+
+    if not math.isfinite(score):
+        if state.phase is Phase.ADVANCE:
+            state.phase = Phase.STOP
+            state.trigger_frame = frame
+            return state, Action.STOP
+        if state.phase is Phase.STOP:
+            state.phase = Phase.BACKTRACK
+        return state, Action.BACKTRACK
+
+    state.window_buffer.append(score)
+    while len(state.window_buffer) > cfg.window:
+        state.window_buffer.popleft()
+    smoothed = sum(state.window_buffer) / len(state.window_buffer)
+
+    if state.phase is Phase.ADVANCE:
+        if smoothed > cfg.threshold:
+            state.consecutive_over = min(state.consecutive_over + 1, cfg.consecutive)
+        else:
+            state.consecutive_over = 0
+        if state.consecutive_over >= cfg.consecutive:
+            state.phase = Phase.STOP
+            state.trigger_frame = frame
+            return state, Action.STOP
+        return state, Action.ADVANCE
+    if state.phase is Phase.STOP:
+        state.phase = Phase.BACKTRACK
+        return state, Action.BACKTRACK
+    return state, Action.BACKTRACK
+
+
+def reference_run_monitor(scores, cfg):
+    """Fold reference_monitor_step, summing the window again per event."""
+    state = MonitorState()
+    events = []
+    for frame, score in enumerate(scores):
+        fault = not math.isfinite(score)
+        state, action = reference_monitor_step(state, score, cfg)
+        buf = state.window_buffer
+        events.append(MonitorEvent(
+            frame_index=frame, score=score,
+            smoothed=sum(buf) / len(buf) if buf else float("nan"),
+            phase=state.phase, action=action, fault=fault))
+    return events

@@ -14,6 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from framewatch import nn
+from framewatch.rng import RngStream
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -46,3 +49,28 @@ def test_patched_names_exist(worker, tmp_path, name):
         target = importlib.import_module(f"framewatch.{home}")
         assert getattr(module, attr) is getattr(target, func), \
             f"{module.__name__}.{attr} is not {span}"
+
+
+def test_mlp_runs_the_timed_dense_kernels(monkeypatch):
+    """The bench times nn.dense_forward_batch and nn.dense_backward_batch;
+    Mlp.forward and Mlp.backward, which training and scoring run, must go
+    through exactly those functions, once per layer."""
+    calls = []
+
+    def counted(name):
+        original = getattr(nn, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("dense_forward_batch", "dense_backward_batch"):
+        monkeypatch.setattr(nn, name, counted(name))
+    mlp = nn.init_mlp(RngStream(0), (5, 4, 3), [nn.Activation.TANH] * 2)
+    xs = RngStream(1).gaussian(10).reshape(2, 5)
+    cache = []
+    out = mlp.forward(xs, cache)
+    assert calls == ["dense_forward_batch"] * 2
+    mlp.backward(cache, out)
+    assert calls[2:] == ["dense_backward_batch"] * 2

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framewatch import cli
 from framewatch.checkpoint import load_json, pipeline_from_dict
 from framewatch.cli import main
 from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, load_scenario,
@@ -199,11 +200,18 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, output", [("train", "checkpoint.json"),
+                                             ("train", "train_report.json"),
                                              ("eval", "scores.csv"),
                                              ("simulate", "monitor_log.csv")])
-def test_unwritable_output_exits_3(workspace, tmp_path, capsys, command, output):
+def test_unwritable_output_exits_3(workspace, tmp_path, capsys, monkeypatch,
+                                   command, output):
     """An output file that cannot be written (here, a directory already
-    sits at its path) is an I/O error: exit 3, one line."""
+    sits at its path) is an I/O error: exit 3, one line.  `train` finds it
+    before training starts."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_pipeline ran before the output check")
+
+    monkeypatch.setattr(cli, "train_pipeline", no_training)
     out = tmp_path / "o"
     (out / output).mkdir(parents=True)
     scenario = workspace / "scen" / ("test" if command == "simulate" else "")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framewatch.cli import main
+from framewatch.config import from_dict
 from framewatch.errors import ConfigError
 from framewatch.pipeline import RunConfig
 from framewatch.synth import SynthSpec
@@ -74,7 +75,7 @@ def test_mutated_synth_spec_loads_or_raises_config_error(data):
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps(data))
         try:
-            SynthSpec.from_json(spec.read_text())
+            from_dict(SynthSpec, json.loads(spec.read_text()), "synth spec")
         except ConfigError:
             # Rejected at load, so gen-synth exits 2 before writing anything.
             out = Path(tmp) / "out"

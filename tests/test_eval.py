@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from framewatch.data_io import AnomalyLabel
 from framewatch.errors import EvaluationError
-from framewatch.evaluation import (auc_from_scores, choose_threshold, evaluate,
-                                   roc_curve, scores_to_csv)
+from framewatch.evaluation import (_average_ranks, auc_from_scores, choose_threshold,
+                                   evaluate, roc_curve, scores_to_csv)
 from framewatch.flow import ScoredSample
 from framewatch.rng import RngStream
 
-from _helpers import brute_force_auc, roc_auc_trapezoid
+from _helpers import (brute_force_auc, reference_average_ranks, reference_roc_curve,
+                      roc_auc_trapezoid)
 
 
 def _scored(normals, anomalies, atype="tape"):
@@ -202,3 +203,31 @@ def test_report_json_and_csv_round_trip():
     csv_text = scores_to_csv(scored)
     assert csv_text.count("\n") == len(scored) + 1
     assert "anomalous" in csv_text
+
+
+# Scores drawn from a handful of values, signed zeros and (for ranks) NaN,
+# so that nearly every input has runs of ties.
+TIE_HEAVY = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 0.25000000000000006, 1.0, 3.0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(TIE_HEAVY, st.just(float("nan"))), max_size=40))
+def test_average_ranks_match_loop_oracle(values):
+    values = np.array(values, dtype=np.float64)
+    ranks = _average_ranks(values)
+    assert ranks.dtype == np.float64
+    assert ranks.tobytes() == reference_average_ranks(values).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(TIE_HEAVY, min_size=1, max_size=30),
+       st.lists(TIE_HEAVY, min_size=1, max_size=30))
+def test_roc_curve_matches_loop_oracle(neg, pos):
+    points = roc_curve(_scored(neg, pos))
+    expected = reference_roc_curve(_scored(neg, pos))
+    assert [(repr(p.threshold), p.true_positive_rate, p.false_positive_rate)
+            for p in points] == \
+        [(repr(p.threshold), p.true_positive_rate, p.false_positive_rate)
+         for p in expected]
+    assert all(type(p.true_positive_rate) is float and type(p.false_positive_rate) is float
+               and type(p.threshold) is float for p in points)

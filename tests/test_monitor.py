@@ -9,6 +9,8 @@ from framewatch.monitor import (Action, MonitorConfig, MonitorEvent,
                                 monitor_step, run_monitor)
 from framewatch.rng import RngStream
 
+from _helpers import reference_run_monitor
+
 
 def test_constant_below_threshold_never_triggers():
     cfg = MonitorConfig(threshold=1.0, window=5, consecutive=3)
@@ -134,3 +136,18 @@ def test_config_validation():
         MonitorConfig(threshold=1.0, consecutive=0)
     with pytest.raises(ConfigError):
         MonitorConfig(threshold=float("nan"))
+
+
+STREAM_SCORE = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 0.5,
+                     1.0, 1.5, 4.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(STREAM_SCORE, max_size=40), st.integers(1, 8), st.integers(1, 4),
+       st.sampled_from([-0.5, 0.0, 1.0, 2.0]))
+def test_run_monitor_matches_reference_fold(scores, window, consecutive, threshold):
+    cfg = MonitorConfig(threshold=threshold, window=window, consecutive=consecutive)
+    assert events_to_csv(run_monitor(scores, cfg)) == \
+        events_to_csv(reference_run_monitor(scores, cfg))

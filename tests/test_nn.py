@@ -278,7 +278,8 @@ def test_mlp_backward_cached_matches_recomputing_layers(act):
     mlp = init_mlp(rng, (6, 5, 4), [act, act])
     xs = rng.gaussian(3 * 6).reshape(3, 6)
     g = rng.gaussian(3 * 4).reshape(3, 4)
-    out, cache = mlp.forward_cached(xs)
+    cache = []
+    out = mlp.forward(xs, cache)
     assert np.array_equal(out, mlp.forward(xs))
     gin, grads = mlp.backward(cache, g)
 
@@ -316,7 +317,8 @@ def test_float32_kernels_keep_float32(act):
     g0 = rng.gaussian(3 * 5).reshape(3, 5).astype(F32)
     assert [a.dtype for a in dense_backward_batch(layer, xs, g0)] == [F32] * 3
 
-    out, cache = mlp.forward_cached(xs)
+    cache = []
+    out = mlp.forward(xs, cache)
     assert out.dtype == F32 and all(a.dtype == F32 for pair in cache for a in pair)
     gin, param_grads = mlp.backward(cache, g)
     assert gin.dtype == F32 and all(a.dtype == F32 for a in param_grads)

@@ -5,7 +5,7 @@ derives."""
 import numpy as np
 import pytest
 
-from framewatch import checkpoint as ckpt
+from framewatch import checkpoint as ckpt, pipeline, scoring
 from framewatch.autoencoder import (RECON_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
 from framewatch.data_io import FRAME_SIDE, Frame
@@ -122,3 +122,36 @@ def test_validation_terms_standardized(combined_run):
         z = (values - mean) / sd
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("mode", ["nll", "combined"])
+def test_train_pipeline_encodes_each_split_once(tmp_path, monkeypatch, mode):
+    """Training encodes train and val once each and decodes val once; the
+    validation scores it derives from those latents are the ones
+    score_frames gives."""
+    spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
+                     n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
+    dataset = generate_scenario(spec, tmp_path / "scen")
+    config = RunConfig.from_dict({
+        "seed": 3, "score_mode": mode,
+        "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
+        "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
+    })
+    encoded, decoded = [], []
+
+    def counting(calls, fn):
+        def wrapper(ae, flats, *rest):
+            calls.append(flats.shape[0])
+            return fn(ae, flats, *rest)
+        return wrapper
+
+    for module in (pipeline, scoring):
+        monkeypatch.setattr(module, "encode_batch", counting(encoded, encode_batch))
+        monkeypatch.setattr(module, "reconstruction_error",
+                            counting(decoded, reconstruction_error))
+    trained = train_pipeline(dataset, config)
+    assert sorted(encoded) == sorted([len(dataset.train), len(dataset.val)])
+    assert decoded == [len(dataset.val)]
+    monkeypatch.undo()
+    assert np.array_equal(trained.val_scores, score_frames(
+        trained.autoencoder, trained.flow, dataset.val, trained.score_config))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framewatch.config import from_dict
 from framewatch.data_io import FRAME_SIDE, Frame, load_scenario
 from framewatch.errors import ConfigError
 from framewatch.rng import RngStream
@@ -99,4 +100,4 @@ def test_spec_rejects_bad_values():
     with pytest.raises(ConfigError):
         SynthSpec(noise_p=1.5)
     with pytest.raises(ConfigError):
-        SynthSpec.from_json('{"bogus_key": 1}')
+        from_dict(SynthSpec, {"bogus_key": 1}, "synth spec")
