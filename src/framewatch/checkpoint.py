@@ -9,13 +9,17 @@ little-endian float64 (`<f8`) bytes, so a reloaded model reproduces
 scores bit-exactly by construction. Scalars (threshold, standardization,
 alpha) stay JSON numbers.
 
-Loading reads `input_dim` and `latent_dim` from the encoder's
-`layer_dims`, checks the decoder, the coupling masks and nets and the
-whitening vectors against them, and validates the rest of the document
-(keys, types, enums, decoded lengths, finiteness, and the descriptive
-seed, training configs and threshold quantile) before any model is
-built; every failure raises CheckpointError. Version 1 and 2 files are
-rejected: retrain to write a version 3 checkpoint.
+Loading checks and builds in one pass: it reads `input_dim` and
+`latent_dim` from the encoder's `layer_dims`, checks the decoder, the
+coupling masks and nets and the whitening vectors against them, and
+checks keys, types, decoded lengths and finiteness before it hands a
+value to a model or config constructor.  Rules that a type owns (the
+coupling mask and scale clamp, the score mode and alpha, the training
+configs' ranges) are checked by that type's constructor, and its error
+is reported as a CheckpointError.  Building a model has no side effects,
+so `pipeline_from_dict` returns nothing unless the whole file passed.
+Version 1 and 2 files are rejected: retrain to write a version 3
+checkpoint.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ import numpy as np
 
 from .autoencoder import AutoencoderConfig, AutoencoderModel
 from .config import from_dict
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, ContractViolationError
 from .flow import CouplingLayer, FlowConfig, FlowModel
 from .nn import Activation, DenseLayer, Mlp
-from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization
+from .scoring import ScoreConfig, ScoreStandardization
 
 FORMAT_VERSION = 3
 _F8 = np.dtype("<f8")
@@ -111,9 +115,9 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def _read_mlp(data, where: str, ends=None) -> list[tuple]:
-    """Validated (weights, bias, activation) per layer.  `ends`, if given,
-    is the ((name, dim), (name, dim)) the network must map between."""
+def _read_mlp(data, where: str, ends=None) -> Mlp:
+    """The network stored at `where`.  `ends`, if given, is the
+    ((name, dim), (name, dim)) it must map between."""
     dims = _get(data, "layer_dims", where)
     if (not isinstance(dims, list) or len(dims) < 2
             or any(type(d) is not int or d < 1 for d in dims)):
@@ -127,21 +131,17 @@ def _read_mlp(data, where: str, ends=None) -> list[tuple]:
     acts = _list(data, "activations", where, n)
     weights = _list(data, "weights", where, n)
     biases = _list(data, "biases", where, n)
-    spec = []
+    layers = []
     for i in range(n):
         try:
             act = Activation(acts[i])
         except ValueError:
             raise CheckpointError(
                 f"{where}.activations[{i}]: unknown activation {acts[i]!r}") from None
-        spec.append((_decode(weights[i], (dims[i + 1], dims[i]), f"{where}.weights[{i}]"),
-                     _decode(biases[i], (dims[i + 1],), f"{where}.biases[{i}]"),
-                     act))
-    return spec
-
-
-def _mlp(spec: list[tuple]) -> Mlp:
-    return Mlp([DenseLayer(w, b, act) for w, b, act in spec])
+        layers.append(DenseLayer(
+            _decode(weights[i], (dims[i + 1], dims[i]), f"{where}.weights[{i}]"),
+            _decode(biases[i], (dims[i + 1],), f"{where}.biases[{i}]"), act))
+    return Mlp(layers)
 
 
 def autoencoder_to_dict(model: AutoencoderModel,
@@ -153,20 +153,14 @@ def autoencoder_to_dict(model: AutoencoderModel,
     }
 
 
-def _read_autoencoder(data, where: str) -> dict:
-    """The validated encoder and decoder specs.  The encoder's layer_dims
-    define input_dim and latent_dim; the decoder must map them back."""
+def _read_autoencoder(data, where: str) -> AutoencoderModel:
+    """The encoder's layer_dims define input_dim and latent_dim; the
+    decoder must map them back."""
     _train_config(data, AutoencoderConfig, where)
     encoder = _read_mlp(_get(data, "encoder", where), f"{where}.encoder")
-    pixels, latent = encoder[0][0].shape[1], encoder[-1][0].shape[0]
     decoder = _read_mlp(_get(data, "decoder", where), f"{where}.decoder",
-                        (("latent_dim", latent), ("input_dim", pixels)))
-    return dict(encoder=encoder, decoder=decoder, latent_dim=latent)
-
-
-def _autoencoder(spec: dict) -> AutoencoderModel:
-    return AutoencoderModel(encoder=_mlp(spec["encoder"]),
-                            decoder=_mlp(spec["decoder"]))
+                        (("latent_dim", encoder.out_dim), ("input_dim", encoder.in_dim)))
+    return AutoencoderModel(encoder=encoder, decoder=decoder)
 
 
 def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
@@ -181,8 +175,8 @@ def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
     }
 
 
-def _read_flow(data, where: str, dim: int) -> dict:
-    """The validated flow spec over the autoencoder's `dim` latents."""
+def _read_flow(data, where: str, dim: int) -> FlowModel:
+    """The flow over the autoencoder's `dim` latents."""
     _train_config(data, FlowConfig, where)
     latent = ("latent_dim", dim)
     size = f"latent_dim {dim}"
@@ -193,37 +187,22 @@ def _read_flow(data, where: str, dim: int) -> dict:
     scale_nets = _list(data, "scale_nets", where, n)
     shift_nets = _list(data, "shift_nets", where, n)
     clamp = _number(data, "scale_clamp", where) if n else None
-    if n and clamp <= 0.0:
-        raise CheckpointError(f"{where}.scale_clamp: must be positive")
     layers = []
     for k in range(n):
         mask = _decode(masks[k], (dim,), f"{where}.masks[{k}]", size)
-        if not (np.isin(mask, (0.0, 1.0)).all() and 0.0 < mask.sum() < dim):
-            raise CheckpointError(f"{where}.masks[{k}]: must hold both 0 and 1 "
-                                  "and nothing else")
-        layers.append(dict(
-            mask=mask, scale_clamp=clamp,
-            scale_net=_read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]",
-                                (latent, latent)),
-            shift_net=_read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]",
-                                (latent, latent))))
+        scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]", (latent, latent))
+        shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]", (latent, latent))
+        try:
+            layers.append(CouplingLayer(mask, scale_net, shift_net, clamp))
+        except ContractViolationError as exc:
+            raise CheckpointError(f"{where}: coupling layer {k}: {exc}") from None
     std = _decode(_get(data, "whitening_std", where), (dim,),
                   f"{where}.whitening_std", size)
     if not (std > 0.0).all():
         raise CheckpointError(f"{where}.whitening_std: must be positive")
-    return dict(layers=layers, dim=dim, whitening_std=std,
-                whitening_mean=_decode(_get(data, "whitening_mean", where), (dim,),
-                                       f"{where}.whitening_mean", size))
-
-
-def _flow(spec: dict) -> FlowModel:
-    layers = [CouplingLayer(mask=l["mask"], scale_net=_mlp(l["scale_net"]),
-                            shift_net=_mlp(l["shift_net"]),
-                            scale_clamp=l["scale_clamp"])
-              for l in spec["layers"]]
-    return FlowModel(layers=layers, dim=spec["dim"],
-                     whitening_mean=spec["whitening_mean"],
-                     whitening_std=spec["whitening_std"])
+    mean = _decode(_get(data, "whitening_mean", where), (dim,),
+                   f"{where}.whitening_mean", size)
+    return FlowModel(layers=layers, dim=dim, whitening_mean=mean, whitening_std=std)
 
 
 def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,
@@ -272,25 +251,23 @@ def pipeline_from_dict(data: dict):
     ae = _read_autoencoder(_get(data, "autoencoder", "checkpoint"),
                            "checkpoint.autoencoder")
     flow = _read_flow(_get(data, "flow", "checkpoint"), "checkpoint.flow",
-                      ae["latent_dim"])
+                      ae.latent_dim)
     seed = _get(data, "seed", "checkpoint")
     if seed is not None and type(seed) is not int:
         raise CheckpointError("checkpoint.seed: expected null or an integer")
     quantile = _number(data, "threshold_quantile", "checkpoint")
     if not 0.0 < quantile < 1.0:
         raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")
-    mode = _get(data, "score_mode", "checkpoint")
-    if mode not in SCORE_MODES:
-        raise CheckpointError(f"checkpoint.score_mode: unknown score mode {mode!r}")
-    alpha = _number(data, "score_alpha", "checkpoint")
-    if not 0.0 <= alpha <= 1.0:
-        raise CheckpointError("checkpoint.score_alpha: must lie in [0, 1]")
     standardization = _read_standardization(
         _get(data, "score_standardization", "checkpoint"),
         "checkpoint.score_standardization")
-    threshold = _number(data, "threshold", "checkpoint")
-    score_config = ScoreConfig(mode=mode, alpha=alpha, standardization=standardization)
-    return _autoencoder(ae), _flow(flow), score_config, threshold
+    try:
+        score_config = ScoreConfig(mode=_get(data, "score_mode", "checkpoint"),
+                                   alpha=_number(data, "score_alpha", "checkpoint"),
+                                   standardization=standardization)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint: {exc}") from None
+    return ae, flow, score_config, _number(data, "threshold", "checkpoint")
 
 
 def save_json(data: dict, path: Path | str) -> None:

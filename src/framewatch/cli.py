@@ -8,8 +8,10 @@ Exit codes (stable):
        divergence or non-finite scores
     3  I/O error (missing files or directories, unreadable data, unwritable
        outputs)
-    4  dataset protocol violation (anomalous sample in train/val)
-    5  checkpoint error (unreadable or incompatible checkpoint)
+    4  dataset protocol violation (anomalous sample in train/val, empty
+       val split, empty train split in `train`)
+    5  checkpoint error (unreadable or incompatible checkpoint, or one
+       built for frames of another size)
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import from_dict
-from .data_io import FRAME_RATE, Frame, load_scenario, read_frame_pixels
+from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, Frame, load_scenario,
+                      read_frame_pixels)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
@@ -61,9 +64,9 @@ def _load_run_config(args) -> RunConfig:
     config = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "scenario", None):
+    if args.scenario:
         config.scenario = args.scenario
-    if getattr(args, "out", None):
+    if args.out:
         config.out = args.out
     return config
 
@@ -141,13 +144,21 @@ def _load_pipeline(args):
     return ckpt.pipeline_from_dict(ckpt.load_json(args.checkpoint))
 
 
+def _check_frame_size(ae) -> None:
+    """CheckpointError unless the autoencoder reads the frames this build
+    decodes."""
+    if ae.input_dim != FRAME_PIXELS:
+        raise CheckpointError(
+            f"checkpoint input_dim {ae.input_dim} does not match the "
+            f"{FRAME_PIXELS} pixels of a {FRAME_SIDE}x{FRAME_SIDE} frame")
+
+
 def cmd_eval(args) -> int:
     config = _load_run_config(args)
     out = _require_out(config)
     ae, flow, score_config, _ = _load_pipeline(args)
     dataset = load_scenario(_require_scenario(config))
-    if dataset.train and dataset.train[0].flat().shape[0] != ae.input_dim:
-        raise CheckpointError("checkpoint input size does not match scenario frames")
+    _check_frame_size(ae)
 
     try:
         report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
@@ -177,6 +188,7 @@ def cmd_simulate(args) -> int:
     paths = sorted(frames_dir.glob("*.pgm"))
     if not paths:
         raise IOFailure(f"no .pgm frames in {frames_dir}")
+    _check_frame_size(ae)
 
     threshold = (config.monitor_threshold if config.monitor_threshold is not None
                  else ckpt_threshold)
@@ -224,34 +236,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unsupervised visual anomaly detection for robot camera streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_help="scenario directory"):
+    def add_command(name, func, help_text, checkpoint=False,
+                    scenario_help: str | None = "scenario directory"):
+        """A subcommand with the flags it reads: --config, --out and --seed
+        always, --checkpoint and --scenario where asked for."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--checkpoint", help="pipeline checkpoint JSON")
-        p.add_argument("--scenario", help=scenario_help)
+        if checkpoint:
+            p.add_argument("--checkpoint", help="pipeline checkpoint JSON")
+        if scenario_help:
+            p.add_argument("--scenario", help=scenario_help)
         p.add_argument("--out", help="output directory (all outputs go here)")
         p.add_argument("--seed", type=int, help="override the config seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic scenario")
-    add_common(p)
-    p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("train", help="train autoencoder and flow, write checkpoint")
-    add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score the test split and report AUC")
-    add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("simulate", help="run the deployment monitor over a frame stream")
-    add_common(p, scenario_help="directory of .pgm frames, processed in name order")
+    add_command("gen-synth", cmd_gen_synth, "generate a synthetic scenario",
+                scenario_help=None)
+    add_command("train", cmd_train, "train autoencoder and flow, write checkpoint")
+    add_command("eval", cmd_eval, "score the test split and report AUC",
+                checkpoint=True)
+    p = add_command("simulate", cmd_simulate,
+                    "run the deployment monitor over a frame stream", checkpoint=True,
+                    scenario_help="directory of .pgm frames, processed in name order")
     p.add_argument("--realtime", action="store_true",
                    help="cap processing at 30 frames per second")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("print-config", help="print the effective configuration")
-    add_common(p)
-    p.set_defaults(func=cmd_print_config)
+    add_command("print-config", cmd_print_config, "print the effective configuration")
     return parser
 
 

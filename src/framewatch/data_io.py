@@ -94,6 +94,10 @@ class ScenarioDataset:
     taxonomy: dict[str, AnomalyLabel] = field(default_factory=dict)
 
     def validate(self) -> None:
+        """The split protocol.  The train split may be empty, as in a
+        scenario built only for evaluation; training rejects that."""
+        if not self.val:
+            raise ProtocolViolationError("val split is empty")
         require_normal_only(self.train, "train")
         require_normal_only(self.val, "val")
         if not any(not f.is_anomalous for f in self.test):
@@ -245,18 +249,14 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
                                  "leave axis columns empty")
             out[filename] = None
         elif label == "anomalous":
-            mission = mission or "unspecified"
-            for col, value, allowed in (("level", level, LEVELS),
-                                        ("hazard", hazard, YES_NO),
-                                        ("geometric", geometric, YES_NO),
-                                        ("mission_relevant", mission, MISSION)):
-                if value not in allowed:
-                    raise ParseError(f"labels.csv line {lineno}: invalid "
-                                     f"{col} value {value!r}")
             if not atype:
                 raise ParseError(f"labels.csv line {lineno}: anomalous row "
                                  "missing anomaly_type")
-            out[filename] = AnomalyLabel(atype, level, hazard, geometric, mission)
+            try:
+                out[filename] = AnomalyLabel(atype, level, hazard, geometric,
+                                             mission or "unspecified")
+            except ContractViolationError as exc:
+                raise ParseError(f"labels.csv line {lineno}: {exc}") from None
         else:
             raise ParseError(f"labels.csv line {lineno}: label must be "
                              f"'normal' or 'anomalous', got {label!r}")

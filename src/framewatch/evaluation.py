@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data_io import AnomalyLabel
+from .data_io import LEVELS, YES_NO, AnomalyLabel
 from .errors import EvaluationError
 from .flow import ScoredSample
 
@@ -40,16 +40,7 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "overall_auc": self.overall_auc,
-            "per_type_auc": self.per_type_auc,
-            "per_axis_auc": self.per_axis_auc,
-            "counts": self.counts,
-            "threshold": self.threshold,
-            "threshold_quantile": self.threshold_quantile,
-            "val_false_positive_rate": self.val_false_positive_rate,
-            "warnings": self.warnings,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _tie_runs(sorted_vals: np.ndarray) -> np.ndarray:
@@ -120,9 +111,9 @@ def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:
 
 
 _AXES = (
-    ("level", lambda lab: lab.level, ("sensory", "semantic")),
-    ("geometric", lambda lab: lab.geometric, ("yes", "no")),
-    ("hazard", lambda lab: lab.hazard, ("yes", "no")),
+    ("level", lambda lab: lab.level, LEVELS),
+    ("geometric", lambda lab: lab.geometric, YES_NO),
+    ("hazard", lambda lab: lab.hazard, YES_NO),
 )
 
 

@@ -50,12 +50,13 @@ class CouplingLayer:
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=np.float64)
-        total = self.mask.sum()
-        if total == 0 or total == self.mask.size:
+        if not (np.isin(self.mask, (0.0, 1.0)).all()
+                and 0.0 < self.mask.sum() < self.mask.size):
             raise ContractViolationError(
-                "coupling mask must be neither all-zero nor all-one")
-        if self.scale_clamp <= 0.0:
-            raise ContractViolationError("scale_clamp must be positive")
+                "coupling mask must hold both 0 and 1 and nothing else")
+        if not (math.isfinite(self.scale_clamp) and self.scale_clamp > 0.0):
+            raise ContractViolationError(
+                f"scale_clamp must be positive and finite, got {self.scale_clamp}")
 
     def params(self):
         return self.scale_net.params() + self.shift_net.params()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from .config import check_ranges
 from .errors import ConfigError
 
 DEFAULT_WINDOW = 15      # ~0.5 s at 30 fps
@@ -51,10 +52,7 @@ class MonitorConfig:
     def __post_init__(self):
         if not math.isfinite(self.threshold):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.consecutive < 1:
-            raise ConfigError("consecutive must be >= 1")
+        check_ranges(self, "", at_least_one=("window", "consecutive"))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
                    flow_log_prob_batch, train_flow)
-from .scoring import SCORE_MODES, ScoreConfig, ScoreStandardization, score_frames
+from .scoring import ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
 
@@ -41,11 +41,8 @@ class RunConfig:
     monitor_threshold: float | None = None  # None: take tau from the checkpoint
 
     def __post_init__(self):
-        if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score_mode {self.score_mode!r}")
+        ScoreConfig(mode=self.score_mode, alpha=self.score_alpha)  # checks both
         check_ranges(self, "", at_least_one=("monitor_window", "monitor_consecutive"))
-        if not 0.0 <= self.score_alpha <= 1.0:
-            raise ConfigError(f"score_alpha must lie in [0, 1], got {self.score_alpha}")
         if not 0.0 < self.eval_quantile < 1.0:
             raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
         if self.monitor_threshold is not None and not math.isfinite(self.monitor_threshold):

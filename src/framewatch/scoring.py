@@ -39,9 +39,9 @@ class ScoreConfig:
 
     def __post_init__(self):
         if self.mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score mode {self.mode!r}")
+            raise ConfigError(f"unknown score_mode {self.mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
+            raise ConfigError(f"score_alpha must lie in [0, 1], got {self.alpha}")
 
     def combined(self, nll: np.ndarray, recon: np.ndarray) -> np.ndarray:
         """Combined-mode score: alpha * standardized NLL plus (1 - alpha) *

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import (FRAME_SIDE, AnomalyLabel, Frame, ScenarioDataset,
-                      encode_pgm, load_scenario)
+from .config import check_ranges
+from .data_io import (FRAME_SIDE, LABELS_HEADER, AnomalyLabel, Frame,
+                      ScenarioDataset, encode_pgm, load_scenario)
 from .errors import ConfigError, IOFailure
 from .rng import RngStream
 
@@ -60,6 +61,7 @@ class SynthSpec:
                   *self.n_per_anomaly.values()]
         if any(c < 0 for c in counts):
             raise ConfigError("all sample counts must be >= 0")
+        check_ranges(self, "", at_least_one=("n_val",))
         if self.n_test_normal == 0 or sum(self.n_per_anomaly.values()) == 0:
             raise ConfigError("the test split needs normal and anomalous frames: "
                               "n_test_normal and the n_per_anomaly total must be >= 1")
@@ -155,7 +157,7 @@ def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
                                    label.mission_relevant])
                 t += 1
 
-        lines = ["filename,label,anomaly_type,level,hazard,geometric,mission_relevant"]
+        lines = [",".join(LABELS_HEADER)]
         lines += [",".join(row) for row in label_rows]
         (out_dir / "labels.csv").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")

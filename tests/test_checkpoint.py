@@ -15,10 +15,12 @@ from framewatch import checkpoint as ckpt
 from framewatch.autoencoder import AutoencoderConfig, encode_batch, init_autoencoder
 from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
-from framewatch.errors import CheckpointError
+from framewatch.errors import CheckpointError, ConfigError
 from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow
+from framewatch.pipeline import RunConfig
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
+from framewatch.synth import SynthSpec, generate_scenario
 
 
 def _frame(seed):
@@ -346,3 +348,40 @@ def test_mutated_checkpoint_exits_5(mutation):
     assert code == 5
     assert err.getvalue().startswith("checkpoint error: ")
     assert err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Each rule has one check, and every entry point reports that check.
+
+@pytest.mark.parametrize("mode, alpha", [("max", 0.5), ("nll", 2.0), ("combined", -0.5)])
+def test_score_settings_checked_by_score_config(mode, alpha):
+    """ScoreConfig, the run config and the checkpoint reader reject the same
+    bad score_mode or score_alpha with ScoreConfig's message."""
+    with pytest.raises(ConfigError) as direct:
+        ScoreConfig(mode=mode, alpha=alpha)
+    message = str(direct.value)
+    assert ("score_mode" if mode == "max" else "score_alpha") in message
+    with pytest.raises(ConfigError) as run:
+        RunConfig.from_dict({"score_mode": mode, "score_alpha": alpha})
+    assert str(run.value) == message
+    data = {**_small_pipeline_dict(), "score_mode": mode, "score_alpha": alpha}
+    with pytest.raises(CheckpointError) as loaded:
+        ckpt.pipeline_from_dict(data)
+    assert str(loaded.value) == f"checkpoint: {message}"
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_checkpoint_for_other_frame_size_exits_5(tmp_path, capsys, command):
+    """A valid checkpoint whose autoencoder reads 16 inputs, not the 4096
+    pixels of a frame, exits 5 in both commands that score frames."""
+    path = tmp_path / "checkpoint.json"
+    ckpt.save_json(_small_pipeline_dict(), path)
+    generate_scenario(SynthSpec(seed=1, n_train=1, n_val=1, n_test_normal=1,
+                                n_per_anomaly={"blob": 1}), tmp_path / "scen")
+    scenario = tmp_path / "scen" / ("test" if command == "simulate" else "")
+    code = main([command, "--checkpoint", str(path), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+    assert "input_dim 16" in err

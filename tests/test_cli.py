@@ -119,6 +119,18 @@ def test_eval_missing_scenario(workspace, tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_eval_empty_val_split_exits_4(workspace, tmp_path, capsys):
+    import shutil
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    for path in (scen / "val").glob("*.pgm"):
+        path.unlink()
+    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+                 "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("dataset protocol violation: ") and err.count("\n") == 1
+
+
 def test_simulate_normal_stream_no_trigger(workspace, tmp_path, capsys):
     from framewatch.synth import SynthSpec, generate_stream
     stream = tmp_path / "stream"
@@ -322,6 +334,7 @@ BAD_SYNTH_SPECS = {
     "brightness_delta_below_minus_one": {"brightness_delta": -1.5},
     "no_normal_test_frames": {"n_test_normal": 0},
     "no_anomalous_test_frames": {"n_per_anomaly": {"blob": 0, "dim_light": 0}},
+    "no_val_frames": {"n_val": 0},
     "not_utf8": b"\xff\xfe{}",
 }
 
@@ -353,3 +366,14 @@ def test_synth_spec_types_positive_control(tmp_path):
     assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 0
     ds = load_scenario(tmp_path / "o")
     assert len(ds.test) == SMALL_SYNTH["n_test_normal"] + 2
+
+
+@pytest.mark.parametrize("command, flag", [("gen-synth", "--checkpoint"),
+                                           ("gen-synth", "--scenario"),
+                                           ("train", "--checkpoint"),
+                                           ("print-config", "--checkpoint")])
+def test_command_rejects_flag_it_does_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -115,6 +115,19 @@ def test_parse_bad_level_reports_line():
         parse_labels(data)
 
 
+@pytest.mark.parametrize("row", [
+    b"b.pgm,anomalous,dust,sensory,maybe,no,",
+    b"b.pgm,anomalous,dust,sensory,no,1,",
+    b"b.pgm,anomalous,dust,sensory,no,no,often",
+])
+def test_parse_bad_axis_value_reports_line(row):
+    """The other axes, like `level` above: AnomalyLabel checks the value
+    and parse_labels reports its error as a ParseError naming the line."""
+    data = HEADER + b"a.pgm,normal,,,,,\n" + row + b"\n"
+    with pytest.raises(ParseError, match="labels.csv line 3: invalid"):
+        parse_labels(data)
+
+
 def test_parse_duplicate_filename():
     data = HEADER + b"a.pgm,normal,,,,,\na.pgm,normal,,,,,\n"
     with pytest.raises(ParseError, match="duplicate"):
@@ -169,6 +182,22 @@ def test_load_rejects_anomaly_in_train(tmp_path):
     _make_fixture(tmp_path, anomaly_in_train=True)
     with pytest.raises(ProtocolViolationError, match="train"):
         load_scenario(tmp_path)
+
+
+def test_load_rejects_empty_val_split(tmp_path):
+    _make_fixture(tmp_path)
+    (tmp_path / "val" / "val_00000.pgm").unlink()
+    with pytest.raises(ProtocolViolationError, match="val split is empty"):
+        load_scenario(tmp_path)
+
+
+def test_load_accepts_empty_train_split(tmp_path):
+    """A scenario built only for evaluation has no train frames; training
+    rejects it, loading does not."""
+    _make_fixture(tmp_path)
+    for path in (tmp_path / "train").glob("*.pgm"):
+        path.unlink()
+    assert load_scenario(tmp_path).train == []
 
 
 def test_load_missing_label_entry(tmp_path):

@@ -100,6 +100,22 @@ def test_coupling_rejects_bad_mask():
                                          [Activation.TANH, Activation.IDENTITY]))
 
 
+@pytest.mark.parametrize("mask, scale_clamp", [
+    ([1.0, 0.5, 1.0, 0.0], 3.0),
+    ([1.0, 0.0, 1.0, 0.0], float("nan")),
+    ([1.0, 0.0, 1.0, 0.0], float("inf")),
+])
+def test_coupling_rejects_non_binary_mask_and_bad_clamp(mask, scale_clamp):
+    """The constructor holds the one mask and clamp rule: a 0.5 entry, a
+    NaN clamp and an infinite clamp all fail."""
+    acts = [Activation.TANH, Activation.IDENTITY]
+    with pytest.raises(ContractViolationError):
+        CouplingLayer(mask=np.array(mask),
+                      scale_net=init_mlp(RngStream(0), (4, 8, 4), acts),
+                      shift_net=init_mlp(RngStream(1), (4, 8, 4), acts),
+                      scale_clamp=scale_clamp)
+
+
 def test_coupling_rejects_nonfinite_input():
     layer = _zero_coupling()
     with pytest.raises(ContractViolationError):

@@ -101,3 +101,9 @@ def test_spec_rejects_bad_values():
         SynthSpec(noise_p=1.5)
     with pytest.raises(ConfigError):
         from_dict(SynthSpec, {"bogus_key": 1}, "synth spec")
+
+
+def test_spec_needs_a_val_frame():
+    with pytest.raises(ConfigError, match="n_val"):
+        SynthSpec(n_val=0)
+    assert SynthSpec(n_train=0).n_train == 0
