@@ -1,15 +1,17 @@
-"""Dense autoencoder trained on normal frames only.
+"""Dense autoencoder, trained on the normal frames of the train split.
 
 Encoder 4096 -> 512 -> 128 -> h (LeakyRelu throughout), decoder mirrored
 with a final Sigmoid so reconstructions stay in [0, 1].  The latent
 vector feeds the density model; reconstruction error is an auxiliary
 score.
 
-Training runs in float32: parameters, Adam moments, frames, activations
-and gradients, while the reported losses are summed in float64.  The
-trained model is cast back to float64, which is exact, so everything
-downstream (flow training, score standardization, the threshold, scoring
-and the `<f8` checkpoint) sees and computes with a float64 model.
+The trainer takes arrays of flat frames; `ScenarioDataset` owns the split
+protocol.  Training runs in float32: parameters, Adam moments, frames,
+activations and gradients, while the reported losses are summed in
+float64.  The trained model is cast back to float64, which is exact, so
+everything downstream (flow training, score standardization, the
+threshold, scoring and the `<f8` checkpoint) sees and computes with a
+float64 model.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_ranges
-from .data_io import FRAME_PIXELS, Frame, require_normal_only
-from .errors import ContractViolationError, ProtocolViolationError, TrainingError
+from .data_io import FRAME_PIXELS
+from .errors import ContractViolationError, TrainingError
 from .nn import (Activation, AdamState, Mlp, adam_step, init_mlp)
 from .rng import RngStream
 
@@ -130,29 +132,26 @@ def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
     return float(np.mean((recon - flats) ** 2, dtype=np.float64))
 
 
-def train_autoencoder(train_frames: list[Frame], val_frames: list[Frame],
+def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                       config: AutoencoderConfig, seed: int = 0):
-    """Train on normal frames only; deterministic given `seed`.
-
-    The float64 initialisation is cast to float32 and trained in float32;
-    the returned model is float64, each value exactly a float32 one.
-    Returns (model, report).  Raises ProtocolViolationError if any input
-    frame carries an anomaly label.
+    """Train on the rows of `train_x`, validating on those of `val_x`,
+    each a non-empty `(n, 4096)` array of flat frames; deterministic given
+    `seed`.  The frames and the float64 initialisation are cast to float32
+    and trained in float32; the returned model is float64, each value
+    exactly a float32 one.  Returns (model, report).
     """
-    for frames, split_name in ((train_frames, "train"), (val_frames, "val")):
-        if not frames:
-            raise ProtocolViolationError(f"{split_name} split is empty")
-        require_normal_only(frames, split_name)
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ContractViolationError("epochs and batch_size must be >= 1")
+    train_x = np.asarray(train_x, dtype=np.float32)
+    val_x = np.asarray(val_x, dtype=np.float32)
+    for x, split_name in ((train_x, "train"), (val_x, "val")):
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != FRAME_PIXELS:
+            raise ContractViolationError(
+                f"train_autoencoder: {split_name} frames must be a non-empty "
+                f"(n, {FRAME_PIXELS}) array, got shape {x.shape}")
 
     rng = RngStream(seed)
     model = init_autoencoder(rng.derive(0), config.latent_dim)
     model.set_params([p.astype(np.float32) for p in model.params()])
     shuffle_rng = rng.derive(1)
-
-    train_x = np.stack([f.flat() for f in train_frames], dtype=np.float32)
-    val_x = np.stack([f.flat() for f in val_frames], dtype=np.float32)
 
     params = model.params()
     state = AdamState.zeros_like(params)

@@ -8,8 +8,8 @@ On-disk layout of a scenario:
     <scenario>/labels.csv      one row per test file (may also cover
                                train/val files to assert their normality)
 
-Train and validation splits must contain only normal samples; this is
-enforced at load time (require_normal_only), never assumed.
+A ScenarioDataset is valid when built: its constructor enforces the split
+protocol, and its taxonomy is derived from the test labels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -85,39 +85,35 @@ class Frame:
         return self.pixels.reshape(FRAME_PIXELS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioDataset:
-    name: str
+    """The splits, checked when built.  Train may be empty, as in a scenario
+    built only for evaluation; training rejects that."""
+
     train: list[Frame]
     val: list[Frame]
     test: list[Frame]
-    taxonomy: dict[str, AnomalyLabel] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """The split protocol.  The train split may be empty, as in a
-        scenario built only for evaluation; training rejects that."""
+    def __post_init__(self):
         if not self.val:
             raise ProtocolViolationError("val split is empty")
-        require_normal_only(self.train, "train")
-        require_normal_only(self.val, "val")
-        if not any(not f.is_anomalous for f in self.test):
+        for frames, split_name in ((self.train, "train"), (self.val, "val")):
+            for frame in frames:
+                if frame.is_anomalous:
+                    raise ProtocolViolationError(
+                        f"{split_name} split contains anomalous frame {frame.source_id!r}; "
+                        "train and val must contain only normal samples")
+        if all(f.is_anomalous for f in self.test):
             raise ProtocolViolationError("test split has no normal frame")
         if not any(f.is_anomalous for f in self.test):
             raise ProtocolViolationError("test split has no anomalous frame")
-        for frame in self.test:
-            if frame.label is not None and frame.label.anomaly_type not in self.taxonomy:
-                raise ProtocolViolationError(
-                    f"anomaly type {frame.label.anomaly_type!r} of "
-                    f"{frame.source_id!r} missing from taxonomy table")
 
-
-def require_normal_only(frames: list[Frame], split_name: str) -> None:
-    """The normal-only protocol: a train or val split holds no anomaly."""
-    for frame in frames:
-        if frame.is_anomalous:
-            raise ProtocolViolationError(
-                f"{split_name} split contains anomalous frame {frame.source_id!r}; "
-                "train and val must contain only normal samples")
+    @property
+    def taxonomy(self) -> dict[str, AnomalyLabel]:
+        """Each anomaly type of the test split and its axes, in order of
+        first appearance."""
+        return {f.label.anomaly_type: f.label for f in self.test
+                if f.label is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,8 @@ def read_frame_pixels(path: Path) -> np.ndarray:
 # Label CSV parsing.
 
 def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
-    """Parse labels.csv; value None means the file is labeled normal."""
+    """Parse labels.csv; value None means the file is labeled normal.
+    Every row of one anomaly type must give the same axes."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -233,6 +230,7 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
         raise ParseError(
             f"labels.csv header must be exactly {','.join(LABELS_HEADER)}")
     out: dict[str, Optional[AnomalyLabel]] = {}
+    first_row: dict[str, tuple[int, AnomalyLabel]] = {}  # by anomaly type
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -257,6 +255,11 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
                                              mission or "unspecified")
             except ContractViolationError as exc:
                 raise ParseError(f"labels.csv line {lineno}: {exc}") from None
+            first_line, first = first_row.setdefault(atype, (lineno, out[filename]))
+            if first != out[filename]:
+                raise ParseError(
+                    f"labels.csv lines {first_line} and {lineno}: anomaly type "
+                    f"{atype!r} has different axes")
         else:
             raise ParseError(f"labels.csv line {lineno}: label must be "
                              f"'normal' or 'anomalous', got {label!r}")
@@ -290,7 +293,7 @@ def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
 
 
 def load_scenario(root: Path | str) -> ScenarioDataset:
-    """Load a scenario directory and enforce the split protocol."""
+    """Load a scenario directory; every label row must name a frame."""
     root = Path(root)
     if not root.is_dir():
         raise IOFailure(f"scenario directory {root} does not exist")
@@ -299,14 +302,10 @@ def load_scenario(root: Path | str) -> ScenarioDataset:
         raise IOFailure(f"missing labels file {labels_path}")
     labels = parse_labels(labels_path.read_bytes())
 
-    dataset = ScenarioDataset(
-        name=root.name,
-        train=_load_split(root / "train", labels, "train"),
-        val=_load_split(root / "val", labels, "val"),
-        test=_load_split(root / "test", labels, "test"),
-    )
-    for frame in dataset.test:
-        if frame.label is not None:
-            dataset.taxonomy.setdefault(frame.label.anomaly_type, frame.label)
-    dataset.validate()
-    return dataset
+    splits = {split: _load_split(root / split, labels, split)
+              for split in ("train", "val", "test")}
+    named = {f.source_id.partition("/")[2] for fs in splits.values() for f in fs}
+    for filename in labels:
+        if filename not in named:
+            raise IOFailure(f"labels.csv row for {filename} names no file in any split")
+    return ScenarioDataset(**splits)

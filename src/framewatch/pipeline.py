@@ -1,7 +1,8 @@
 """End-to-end wiring: train both models, score splits, evaluate.
 
 This is the library-level counterpart of the CLI subcommands, so tests
-and other callers can run the pipeline without spawning a process.
+and other callers can run the pipeline without spawning a process.  The
+trainers take arrays; the dataset has passed the split protocol when built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
 from .config import check_ranges, from_dict
 from .data_io import Frame, ScenarioDataset
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
                    flow_log_prob_batch, train_flow)
@@ -73,19 +74,20 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     """Train autoencoder then flow on the normal splits; derive the
     validation-based score standardization and trigger threshold.
 
-    Each split is encoded once; the validation latents feed flow training,
-    the standardization and the validation scores.
+    Each split is stacked and encoded once: the same float64 flats feed
+    the autoencoder and the encoder, and the validation latents feed flow
+    training, the standardization and the validation scores.
     """
-    dataset.validate()
-    ae, ae_report = train_autoencoder(dataset.train, dataset.val,
-                                      config.autoencoder, config.seed)
-
-    # train_flats lives to the end of the call: freeing it before the flow
-    # trains raised the peak RSS of perfbench's `train` workload from 311 to
-    # 360 MB (glibc malloc, 2 cores), as later allocations fragmented.
+    if not dataset.train:
+        raise ProtocolViolationError("train split is empty")
+    # The flats live to the end of the call: freeing train_flats before the
+    # flow trains raised the peak RSS of perfbench's `train` workload from
+    # 311 to 360 MB (glibc malloc, 2 cores), as later allocations fragmented.
     train_flats = np.stack([f.flat() for f in dataset.train])
-    train_latents = encode_batch(ae, train_flats)
     val_flats = np.stack([f.flat() for f in dataset.val])
+    ae, ae_report = train_autoencoder(train_flats, val_flats,
+                                      config.autoencoder, config.seed)
+    train_latents = encode_batch(ae, train_flats)
     val_latents = encode_batch(ae, val_flats)
     flow, flow_report = train_flow(train_latents, val_latents, config.flow,
                                    config.seed)

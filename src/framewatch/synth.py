@@ -138,24 +138,21 @@ def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
 
         test_dir = out_dir / "test"
         test_dir.mkdir(exist_ok=True)
-        t = 0
-        for _ in range(spec.n_test_normal):
+        test_kinds = [None] * spec.n_test_normal + [
+            kind for kind in ANOMALY_KINDS
+            for _ in range(spec.n_per_anomaly.get(kind, 0))]
+        for t, kind in enumerate(test_kinds):
             frame = generate_normal(root_rng.derive(_SPLIT_BASE["test"] + t), t)
             name = f"test_{t:05d}.pgm"
-            (test_dir / name).write_bytes(encode_pgm(frame.pixels))
-            label_rows.append([name, "normal", "", "", "", "", ""])
-            t += 1
-        for kind in ANOMALY_KINDS:
-            for _ in range(spec.n_per_anomaly.get(kind, 0)):
-                base = generate_normal(root_rng.derive(_SPLIT_BASE["test"] + t), t)
-                anomalous, label = apply_anomaly(
-                    base, kind, spec, root_rng.derive(_ANOMALY_BASE + t))
-                name = f"test_{t:05d}.pgm"
-                (test_dir / name).write_bytes(encode_pgm(anomalous.pixels))
+            if kind is None:
+                label_rows.append([name, "normal", "", "", "", "", ""])
+            else:
+                frame, label = apply_anomaly(
+                    frame, kind, spec, root_rng.derive(_ANOMALY_BASE + t))
                 label_rows.append([name, "anomalous", label.anomaly_type,
                                    label.level, label.hazard, label.geometric,
                                    label.mission_relevant])
-                t += 1
+            (test_dir / name).write_bytes(encode_pgm(frame.pixels))
 
         lines = [",".join(LABELS_HEADER)]
         lines += [",".join(row) for row in label_rows]

@@ -1,5 +1,5 @@
-"""Shared test utilities: parameter flattening, relative error and the
-oracles that hand-derived gradients, the rank AUC, the tie grouping of
+"""Shared test utilities: frame and parameter flattening, relative error
+and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
 ranks and ROC points, and the monitor fold are checked against."""
 
 import math
@@ -9,6 +9,11 @@ import numpy as np
 from framewatch.errors import ContractViolationError, EvaluationError
 from framewatch.evaluation import RocPoint
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
+
+
+def flats(frames):
+    """The frames as one (n, 4096) float64 array, one flat frame a row."""
+    return np.stack([f.flat() for f in frames])
 
 
 def pack(params):

@@ -5,11 +5,11 @@ from framewatch.autoencoder import (AutoencoderConfig, encode_batch,
                                     init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict
-from framewatch.data_io import FRAME_SIDE, AnomalyLabel, Frame
-from framewatch.errors import ContractViolationError, ProtocolViolationError
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
+from framewatch.errors import ContractViolationError
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_grad, max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, flats, max_rel_err, pack, unpack
 
 
 def _frame(value=0.5, seed=None):
@@ -111,7 +111,7 @@ def test_tiny_model_full_gradient_check():
 
 def test_train_memorizes_single_frame():
     frame = _frame(seed=4)
-    _, report = train_autoencoder([frame], [frame],
+    _, report = train_autoencoder(flats([frame]), flats([frame]),
                                   AutoencoderConfig(epochs=50, batch_size=1),
                                   seed=3)
     assert report.train_loss[-1] < 1e-3
@@ -121,28 +121,23 @@ def test_train_memorizes_single_frame():
 def test_train_deterministic_checkpoints():
     frames = [_frame(seed=s) for s in range(6)]
     cfg = AutoencoderConfig(epochs=3, batch_size=2, latent_dim=8)
-    model_a, _ = train_autoencoder(frames[:4], frames[4:], cfg, seed=12)
-    model_b, _ = train_autoencoder(frames[:4], frames[4:], cfg, seed=12)
+    x = flats(frames)
+    model_a, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
+    model_b, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
     assert autoencoder_to_dict(model_a, cfg) == autoencoder_to_dict(model_b, cfg)
 
 
 def test_train_rejects_empty_split():
-    with pytest.raises(ProtocolViolationError):
-        train_autoencoder([], [_frame()], AutoencoderConfig())
-
-
-def test_train_rejects_anomalous_frame():
-    bad = Frame(np.full((FRAME_SIDE, FRAME_SIDE), 0.3),
-                label=AnomalyLabel("tape", "semantic", "yes", "yes"))
-    with pytest.raises(ProtocolViolationError):
-        train_autoencoder([_frame(), bad], [_frame()],
-                          AutoencoderConfig(epochs=1))
+    with pytest.raises(ContractViolationError, match="train frames"):
+        train_autoencoder(np.zeros((0, FRAME_PIXELS)), flats([_frame()]),
+                          AutoencoderConfig())
 
 
 def test_trained_latent_is_bounded():
     # regression bound from the reference run: latents stay well below 1e3
     frames = [_frame(seed=s) for s in range(8)]
     cfg = AutoencoderConfig(epochs=5, batch_size=4, latent_dim=8)
-    model, _ = train_autoencoder(frames[:6], frames[6:], cfg, seed=1)
+    x = flats(frames)
+    model, _ = train_autoencoder(x[:6], x[6:], cfg, seed=1)
     for frame in frames[:6]:
         assert np.abs(encode(model, frame)).max() < 1e3

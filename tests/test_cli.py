@@ -131,6 +131,45 @@ def test_eval_empty_val_split_exits_4(workspace, tmp_path, capsys):
     assert err.startswith("dataset protocol violation: ") and err.count("\n") == 1
 
 
+def test_train_empty_train_split_exits_4(workspace, tmp_path, capsys):
+    import shutil
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    for path in (scen / "train").glob("*.pgm"):
+        path.unlink()
+    assert main(["train", "--config", str(workspace / "run.json"),
+                 "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == \
+        "dataset protocol violation: train split is empty\n"
+
+
+def _relabel(rows):
+    """Rows 8 and 9 of labels.csv (test_00006/7.pgm, both dim_light) as one
+    type with two axis sets."""
+    rows[7] = "test_00006.pgm,anomalous,tape,semantic,yes,yes,"
+    rows[8] = "test_00007.pgm,anomalous,tape,sensory,no,no,"
+
+
+def _orphan_row(rows):
+    rows.append("test_00077.pgm,anomalous,glare,sensory,no,no,")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relabel, "labels.csv lines 8 and 9: anomaly type 'tape' has different axes"),
+    (_orphan_row, "labels.csv row for test_00077.pgm names no file in any split"),
+], ids=["conflicting-axes", "orphan-row"])
+def test_inconsistent_labels_exit_3(workspace, tmp_path, capsys, edit, message):
+    import shutil
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    rows = (scen / "labels.csv").read_text().splitlines()
+    edit(rows)
+    (scen / "labels.csv").write_text("\n".join(rows) + "\n")
+    assert main(["train", "--config", str(workspace / "run.json"),
+                 "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"i/o error: {message}\n"
+
+
 def test_simulate_normal_stream_no_trigger(workspace, tmp_path, capsys):
     from framewatch.synth import SynthSpec, generate_stream
     stream = tmp_path / "stream"

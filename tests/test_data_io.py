@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame, decode_pgm,
-                                encode_pgm, load_scenario, parse_labels,
-                                resize_bilinear)
+from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
+                                ScenarioDataset, decode_pgm, encode_pgm,
+                                load_scenario, parse_labels, resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
 from framewatch.rng import RngStream
@@ -134,6 +134,20 @@ def test_parse_duplicate_filename():
         parse_labels(data)
 
 
+def test_parse_rejects_anomaly_type_with_two_axis_sets():
+    data = (HEADER + b"a.pgm,anomalous,tape,semantic,yes,yes,\n"
+            b"b.pgm,normal,,,,,\nc.pgm,anomalous,tape,sensory,no,no,\n")
+    with pytest.raises(ParseError, match="lines 2 and 4: anomaly type 'tape'"):
+        parse_labels(data)
+
+
+def test_parse_accepts_anomaly_type_rows_that_agree():
+    data = (HEADER + b"a.pgm,anomalous,tape,semantic,yes,yes,\n"
+            b"b.pgm,anomalous,tape,semantic,yes,yes,unspecified\n")
+    labels = parse_labels(data)
+    assert labels["a.pgm"] == labels["b.pgm"]
+
+
 def test_parse_normal_with_axis_columns_rejected():
     data = HEADER + b"a.pgm,normal,tape,,,,\n"
     with pytest.raises(ParseError):
@@ -176,6 +190,21 @@ def test_load_minimal_fixture(tmp_path):
     assert ds.taxonomy.keys() == {"tape"}
     # sorted by timestamp index
     assert [f.timestamp for f in ds.train] == [0, 1]
+
+
+def test_load_rejects_label_row_naming_no_file(tmp_path):
+    _make_fixture(tmp_path)
+    with (tmp_path / "labels.csv").open("a") as f:
+        f.write("test_00077.pgm,anomalous,glare,sensory,no,no,\n")
+    with pytest.raises(IOFailure, match="test_00077.pgm"):
+        load_scenario(tmp_path)
+
+
+def test_load_accepts_normal_label_rows_for_train_and_val_files(tmp_path):
+    _make_fixture(tmp_path)
+    with (tmp_path / "labels.csv").open("a") as f:
+        f.write("train_00001.pgm,normal,,,,,\nval_00000.pgm,normal,,,,,\n")
+    assert len(load_scenario(tmp_path).train) == 2
 
 
 def test_load_rejects_anomaly_in_train(tmp_path):
@@ -228,6 +257,36 @@ def test_load_eight_anomaly_types(tmp_path):
     (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
     ds = load_scenario(tmp_path)
     assert len(ds.taxonomy) == 8
+
+
+def _split_frame(value, label=None):
+    return Frame(np.full((FRAME_SIDE, FRAME_SIDE), value), label=label)
+
+
+TAPE = AnomalyLabel("tape", "semantic", "yes", "yes")
+GLARE = AnomalyLabel("glare", "sensory", "no", "no")
+
+
+def test_dataset_built_directly_checks_the_split_protocol():
+    test = [_split_frame(0.5), _split_frame(0.9, TAPE), _split_frame(0.1, GLARE),
+            _split_frame(0.8, TAPE)]
+    with pytest.raises(ProtocolViolationError, match="val split contains"):
+        ScenarioDataset(train=[_split_frame(0.4)],
+                        val=[_split_frame(0.45), _split_frame(0.9, TAPE)],
+                        test=test)
+    ds = ScenarioDataset(train=[], val=[_split_frame(0.45)], test=test)
+    assert ds.taxonomy == {"tape": TAPE, "glare": GLARE}
+
+
+@pytest.mark.parametrize("test_labels, message", [
+    ([None, None], "no anomalous frame"),
+    ([TAPE], "no normal frame"),
+    ([], "no normal frame"),
+])
+def test_dataset_test_split_needs_both_classes(test_labels, message):
+    with pytest.raises(ProtocolViolationError, match=message):
+        ScenarioDataset(train=[], val=[_split_frame(0.45)],
+                        test=[_split_frame(0.5, label) for label in test_labels])
 
 
 def test_frame_rejects_out_of_range_pixels():

@@ -68,8 +68,7 @@ def test_generate_scenario_counts(tmp_path):
 def test_generate_round_trips_through_loader(tmp_path):
     out = tmp_path / "scen"
     generate_scenario(SMALL_SPEC, out)
-    ds = load_scenario(out)  # re-runs all protocol invariants
-    ds.validate()
+    load_scenario(out)  # building the dataset runs every protocol check
 
 
 def test_generate_deterministic_trees(tmp_path):
