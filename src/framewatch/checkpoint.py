@@ -1,24 +1,29 @@
 """JSON checkpoints of the full pipeline: autoencoder, flow and scoring.
 
-A checkpoint is one JSON file with `format_version` 3, and each fact is
-stored once: `format_version`, `model_kind` and the run `seed` only at the
-top level, and the input and latent dims only in each network's
-`layer_dims`. Every parameter array (weights, biases, coupling masks,
+A checkpoint is one JSON file with `format_version` 4.  It holds what
+loading uses and nothing else: the networks, each coupling layer's scale
+clamp, the score settings, the threshold and the quantile it was chosen
+at.  Each fact is stored once: `format_version` and `model_kind` only at
+the top level, the input and latent dims only in each network's
+`layer_dims`, and each coupling layer's clamp only in the flow's
+`scale_clamps` list, in the order of its `masks`.  How the models were
+trained (the run config and its seed) is recorded in `train_report.json`,
+not here.  Every parameter array (weights, biases, coupling masks,
 whitening vectors) is stored as one base64 string of its raw
 little-endian float64 (`<f8`) bytes, so a reloaded model reproduces
-scores bit-exactly by construction. Scalars (threshold, standardization,
-alpha) stay JSON numbers.
+scores bit-exactly by construction. Scalars (clamps, threshold,
+standardization, alpha) stay JSON numbers.
 
 Loading checks and builds in one pass: it reads `input_dim` and
 `latent_dim` from the encoder's `layer_dims`, checks the decoder, the
 coupling masks and nets and the whitening vectors against them, and
 checks keys, types, decoded lengths and finiteness before it hands a
 value to a model or config constructor.  Rules that a type owns (the
-coupling mask and scale clamp, the score mode and alpha, the training
-configs' ranges) are checked by that type's constructor, and its error
-is reported as a CheckpointError.  Building a model has no side effects,
-so `pipeline_from_dict` returns nothing unless the whole file passed.
-Version 1 and 2 files are rejected: retrain to write a version 3
+coupling mask and scale clamp, the score mode and alpha, the positive
+score spreads) are checked by that type's constructor, and its error is
+reported as a CheckpointError.  Building a model has no side effects, so
+`pipeline_from_dict` returns nothing unless the whole file passed.
+Version 1, 2 and 3 files are rejected: retrain to write a version 4
 checkpoint.
 """
 
@@ -33,14 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AutoencoderConfig, AutoencoderModel
-from .config import from_dict
+from .autoencoder import AutoencoderModel
 from .errors import CheckpointError, ConfigError, ContractViolationError
-from .flow import CouplingLayer, FlowConfig, FlowModel
+from .flow import CouplingLayer, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import ScoreConfig, ScoreStandardization
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _F8 = np.dtype("<f8")
 
 
@@ -77,26 +81,14 @@ def _get(data, key: str, where: str):
     return data[key]
 
 
-def _number(data, key: str, where: str) -> float:
-    value = _get(data, key, where)
+def _finite(value, where: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise CheckpointError(f"{where}.{key}: expected a finite number")
+        raise CheckpointError(f"{where}: expected a finite number")
     return float(value)
 
 
-def _train_config(data, cls, where: str) -> None:
-    """The nested `train_config` is null or a complete, valid `cls`."""
-    value = _get(data, "train_config", where)
-    if value is None:
-        return
-    names = [f.name for f in fields(cls)]
-    if not isinstance(value, dict) or sorted(value) != sorted(names):
-        raise CheckpointError(
-            f"{where}.train_config: expected null or exactly the keys {names}")
-    try:
-        from_dict(cls, value, "train_config")
-    except ConfigError as exc:
-        raise CheckpointError(f"{where}.train_config: {exc}") from None
+def _number(data, key: str, where: str) -> float:
+    return _finite(_get(data, key, where), f"{where}.{key}")
 
 
 def _list(data, key: str, where: str, length: int) -> list:
@@ -144,40 +136,35 @@ def _read_mlp(data, where: str, ends=None) -> Mlp:
     return Mlp(layers)
 
 
-def autoencoder_to_dict(model: AutoencoderModel,
-                        config: AutoencoderConfig | None = None) -> dict:
+def autoencoder_to_dict(model: AutoencoderModel) -> dict:
     return {
         "encoder": _mlp_to_dict(model.encoder),
         "decoder": _mlp_to_dict(model.decoder),
-        "train_config": asdict(config) if config else None,
     }
 
 
 def _read_autoencoder(data, where: str) -> AutoencoderModel:
     """The encoder's layer_dims define input_dim and latent_dim; the
     decoder must map them back."""
-    _train_config(data, AutoencoderConfig, where)
     encoder = _read_mlp(_get(data, "encoder", where), f"{where}.encoder")
     decoder = _read_mlp(_get(data, "decoder", where), f"{where}.decoder",
                         (("latent_dim", encoder.out_dim), ("input_dim", encoder.in_dim)))
     return AutoencoderModel(encoder=encoder, decoder=decoder)
 
 
-def flow_to_dict(model: FlowModel, config: FlowConfig | None = None) -> dict:
+def flow_to_dict(model: FlowModel) -> dict:
     return {
-        "scale_clamp": model.layers[0].scale_clamp if model.layers else None,
+        "scale_clamps": [layer.scale_clamp for layer in model.layers],
         "masks": [_encode(layer.mask) for layer in model.layers],
         "scale_nets": [_mlp_to_dict(layer.scale_net) for layer in model.layers],
         "shift_nets": [_mlp_to_dict(layer.shift_net) for layer in model.layers],
         "whitening_mean": _encode(model.whitening_mean),
         "whitening_std": _encode(model.whitening_std),
-        "train_config": asdict(config) if config else None,
     }
 
 
 def _read_flow(data, where: str, dim: int) -> FlowModel:
     """The flow over the autoencoder's `dim` latents."""
-    _train_config(data, FlowConfig, where)
     latent = ("latent_dim", dim)
     size = f"latent_dim {dim}"
     masks = _get(data, "masks", where)
@@ -186,12 +173,13 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
     n = len(masks)
     scale_nets = _list(data, "scale_nets", where, n)
     shift_nets = _list(data, "shift_nets", where, n)
-    clamp = _number(data, "scale_clamp", where) if n else None
+    clamps = _list(data, "scale_clamps", where, n)
     layers = []
     for k in range(n):
         mask = _decode(masks[k], (dim,), f"{where}.masks[{k}]", size)
         scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]", (latent, latent))
         shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]", (latent, latent))
+        clamp = _finite(clamps[k], f"{where}.scale_clamps[{k}]")
         try:
             layers.append(CouplingLayer(mask, scale_net, shift_net, clamp))
         except ContractViolationError as exc:
@@ -207,22 +195,18 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
 
 def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,
                      score_config: ScoreConfig, threshold: float,
-                     threshold_quantile: float,
-                     ae_config: AutoencoderConfig | None = None,
-                     flow_config: FlowConfig | None = None,
-                     seed: int | None = None) -> dict:
+                     threshold_quantile: float) -> dict:
     std = score_config.standardization or ScoreStandardization()
     return {
         "format_version": FORMAT_VERSION,
         "model_kind": "pipeline",
-        "autoencoder": autoencoder_to_dict(ae, ae_config),
-        "flow": flow_to_dict(flow, flow_config),
+        "autoencoder": autoencoder_to_dict(ae),
+        "flow": flow_to_dict(flow),
         "score_mode": score_config.mode,
         "score_alpha": score_config.alpha,
         "score_standardization": asdict(std),
         "threshold": threshold,
         "threshold_quantile": threshold_quantile,
-        "seed": seed,
     }
 
 
@@ -231,9 +215,10 @@ def _read_standardization(data, where: str) -> ScoreStandardization:
     if not isinstance(data, dict) or sorted(data) != sorted(names):
         raise CheckpointError(f"{where}: expected exactly the keys {names}")
     values = {name: _number(data, name, where) for name in names}
-    if values["nll_std"] <= 0.0 or values["recon_std"] <= 0.0:
-        raise CheckpointError(f"{where}: standard deviations must be positive")
-    return ScoreStandardization(**values)
+    try:
+        return ScoreStandardization(**values)
+    except ConfigError as exc:
+        raise CheckpointError(f"{where}: {exc}") from None
 
 
 def pipeline_from_dict(data: dict):
@@ -252,9 +237,6 @@ def pipeline_from_dict(data: dict):
                            "checkpoint.autoencoder")
     flow = _read_flow(_get(data, "flow", "checkpoint"), "checkpoint.flow",
                       ae.latent_dim)
-    seed = _get(data, "seed", "checkpoint")
-    if seed is not None and type(seed) is not int:
-        raise CheckpointError("checkpoint.seed: expected null or an integer")
     quantile = _number(data, "threshold_quantile", "checkpoint")
     if not 0.0 < quantile < 1.0:
         raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")

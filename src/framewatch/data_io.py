@@ -74,7 +74,7 @@ class Frame:
             raise ContractViolationError(
                 f"Frame: pixels shape {self.pixels.shape}, expected "
                 f"({FRAME_SIDE}, {FRAME_SIDE})")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails
             raise ContractViolationError("Frame: pixel values must lie in [0, 1]")
 
     @property

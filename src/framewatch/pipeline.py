@@ -112,9 +112,7 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
 def pipeline_checkpoint(pipeline: TrainedPipeline, config: RunConfig) -> dict:
     return pipeline_to_dict(
         pipeline.autoencoder, pipeline.flow, pipeline.score_config,
-        pipeline.threshold, config.eval_quantile,
-        ae_config=config.autoencoder, flow_config=config.flow,
-        seed=config.seed)
+        pipeline.threshold, config.eval_quantile)
 
 
 def score_test_split(ae: AutoencoderModel, flow: FlowModel,

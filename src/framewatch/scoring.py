@@ -9,7 +9,8 @@ the checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -30,6 +31,13 @@ class ScoreStandardization:
     recon_mean: float = 0.0
     recon_std: float = 1.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ConfigError(f"score standardization must be finite, got {self}")
+        if not (self.nll_std > 0.0 and self.recon_std > 0.0):
+            raise ConfigError(
+                f"score standardization stds must be positive, got {self}")
+
 
 @dataclass
 class ScoreConfig:
@@ -49,8 +57,8 @@ class ScoreConfig:
         std = self.standardization
         if std is None:
             raise ConfigError("combined mode needs standardization constants")
-        z_nll = (nll - std.nll_mean) / max(std.nll_std, 1e-12)
-        z_recon = (recon - std.recon_mean) / max(std.recon_std, 1e-12)
+        z_nll = (nll - std.nll_mean) / std.nll_std
+        z_recon = (recon - std.recon_mean) / std.recon_std
         return self.alpha * z_nll + (1.0 - self.alpha) * z_recon
 
 

@@ -124,7 +124,7 @@ def test_train_deterministic_checkpoints():
     x = flats(frames)
     model_a, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
     model_b, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
-    assert autoencoder_to_dict(model_a, cfg) == autoencoder_to_dict(model_b, cfg)
+    assert autoencoder_to_dict(model_a) == autoencoder_to_dict(model_b)
 
 
 def test_train_rejects_empty_split():

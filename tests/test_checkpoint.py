@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framewatch import checkpoint as ckpt
-from framewatch.autoencoder import AutoencoderConfig, encode_batch, init_autoencoder
+from framewatch.autoencoder import encode_batch, init_autoencoder
 from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import CheckpointError, ConfigError
-from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow
+from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
@@ -29,21 +29,20 @@ def _frame(seed):
     return Frame(pixels)
 
 
-def _reload(tmp_path, ae, flow, score_config=None, **kwargs):
+def _reload(tmp_path, ae, flow, score_config=None):
     """Save a pipeline checkpoint and load it back:
     (ae, flow, score_config, threshold)."""
     path = tmp_path / "pipeline.json"
     ckpt.save_json(ckpt.pipeline_to_dict(ae, flow, score_config or ScoreConfig(),
-                                         threshold=3.5, threshold_quantile=0.99,
-                                         **kwargs), path)
+                                         threshold=3.5, threshold_quantile=0.99),
+                   path)
     return ckpt.pipeline_from_dict(ckpt.load_json(path))
 
 
 def test_autoencoder_round_trip_bit_exact(tmp_path):
     model = init_autoencoder(RngStream(1), 16)
     flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
-    reloaded, _, _, _ = _reload(tmp_path, model, flow,
-                                ae_config=AutoencoderConfig(), seed=1)
+    reloaded, _, _, _ = _reload(tmp_path, model, flow)
     flats = _frame(2).flat()[None, :]
     assert np.array_equal(encode_batch(model, flats), encode_batch(reloaded, flats))
 
@@ -51,9 +50,22 @@ def test_autoencoder_round_trip_bit_exact(tmp_path):
 def test_flow_round_trip_bit_exact(tmp_path):
     ae = init_autoencoder(RngStream(1), 16)
     flow = init_flow(RngStream(3), 16, num_layers=4, hidden=16)
-    _, reloaded, _, _ = _reload(tmp_path, ae, flow, flow_config=FlowConfig(), seed=3)
+    _, reloaded, _, _ = _reload(tmp_path, ae, flow)
     latent = RngStream(4).gaussian(16)[None, :]
     assert flow_log_prob_batch(flow, latent)[0] == flow_log_prob_batch(reloaded, latent)[0]
+
+
+def test_flow_round_trip_keeps_each_layer_clamp(tmp_path):
+    """Each coupling layer's own scale clamp survives the round trip, so
+    log-probs match bit for bit; one shared clamp would change them."""
+    ae = init_autoencoder(RngStream(1), 4, input_dim=16, hidden=(8,))
+    flow = init_flow(RngStream(3), 4, num_layers=2, hidden=8)
+    flow.layers[1].scale_clamp = 0.5
+    _, reloaded, _, _ = _reload(tmp_path, ae, flow)
+    assert [layer.scale_clamp for layer in reloaded.layers] == [3.0, 0.5]
+    latents = 3.0 * RngStream(4).gaussian(8 * 4).reshape(8, 4)
+    assert np.array_equal(flow_log_prob_batch(flow, latents),
+                          flow_log_prob_batch(reloaded, latents))
 
 
 def test_pipeline_round_trip_score_identical(tmp_path):
@@ -61,7 +73,7 @@ def test_pipeline_round_trip_score_identical(tmp_path):
     flow = init_flow(RngStream(6), 16, num_layers=2, hidden=16)
     score_cfg = ScoreConfig(mode="nll",
                             standardization=ScoreStandardization(1.0, 2.0, 0.1, 0.2))
-    ae2, flow2, cfg2, tau = _reload(tmp_path, ae, flow, score_cfg, seed=7)
+    ae2, flow2, cfg2, tau = _reload(tmp_path, ae, flow, score_cfg)
     assert tau == 3.5
     frame = _frame(8)
     assert score_frames(ae, flow, [frame])[0] == score_frames(ae2, flow2, [frame])[0]
@@ -120,10 +132,7 @@ def _small_pipeline_dict():
     score_cfg = ScoreConfig(mode="nll",
                             standardization=ScoreStandardization(1.0, 2.0, 0.1, 0.2))
     return ckpt.pipeline_to_dict(ae, flow, score_cfg, threshold=3.5,
-                                 threshold_quantile=0.99,
-                                 ae_config=AutoencoderConfig(latent_dim=4),
-                                 flow_config=FlowConfig(num_layers=2, hidden=4),
-                                 seed=7)
+                                 threshold_quantile=0.99)
 
 
 def _b64(values):
@@ -169,14 +178,9 @@ MALFORMED = {
     "standardization_missing_key": _delete("score_standardization", "nll_std"),
     "v1_file": _set("format_version", 1),
     "v2_file": _set("format_version", 2),
+    "v3_file": _set("format_version", 3),
     "quantile_of_one": _set("threshold_quantile", 1.0),
     "quantile_of_zero": _set("threshold_quantile", 0),
-    "float_seed": _set("seed", 7.5),
-    "train_config_list": _set("autoencoder", "train_config", [1]),
-    "train_config_missing_key": _delete("flow", "train_config", "hidden"),
-    "train_config_unknown_key": _set("flow", "train_config", "depth", 3),
-    "train_config_out_of_range": _set("autoencoder", "train_config", "lr", -1.0),
-    "train_config_wrong_type": _set("flow", "train_config", "epochs", 2.5),
 }
 
 
@@ -207,24 +211,18 @@ def test_small_pipeline_checkpoint_is_valid():
     ckpt.pipeline_from_dict(_small_pipeline_dict())
 
 
-def test_null_metadata_is_valid():
-    data = _small_pipeline_dict()
-    data["seed"] = None
-    data["autoencoder"]["train_config"] = data["flow"]["train_config"] = None
-    ckpt.pipeline_from_dict(data)
-
-
 def test_each_fact_stored_once():
-    """The version, kind and seed appear only at the top level, and the
-    dims only as layer_dims.  Each train_config is a verbatim record of the
-    training config, so its own `latent_dim` field is not a copy."""
+    """The version and kind appear only at the top level, the dims only as
+    layer_dims, and no training record (train_config, seed) at all: the
+    run config and its seed live in train_report.json."""
     data = _small_pipeline_dict()
-    paths = [p for p in _json_paths(data) if "train_config" not in p[:-1]]
+    paths = list(_json_paths(data))
     keys = [p[-1] for p in paths]
-    for key in ("format_version", "model_kind", "seed"):
+    for key in ("format_version", "model_kind"):
         assert [p for p in paths if p[-1] == key] == [(key,)]
-    assert "latent_dim" not in keys and "input_dim" not in keys
-    assert data["format_version"] == 3
+    for key in ("latent_dim", "input_dim", "train_config", "seed"):
+        assert key not in keys
+    assert data["format_version"] == 4
 
 
 def test_save_json_bytes_match_json_dumps(tmp_path):
@@ -243,9 +241,6 @@ def test_save_json_bytes_match_json_dumps(tmp_path):
 # for one of another JSON type, a base64 array string truncated, or a mask
 # bit set to 0.5. `simulate` must reject it with exit 5 and one stderr line.
 
-# Fields that may also be null: swapping their value for null leaves a
-# valid checkpoint, so null is not one of their swaps.
-NULLABLE = {("seed",), ("autoencoder", "train_config"), ("flow", "train_config")}
 ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
 
@@ -304,8 +299,7 @@ def _mutations(draw):
         return kind, path
     if kind == "truncate":
         return kind, path, draw(st.integers(0, len(value) - 1))
-    others = sorted(set(JSON_VALUES) - {_json_type(value)}
-                    - ({"null"} if path in NULLABLE else set()))
+    others = sorted(set(JSON_VALUES) - {_json_type(value)})
     return kind, path, draw(JSON_VALUES[draw(st.sampled_from(others))])
 
 

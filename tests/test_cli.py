@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from framewatch import cli
-from framewatch.checkpoint import load_json, pipeline_from_dict
+from framewatch.checkpoint import load_json, pipeline_from_dict, save_json
 from framewatch.cli import main
 from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, load_scenario,
                                 read_frame_pixels)
@@ -111,6 +112,24 @@ def test_eval_corrupted_checkpoint(workspace, tmp_path):
     assert main(["eval", "--checkpoint", str(bad),
                  "--scenario", str(workspace / "scen"),
                  "--out", str(tmp_path / "o")]) == 5
+
+
+def test_eval_non_finite_scores_exits_2(workspace, tmp_path, capsys):
+    """Non-finite scores from a checkpoint that fits the frames are a
+    scoring failure (exit 2), not an incompatible checkpoint (exit 5)."""
+    data = load_json(workspace / "out" / "checkpoint.json")
+    encoder = data["autoencoder"]["encoder"]
+    encoder["weights"] = [
+        base64.b64encode(np.frombuffer(base64.b64decode(w), dtype="<f8") * 1e120).decode()
+        for w in encoder["weights"]]
+    path = tmp_path / "checkpoint.json"
+    save_json(data, path)
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--config", str(workspace / "run.json"),
+                     "--checkpoint", str(path), "--scenario", str(workspace / "scen"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: non-finite log-density from the flow\n"
 
 
 def test_eval_missing_scenario(workspace, tmp_path):

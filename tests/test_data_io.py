@@ -292,3 +292,12 @@ def test_dataset_test_split_needs_both_classes(test_labels, message):
 def test_frame_rejects_out_of_range_pixels():
     with pytest.raises(ContractViolationError):
         Frame(np.full((FRAME_SIDE, FRAME_SIDE), 1.5))
+
+
+@pytest.mark.parametrize("nan_pixels", [(slice(None), slice(None)), (3, 5)],
+                         ids=["all", "one"])
+def test_frame_rejects_nan_pixels(nan_pixels):
+    pixels = np.full((FRAME_SIDE, FRAME_SIDE), 0.5)
+    pixels[nan_pixels] = np.nan
+    with pytest.raises(ContractViolationError):
+        Frame(pixels)

@@ -223,7 +223,7 @@ def test_train_flow_deterministic():
     cfg = FlowConfig(epochs=3, batch_size=16, num_layers=2, hidden=8)
     flow_a, _ = train_flow(latents, val, cfg, seed=9)
     flow_b, _ = train_flow(latents, val, cfg, seed=9)
-    assert flow_to_dict(flow_a, cfg) == flow_to_dict(flow_b, cfg)
+    assert flow_to_dict(flow_a) == flow_to_dict(flow_b)
 
 
 def test_train_flow_whitening_from_train_only():

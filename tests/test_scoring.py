@@ -84,6 +84,16 @@ def test_non_finite_flow_raises_scoring_error(frames):
         score_frames(ae, flow, frames[:3])
 
 
+@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -2.0),
+                                    (np.nan, 1.0, 0.0, 1.0), (0.0, 1.0, np.inf, 1.0)],
+                         ids=["zero_nll_std", "negative_recon_std", "nan_mean",
+                              "inf_mean"])
+def test_standardization_rejects_bad_spread(values):
+    """ScoreStandardization owns its rule: finite values, positive stds."""
+    with pytest.raises(ConfigError, match="score standardization"):
+        ScoreStandardization(*values)
+
+
 @pytest.fixture(scope="module")
 def combined_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("combined")
