@@ -1,37 +1,57 @@
-"""JSON checkpoints of the full pipeline: autoencoder, flow and scoring.
+"""Checkpoints of the full pipeline: autoencoder, flow and scoring.
 
-A checkpoint is one JSON file with `format_version` 4.  It holds what
-loading uses and nothing else: the networks, each coupling layer's scale
-clamp, the score settings, the threshold and the quantile it was chosen
-at.  Each fact is stored once: `format_version` and `model_kind` only at
-the top level, the input and latent dims only in each network's
-`layer_dims`, and each coupling layer's clamp only in the flow's
-`scale_clamps` list, in the order of its `masks`.  How the models were
-trained (the run config and its seed) is recorded in `train_report.json`,
-not here.  Every parameter array (weights, biases, coupling masks,
-whitening vectors) is stored as one base64 string of its raw
-little-endian float64 (`<f8`) bytes, so a reloaded model reproduces
-scores bit-exactly by construction. Scalars (clamps, threshold,
-standardization, alpha) stay JSON numbers.
+A checkpoint (`format_version` 5, written by `train` as `checkpoint.fwc`)
+is one binary file laid out like a safetensors file: a JSON header that
+describes every array, then the arrays' raw bytes.
 
-Loading checks and builds in one pass: it reads `input_dim` and
-`latent_dim` from the encoder's `layer_dims`, checks the decoder, the
-coupling masks and nets and the whitening vectors against them, and
-checks keys, types, decoded lengths and finiteness before it hands a
-value to a model or config constructor.  Rules that a type owns (the
-coupling mask and scale clamp, the score mode and alpha, the positive
-score spreads) are checked by that type's constructor, and its error is
-reported as a CheckpointError.  Building a model has no side effects, so
-`pipeline_from_dict` returns nothing unless the whole file passed.
-Version 1, 2 and 3 files are rejected: retrain to write a version 4
-checkpoint.
+    magic          the 16 bytes b"FRAMEWATCH CKPT\\n"
+    header length  8 bytes, unsigned little-endian
+    header         UTF-8 JSON, padded with spaces so the payload starts
+                   at a multiple of 8 bytes
+    payload        each array's raw little-endian float64 (`<f8`) bytes,
+                   back to back in header order
+
+The header is the tree `pipeline_to_dict` returns, with each numpy array
+replaced by `{"shape": [...], "offset": n}`, n being the array's byte
+offset in the payload.  It holds what loading uses and nothing else: the
+networks, each coupling layer's scale clamp, the score settings, the
+threshold and the quantile it was chosen at.  Each fact is stored once:
+`format_version` and `model_kind` only at the top level, the input and
+latent dims only in each network's `layer_dims`, and each coupling
+layer's clamp only in the flow's `scale_clamps` list, in the order of
+its `masks`.  How the models were trained (the run config and its seed)
+is recorded in `train_report.json`, not here.
+
+The parameters (weights, biases, coupling masks, whitening vectors) are
+stored as their own bytes, not as text: base64 would make the file a
+third larger, decimals larger still, and either costs a decode of every
+byte at load.  Saving writes each array's buffer as it is; loading reads
+each array straight into a fresh C-contiguous float64 array, so a
+reloaded model reproduces scores bit-exactly by construction.  Scalars
+(clamps, threshold, standardization, alpha) stay JSON numbers.
+
+`load_json` checks the layout before it reads any array: the magic, the
+header length against the file size, and that the array offsets are
+8-byte aligned, in bounds, non-overlapping and in header order, and that
+the arrays cover the payload exactly.  `pipeline_from_dict` then checks
+and builds in one pass: it reads `input_dim` and `latent_dim` from the
+encoder's `layer_dims`, checks the decoder, the coupling masks and nets
+and the whitening vectors against them, and checks keys, types, array
+shapes and finiteness before it hands a value to a model or config
+constructor.  Rules that a type owns (the coupling mask and scale clamp,
+the score mode and alpha, the positive score spreads) are checked by
+that type's constructor, and its error is reported as a CheckpointError.
+Building a model has no side effects, so `pipeline_from_dict` returns
+nothing unless the whole file passed.  Format 1 to 4 files (JSON
+documents) are rejected: retrain to write a format 5 checkpoint.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
+import struct
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -39,38 +59,31 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderModel
-from .errors import CheckpointError, ConfigError, ContractViolationError
+from .errors import CheckpointError, ConfigError, ContractViolationError, IOFailure
 from .flow import CouplingLayer, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import ScoreConfig, ScoreStandardization
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+MAGIC = b"FRAMEWATCH CKPT\n"
+_LENGTH = struct.Struct("<Q")
 _F8 = np.dtype("<f8")
 
 
-def _encode(array: np.ndarray) -> str:
-    # b64encode reads the array's buffer; tobytes() would copy it first.
-    return base64.b64encode(np.ascontiguousarray(array, dtype=_F8)).decode("ascii")
-
-
-def _decode(text, shape: tuple[int, ...], where: str,
-            size: str | None = None) -> np.ndarray:
-    """A fresh, writable, C-contiguous float64 array of `shape`; `size`
-    names the shape in the length-mismatch message."""
-    if not isinstance(text, str):
-        raise CheckpointError(f"{where}: expected a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise CheckpointError(f"{where}: invalid base64: {exc}") from exc
-    expected = _F8.itemsize * math.prod(shape)
-    if len(raw) != expected:
-        raise CheckpointError(f"{where}: decodes to {len(raw)} bytes, "
-                              f"{size or f'shape {list(shape)}'} needs {expected}")
-    array = np.frombuffer(raw, dtype=_F8).reshape(shape).astype(np.float64)
-    if not np.isfinite(array).all():
+def _array(value, shape: tuple[int, ...], where: str,
+           size: str | None = None) -> np.ndarray:
+    """`value` if it is a finite float64 array of `shape`; `size` names the
+    shape in the mismatch message."""
+    if (not isinstance(value, np.ndarray) or value.dtype.kind != "f"
+            or value.dtype.itemsize != 8):
+        raise CheckpointError(f"{where}: expected a float64 array")
+    if value.shape != shape:
+        need = f"{size} needs" if size else "expected"
+        raise CheckpointError(
+            f"{where}: has shape {list(value.shape)}, {need} {list(shape)}")
+    if not np.isfinite(value).all():
         raise CheckpointError(f"{where}: non-finite value")
-    return array
+    return value.astype(np.float64, copy=False)
 
 
 def _get(data, key: str, where: str):
@@ -102,8 +115,8 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
     return {
         "layer_dims": [mlp.layers[0].in_dim] + [l.out_dim for l in mlp.layers],
         "activations": [l.activation.value for l in mlp.layers],
-        "weights": [_encode(l.weights) for l in mlp.layers],
-        "biases": [_encode(l.bias) for l in mlp.layers],
+        "weights": [l.weights for l in mlp.layers],
+        "biases": [l.bias for l in mlp.layers],
     }
 
 
@@ -131,8 +144,8 @@ def _read_mlp(data, where: str, ends=None) -> Mlp:
             raise CheckpointError(
                 f"{where}.activations[{i}]: unknown activation {acts[i]!r}") from None
         layers.append(DenseLayer(
-            _decode(weights[i], (dims[i + 1], dims[i]), f"{where}.weights[{i}]"),
-            _decode(biases[i], (dims[i + 1],), f"{where}.biases[{i}]"), act))
+            _array(weights[i], (dims[i + 1], dims[i]), f"{where}.weights[{i}]"),
+            _array(biases[i], (dims[i + 1],), f"{where}.biases[{i}]"), act))
     return Mlp(layers)
 
 
@@ -155,11 +168,11 @@ def _read_autoencoder(data, where: str) -> AutoencoderModel:
 def flow_to_dict(model: FlowModel) -> dict:
     return {
         "scale_clamps": [layer.scale_clamp for layer in model.layers],
-        "masks": [_encode(layer.mask) for layer in model.layers],
+        "masks": [layer.mask for layer in model.layers],
         "scale_nets": [_mlp_to_dict(layer.scale_net) for layer in model.layers],
         "shift_nets": [_mlp_to_dict(layer.shift_net) for layer in model.layers],
-        "whitening_mean": _encode(model.whitening_mean),
-        "whitening_std": _encode(model.whitening_std),
+        "whitening_mean": model.whitening_mean,
+        "whitening_std": model.whitening_std,
     }
 
 
@@ -176,7 +189,7 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
     clamps = _list(data, "scale_clamps", where, n)
     layers = []
     for k in range(n):
-        mask = _decode(masks[k], (dim,), f"{where}.masks[{k}]", size)
+        mask = _array(masks[k], (dim,), f"{where}.masks[{k}]", size)
         scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]", (latent, latent))
         shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]", (latent, latent))
         clamp = _finite(clamps[k], f"{where}.scale_clamps[{k}]")
@@ -184,18 +197,20 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
             layers.append(CouplingLayer(mask, scale_net, shift_net, clamp))
         except ContractViolationError as exc:
             raise CheckpointError(f"{where}: coupling layer {k}: {exc}") from None
-    std = _decode(_get(data, "whitening_std", where), (dim,),
-                  f"{where}.whitening_std", size)
+    std = _array(_get(data, "whitening_std", where), (dim,),
+                 f"{where}.whitening_std", size)
     if not (std > 0.0).all():
         raise CheckpointError(f"{where}.whitening_std: must be positive")
-    mean = _decode(_get(data, "whitening_mean", where), (dim,),
-                   f"{where}.whitening_mean", size)
+    mean = _array(_get(data, "whitening_mean", where), (dim,),
+                  f"{where}.whitening_mean", size)
     return FlowModel(layers=layers, dim=dim, whitening_mean=mean, whitening_std=std)
 
 
 def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,
                      score_config: ScoreConfig, threshold: float,
                      threshold_quantile: float) -> dict:
+    """The checkpoint tree.  Its arrays are the models' own, not copies, so
+    `save_json` writes each parameter buffer without an intermediate."""
     std = score_config.standardization or ScoreStandardization()
     return {
         "format_version": FORMAT_VERSION,
@@ -252,23 +267,116 @@ def pipeline_from_dict(data: dict):
     return ae, flow, score_config, _number(data, "threshold", "checkpoint")
 
 
-def save_json(data: dict, path: Path | str) -> None:
-    """Write `data` as indented, key-sorted JSON, streamed to the file so the
-    whole text is never held in memory at once."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=1, sort_keys=True)
-        f.write("\n")
+def _header(tree, arrays: list[np.ndarray]):
+    """`tree` with its keys sorted and each numpy array replaced by its
+    header entry; the arrays, as C-contiguous `<f8`, are appended to
+    `arrays` in header order."""
+    if isinstance(tree, np.ndarray):
+        offset = sum(a.nbytes for a in arrays)
+        arrays.append(np.ascontiguousarray(tree, dtype=_F8))
+        return {"offset": offset, "shape": list(tree.shape)}
+    if isinstance(tree, dict):
+        return {key: _header(tree[key], arrays) for key in sorted(tree)}
+    if isinstance(tree, (list, tuple)):
+        return [_header(value, arrays) for value in tree]
+    return tree
 
 
-def load_json(path: Path | str) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint file {path} does not exist")
+def save_json(data, path: Path | str) -> None:
+    """Write the tree `data` as a format 5 file: each numpy array in it goes
+    to the payload as `<f8` bytes, everything else to the JSON header.  The
+    bytes depend on `data` alone, so two saves of one tree are identical."""
+    arrays: list[np.ndarray] = []
+    header = json.dumps(_header(data, arrays), separators=(",", ":")).encode("ascii")
+    header += b" " * (-(len(MAGIC) + _LENGTH.size + len(header)) % _F8.itemsize)
+    with open(path, "wb") as f:
+        f.write(MAGIC + _LENGTH.pack(len(header)) + header)
+        for array in arrays:
+            f.write(array)
+
+
+def _parse_header(raw: bytes, path: Path, payload: int, arrays: list[np.ndarray]):
+    """The parsed header.  Each array entry becomes an empty `<f8` array,
+    appended to `arrays`, once its shape and offset are checked: the offset
+    is 8-byte aligned and is where the array before it ends, and the array
+    ends inside the `payload` bytes.  The last array must end the payload."""
+    end = 0
+
+    def entry(obj: dict):
+        nonlocal end
+        if obj.keys() != {"shape", "offset"}:
+            return obj
+        shape, offset = obj["shape"], obj["offset"]
+        what = f"checkpoint {path}: array {len(arrays)}"
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise CheckpointError(
+                f"{what}: shape must be a list of non-negative integers")
+        if type(offset) is not int or offset < 0 or offset % _F8.itemsize:
+            raise CheckpointError(f"{what}: offset must be a non-negative integer "
+                                  f"multiple of {_F8.itemsize}, got {offset!r}")
+        stop = offset + _F8.itemsize * math.prod(shape)
+        if stop > payload:
+            raise CheckpointError(f"{what}: bytes {offset} to {stop} lie past the end "
+                                  f"of the {payload}-byte payload")
+        if offset != end:
+            problem = "overlaps" if offset < end else "leaves a gap after"
+            raise CheckpointError(f"{what}: offset {offset} {problem} the array "
+                                  f"before it, which ends at {end}")
+        end = stop
+        arrays.append(np.empty(shape, dtype=_F8))
+        return arrays[-1]
+
     try:
-        return json.loads(path.read_bytes())
+        tree = json.loads(raw.decode("utf-8"), object_hook=entry)
     except json.JSONDecodeError as exc:
         raise CheckpointError(
-            f"checkpoint {path} is not valid JSON: line {exc.lineno} "
+            f"checkpoint {path} header is not valid JSON: line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer too long to convert
-        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
+    except RecursionError:
+        raise CheckpointError(f"checkpoint {path} header is nested too deeply") from None
+    except ValueError as exc:
+        # Not UTF-8, an integer too long to convert, or more dimensions
+        # than numpy allows.
+        raise CheckpointError(f"checkpoint {path} header is unreadable: {exc}") from exc
+    if end != payload:
+        raise CheckpointError(
+            f"checkpoint {path}: {payload - end} trailing bytes after the last array")
+    return tree
+
+
+def load_json(path: Path | str):
+    """The tree `save_json` wrote to `path`, each array read into a fresh
+    C-contiguous float64 array.  IOFailure if `path` is not a file;
+    CheckpointError unless it is a well-formed format 5 file, whose layout
+    is checked in full before any array is read."""
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a file" if path.exists() else "does not exist"
+        raise IOFailure(f"checkpoint file {path} {state}")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(len(MAGIC) + _LENGTH.size)
+        if not prefix.startswith(MAGIC):
+            if prefix.lstrip()[:1] == b"{":
+                raise CheckpointError(
+                    f"checkpoint {path} is a JSON file of format_version 4 or "
+                    f"earlier; this build reads only format_version "
+                    f"{FORMAT_VERSION}, retrain to write a new checkpoint")
+            raise CheckpointError(f"checkpoint {path} does not start with the "
+                                  "framewatch checkpoint magic")
+        if len(prefix) < len(MAGIC) + _LENGTH.size:
+            raise CheckpointError(f"checkpoint {path} ends inside its header length")
+        (length,) = _LENGTH.unpack_from(prefix, len(MAGIC))
+        start = len(prefix) + length
+        if start > size:
+            raise CheckpointError(f"checkpoint {path}: header length {length} runs "
+                                  f"past the end of the {size}-byte file")
+        if start % _F8.itemsize:
+            raise CheckpointError(f"checkpoint {path}: payload starts at byte {start}, "
+                                  f"not at a multiple of {_F8.itemsize}")
+        arrays: list[np.ndarray] = []
+        tree = _parse_header(f.read(length), path, size - start, arrays)
+        for array in arrays:
+            if f.readinto(array) != array.nbytes:
+                raise CheckpointError(f"checkpoint {path}: payload ends early")
+    return tree

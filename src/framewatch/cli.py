@@ -44,6 +44,8 @@ EXIT_IO = 3
 EXIT_PROTOCOL = 4
 EXIT_CHECKPOINT = 5
 
+CHECKPOINT = "checkpoint.fwc"
+
 
 def _read_json(name: str, what: str):
     """Parsed JSON of the `what` file `name`: IOFailure if it is missing,
@@ -56,8 +58,17 @@ def _read_json(name: str, what: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     except ValueError as exc:  # not UTF-8, or an integer too long to convert
         raise ConfigError(f"{path}: unreadable: {exc}") from exc
+
+
+def _write_json(data, path: Path) -> None:
+    """`data` as indented, key-sorted JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -117,23 +128,23 @@ def cmd_gen_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     out = _require_out(config)
-    _check_writable(out, ("checkpoint.json", "train_report.json"))
+    _check_writable(out, (CHECKPOINT, "train_report.json"))
     dataset = load_scenario(_require_scenario(config))
     trained = train_pipeline(dataset, config)
 
-    ckpt.save_json(pipeline_checkpoint(trained, config), out / "checkpoint.json")
+    ckpt.save_json(pipeline_checkpoint(trained, config), out / CHECKPOINT)
     report = {
         "autoencoder": asdict(trained.ae_report),
         "flow": asdict(trained.flow_report),
         "threshold": trained.threshold,
         "config": config.to_dict(),
     }
-    ckpt.save_json(report, out / "train_report.json")
+    _write_json(report, out / "train_report.json")
     print(f"trained on {len(dataset.train)} frames; final val MSE "
           f"{trained.ae_report.val_loss[-1]:.6g}, final val NLL "
           f"{trained.flow_report.val_nll[-1]:.4f}, threshold "
           f"{trained.threshold:.4f}")
-    print(f"checkpoint written to {out / 'checkpoint.json'}")
+    print(f"checkpoint written to {out / CHECKPOINT}")
     return EXIT_OK
 
 
@@ -239,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         if checkpoint:
-            p.add_argument("--checkpoint", help="pipeline checkpoint JSON")
+            p.add_argument("--checkpoint",
+                           help=f"pipeline checkpoint written by train ({CHECKPOINT})")
         if scenario_help:
             p.add_argument("--scenario", help=scenario_help)
         p.add_argument("--out", help="output directory (all outputs go here)")

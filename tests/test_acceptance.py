@@ -292,7 +292,7 @@ def test_criterion_9_determinism(tmp_path):
                      "--scenario", str(work / "scen"),
                      "--out", str(work / "out")]) == 0
         assert main(["eval", "--config", str(run_cfg),
-                     "--checkpoint", str(work / "out" / "checkpoint.json"),
+                     "--checkpoint", str(work / "out" / "checkpoint.fwc"),
                      "--scenario", str(work / "scen"),
                      "--out", str(work / "out")]) == 0
         return {str(p.relative_to(work)): p.read_bytes()

@@ -4,7 +4,7 @@ import pytest
 from framewatch.autoencoder import (AutoencoderConfig, encode_batch,
                                     init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
-from framewatch.checkpoint import autoencoder_to_dict
+from framewatch.checkpoint import autoencoder_to_dict, save_json
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError
 from framewatch.rng import RngStream
@@ -118,13 +118,14 @@ def test_train_memorizes_single_frame():
     assert report.epochs_run == 50
 
 
-def test_train_deterministic_checkpoints():
+def test_train_deterministic_checkpoints(tmp_path):
     frames = [_frame(seed=s) for s in range(6)]
     cfg = AutoencoderConfig(epochs=3, batch_size=2, latent_dim=8)
     x = flats(frames)
-    model_a, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
-    model_b, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
-    assert autoencoder_to_dict(model_a) == autoencoder_to_dict(model_b)
+    for name in ("a", "b"):
+        model, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
+        save_json(autoencoder_to_dict(model), tmp_path / name)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_train_rejects_empty_split():

@@ -1,8 +1,9 @@
-import base64
 import contextlib
 import copy
+import functools
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from framewatch import checkpoint as ckpt
 from framewatch.autoencoder import encode_batch, init_autoencoder
 from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
-from framewatch.errors import CheckpointError, ConfigError
+from framewatch.errors import CheckpointError, ConfigError, IOFailure
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig
 from framewatch.rng import RngStream
@@ -32,7 +33,7 @@ def _frame(seed):
 def _reload(tmp_path, ae, flow, score_config=None):
     """Save a pipeline checkpoint and load it back:
     (ae, flow, score_config, threshold)."""
-    path = tmp_path / "pipeline.json"
+    path = tmp_path / "pipeline.fwc"
     ckpt.save_json(ckpt.pipeline_to_dict(ae, flow, score_config or ScoreConfig(),
                                          threshold=3.5, threshold_quantile=0.99),
                    path)
@@ -101,16 +102,24 @@ def test_latent_dim_mismatch_rejected():
         ckpt.pipeline_from_dict(data)
 
 
+def _container(header: bytes, payload: bytes = b"") -> bytes:
+    """A format 5 file around raw `header` bytes, padded as save_json pads."""
+    header += b" " * (-(len(ckpt.MAGIC) + 8 + len(header)) % 8)
+    return ckpt.MAGIC + struct.pack("<Q", len(header)) + header + payload
+
+
 def test_corrupt_json_reports_position(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path = tmp_path / "bad.fwc"
+    path.write_bytes(_container(b"{not json"))
     with pytest.raises(CheckpointError, match="line 1"):
         ckpt.load_json(path)
 
 
 def test_missing_file_rejected(tmp_path):
-    with pytest.raises(CheckpointError):
-        ckpt.load_json(tmp_path / "nope.json")
+    with pytest.raises(IOFailure, match="does not exist"):
+        ckpt.load_json(tmp_path / "nope.fwc")
+    with pytest.raises(IOFailure, match="is not a file"):
+        ckpt.load_json(tmp_path)
 
 
 def test_serialized_floats_round_trip_exactly(tmp_path):
@@ -135,10 +144,6 @@ def _small_pipeline_dict():
                                  threshold_quantile=0.99)
 
 
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
-
-
 def _set(*keys_and_value):
     *keys, value = keys_and_value
 
@@ -160,51 +165,166 @@ def _delete(*keys):
 ENC = ("autoencoder", "encoder")
 MALFORMED = {
     "missing_key": _delete(*ENC, "weights"),
-    "short_weight_array": _set(*ENC, "weights", 0, _b64(np.ones(16 * 8 - 1))),
-    "weights_list_too_short": _set(*ENC, "weights", [_b64(np.ones(16 * 8))]),
+    "short_weight_array": _set(*ENC, "weights", 0, np.ones(16 * 8 - 1)),
+    "transposed_weights": _set(*ENC, "weights", 0, np.ones((16, 8))),
+    "weights_list_too_short": _set(*ENC, "weights", [np.ones((8, 16))]),
     "unknown_activation": _set(*ENC, "activations", 0, "relu6"),
     "list_as_activation": _set(*ENC, "activations", 0, ["tanh"]),
+    "string_as_array": _set(*ENC, "biases", 0, "not an array"),
     "string_dimension": _set(*ENC, "layer_dims", 0, "16"),
     "decoder_dims_mismatch": _set("autoencoder", "decoder", "layer_dims", 0, 5),
-    "nan_weight": _set(*ENC, "weights", 0, _b64([np.nan] * (16 * 8))),
+    "nan_weight": _set(*ENC, "weights", 0, np.full((8, 16), np.nan)),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),
-    "invalid_base64": _set(*ENC, "biases", 0, "not base64!"),
-    "decoded_length_mismatch": _set("flow", "whitening_mean", _b64(np.zeros(5))),
-    "non_finite_whitening": _set("flow", "whitening_std", _b64([1.0, np.inf, 1.0, 1.0])),
+    "decoded_length_mismatch": _set("flow", "whitening_mean", np.zeros(5)),
+    "non_finite_whitening": _set("flow", "whitening_std",
+                                 np.array([1.0, np.inf, 1.0, 1.0])),
     "non_finite_threshold": _set("threshold", float("inf")),
     "threshold_beyond_float_range": _set("threshold", 10 ** 400),
-    "all_one_mask": _set("flow", "masks", 0, _b64(np.ones(4))),
+    "all_one_mask": _set("flow", "masks", 0, np.ones(4)),
     "standardization_missing_key": _delete("score_standardization", "nll_std"),
     "v1_file": _set("format_version", 1),
     "v2_file": _set("format_version", 2),
     "v3_file": _set("format_version", 3),
+    "v4_file": _set("format_version", 4),
     "quantile_of_one": _set("threshold_quantile", 1.0),
     "quantile_of_zero": _set("threshold_quantile", 0),
 }
 
 
+def _split(raw: bytes):
+    """(header, payload) of a format 5 file: the header as plain JSON."""
+    start = len(ckpt.MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", raw, len(ckpt.MAGIC))
+    return json.loads(raw[start:start + length]), raw[start + length:]
+
+
+def _is_entry(value):
+    return isinstance(value, dict) and value.keys() == {"shape", "offset"}
+
+
+def _edit_header(edit):
+    """A byte-level case: the valid file with `edit` applied to the list of
+    its header's array entries, in header order."""
+    def apply(raw):
+        header, payload = _split(raw)
+        values = [_at(header, path) for path in _json_paths(header)]
+        edit([v for v in values if _is_entry(v)])
+        return _container(json.dumps(header).encode(), payload)
+    return apply
+
+
+def _transpose_first_matrix(entries):
+    entry = next(e for e in entries if len(set(e["shape"])) == 2)
+    entry["shape"].reverse()
+
+
+def _with_length(length):
+    def apply(raw):
+        at = len(ckpt.MAGIC)
+        return raw[:at] + struct.pack("<Q", length(raw)) + raw[at + 8:]
+    return apply
+
+
+def _nan_payload(raw):
+    _, payload = _split(raw)
+    return raw[:len(raw) - len(payload)] + struct.pack("<d", np.nan) + payload[8:]
+
+
+def _entry(index, **values):
+    return lambda entries: entries[index].update(values)
+
+
+def _swap_equal_arrays(entries):
+    """Swap the offsets of the first two arrays of one shape: the arrays
+    still tile the payload, but not in header order."""
+    a, b = next((a, b) for i, a in enumerate(entries) for b in entries[i + 1:]
+                if a["shape"] == b["shape"])
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+
+
+def _shift(index, delta):
+    return lambda entries: entries[index].update(offset=entries[index]["offset"] + delta)
+
+
+# Byte-level cases: each maps the bytes of the small valid file to a
+# malformed file.
 RAW_MALFORMED = {
-    "array_root": b"[]",
-    "not_utf8": b'{"format_version": "\xff"}',
-    "overlong_integer": b'{"threshold": ' + b"1" * 5000 + b"}",
+    "array_root": lambda raw: _container(b"[]"),
+    "not_utf8": lambda raw: _container(b'{"format_version": "\xff"}'),
+    "overlong_integer": lambda raw: _container(b'{"threshold": ' + b"1" * 5000 + b"}"),
+    "deeply_nested_header": lambda raw: _container(b"[" * 100_000),
+    "flipped_magic": lambda raw: bytes([raw[0] ^ 0x20]) + raw[1:],
+    "format_4_json": lambda raw: json.dumps(
+        {"format_version": 4, "model_kind": "pipeline"}, indent=1).encode(),
+    "empty_file": lambda raw: b"",
+    "cut_in_header_length": lambda raw: raw[:len(ckpt.MAGIC) + 3],
+    "truncated_payload": lambda raw: raw[:-8],
+    "trailing_bytes": lambda raw: raw + bytes(8),
+    "header_length_past_eof": _with_length(lambda raw: len(raw)),
+    "header_length_huge": _with_length(lambda raw: 2 ** 64 - 1),
+    "unaligned_payload": lambda raw: ckpt.MAGIC + struct.pack("<Q", 3) + b"{} ",
+    "overlapping_offsets": _edit_header(_shift(1, -8)),
+    "gap_between_arrays": _edit_header(_shift(1, 8)),
+    "offsets_out_of_header_order": _edit_header(_swap_equal_arrays),
+    "misaligned_offset": _edit_header(_entry(0, offset=4)),
+    "negative_offset": _edit_header(_entry(0, offset=-8)),
+    "offset_past_payload": _edit_header(_shift(-1, 2 ** 20)),
+    "float_offset": _edit_header(_entry(0, offset=0.0)),
+    "negative_dimension": _edit_header(_entry(0, shape=[-8])),
+    "shape_not_a_list": _edit_header(_entry(0, shape=8)),
+    "too_many_dimensions": _edit_header(_entry(0, shape=[1] * 65)),
+    "header_shape_disagrees_with_layer_dims": _edit_header(_transpose_first_matrix),
+    "nan_in_payload": _nan_payload,
 }
 
 
+@functools.cache
+def _valid_file() -> bytes:
+    """The bytes of the small valid pipeline checkpoint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.fwc"
+        ckpt.save_json(_small_pipeline_dict(), path)
+        return path.read_bytes()
+
+
+def _simulate(path, tmp):
+    """(exit code, stderr) of `simulate` on the checkpoint at `path`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--checkpoint", str(path),
+                     "--scenario", str(Path(tmp) / "frames"),
+                     "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("case", [*MALFORMED, *RAW_MALFORMED])
-def test_malformed_checkpoint_exits_5(tmp_path, capsys, case):
-    path = tmp_path / "checkpoint.json"
+def test_malformed_checkpoint_exits_5(tmp_path, case):
+    path = tmp_path / "checkpoint.fwc"
     if case in RAW_MALFORMED:
-        path.write_bytes(RAW_MALFORMED[case])
+        path.write_bytes(RAW_MALFORMED[case](_valid_file()))
     else:
         data = _small_pipeline_dict()
         MALFORMED[case](data)
         ckpt.save_json(data, path)
-    code = main(["simulate", "--checkpoint", str(path),
-                 "--scenario", str(tmp_path / "frames"), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    code, err = _simulate(path, tmp_path)
     assert code == 5
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+    if case in ("format_4_json", "v4_file"):
+        assert "retrain" in err
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_checkpoint_path_not_a_file_exits_3(tmp_path, capsys, target):
+    """A --checkpoint path with no file behind it is an I/O error, like a
+    missing --config or --scenario."""
+    path = tmp_path / "checkpoint.fwc"
+    if target == "directory":
+        path.mkdir()
+    assert main(["eval", "--checkpoint", str(path), "--scenario", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: checkpoint file ") and err.count("\n") == 1
 
 
 def test_small_pipeline_checkpoint_is_valid():
@@ -222,24 +342,41 @@ def test_each_fact_stored_once():
         assert [p for p in paths if p[-1] == key] == [(key,)]
     for key in ("latent_dim", "input_dim", "train_config", "seed"):
         assert key not in keys
-    assert data["format_version"] == 4
+    assert data["format_version"] == 5
 
 
-def test_save_json_bytes_match_json_dumps(tmp_path):
+def test_file_is_header_then_raw_arrays():
+    """After the magic, the length and the header come the arrays' `<f8`
+    bytes, back to back in header order, and nothing else."""
+    raw = _valid_file()
+    assert raw.startswith(ckpt.MAGIC)
+    header, payload = _split(raw)
+    assert (len(raw) - len(payload)) % 8 == 0
+    paths = [p for p in _json_paths(header) if _is_entry(_at(header, p))]
+    arrays = [_at(VALID_PIPELINE, p) for p in paths]
+    assert len(arrays) == sum(isinstance(_at(VALID_PIPELINE, p), np.ndarray)
+                              for p in PATHS)
+    assert [_at(header, p) for p in paths] == [
+        {"offset": offset, "shape": list(a.shape)} for offset, a in
+        zip(np.cumsum([0] + [a.nbytes for a in arrays[:-1]]).tolist(), arrays)]
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+
+def test_two_saves_of_one_tree_are_identical(tmp_path):
     data = _small_pipeline_dict()
-    data["note"] = ["\u00e9", -0.0, 5e-324, {"b": None, "a": [True, 1.5e300]}]
-    path = tmp_path / "checkpoint.json"
-    ckpt.save_json(data, path)
-    expected = json.dumps(data, indent=1, sort_keys=True) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
+    ckpt.save_json(data, tmp_path / "a.fwc")
+    ckpt.save_json(copy.deepcopy(data), tmp_path / "b.fwc")
+    assert (tmp_path / "a.fwc").read_bytes() == (tmp_path / "b.fwc").read_bytes()
 
 
 # ---------------------------------------------------------------------------
 # Exit-code contract of checkpoint loading, probed with mutated checkpoints.
-# Each example is one of the hand-picked cases above, or the small valid
-# checkpoint with one mutation: a key or list entry dropped, a value swapped
-# for one of another JSON type, a base64 array string truncated, or a mask
-# bit set to 0.5. `simulate` must reject it with exit 5 and one stderr line.
+# Each example is one of the hand-picked cases above; or the small valid
+# tree with one mutation (a key or list entry dropped, a value swapped for
+# one of another JSON type, an array flattened and truncated, or a mask bit
+# set to 0.5), then saved; or the small valid file with a byte-level
+# mutation (cut short, extended, or given another header length).
+# `simulate` must reject it with exit 5 and one stderr line.
 
 ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
@@ -262,7 +399,7 @@ def _at(data, path):
 
 def _json_type(value):
     for name, types in (("bool", bool), ("number", (int, float)), ("string", str),
-                        ("list", list), ("object", dict)):
+                        ("list", list), ("object", dict), ("array", np.ndarray)):
         if isinstance(value, types):
             return name
     return "null"
@@ -278,70 +415,77 @@ VALID_PIPELINE = _small_pipeline_dict()
 LATENT_DIM = VALID_PIPELINE["autoencoder"]["encoder"]["layer_dims"][-1]
 PATHS = list(_json_paths(VALID_PIPELINE))
 ARRAY_PATHS = [p for p in PATHS if ARRAY_KEYS & set(p[-2:])
-               and isinstance(_at(VALID_PIPELINE, p), str)]
+               and isinstance(_at(VALID_PIPELINE, p), np.ndarray)]
 
 
 @st.composite
 def _mutations(draw):
-    """A short description of one malformed checkpoint; _checkpoint_bytes
+    """A short description of one malformed checkpoint; _write_checkpoint
     builds it."""
     kind = draw(st.sampled_from(["hand_picked", "drop", "other_type", "truncate",
-                                 "mask_half"]))
+                                 "mask_half", "cut", "append", "length"]))
     if kind == "hand_picked":
         return kind, draw(st.sampled_from(HAND_PICKED))
     if kind == "mask_half":
         masks = VALID_PIPELINE["flow"]["masks"]
         return (kind, draw(st.integers(0, len(masks) - 1)),
                 draw(st.integers(0, LATENT_DIM - 1)))
+    if kind in ("cut", "append", "length"):
+        size = len(_valid_file())
+        (length,) = struct.unpack_from("<Q", _valid_file(), len(ckpt.MAGIC))
+        return kind, draw({"cut": st.integers(0, size - 1),
+                           "append": st.binary(min_size=1, max_size=16),
+                           "length": st.integers(0, size).filter(
+                               lambda n: n != length)}[kind])
     path = draw(st.sampled_from(ARRAY_PATHS if kind == "truncate" else PATHS))
     value = _at(VALID_PIPELINE, path)
     if kind == "drop":
         return kind, path
     if kind == "truncate":
-        return kind, path, draw(st.integers(0, len(value) - 1))
+        return kind, path, draw(st.integers(0, value.size - 1))
     others = sorted(set(JSON_VALUES) - {_json_type(value)})
     return kind, path, draw(JSON_VALUES[draw(st.sampled_from(others))])
 
 
-def _checkpoint_bytes(mutation) -> bytes:
+def _write_checkpoint(mutation, path: Path) -> None:
     kind, *args = mutation
+    raw = _valid_file()
     if kind == "hand_picked" and args[0] in RAW_MALFORMED:
-        return RAW_MALFORMED[args[0]]
+        path.write_bytes(RAW_MALFORMED[args[0]](raw))
+        return
+    if kind in ("cut", "append", "length"):
+        arg = args[0]
+        path.write_bytes({"cut": lambda: raw[:arg], "append": lambda: raw + arg,
+                          "length": lambda: _with_length(lambda _: arg)(raw)}[kind]())
+        return
     data = copy.deepcopy(VALID_PIPELINE)
     if kind == "hand_picked":
         MALFORMED[args[0]](data)
     elif kind == "mask_half":
         k, i = args
-        masks = data["flow"]["masks"]
-        mask = np.frombuffer(base64.b64decode(masks[k]), dtype="<f8").copy()
-        mask[i] = 0.5
-        masks[k] = _b64(mask)
+        data["flow"]["masks"][k][i] = 0.5
     else:
-        path = args[0]
-        parent, key = _at(data, path[:-1]), path[-1]
+        path_in_tree = args[0]
+        parent, key = _at(data, path_in_tree[:-1]), path_in_tree[-1]
         if kind == "drop":
             del parent[key]
         elif kind == "truncate":
-            parent[key] = parent[key][:args[1]]
+            parent[key] = parent[key].ravel()[:args[1]]
         else:
             parent[key] = args[1]
-    return json.dumps(data).encode()
+    ckpt.save_json(data, path)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_mutations())
 def test_mutated_checkpoint_exits_5(mutation):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "checkpoint.json"
-        path.write_bytes(_checkpoint_bytes(mutation))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["simulate", "--checkpoint", str(path),
-                         "--scenario", str(Path(tmp) / "frames"),
-                         "--out", str(Path(tmp) / "out")])
+        path = Path(tmp) / "checkpoint.fwc"
+        _write_checkpoint(mutation, path)
+        code, err = _simulate(path, tmp)
     assert code == 5
-    assert err.getvalue().startswith("checkpoint error: ")
-    assert err.getvalue().count("\n") == 1
+    assert err.startswith("checkpoint error: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +512,7 @@ def test_score_settings_checked_by_score_config(mode, alpha):
 def test_checkpoint_for_other_frame_size_exits_5(tmp_path, capsys, command):
     """A valid checkpoint whose autoencoder reads 16 inputs, not the 4096
     pixels of a frame, exits 5 in both commands that score frames."""
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.fwc"
     ckpt.save_json(_small_pipeline_dict(), path)
     generate_scenario(SynthSpec(seed=1, n_train=1, n_val=1, n_test_normal=1,
                                 n_per_anomaly={"blob": 1}), tmp_path / "scen")

@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 from pathlib import Path
@@ -76,8 +75,10 @@ def test_gen_synth_unknown_key(tmp_path):
 
 def test_train_writes_checkpoint_and_report(workspace):
     out = workspace / "out"
-    assert (out / "checkpoint.json").is_file()
-    report = json.loads((out / "train_report.json").read_text())
+    assert (out / "checkpoint.fwc").is_file()
+    raw = (out / "train_report.json").read_bytes()
+    report = json.loads(raw)
+    assert raw == (json.dumps(report, indent=1, sort_keys=True) + "\n").encode()
     assert report["autoencoder"]["epochs_run"] == 4
     assert report["flow"]["epochs_run"] == 6
 
@@ -97,7 +98,7 @@ def test_train_rejects_anomalous_train_file(workspace, tmp_path):
 def test_eval_writes_report_and_scores(workspace, tmp_path):
     out = tmp_path / "eval"
     assert main(["eval", "--config", str(workspace / "run.json"),
-                 "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+                 "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(workspace / "scen"),
                  "--out", str(out)]) == 0
     report = json.loads((out / "eval_report.json").read_text())
@@ -107,7 +108,7 @@ def test_eval_writes_report_and_scores(workspace, tmp_path):
 
 
 def test_eval_corrupted_checkpoint(workspace, tmp_path):
-    bad = tmp_path / "bad.json"
+    bad = tmp_path / "bad.fwc"
     bad.write_text("{oops")
     assert main(["eval", "--checkpoint", str(bad),
                  "--scenario", str(workspace / "scen"),
@@ -117,12 +118,10 @@ def test_eval_corrupted_checkpoint(workspace, tmp_path):
 def test_eval_non_finite_scores_exits_2(workspace, tmp_path, capsys):
     """Non-finite scores from a checkpoint that fits the frames are a
     scoring failure (exit 2), not an incompatible checkpoint (exit 5)."""
-    data = load_json(workspace / "out" / "checkpoint.json")
+    data = load_json(workspace / "out" / "checkpoint.fwc")
     encoder = data["autoencoder"]["encoder"]
-    encoder["weights"] = [
-        base64.b64encode(np.frombuffer(base64.b64decode(w), dtype="<f8") * 1e120).decode()
-        for w in encoder["weights"]]
-    path = tmp_path / "checkpoint.json"
+    encoder["weights"] = [w * 1e120 for w in encoder["weights"]]
+    path = tmp_path / "checkpoint.fwc"
     save_json(data, path)
     with np.errstate(all="ignore"):
         code = main(["eval", "--config", str(workspace / "run.json"),
@@ -133,7 +132,7 @@ def test_eval_non_finite_scores_exits_2(workspace, tmp_path, capsys):
 
 
 def test_eval_missing_scenario(workspace, tmp_path):
-    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "o")]) == 3
 
@@ -144,7 +143,7 @@ def test_eval_empty_val_split_exits_4(workspace, tmp_path, capsys):
     shutil.copytree(workspace / "scen", scen)
     for path in (scen / "val").glob("*.pgm"):
         path.unlink()
-    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("dataset protocol violation: ") and err.count("\n") == 1
@@ -195,7 +194,7 @@ def test_simulate_normal_stream_no_trigger(workspace, tmp_path, capsys):
     generate_stream(SynthSpec(**SMALL_SYNTH), stream, n_normal=40)
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(workspace / "run.json"),
-                 "--checkpoint", str(workspace / "out" / "checkpoint.json"),
+                 "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(stream), "--out", str(out)]) == 0
     assert "no trigger" in capsys.readouterr().out
     log = (out / "monitor_log.csv").read_text().strip().split("\n")
@@ -212,7 +211,7 @@ def test_simulate_anomalous_stream_triggers(workspace, tmp_path, capsys):
     generate_stream(SynthSpec(**SMALL_SYNTH), stream, n_normal=30,
                     anomaly_kind="dim_light", n_anomalous=40)
     out = tmp_path / "sim"
-    checkpoint = workspace / "out" / "checkpoint.json"
+    checkpoint = workspace / "out" / "checkpoint.fwc"
     assert main(["simulate", "--config", str(workspace / "run.json"),
                  "--checkpoint", str(checkpoint),
                  "--scenario", str(stream), "--out", str(out)]) == 0
@@ -234,7 +233,7 @@ def test_simulate_unreadable_frame_fails_safe(workspace, tmp_path, capsys):
     (stream / "frame_000001.pgm").write_bytes(b"P5 garbage")
     out = tmp_path / "sim"
     assert main(["simulate", "--checkpoint",
-                 str(workspace / "out" / "checkpoint.json"),
+                 str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(stream), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "warning" in captured.err
@@ -243,9 +242,18 @@ def test_simulate_unreadable_frame_fails_safe(workspace, tmp_path, capsys):
 
 def test_simulate_missing_frames_dir(workspace, tmp_path):
     assert main(["simulate", "--checkpoint",
-                 str(workspace / "out" / "checkpoint.json"),
+                 str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_write_json_bytes_match_json_dumps(tmp_path):
+    data = {"note": ["\u00e9", -0.0, 5e-324, {"b": None, "a": [True, 1.5e300]}],
+            "threshold": 3.5, "config": {"seed": 7}}
+    path = tmp_path / "train_report.json"
+    cli._write_json(data, path)
+    expected = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_print_config_defaults(capsys):
@@ -269,7 +277,7 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 11
 
 
-@pytest.mark.parametrize("command, output", [("train", "checkpoint.json"),
+@pytest.mark.parametrize("command, output", [("train", "checkpoint.fwc"),
                                              ("train", "train_report.json"),
                                              ("eval", "scores.csv"),
                                              ("simulate", "monitor_log.csv")])
@@ -288,7 +296,7 @@ def test_unwritable_output_exits_3(workspace, tmp_path, capsys, monkeypatch,
     argv = [command, "--config", str(workspace / "run.json"),
             "--scenario", str(scenario), "--out", str(out)]
     if command != "train":
-        argv += ["--checkpoint", str(workspace / "out" / "checkpoint.json")]
+        argv += ["--checkpoint", str(workspace / "out" / "checkpoint.fwc")]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("i/o error: ")
@@ -300,8 +308,8 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
     assert main(["train", "--config", str(workspace / "run.json"),
                  "--scenario", str(workspace / "scen"),
                  "--out", str(out2)]) == 0
-    a = (workspace / "out" / "checkpoint.json").read_bytes()
-    b = (out2 / "checkpoint.json").read_bytes()
+    a = (workspace / "out" / "checkpoint.fwc").read_bytes()
+    b = (out2 / "checkpoint.fwc").read_bytes()
     assert a == b
 
 
@@ -334,6 +342,7 @@ BAD_CONFIGS = {
     "autoencoder_seed": {"autoencoder": {"seed": 3}},
     "flow_seed": {"flow": {"seed": 3}},
     "not_utf8": b'\xff\xfe{"seed": 7}',
+    "deeply_nested": b"[" * 100_000,
 }
 
 
@@ -354,7 +363,7 @@ def test_bad_config_exits_2(workspace, tmp_path, capsys, command, name):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert len(captured.err.strip().splitlines()) == 1
-    assert not (tmp_path / "o" / "checkpoint.json").exists()
+    assert not (tmp_path / "o" / "checkpoint.fwc").exists()
 
 
 def test_config_types_positive_control(workspace, tmp_path, capsys):
@@ -372,7 +381,7 @@ def test_config_types_positive_control(workspace, tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--scenario", str(workspace / "scen"),
                  "--out", str(out)]) == 0
     assert main(["simulate", "--config", str(cfg), "--checkpoint",
-                 str(out / "checkpoint.json"), "--scenario",
+                 str(out / "checkpoint.fwc"), "--scenario",
                  str(workspace / "scen" / "test"), "--out", str(tmp_path / "sim")]) == 0
     assert (tmp_path / "sim" / "monitor_log.csv").is_file()
 
@@ -394,6 +403,7 @@ BAD_SYNTH_SPECS = {
     "no_anomalous_test_frames": {"n_per_anomaly": {"blob": 0, "dim_light": 0}},
     "no_val_frames": {"n_val": 0},
     "not_utf8": b"\xff\xfe{}",
+    "deeply_nested": b"[" * 100_000,
 }
 
 

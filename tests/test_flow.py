@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framewatch.checkpoint import flow_to_dict
+from framewatch.checkpoint import flow_to_dict, save_json
 from framewatch.errors import ContractViolationError, ScoringError
 from framewatch.flow import (CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
@@ -216,14 +216,15 @@ def test_tiny_flow_nll_gradient_check():
     assert max_rel_err(pack(grads), fd) < 1e-4
 
 
-def test_train_flow_deterministic():
+def test_train_flow_deterministic(tmp_path):
     rng = RngStream(40)
     latents = rng.gaussian(64 * 4).reshape(64, 4)
     val = rng.gaussian(16 * 4).reshape(16, 4)
     cfg = FlowConfig(epochs=3, batch_size=16, num_layers=2, hidden=8)
-    flow_a, _ = train_flow(latents, val, cfg, seed=9)
-    flow_b, _ = train_flow(latents, val, cfg, seed=9)
-    assert flow_to_dict(flow_a) == flow_to_dict(flow_b)
+    for name in ("a", "b"):
+        flow, _ = train_flow(latents, val, cfg, seed=9)
+        save_json(flow_to_dict(flow), tmp_path / name)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_train_flow_whitening_from_train_only():

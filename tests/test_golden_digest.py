@@ -58,7 +58,7 @@ def test_trained_parameters_match_golden_digest(tmp_path):
     assert parameter_digest(trained.autoencoder, trained.flow,
                             trained.threshold) == GOLDEN_SHA256
 
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.fwc"
     ckpt.save_json(pipeline_checkpoint(trained, config), path)
     ae, flow, _, threshold = ckpt.pipeline_from_dict(ckpt.load_json(path))
     assert parameter_digest(ae, flow, threshold) == GOLDEN_SHA256

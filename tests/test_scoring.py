@@ -106,7 +106,7 @@ def combined_run(tmp_path_factory):
         "flow": {"epochs": 4, "batch_size": 8, "num_layers": 4, "hidden": 16},
     })
     trained = train_pipeline(dataset, config)
-    path = root / "checkpoint.json"
+    path = root / "checkpoint.fwc"
     ckpt.save_json(pipeline_checkpoint(trained, config), path)
     return dataset, trained, ckpt.pipeline_from_dict(ckpt.load_json(path))
 
