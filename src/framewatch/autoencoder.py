@@ -37,14 +37,11 @@ class AutoencoderConfig:
     batch_size: int = 64
     lr: float = 1e-3
     latent_dim: int = DEFAULT_LATENT_DIM
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         check_ranges(self, "autoencoder.",
                      at_least_one=("epochs", "batch_size", "latent_dim"),
-                     positive=("lr", "epsilon"), unit=("beta1", "beta2"))
+                     positive=("lr",))
 
 
 @dataclass
@@ -168,8 +165,7 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                 raise TrainingError(
                     f"autoencoder loss non-finite at epoch {epoch}, "
                     f"batch {start // config.batch_size}")
-            adam_step(params, grads, state, lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, epsilon=config.epsilon)
+            adam_step(params, grads, state, lr=config.lr)
             epoch_loss += loss * batch.shape[0]
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(_mean_mse(model, val_x))

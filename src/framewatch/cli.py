@@ -32,7 +32,7 @@ from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
 from .evaluation import scores_to_csv
-from .monitor import Action, MonitorConfig, events_to_csv, run_monitor
+from .monitor import Action, events_to_csv, run_monitor
 from .pipeline import (RunConfig, evaluate_pipeline, pipeline_checkpoint,
                        train_pipeline)
 from .scoring import score_frames
@@ -52,7 +52,8 @@ def _read_json(name: str, what: str):
     ConfigError if it is not UTF-8 JSON."""
     path = Path(name)
     if not path.is_file():
-        raise IOFailure(f"{what} file {path} does not exist")
+        state = "is not a file" if path.exists() else "does not exist"
+        raise IOFailure(f"{what} file {path} {state}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -75,27 +76,26 @@ def _load_run_config(args) -> RunConfig:
     config = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
     if args.seed is not None:
         config.seed = args.seed
-    if args.scenario:
-        config.scenario = args.scenario
-    if args.out:
-        config.out = args.out
     return config
 
 
-def _require_out(config: RunConfig) -> Path:
-    if not config.out:
-        raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    out = Path(config.out)
+def _paths(args, *flags: str) -> list[Path]:
+    """The path given by each flag in `flags`; a ConfigError names every
+    one left out.  Paths come only from flags, never from the config."""
+    missing = [f"--{flag}" for flag in flags if not getattr(args, flag)]
+    if missing:
+        raise ConfigError(f"{args.command} needs {' and '.join(missing)}")
+    return [Path(getattr(args, flag)) for flag in flags]
+
+
+def _make_out(out: Path, names: tuple[str, ...]) -> None:
+    """Create the output directory `out`; IOFailure unless each output
+    `names` under it can be written: no non-file sits at its path and the
+    directory is writable."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailure(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _check_writable(out: Path, names: tuple[str, ...]) -> None:
-    """IOFailure unless each output `names` under `out` can be written: no
-    non-file sits at its path and the directory is writable."""
     for name in names:
         path = out / name
         if path.exists() and not path.is_file():
@@ -104,22 +104,15 @@ def _check_writable(out: Path, names: tuple[str, ...]) -> None:
         raise IOFailure(f"output directory {out} is not writable")
 
 
-def _require_scenario(config: RunConfig) -> Path:
-    if not config.scenario:
-        raise ConfigError("no scenario: pass --scenario or set 'scenario' in the config")
-    return Path(config.scenario)
-
-
 def cmd_gen_synth(args) -> int:
     spec = (from_dict(SynthSpec, _read_json(args.config, "spec"), "synth spec")
             if args.config else SynthSpec())
     if args.seed is not None:
         spec.seed = args.seed
-    if not args.out:
-        raise ConfigError("gen-synth needs --out")
-    dataset = generate_scenario(spec, args.out)
+    [out] = _paths(args, "out")
+    dataset = generate_scenario(spec, out)
     n_anom = sum(1 for f in dataset.test if f.is_anomalous)
-    print(f"wrote scenario to {args.out}: {len(dataset.train)} train, "
+    print(f"wrote scenario to {out}: {len(dataset.train)} train, "
           f"{len(dataset.val)} val, {len(dataset.test)} test "
           f"({n_anom} anomalous, {len(dataset.taxonomy)} anomaly types)")
     return EXIT_OK
@@ -127,9 +120,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
-    out = _require_out(config)
-    _check_writable(out, (CHECKPOINT, "train_report.json"))
-    dataset = load_scenario(_require_scenario(config))
+    scenario, out = _paths(args, "scenario", "out")
+    _make_out(out, (CHECKPOINT, "train_report.json"))
+    dataset = load_scenario(scenario)
     trained = train_pipeline(dataset, config)
 
     ckpt.save_json(pipeline_checkpoint(trained, config), out / CHECKPOINT)
@@ -148,12 +141,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_pipeline(args):
-    if not args.checkpoint:
-        raise ConfigError("missing --checkpoint")
-    return ckpt.pipeline_from_dict(ckpt.load_json(args.checkpoint))
-
-
 def _check_frame_size(ae) -> None:
     """CheckpointError unless the autoencoder reads the frames this build
     decodes."""
@@ -165,9 +152,10 @@ def _check_frame_size(ae) -> None:
 
 def cmd_eval(args) -> int:
     config = _load_run_config(args)
-    out = _require_out(config)
-    ae, flow, score_config, _ = _load_pipeline(args)
-    dataset = load_scenario(_require_scenario(config))
+    checkpoint, scenario, out = _paths(args, "checkpoint", "scenario", "out")
+    _make_out(out, ("eval_report.json", "scores.csv"))
+    ae, flow, score_config, _ = ckpt.pipeline_from_dict(ckpt.load_json(checkpoint))
+    dataset = load_scenario(scenario)
     _check_frame_size(ae)
 
     report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
@@ -187,9 +175,10 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_run_config(args)
-    out = _require_out(config)
-    ae, flow, score_config, ckpt_threshold = _load_pipeline(args)
-    frames_dir = _require_scenario(config)
+    checkpoint, frames_dir, out = _paths(args, "checkpoint", "scenario", "out")
+    _make_out(out, ("monitor_log.csv",))
+    ae, flow, score_config, ckpt_threshold = ckpt.pipeline_from_dict(
+        ckpt.load_json(checkpoint))
     if not frames_dir.is_dir():
         raise IOFailure(f"frames directory {frames_dir} does not exist")
     paths = sorted(frames_dir.glob("*.pgm"))
@@ -197,17 +186,19 @@ def cmd_simulate(args) -> int:
         raise IOFailure(f"no .pgm frames in {frames_dir}")
     _check_frame_size(ae)
 
-    threshold = (config.monitor_threshold if config.monitor_threshold is not None
-                 else ckpt_threshold)
-    cfg = MonitorConfig(threshold=threshold, window=config.monitor_window,
-                        consecutive=config.monitor_consecutive)
+    cfg = config.monitor_config(ckpt_threshold)
     warned = False
 
     def scores():
         nonlocal warned
+        start = time.monotonic()
         for index, path in enumerate(paths):
-            if args.realtime and index:
-                time.sleep(1.0 / FRAME_RATE)
+            if args.realtime:
+                # Frame `index` is due at start + index / FRAME_RATE, however
+                # long the frames before it took to score.
+                delay = start + index / FRAME_RATE - time.monotonic()
+                if delay > 0.0:
+                    time.sleep(delay)
             try:
                 frame = Frame(read_frame_pixels(path))
                 score = float(score_frames(ae, flow, [frame], score_config)[0])
@@ -223,9 +214,9 @@ def cmd_simulate(args) -> int:
     (out / "monitor_log.csv").write_text(events_to_csv(events), encoding="utf-8")
     stops = [e.frame_index for e in events if e.action is Action.STOP]
     if stops:
-        print(f"trigger at frame {stops[0]} (threshold {threshold:.4f})")
+        print(f"trigger at frame {stops[0]} (threshold {cfg.threshold:.4f})")
     else:
-        print(f"no trigger over {len(events)} frames (threshold {threshold:.4f})")
+        print(f"no trigger over {len(events)} frames (threshold {cfg.threshold:.4f})")
     if warned:
         print("completed with warnings", file=sys.stderr)
     return EXIT_OK
@@ -243,32 +234,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unsupervised visual anomaly detection for robot camera streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help_text, checkpoint=False,
-                    scenario_help: str | None = "scenario directory"):
-        """A subcommand with the flags it reads: --config, --out and --seed
-        always, --checkpoint and --scenario where asked for."""
+    def add_command(name, func, help_text, **paths):
+        """A subcommand with --config and --seed, and one flag for each path
+        it reads; `paths` maps each such flag to its help text."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        if checkpoint:
-            p.add_argument("--checkpoint",
-                           help=f"pipeline checkpoint written by train ({CHECKPOINT})")
-        if scenario_help:
-            p.add_argument("--scenario", help=scenario_help)
-        p.add_argument("--out", help="output directory (all outputs go here)")
+        for flag, path_help in paths.items():
+            p.add_argument(f"--{flag}", help=path_help)
         p.add_argument("--seed", type=int, help="override the config seed")
         p.set_defaults(func=func)
         return p
 
-    add_command("gen-synth", cmd_gen_synth, "generate a synthetic scenario",
-                scenario_help=None)
-    add_command("train", cmd_train, "train autoencoder and flow, write checkpoint")
+    checkpoint = f"pipeline checkpoint written by train ({CHECKPOINT})"
+    out = "output directory (all outputs go here)"
+    add_command("gen-synth", cmd_gen_synth, "generate a synthetic scenario", out=out)
+    add_command("train", cmd_train, "train autoencoder and flow, write checkpoint",
+                scenario="scenario directory", out=out)
     add_command("eval", cmd_eval, "score the test split and report AUC",
-                checkpoint=True)
+                checkpoint=checkpoint, scenario="scenario directory", out=out)
     p = add_command("simulate", cmd_simulate,
-                    "run the deployment monitor over a frame stream", checkpoint=True,
-                    scenario_help="directory of .pgm frames, processed in name order")
+                    "run the deployment monitor over a frame stream",
+                    checkpoint=checkpoint,
+                    scenario="directory of .pgm frames, processed in name order",
+                    out=out)
     p.add_argument("--realtime", action="store_true",
-                   help="cap processing at 30 frames per second")
+                   help="pace processing at 30 frames per second")
     add_command("print-config", cmd_print_config, "print the effective configuration")
     return parser
 

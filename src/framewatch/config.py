@@ -54,15 +54,12 @@ def _check(value, allowed: tuple, label: str) -> None:
         raise ConfigError(f"{label} must be {names}, got {value!r}")
 
 
-def check_ranges(config, prefix: str, at_least_one=(), positive=(),
-                 unit=()) -> None:
+def check_ranges(config, prefix: str, at_least_one=(), positive=()) -> None:
     """Range checks for a config's __post_init__: each `at_least_one` field
-    must be >= 1, each `positive` field > 0 and each `unit` field in
-    [0, 1).  A failure is a ConfigError naming `prefix + field`; NaN fails
-    every check."""
+    must be >= 1 and each `positive` field > 0.  A failure is a ConfigError
+    naming `prefix + field`; NaN fails every check."""
     for names, ok, bound in ((at_least_one, lambda v: v >= 1, ">= 1"),
-                             (positive, lambda v: v > 0.0, "> 0"),
-                             (unit, lambda v: 0.0 <= v < 1.0, "in [0, 1)")):
+                             (positive, lambda v: v > 0.0, "> 0")):
         for name in names:
             value = getattr(config, name)
             if not ok(value):

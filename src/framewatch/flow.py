@@ -117,15 +117,11 @@ class FlowConfig:
     num_layers: int = DEFAULT_NUM_LAYERS
     scale_clamp: float = DEFAULT_SCALE_CLAMP
     hidden: int = DEFAULT_HIDDEN
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         check_ranges(self, "flow.",
                      at_least_one=("epochs", "batch_size", "num_layers", "hidden"),
-                     positive=("lr", "epsilon", "scale_clamp"),
-                     unit=("beta1", "beta2"))
+                     positive=("lr", "scale_clamp"))
 
 
 @dataclass
@@ -303,8 +299,7 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                 raise TrainingError(
                     f"flow NLL non-finite at epoch {epoch}, "
                     f"batch {start // config.batch_size}")
-            adam_step(params, grads, state, lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, epsilon=config.epsilon)
+            adam_step(params, grads, state, lr=config.lr)
             epoch_loss += loss * batch.shape[0]
         report.train_nll.append(epoch_loss / n)
         report.val_nll.append(float(-flow_log_prob_batch(flow, val_latents).mean()))

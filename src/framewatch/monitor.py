@@ -50,9 +50,10 @@ class MonitorConfig:
     consecutive: int = DEFAULT_CONSECUTIVE
 
     def __post_init__(self):
+        # Messages name the run-config keys these fields are read from.
         if not math.isfinite(self.threshold):
-            raise ConfigError(f"threshold must be finite, got {self.threshold}")
-        check_ranges(self, "", at_least_one=("window", "consecutive"))
+            raise ConfigError(f"monitor_threshold must be finite, got {self.threshold}")
+        check_ranges(self, "monitor_", at_least_one=("window", "consecutive"))
 
 
 @dataclass

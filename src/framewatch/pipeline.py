@@ -7,31 +7,30 @@ trainers take arrays; the dataset has passed the split protocol when built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
-from .config import check_ranges, from_dict
+from .config import from_dict
 from .data_io import Frame, ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
                    flow_log_prob_batch, train_flow)
+from .monitor import MonitorConfig
 from .scoring import ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
 
 @dataclass
 class RunConfig:
-    """Effective configuration of a full run; every field has a default.
-    `seed` seeds both the autoencoder and the flow."""
+    """The experiment a run repeats; every field has a default.  `seed`
+    seeds both the autoencoder and the flow.  Paths are not part of it:
+    they come from the command line."""
 
     seed: int = 7
-    scenario: str | None = None
-    out: str | None = None
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
     flow: FlowConfig = field(default_factory=FlowConfig)
     score_mode: str = "nll"
@@ -43,12 +42,17 @@ class RunConfig:
 
     def __post_init__(self):
         ScoreConfig(mode=self.score_mode, alpha=self.score_alpha)  # checks both
-        check_ranges(self, "", at_least_one=("monitor_window", "monitor_consecutive"))
+        self.monitor_config(0.0)  # checks the three monitor settings
         if not 0.0 < self.eval_quantile < 1.0:
             raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
-        if self.monitor_threshold is not None and not math.isfinite(self.monitor_threshold):
-            raise ConfigError(
-                f"monitor_threshold must be finite or null, got {self.monitor_threshold}")
+
+    def monitor_config(self, checkpoint_threshold: float) -> MonitorConfig:
+        """The monitor settings, with `checkpoint_threshold` as tau where
+        monitor_threshold is null."""
+        threshold = self.monitor_threshold
+        return MonitorConfig(
+            threshold=checkpoint_threshold if threshold is None else threshold,
+            window=self.monitor_window, consecutive=self.monitor_consecutive)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -341,6 +341,8 @@ BAD_CONFIGS = {
     "negative_infinite_threshold": {"monitor_threshold": float("-inf")},
     "autoencoder_seed": {"autoencoder": {"seed": 3}},
     "flow_seed": {"flow": {"seed": 3}},
+    "out_path": {"out": "o"},
+    "scenario_path": {"scenario": "scen"},
     "not_utf8": b'\xff\xfe{"seed": 7}',
     "deeply_nested": b"[" * 100_000,
 }
@@ -366,12 +368,26 @@ def test_bad_config_exits_2(workspace, tmp_path, capsys, command, name):
     assert not (tmp_path / "o" / "checkpoint.fwc").exists()
 
 
+@pytest.mark.parametrize("name, message", [
+    ("zero_window", "monitor_window must be >= 1, got 0"),
+    ("zero_consecutive", "monitor_consecutive must be >= 1, got 0"),
+    ("nan_threshold", "monitor_threshold must be finite, got nan"),
+])
+def test_monitor_errors_name_config_keys(tmp_path, capsys, name, message):
+    """The monitor settings are checked by MonitorConfig, in messages that
+    name the run-config keys."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS[name]))
+    assert main(["print-config", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_config_types_positive_control(workspace, tmp_path, capsys):
     """Ints where floats are declared and null where allowed are accepted,
     and the run trains and simulates with them."""
     good = {**SMALL_RUN, "score_alpha": 1, "monitor_threshold": None,
             "monitor_window": 1, "monitor_consecutive": 1,
-            "flow": {**SMALL_RUN["flow"], "scale_clamp": 3, "beta1": 0}}
+            "flow": {**SMALL_RUN["flow"], "scale_clamp": 3}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(good))
     assert main(["print-config", "--config", str(cfg)]) == 0
@@ -445,3 +461,91 @@ def test_command_rejects_flag_it_does_not_read(command, flag, capsys):
         main([command, flag, "x"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_print_config_reads_no_path(capsys):
+    for flag in ("--scenario", "--out"):
+        with pytest.raises(SystemExit) as exc:
+            main(["print-config", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+PATH_FLAGS = {"gen-synth": ("--out",),
+              "train": ("--scenario", "--out"),
+              "eval": ("--checkpoint", "--scenario", "--out"),
+              "simulate": ("--checkpoint", "--scenario", "--out")}
+
+
+@pytest.mark.parametrize("command, missing", [
+    (command, flag) for command, flags in PATH_FLAGS.items() for flag in flags])
+def test_missing_path_flag_exits_2(workspace, tmp_path, capsys, command, missing):
+    """A command run without a path flag it reads exits 2 with one line
+    naming that flag, before it creates its output directory."""
+    given = {"--checkpoint": str(workspace / "out" / "checkpoint.fwc"),
+             "--scenario": str(workspace / "scen" / ("test" if command == "simulate"
+                                                     else "")),
+             "--out": str(tmp_path / "o")}
+    argv = [command, "--config", str(workspace / ("synth.json" if command == "gen-synth"
+                                                  else "run.json"))]
+    for flag in PATH_FLAGS[command]:
+        if flag != missing:
+            argv += [flag, given[flag]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {command} needs {missing}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_directory_exits_3(tmp_path, capsys):
+    assert main(["print-config", "--config", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"i/o error: config file {tmp_path} is not a file\n"
+
+
+def test_train_outputs_do_not_depend_on_paths(workspace, tmp_path, monkeypatch):
+    """Two runs of one config that differ only in --out and in the spelling
+    of --scenario write byte-identical train_report.json and checkpoint:
+    the report records the experiment, not where it read or wrote."""
+    monkeypatch.chdir(workspace)
+    for scenario, out in (("scen", tmp_path / "a"), ("./scen", tmp_path / "b")):
+        assert main(["train", "--config", "run.json", "--scenario", scenario,
+                     "--out", str(out)]) == 0
+    for name in (cli.CHECKPOINT, "train_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_realtime_paces_against_start_clock(workspace, tmp_path, monkeypatch):
+    """Under --realtime, frame i is scored at start + i / 30 s, or at once
+    if the frames before it ran late; the time spent scoring does not add
+    to the pace.  A fake clock advances only in `sleep` and in scoring,
+    which takes 10 ms a frame and 80 ms on frame 3."""
+    clock = {"now": 100.0}
+    started = []
+    cost = [0.010] * 15
+    cost[3] = 0.080
+    score = cli.score_frames
+
+    def timed_score(*args):
+        started.append(clock["now"] - 100.0)
+        clock["now"] += cost[len(started) - 1]
+        return score(*args)
+
+    def sleep(seconds):
+        assert seconds > 0.0
+        clock["now"] += seconds
+
+    monkeypatch.setattr(cli, "score_frames", timed_score)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: clock["now"])
+    monkeypatch.setattr(cli.time, "sleep", sleep)
+    argv = ["simulate", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
+            "--scenario", str(workspace / "scen" / "test"), "--out", str(tmp_path / "sim")]
+    assert main(argv + ["--realtime"]) == 0
+    expected, end = [], 0.0
+    for i in range(15):
+        expected.append(max(i / 30.0, end))
+        end = expected[-1] + cost[i]
+    assert started == pytest.approx(expected, abs=1e-9)
+
+    started.clear()
+    monkeypatch.setattr(cli.time, "sleep", lambda seconds: pytest.fail("slept"))
+    assert main(argv) == 0
+    assert len(started) == 15

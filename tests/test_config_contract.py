@@ -13,6 +13,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,18 @@ from framewatch.synth import SynthSpec
 
 VALID_RUN = RunConfig().to_dict()
 VALID_SYNTH = asdict(SynthSpec())
+
+# Every settable value of the run config, as a dotted key.  Adding or
+# removing an option edits this set.
+RUN_CONFIG_KEYS = {
+    "seed",
+    "autoencoder.epochs", "autoencoder.batch_size", "autoencoder.lr",
+    "autoencoder.latent_dim",
+    "flow.epochs", "flow.batch_size", "flow.lr", "flow.num_layers",
+    "flow.scale_clamp", "flow.hidden",
+    "score_mode", "score_alpha", "eval_quantile",
+    "monitor_window", "monitor_consecutive", "monitor_threshold",
+}
 
 
 def _key_paths(data, prefix=()):
@@ -82,3 +95,28 @@ def test_mutated_synth_spec_loads_or_raises_config_error(data):
             assert main(["gen-synth", "--config", str(spec), "--out", str(out)]) == 2
             assert not out.exists()
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["spec.json"]
+
+
+def test_run_config_keys_are_pinned():
+    def leaves(data, prefix=""):
+        for key, value in data.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert set(leaves(VALID_RUN)) == RUN_CONFIG_KEYS
+    assert len(RUN_CONFIG_KEYS) == 17
+
+
+@pytest.mark.parametrize("key", ["out", "scenario"] + [
+    f"{section}.{name}" for section in ("autoencoder", "flow")
+    for name in ("beta1", "beta2", "epsilon")])
+def test_removed_key_is_unknown(key):
+    """Paths come from flags and Adam's constants are fixed, so a config
+    that sets one of them names an unknown key."""
+    section, _, name = key.rpartition(".")
+    data = {section: {name: 0.5}} if section else {name: "x"}
+    label = f"{section} keys" if section else "run config keys"
+    with pytest.raises(ConfigError, match=f"unknown {label}: \\['{name}'\\]"):
+        RunConfig.from_dict(data)
