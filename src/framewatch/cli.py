@@ -155,8 +155,8 @@ def cmd_eval(args) -> int:
     checkpoint, scenario, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("eval_report.json", "scores.csv"))
     ae, flow, score_config, _ = ckpt.pipeline_from_dict(ckpt.load_json(checkpoint))
-    dataset = load_scenario(scenario)
     _check_frame_size(ae)
+    dataset = load_scenario(scenario)
 
     report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
                                        config.eval_quantile)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,44 +121,53 @@ class ScenarioDataset:
 # PGM (P5) codec.  Binary PGM with maxval 255 is the canonical on-disk
 # format: it round-trips bit-exactly with no external decoder.
 
+# The magic, then width, height and maxval, each token after a gap of
+# whitespace and '#' comments; bytes \s is exactly the six bytes that
+# bytes.isspace accepts.  An empty token means the header ran out.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
+
+
+def _pgm_header(data: bytes) -> tuple[int, int, int]:
+    """(width, height, payload offset) of a binary PGM; ParseError unless
+    the header is well formed, maxval is 255 and the payload is complete."""
+    m = _PGM_HEADER.match(data)
+    if m is None:
+        raise ParseError("not a binary PGM: missing 'P5' magic at byte 0")
+    tokens = m.groups()
+    for group, token in enumerate(tokens, start=1):
+        if not token:
+            raise ParseError(f"truncated PGM header at byte {m.start(group)}")
+        if not token.isdigit():
+            raise ParseError(f"bad PGM header token {token!r} at byte {m.start(group)}")
+    width, height, maxval = map(int, tokens)
+    if width < 1 or height < 1:
+        raise ParseError(f"bad PGM dimensions {width}x{height}")
+    if maxval != 255:
+        raise ParseError(f"unsupported PGM maxval {maxval} (expected 255)")
+    offset = m.end() + 1  # single whitespace byte after maxval
+    got = min(max(len(data) - offset, 0), width * height)
+    if got != width * height:
+        raise ParseError(
+            f"truncated PGM payload at byte {offset + got}: expected "
+            f"{width * height} pixel bytes, got {got}")
+    return width, height, offset
+
+
+def _pgm_pixels(data: bytes, width: int, height: int, offset: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The payload bytes k as float64 k/255, shaped (height, width); written
+    into `out` when given."""
+    raw = np.frombuffer(data, np.uint8, width * height, offset)
+    return np.divide(raw.reshape(height, width), 255.0, out=out)
+
+
 def decode_pgm(data: bytes):
     """Decode a binary PGM (P5, maxval 255) into a float image in [0, 1].
 
     Returns (pixels, width, height) with pixels shaped (height, width).
     """
-    if data[:2] != b"P5":
-        raise ParseError("not a binary PGM: missing 'P5' magic at byte 0")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise ParseError(f"truncated PGM header at byte {pos}")
-        token = data[start:pos]
-        if not token.isdigit():
-            raise ParseError(f"bad PGM header token {token!r} at byte {start}")
-        fields.append(int(token))
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise ParseError(f"bad PGM dimensions {width}x{height}")
-    if maxval != 255:
-        raise ParseError(f"unsupported PGM maxval {maxval} (expected 255)")
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos:pos + width * height]
-    if len(payload) != width * height:
-        raise ParseError(
-            f"truncated PGM payload at byte {pos + len(payload)}: expected "
-            f"{width * height} pixel bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(height, width), width, height
+    width, height, offset = _pgm_header(data)
+    return _pgm_pixels(data, width, height, offset), width, height
 
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
@@ -205,13 +215,21 @@ def resize_bilinear(image: np.ndarray, out_h: int = FRAME_SIDE,
     return top * (1 - fy[:, None]) + bot * fy[:, None]
 
 
+def _frame_pixels(data: bytes, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A 64x64 frame decoded straight into `out` (a new array when None);
+    any other size is decoded, resized and clipped."""
+    width, height, offset = _pgm_header(data)
+    if (height, width) == (FRAME_SIDE, FRAME_SIDE):
+        return _pgm_pixels(data, width, height, offset, out)
+    resized = resize_bilinear(_pgm_pixels(data, width, height, offset))
+    return np.clip(resized, 0.0, 1.0, out=out)
+
+
 def read_frame_pixels(path: Path) -> np.ndarray:
-    """Pixels of one .pgm file: decoded, resized to 64x64 if needed, clipped
-    to [0, 1]."""
-    pixels, width, height = decode_pgm(path.read_bytes())
-    if (height, width) != (FRAME_SIDE, FRAME_SIDE):
-        pixels = resize_bilinear(pixels)
-    return np.clip(pixels, 0.0, 1.0)
+    """Pixels of one .pgm file as a new (64, 64) array in [0, 1].  A 64x64
+    frame is exactly `decode_pgm`'s k/255 values; any other size is resized
+    bilinearly, then clipped to [0, 1]."""
+    return _frame_pixels(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +297,26 @@ def _timestamp_of(filename: str) -> int:
 
 def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
                 split_name: str) -> list[Frame]:
+    """The split's frames in (timestamp, name) order.  Their pixels are rows
+    of one (n, 64, 64) array, so one frame kept alive keeps the split's."""
     if not split_dir.is_dir():
         raise IOFailure(f"missing split directory {split_dir}")
+    with os.scandir(split_dir) as it:
+        entries = sorted((_timestamp_of(e.name), e.name, e.path)
+                         for e in it if e.name.endswith(".pgm"))
+    pixels = np.empty((len(entries), FRAME_SIDE, FRAME_SIDE))
     frames = []
-    for path in sorted(split_dir.glob("*.pgm"), key=lambda p: (_timestamp_of(p.name), p.name)):
-        pixels = read_frame_pixels(path)
-        if split_name == "test" and path.name not in labels:
-            raise IOFailure(f"test file {path.name} has no labels.csv entry")
-        frames.append(Frame(pixels, source_id=f"{split_name}/{path.name}",
-                            timestamp=_timestamp_of(path.name),
-                            label=labels.get(path.name)))
+    for row, (timestamp, name, path) in zip(pixels, entries):
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            _frame_pixels(data, out=row)
+        except ParseError as exc:
+            raise ParseError(f"{split_name}/{name}: {exc}") from None
+        if split_name == "test" and name not in labels:
+            raise IOFailure(f"test file {name} has no labels.csv entry")
+        frames.append(Frame(row, source_id=f"{split_name}/{name}",
+                            timestamp=timestamp, label=labels.get(name)))
     return frames
 
 

@@ -1,12 +1,13 @@
 """Shared test utilities: frame and parameter flattening, relative error
 and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
-ranks and ROC points, and the monitor fold are checked against."""
+ranks and ROC points, the monitor fold and the PGM header parser are checked
+against."""
 
 import math
 
 import numpy as np
 
-from framewatch.errors import ContractViolationError, EvaluationError
+from framewatch.errors import ContractViolationError, EvaluationError, ParseError
 from framewatch.evaluation import RocPoint
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
 
@@ -163,3 +164,42 @@ def reference_run_monitor(scores, cfg):
             smoothed=sum(buf) / len(buf) if buf else float("nan"),
             phase=state.phase, action=action, fault=fault))
     return events
+
+
+def reference_decode_pgm(data):
+    """The PGM decoder as a byte-at-a-time header loop: the oracle the
+    one-regex header parser must agree with, value for value and message
+    for message."""
+    if data[:2] != b"P5":
+        raise ParseError("not a binary PGM: missing 'P5' magic at byte 0")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        if pos == start:
+            raise ParseError(f"truncated PGM header at byte {pos}")
+        token = data[start:pos]
+        if not token.isdigit():
+            raise ParseError(f"bad PGM header token {token!r} at byte {start}")
+        fields.append(int(token))
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ParseError(f"bad PGM dimensions {width}x{height}")
+    if maxval != 255:
+        raise ParseError(f"unsupported PGM maxval {maxval} (expected 255)")
+    pos += 1  # single whitespace byte after maxval
+    payload = data[pos:pos + width * height]
+    if len(payload) != width * height:
+        raise ParseError(
+            f"truncated PGM payload at byte {pos + len(payload)}: expected "
+            f"{width * height} pixel bytes, got {len(payload)}")
+    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    return pixels.reshape(height, width), width, height

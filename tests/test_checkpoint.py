@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framewatch import checkpoint as ckpt
+from framewatch import cli
 from framewatch.autoencoder import encode_batch, init_autoencoder
 from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
@@ -523,3 +524,17 @@ def test_checkpoint_for_other_frame_size_exits_5(tmp_path, capsys, command):
     assert code == 5
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
     assert "input_dim 16" in err
+
+
+def test_eval_rejects_other_frame_size_before_loading_scenario(tmp_path, capsys,
+                                                              monkeypatch):
+    """eval checks the checkpoint's input_dim before it decodes a scenario."""
+    def load_scenario(root):
+        raise AssertionError("load_scenario called before the frame-size check")
+
+    monkeypatch.setattr(cli, "load_scenario", load_scenario)
+    path = tmp_path / "checkpoint.fwc"
+    ckpt.save_json(_small_pipeline_dict(), path)
+    assert main(["eval", "--checkpoint", str(path), "--scenario", str(tmp_path / "scen"),
+                 "--out", str(tmp_path / "out")]) == 5
+    assert "input_dim 16" in capsys.readouterr().err

@@ -149,6 +149,33 @@ def test_eval_empty_val_split_exits_4(workspace, tmp_path, capsys):
     assert err.startswith("dataset protocol violation: ") and err.count("\n") == 1
 
 
+def _truncate_frame(scen):
+    path = scen / "test" / "test_00003.pgm"
+    path.write_bytes(path.read_bytes()[:15])
+
+
+def _unlabelled_frame(scen):
+    (scen / "test" / "test_00099.pgm").write_bytes(
+        encode_pgm(np.full((FRAME_SIDE, FRAME_SIDE), 0.5)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_truncate_frame, "test/test_00003.pgm: truncated PGM payload at byte 15: "
+                      "expected 4096 pixel bytes, got 2"),
+    (_unlabelled_frame, "test file test_00099.pgm has no labels.csv entry"),
+], ids=["truncated-frame", "unlabelled-frame"])
+def test_eval_bad_frame_exits_3_naming_it(workspace, tmp_path, capsys, edit, message):
+    """A frame that cannot be loaded exits 3 with one line that names its
+    file, so it can be found among thousands."""
+    import shutil
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    edit(scen)
+    assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
+                 "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"i/o error: {message}\n"
+
+
 def test_train_empty_train_split_exits_4(workspace, tmp_path, capsys):
     import shutil
     scen = tmp_path / "scen"

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _helpers import reference_decode_pgm
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, decode_pgm, encode_pgm,
-                                load_scenario, parse_labels, resize_bilinear)
+                                load_scenario, parse_labels, read_frame_pixels,
+                                resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
 from framewatch.rng import RngStream
@@ -58,6 +62,88 @@ def test_pgm_round_trip_exact_for_quantized():
     pixels = raw.reshape(FRAME_SIDE, FRAME_SIDE) / 255.0
     decoded, _, _ = decode_pgm(encode_pgm(pixels))
     assert np.array_equal(decoded, pixels)
+
+
+def test_every_byte_value_reads_as_k_over_255(tmp_path):
+    """Byte k is k/255 in float64, from decode_pgm and, unclipped, from
+    read_frame_pixels for a 64x64 frame."""
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P5\n64 64\n255\n" + bytes(range(256)) * 16)
+    expected = np.tile(np.arange(256) / 255.0, 16).reshape(FRAME_SIDE, FRAME_SIDE)
+    decoded, _, _ = decode_pgm(path.read_bytes())
+    for pixels in (decoded, read_frame_pixels(path)):
+        assert pixels.dtype == np.float64
+        assert pixels.tobytes() == expected.tobytes()
+
+
+WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]  # what bytes.isspace accepts
+NON_DIGIT_TOKENS = [b"x", b"1a", b"-1", b"+2", b"1#2", b"#", b"\xb2", b"\xff\x00"]
+
+
+@st.composite
+def pgm_inputs(draw):
+    """A P5 file built piece by piece.  Gaps hold the six whitespace bytes
+    and comments; each fault is drawn about one time in ten: a gap that is
+    empty or opens with a comment directly after a token, a token that is
+    not digits, zero dimensions, a maxval other than 255, a payload short or
+    long by a few bytes, a comment running to the end of the file, a cut at
+    any byte.  Numbers may carry leading zeros."""
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    whitespace = st.sampled_from(WHITESPACE)
+    comment = st.binary(max_size=4).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+    def gap():
+        if rarely():
+            return b"" if draw(st.booleans()) else draw(comment)
+        return draw(whitespace) + b"".join(draw(st.lists(st.one_of(whitespace, comment),
+                                                          max_size=2)))
+
+    def number(value):
+        return b"0" * draw(st.integers(0, 2)) + str(value).encode("ascii")
+
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    maxval = draw(st.sampled_from([0, 254, 65535])) if rarely() else 255
+    tokens = [number(width), number(height), number(maxval)]
+    if rarely():
+        tokens[draw(st.integers(0, 2))] = draw(st.sampled_from(NON_DIGIT_TOKENS))
+    data = draw(st.sampled_from([b"P6", b"P", b"p5"])) if rarely() else b"P5"
+    for token in tokens:
+        data += gap() + token
+    if rarely():
+        data += b"#" + draw(st.binary(max_size=4)).replace(b"\n", b"")
+    else:
+        n = width * height + (draw(st.integers(-2, 2)) if rarely() else 0)
+        data += draw(whitespace) + draw(st.binary(min_size=max(n, 0), max_size=max(n, 0)))
+    if rarely():
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+def _decoded(decode, data):
+    """(dtype, pixel bytes, width, height) of a decoded file, or the
+    ParseError message; any other exception propagates."""
+    try:
+        pixels, width, height = decode(data)
+    except ParseError as exc:
+        return str(exc)
+    return pixels.dtype.str, pixels.shape, pixels.tobytes(), width, height
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(pgm_inputs())
+@example(b"P5\x0b2\x0c1\r#\xff\n0255\t\x80\x81")
+@example(b"P5 1 1#no gap\n255 \x00")
+@example(b"P5 1 1 255#runs to end of file")
+@example(b"P5 1 1 # runs to end of file")
+@example(b"P5 0003 02 255\n" + bytes(6) + b"extra")
+@example(b"P5 2 2 255\n\x00")
+@example(b"P5 2 2 255")
+def test_decode_matches_byte_loop_oracle(data):
+    """The one-regex header parser and the byte loop it replaced agree on
+    every input: the same pixels, width and height, or the same message."""
+    assert _decoded(decode_pgm, data) == _decoded(reference_decode_pgm, data)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +320,55 @@ def test_load_missing_label_entry(tmp_path):
     _write_frame(tmp_path / "test" / "test_00002.pgm", 0.2)
     with pytest.raises(IOFailure, match="test_00002.pgm"):
         load_scenario(tmp_path)
+
+
+def _write_pgm(path, height, width, seed):
+    raw = np.floor(RngStream(seed).uniform(height * width) * 256).clip(0, 255)
+    path.write_bytes(encode_pgm(raw.reshape(height, width) / 255.0))
+
+
+def test_load_mixed_sizes_matches_read_frame_pixels(tmp_path):
+    """A split of 64x64 frames and frames of other sizes loads in
+    (timestamp, name) order as rows of one array, each frame bit-identical
+    to a Frame built from read_frame_pixels, with its name, timestamp and
+    label."""
+    _make_fixture(tmp_path)
+    sizes = {"test_00001.pgm": (48, 80), "test_00002.pgm": (1, 1),
+             "b_7.pgm": (FRAME_SIDE, FRAME_SIDE), "a_7.pgm": (3, 2),
+             "c.pgm": (FRAME_SIDE, FRAME_SIDE), "test_00010.pgm": (80, 48)}
+    for seed, (name, (height, width)) in enumerate(sizes.items()):
+        _write_pgm(tmp_path / "test" / name, height, width, seed)
+    (tmp_path / "test" / "notes.txt").write_text("not a frame\n")
+    with (tmp_path / "labels.csv").open("a") as f:
+        for name in sizes:
+            if name != "test_00001.pgm":
+                f.write(f"{name},normal,,,,,\n")
+    labels = parse_labels((tmp_path / "labels.csv").read_bytes())
+
+    test = load_scenario(tmp_path).test
+    order = ["c.pgm", "test_00000.pgm", "test_00001.pgm", "test_00002.pgm",
+             "a_7.pgm", "b_7.pgm", "test_00010.pgm"]
+    assert [f.source_id for f in test] == [f"test/{name}" for name in order]
+    assert [f.timestamp for f in test] == [0, 0, 1, 2, 7, 7, 10]
+    split = test[0].pixels.base  # the rows of one array
+    assert split.shape == (len(test), FRAME_SIDE, FRAME_SIDE)
+    assert all(f.pixels.base is split for f in test)
+    for frame, name in zip(test, order):
+        expected = Frame(read_frame_pixels(tmp_path / "test" / name))
+        assert frame.pixels.dtype == expected.pixels.dtype
+        assert frame.pixels.tobytes() == expected.pixels.tobytes()
+        assert frame.label == labels[name]
+        assert 0.0 <= frame.pixels.min() and frame.pixels.max() <= 1.0
+
+
+def test_load_error_names_the_frame_file(tmp_path):
+    _make_fixture(tmp_path)
+    path = tmp_path / "val" / "val_00000.pgm"
+    path.write_bytes(path.read_bytes()[:15])
+    with pytest.raises(ParseError) as exc:
+        load_scenario(tmp_path)
+    assert str(exc.value) == ("val/val_00000.pgm: truncated PGM payload at "
+                              "byte 15: expected 4096 pixel bytes, got 2")
 
 
 def test_load_missing_dir(tmp_path):

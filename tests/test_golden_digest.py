@@ -1,4 +1,5 @@
-"""Golden digest of the trained parameters of a small, fixed run.
+"""Golden digests of a small, fixed run: the scenario as loaded, and the
+parameters trained on it.
 
 Criterion 9 proves that two runs of one version agree byte for byte. This
 test pins what they agree on, so a change to the kernels, the training
@@ -8,6 +9,11 @@ raw bytes, in a fixed order, both as trained and as reloaded from a
 checkpoint, so a float32 array leaking out of training changes it too; it
 never hashes the checkpoint file, whose layout may change without the
 parameters changing.
+
+Training sees the train and val pixels only through what it learns, and
+nothing in it reads the test split that `eval` scores, so the loaded
+scenario has a digest of its own: every frame of every split, with its
+name, timestamp, label and pixels.
 """
 
 import hashlib
@@ -33,6 +39,26 @@ RUN = {"seed": 7,
 # why, where the change is recorded (CHANGES.md).
 GOLDEN_SHA256 = "2bd8d2bcd556aff311e05007ff0c334d0455acc55adc067f5816c09b18795804"
 
+# The criterion 9 scenario as loaded. It depends on the synthesizer and the
+# loader only, not on BLAS; re-pin it only for a change that alters frames
+# or labels on purpose, and record the old and the new digest.
+GOLDEN_SCENARIO_SHA256 = "e25658e9375d477c716e35fb1b71665e4cb17f2b85b4b62cfb96e3f282fd887b"
+
+
+def scenario_digest(dataset) -> str:
+    """sha256 over the train, val and test splits in turn: each frame's
+    source_id, timestamp and label, then its pixels' dtype and raw bytes."""
+    digest = hashlib.sha256()
+    for frames in (dataset.train, dataset.val, dataset.test):
+        digest.update(f"{len(frames)}\n".encode("ascii"))
+        for frame in frames:
+            digest.update(repr((frame.source_id, frame.timestamp,
+                                frame.label)).encode("utf-8"))
+            pixels = np.ascontiguousarray(frame.pixels)
+            digest.update(pixels.dtype.str.encode("ascii"))
+            digest.update(pixels.tobytes())
+    return digest.hexdigest()
+
 
 def parameter_digest(ae, flow, threshold) -> str:
     """sha256 over autoencoder params (encoder then decoder, weights then
@@ -48,6 +74,11 @@ def parameter_digest(ae, flow, threshold) -> str:
         digest.update(a.dtype.str.encode("ascii"))
         digest.update(a.tobytes())
     return digest.hexdigest()
+
+
+def test_loaded_scenario_matches_golden_digest(tmp_path):
+    generate_scenario(SynthSpec(**SYNTH), tmp_path / "scen")
+    assert scenario_digest(load_scenario(tmp_path / "scen")) == GOLDEN_SCENARIO_SHA256
 
 
 def test_trained_parameters_match_golden_digest(tmp_path):
