@@ -8,7 +8,7 @@ monitor over a live score stream.
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, TrainReport,
                           encode_batch, reconstruction_error, train_autoencoder)
-from .data_io import (AnomalyLabel, Frame, ScenarioDataset, decode_pgm,
+from .data_io import (AnomalyLabel, Frame, ScenarioDataset, Split, decode_pgm,
                       encode_pgm, load_scenario, parse_labels, resize_bilinear)
 from .evaluation import (EvalReport, RocPoint, auc_from_scores, choose_threshold,
                          evaluate, roc_curve)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import from_dict
-from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, Frame, load_scenario,
+from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, load_scenario,
                       read_frame_pixels)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
@@ -111,7 +111,7 @@ def cmd_gen_synth(args) -> int:
         spec.seed = args.seed
     [out] = _paths(args, "out")
     dataset = generate_scenario(spec, out)
-    n_anom = sum(1 for f in dataset.test if f.is_anomalous)
+    n_anom = sum(label is not None for label in dataset.test.labels)
     print(f"wrote scenario to {out}: {len(dataset.train)} train, "
           f"{len(dataset.val)} val, {len(dataset.test)} test "
           f"({n_anom} anomalous, {len(dataset.taxonomy)} anomaly types)")
@@ -200,8 +200,8 @@ def cmd_simulate(args) -> int:
                 if delay > 0.0:
                     time.sleep(delay)
             try:
-                frame = Frame(read_frame_pixels(path))
-                score = float(score_frames(ae, flow, [frame], score_config)[0])
+                pixels = read_frame_pixels(path)[None]
+                score = float(score_frames(ae, flow, pixels, score_config)[0])
             except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
                 # Fail-safe: an unreadable frame counts as an anomaly.
                 print(f"warning: frame {path.name} unreadable ({exc}); "

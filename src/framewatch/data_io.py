@@ -8,8 +8,9 @@ On-disk layout of a scenario:
     <scenario>/labels.csv      one row per test file (may also cover
                                train/val files to assert their normality)
 
-A ScenarioDataset is valid when built: its constructor enforces the split
-protocol, and its taxonomy is derived from the test labels.
+A ScenarioDataset holds one Split per split and is valid when built: its
+constructor enforces the split protocol; its taxonomy comes from the
+test labels.
 """
 
 from __future__ import annotations
@@ -49,15 +50,10 @@ class AnomalyLabel:
     mission_relevant: str = "unspecified"  # yes | no | unspecified
 
     def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ContractViolationError(f"invalid level {self.level!r}")
-        if self.hazard not in YES_NO:
-            raise ContractViolationError(f"invalid hazard {self.hazard!r}")
-        if self.geometric not in YES_NO:
-            raise ContractViolationError(f"invalid geometric {self.geometric!r}")
-        if self.mission_relevant not in MISSION:
-            raise ContractViolationError(
-                f"invalid mission_relevant {self.mission_relevant!r}")
+        for axis, allowed in (("level", LEVELS), ("hazard", YES_NO),
+                              ("geometric", YES_NO), ("mission_relevant", MISSION)):
+            if getattr(self, axis) not in allowed:
+                raise ContractViolationError(f"invalid {axis} {getattr(self, axis)!r}")
 
 
 @dataclass
@@ -67,7 +63,6 @@ class Frame:
     pixels: np.ndarray           # (64, 64) float64 in [0, 1]
     source_id: str = ""
     timestamp: int = 0           # frame number at 30 fps
-    label: Optional[AnomalyLabel] = None
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
@@ -78,12 +73,40 @@ class Frame:
         if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails
             raise ContractViolationError("Frame: pixel values must lie in [0, 1]")
 
-    @property
-    def is_anomalous(self) -> bool:
-        return self.label is not None
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.pixels, dtype=dtype, copy=copy)
 
     def flat(self) -> np.ndarray:
         return self.pixels.reshape(FRAME_PIXELS)
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """A split's n frames: their pixels as one (n, 64, 64) float64 array in
+    [0, 1], and in the same order each frame's source_id, timestamp and
+    label (None when normal).  `np.asarray(split)` is `pixels`, not a copy."""
+
+    pixels: np.ndarray
+    source_ids: tuple[str, ...]
+    timestamps: tuple[int, ...]
+    labels: tuple[Optional[AnomalyLabel], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.float64))
+        n = len(self.source_ids)
+        if (self.pixels.shape != (n, FRAME_SIDE, FRAME_SIDE)
+                or not len(self.timestamps) == len(self.labels) == n):
+            raise ContractViolationError(
+                f"Split: pixels shape {self.pixels.shape}, {len(self.timestamps)} "
+                f"timestamps and {len(self.labels)} labels for {n} source_ids")
+        if n and not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails
+            raise ContractViolationError("Split: pixel values must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return len(self.source_ids)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.pixels, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -91,30 +114,30 @@ class ScenarioDataset:
     """The splits, checked when built.  Train may be empty, as in a scenario
     built only for evaluation; training rejects that."""
 
-    train: list[Frame]
-    val: list[Frame]
-    test: list[Frame]
+    train: Split
+    val: Split
+    test: Split
 
     def __post_init__(self):
         if not self.val:
             raise ProtocolViolationError("val split is empty")
-        for frames, split_name in ((self.train, "train"), (self.val, "val")):
-            for frame in frames:
-                if frame.is_anomalous:
+        for split, split_name in ((self.train, "train"), (self.val, "val")):
+            for source_id, label in zip(split.source_ids, split.labels):
+                if label is not None:
                     raise ProtocolViolationError(
-                        f"{split_name} split contains anomalous frame {frame.source_id!r}; "
+                        f"{split_name} split contains anomalous frame {source_id!r}; "
                         "train and val must contain only normal samples")
-        if all(f.is_anomalous for f in self.test):
+        if None not in self.test.labels:
             raise ProtocolViolationError("test split has no normal frame")
-        if not any(f.is_anomalous for f in self.test):
+        if all(label is None for label in self.test.labels):
             raise ProtocolViolationError("test split has no anomalous frame")
 
     @property
     def taxonomy(self) -> dict[str, AnomalyLabel]:
         """Each anomaly type of the test split and its axes, in order of
         first appearance."""
-        return {f.label.anomaly_type: f.label for f in self.test
-                if f.label is not None}
+        return {label.anomaly_type: label for label in self.test.labels
+                if label is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +200,7 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
         raise ContractViolationError("encode_pgm: need a non-empty 2-D image")
     quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
     height, width = pixels.shape
-    buf = io.BytesIO()
-    buf.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-    buf.write(quantized.tobytes())
-    return buf.getvalue()
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + quantized.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +235,17 @@ def resize_bilinear(image: np.ndarray, out_h: int = FRAME_SIDE,
     return top * (1 - fy[:, None]) + bot * fy[:, None]
 
 
-def _frame_pixels(data: bytes, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A 64x64 frame decoded straight into `out` (a new array when None);
-    any other size is decoded, resized and clipped."""
+def read_frame_pixels(path: Path | str, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pixels of one .pgm file as a (64, 64) array in [0, 1], written into
+    `out` (a new array when None).  A 64x64 frame is exactly `decode_pgm`'s
+    k/255 values; any other size is resized bilinearly, then clipped."""
+    with open(path, "rb") as f:
+        data = f.read()
     width, height, offset = _pgm_header(data)
     if (height, width) == (FRAME_SIDE, FRAME_SIDE):
         return _pgm_pixels(data, width, height, offset, out)
     resized = resize_bilinear(_pgm_pixels(data, width, height, offset))
     return np.clip(resized, 0.0, 1.0, out=out)
-
-
-def read_frame_pixels(path: Path) -> np.ndarray:
-    """Pixels of one .pgm file as a new (64, 64) array in [0, 1].  A 64x64
-    frame is exactly `decode_pgm`'s k/255 values; any other size is resized
-    bilinearly, then clipped to [0, 1]."""
-    return _frame_pixels(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +312,25 @@ def _timestamp_of(filename: str) -> int:
 
 
 def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
-                split_name: str) -> list[Frame]:
-    """The split's frames in (timestamp, name) order.  Their pixels are rows
-    of one (n, 64, 64) array, so one frame kept alive keeps the split's."""
+                split_name: str) -> Split:
+    """The split's frames in (timestamp, name) order, each decoded straight
+    into its row of the split's pixel array."""
     if not split_dir.is_dir():
         raise IOFailure(f"missing split directory {split_dir}")
     with os.scandir(split_dir) as it:
         entries = sorted((_timestamp_of(e.name), e.name, e.path)
                          for e in it if e.name.endswith(".pgm"))
     pixels = np.empty((len(entries), FRAME_SIDE, FRAME_SIDE))
-    frames = []
-    for row, (timestamp, name, path) in zip(pixels, entries):
-        with open(path, "rb") as f:
-            data = f.read()
+    for row, (_, name, path) in zip(pixels, entries):
         try:
-            _frame_pixels(data, out=row)
+            read_frame_pixels(path, out=row)
         except ParseError as exc:
             raise ParseError(f"{split_name}/{name}: {exc}") from None
         if split_name == "test" and name not in labels:
             raise IOFailure(f"test file {name} has no labels.csv entry")
-        frames.append(Frame(row, source_id=f"{split_name}/{name}",
-                            timestamp=timestamp, label=labels.get(name)))
-    return frames
+    names = [name for _, name, _ in entries]
+    return Split(pixels, tuple(f"{split_name}/{name}" for name in names),
+                 tuple(t for t, _, _ in entries), tuple(map(labels.get, names)))
 
 
 def load_scenario(root: Path | str) -> ScenarioDataset:
@@ -332,7 +345,7 @@ def load_scenario(root: Path | str) -> ScenarioDataset:
 
     splits = {split: _load_split(root / split, labels, split)
               for split in ("train", "val", "test")}
-    named = {f.source_id.partition("/")[2] for fs in splits.values() for f in fs}
+    named = {i.partition("/")[2] for split in splits.values() for i in split.source_ids}
     for filename in labels:
         if filename not in named:
             raise IOFailure(f"labels.csv row for {filename} names no file in any split")

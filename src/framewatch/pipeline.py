@@ -14,7 +14,7 @@ import numpy as np
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
 from .config import from_dict
-from .data_io import Frame, ScenarioDataset
+from .data_io import ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
@@ -78,17 +78,15 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     """Train autoencoder then flow on the normal splits; derive the
     validation-based score standardization and trigger threshold.
 
-    Each split is stacked and encoded once: the same float64 flats feed
-    the autoencoder and the encoder, and the validation latents feed flow
-    training, the standardization and the validation scores.
+    Each split is encoded once: the same float64 flats, views of the
+    split's pixels, feed the autoencoder and the encoder, and the
+    validation latents feed flow training, the standardization and the
+    validation scores.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")
-    # The flats live to the end of the call: freeing train_flats before the
-    # flow trains raised the peak RSS of perfbench's `train` workload from
-    # 311 to 360 MB (glibc malloc, 2 cores), as later allocations fragmented.
-    train_flats = np.stack([f.flat() for f in dataset.train])
-    val_flats = np.stack([f.flat() for f in dataset.val])
+    train_flats = dataset.train.pixels.reshape(len(dataset.train), -1)
+    val_flats = dataset.val.pixels.reshape(len(dataset.val), -1)
     ae, ae_report = train_autoencoder(train_flats, val_flats,
                                       config.autoencoder, config.seed)
     train_latents = encode_batch(ae, train_flats)
@@ -119,25 +117,15 @@ def pipeline_checkpoint(pipeline: TrainedPipeline, config: RunConfig) -> dict:
         pipeline.threshold, config.eval_quantile)
 
 
-def score_test_split(ae: AutoencoderModel, flow: FlowModel,
-                     score_config: ScoreConfig,
-                     frames: list[Frame], split: str = "test") -> list[ScoredSample]:
-    scores = score_frames(ae, flow, frames, score_config)
-    return [
-        ScoredSample(
-            sample_id=frame.source_id or f"{split}/{i}",
-            score=float(score),
-            anomaly_type=frame.label.anomaly_type if frame.label else None,
-            split=split,
-        )
-        for i, (frame, score) in enumerate(zip(frames, scores))
-    ]
-
-
 def evaluate_pipeline(ae: AutoencoderModel, flow: FlowModel,
                       score_config: ScoreConfig, dataset: ScenarioDataset,
                       q: float = 0.99) -> tuple[EvalReport, list[ScoredSample]]:
-    scored = score_test_split(ae, flow, score_config, dataset.test)
+    test = dataset.test
+    scores = score_frames(ae, flow, test, score_config)
+    scored = [ScoredSample(source_id or f"test/{i}", float(score),
+                           anomaly_type=label.anomaly_type if label else None)
+              for i, (source_id, label, score)
+              in enumerate(zip(test.source_ids, test.labels, scores))]
     val_scores = score_frames(ae, flow, dataset.val, score_config)
     report = evaluate(scored, dataset.taxonomy, val_scores, q)
     return report, scored

@@ -15,7 +15,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .autoencoder import AutoencoderModel, encode_batch, reconstruction_error
-from .data_io import Frame
 from .errors import ConfigError
 from .flow import FlowModel, flow_log_prob_batch
 
@@ -62,23 +61,21 @@ class ScoreConfig:
         return self.alpha * z_nll + (1.0 - self.alpha) * z_recon
 
 
-def _check_models(ae: AutoencoderModel, flow: FlowModel) -> None:
-    if ae.latent_dim != flow.dim:
-        raise ConfigError(
-            f"autoencoder latent_dim {ae.latent_dim} does not match flow "
-            f"dimension {flow.dim}")
-
-
-def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: list[Frame],
+def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayLike,
                  config: ScoreConfig | None = None) -> np.ndarray:
     """Anomaly score of each frame; higher means more anomalous.
 
+    `frames` is anything `np.asarray` makes n frames of: a `Split` (its
+    pixel array, not a copy), an (n, 64, 64) array or a list of `Frame`s.
     One encoder pass over the whole batch feeds both the NLL and, in
     combined mode, the reconstruction error.
     """
     config = config or ScoreConfig()
-    _check_models(ae, flow)
-    flats = np.stack([f.flat() for f in frames])
+    if ae.latent_dim != flow.dim:
+        raise ConfigError(
+            f"autoencoder latent_dim {ae.latent_dim} does not match flow "
+            f"dimension {flow.dim}")
+    flats = np.asarray(frames, dtype=np.float64).reshape(len(frames), -1)
     latents = encode_batch(ae, flats)
     nll = -flow_log_prob_batch(flow, latents)
     if config.mode == "nll":

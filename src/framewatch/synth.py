@@ -110,8 +110,7 @@ def apply_anomaly(frame: Frame, kind: str, spec: SynthSpec,
     else:
         raise ConfigError(f"unknown anomaly kind {kind!r}")
     label = ANOMALY_LABELS[kind]
-    return Frame(pixels, source_id=frame.source_id, timestamp=frame.timestamp,
-                 label=label), label
+    return Frame(pixels, source_id=frame.source_id, timestamp=frame.timestamp), label
 
 
 # Disjoint stream-id ranges per split so frame content is independent of

@@ -1,4 +1,4 @@
-"""Shared test utilities: frame and parameter flattening, relative error
+"""Shared test utilities: parameter flattening, relative error
 and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
 ranks and ROC points, the monitor fold and the PGM header parser are checked
 against."""
@@ -12,11 +12,6 @@ from framewatch.evaluation import RocPoint
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
 
 
-def flats(frames):
-    """The frames as one (n, 4096) float64 array, one flat frame a row."""
-    return np.stack([f.flat() for f in frames])
-
-
 def pack(params):
     return np.concatenate([np.asarray(p).reshape(-1) for p in params])
 
@@ -24,7 +19,7 @@ def pack(params):
 def unpack(flat, shapes):
     out, i = [], 0
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         out.append(flat[i:i + n].reshape(shape))
         i += n
     return out

@@ -9,7 +9,7 @@ from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_grad, flats, max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, unpack
 
 
 def _frame(value=0.5, seed=None):
@@ -111,7 +111,7 @@ def test_tiny_model_full_gradient_check():
 
 def test_train_memorizes_single_frame():
     frame = _frame(seed=4)
-    _, report = train_autoencoder(flats([frame]), flats([frame]),
+    _, report = train_autoencoder(frame.flat()[None], frame.flat()[None],
                                   AutoencoderConfig(epochs=50, batch_size=1),
                                   seed=3)
     assert report.train_loss[-1] < 1e-3
@@ -121,7 +121,7 @@ def test_train_memorizes_single_frame():
 def test_train_deterministic_checkpoints(tmp_path):
     frames = [_frame(seed=s) for s in range(6)]
     cfg = AutoencoderConfig(epochs=3, batch_size=2, latent_dim=8)
-    x = flats(frames)
+    x = np.asarray(frames).reshape(len(frames), -1)
     for name in ("a", "b"):
         model, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
         save_json(autoencoder_to_dict(model), tmp_path / name)
@@ -130,7 +130,7 @@ def test_train_deterministic_checkpoints(tmp_path):
 
 def test_train_rejects_empty_split():
     with pytest.raises(ContractViolationError, match="train frames"):
-        train_autoencoder(np.zeros((0, FRAME_PIXELS)), flats([_frame()]),
+        train_autoencoder(np.zeros((0, FRAME_PIXELS)), _frame().flat()[None],
                           AutoencoderConfig())
 
 
@@ -138,7 +138,7 @@ def test_trained_latent_is_bounded():
     # regression bound from the reference run: latents stay well below 1e3
     frames = [_frame(seed=s) for s in range(8)]
     cfg = AutoencoderConfig(epochs=5, batch_size=4, latent_dim=8)
-    x = flats(frames)
+    x = np.asarray(frames).reshape(len(frames), -1)
     model, _ = train_autoencoder(x[:6], x[6:], cfg, seed=1)
     for frame in frames[:6]:
         assert np.abs(encode(model, frame)).max() < 1e3

@@ -1,10 +1,13 @@
-"""The names the benchmark binds in the package still exist.
+"""The names the benchmark binds in the package still exist, and the
+calls it makes into the package still work.
 
 perfbench/worker.py wraps package functions in trace spans by module
 attribute. A refactor that drops or renames one of them only shows up in
 the traced run's `details.unpatched`, and that run then fails when it reads
-the missing span. This test catches it in the test suite instead. It reads
-perfbench/ and changes nothing there.
+the missing span. The bench also builds frames, counts the loaded splits
+and scores frame lists and splits; a change to the data's shape that breaks
+one of those calls would first fail in a bench run. These tests catch both
+in the test suite instead. They read perfbench/ and change nothing there.
 """
 
 import importlib
@@ -12,10 +15,16 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from framewatch import nn
+from framewatch.autoencoder import init_autoencoder
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
+from framewatch.flow import init_flow
 from framewatch.rng import RngStream
+from framewatch.scoring import ScoreConfig, score_frames
+from framewatch.synth import SynthSpec, apply_anomaly, generate_normal, generate_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,3 +83,34 @@ def test_mlp_runs_the_timed_dense_kernels(monkeypatch):
     assert calls == ["dense_forward_batch"] * 2
     mlp.backward(cache, out)
     assert calls[2:] == ["dense_backward_batch"] * 2
+
+
+def test_package_calls_the_bench_makes(tmp_path):
+    """The calls perfbench/ makes into the package, with the arguments it
+    passes: Frame(pixels, source_id=, timestamp=) with .pixels and .flat(),
+    len() of each loaded split, apply_anomaly returning a Frame, and
+    score_frames on a list of Frames and on a loaded split."""
+    spec = SynthSpec(seed=2, n_train=3, n_val=4, n_test_normal=2,
+                     n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 0})
+    generate_scenario(spec, tmp_path / "scenario")
+    dataset = load_scenario(tmp_path / "scenario")
+    assert [len(dataset.train), len(dataset.val), len(dataset.test)] == [3, 4, 4]
+
+    rng = RngStream(5)
+    normal = generate_normal(rng.derive(0), 0)
+    frame = Frame(np.clip(normal.pixels, 0.0, 1.0), source_id="frame_000000.pgm",
+                  timestamp=0)
+    assert (frame.source_id, frame.timestamp) == ("frame_000000.pgm", 0)
+    assert frame.pixels.shape == (FRAME_SIDE, FRAME_SIDE)
+    assert frame.flat().shape == (FRAME_PIXELS,)
+    assert np.shares_memory(frame.flat(), frame.pixels)
+    anomalous, label = apply_anomaly(normal, "blob", spec, rng.derive(1))
+    assert isinstance(anomalous, Frame) and isinstance(label, AnomalyLabel)
+    assert anomalous.timestamp == normal.timestamp
+
+    ae = init_autoencoder(RngStream(3), 4)
+    flow = init_flow(RngStream(4), 4, num_layers=2, hidden=8)
+    scores = score_frames(ae, flow, [frame, anomalous], ScoreConfig())
+    assert scores.shape == (2,) and np.isfinite(scores).all()
+    assert score_frames(ae, flow, [frame], ScoreConfig()).shape == (1,)
+    assert score_frames(ae, flow, dataset.val, ScoreConfig()).shape == (4,)

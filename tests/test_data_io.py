@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _helpers import reference_decode_pgm
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
-                                ScenarioDataset, decode_pgm, encode_pgm,
+                                ScenarioDataset, Split, decode_pgm, encode_pgm,
                                 load_scenario, parse_labels, read_frame_pixels,
                                 resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
@@ -272,10 +272,10 @@ def test_load_minimal_fixture(tmp_path):
     _make_fixture(tmp_path)
     ds = load_scenario(tmp_path)
     assert len(ds.train) == 2 and len(ds.val) == 1 and len(ds.test) == 2
-    assert ds.test[1].label.anomaly_type == "tape"
+    assert ds.test.labels[1].anomaly_type == "tape"
     assert ds.taxonomy.keys() == {"tape"}
     # sorted by timestamp index
-    assert [f.timestamp for f in ds.train] == [0, 1]
+    assert ds.train.timestamps == (0, 1)
 
 
 def test_load_rejects_label_row_naming_no_file(tmp_path):
@@ -312,7 +312,8 @@ def test_load_accepts_empty_train_split(tmp_path):
     _make_fixture(tmp_path)
     for path in (tmp_path / "train").glob("*.pgm"):
         path.unlink()
-    assert load_scenario(tmp_path).train == []
+    train = load_scenario(tmp_path).train
+    assert len(train) == 0 and train.pixels.shape == (0, FRAME_SIDE, FRAME_SIDE)
 
 
 def test_load_missing_label_entry(tmp_path):
@@ -329,9 +330,8 @@ def _write_pgm(path, height, width, seed):
 
 def test_load_mixed_sizes_matches_read_frame_pixels(tmp_path):
     """A split of 64x64 frames and frames of other sizes loads in
-    (timestamp, name) order as rows of one array, each frame bit-identical
-    to a Frame built from read_frame_pixels, with its name, timestamp and
-    label."""
+    (timestamp, name) order as rows of one array, each row bit-identical
+    to read_frame_pixels of its file, with its name, timestamp and label."""
     _make_fixture(tmp_path)
     sizes = {"test_00001.pgm": (48, 80), "test_00002.pgm": (1, 1),
              "b_7.pgm": (FRAME_SIDE, FRAME_SIDE), "a_7.pgm": (3, 2),
@@ -348,17 +348,15 @@ def test_load_mixed_sizes_matches_read_frame_pixels(tmp_path):
     test = load_scenario(tmp_path).test
     order = ["c.pgm", "test_00000.pgm", "test_00001.pgm", "test_00002.pgm",
              "a_7.pgm", "b_7.pgm", "test_00010.pgm"]
-    assert [f.source_id for f in test] == [f"test/{name}" for name in order]
-    assert [f.timestamp for f in test] == [0, 0, 1, 2, 7, 7, 10]
-    split = test[0].pixels.base  # the rows of one array
-    assert split.shape == (len(test), FRAME_SIDE, FRAME_SIDE)
-    assert all(f.pixels.base is split for f in test)
-    for frame, name in zip(test, order):
-        expected = Frame(read_frame_pixels(tmp_path / "test" / name))
-        assert frame.pixels.dtype == expected.pixels.dtype
-        assert frame.pixels.tobytes() == expected.pixels.tobytes()
-        assert frame.label == labels[name]
-        assert 0.0 <= frame.pixels.min() and frame.pixels.max() <= 1.0
+    assert test.source_ids == tuple(f"test/{name}" for name in order)
+    assert test.timestamps == (0, 0, 1, 2, 7, 7, 10)
+    assert test.labels == tuple(labels[name] for name in order)
+    assert test.pixels.shape == (len(order), FRAME_SIDE, FRAME_SIDE)
+    for row, name in zip(test.pixels, order):
+        expected = read_frame_pixels(tmp_path / "test" / name)
+        assert row.dtype == expected.dtype
+        assert row.tobytes() == expected.tobytes()
+        assert 0.0 <= row.min() and row.max() <= 1.0
 
 
 def test_load_error_names_the_frame_file(tmp_path):
@@ -394,8 +392,12 @@ def test_load_eight_anomaly_types(tmp_path):
     assert len(ds.taxonomy) == 8
 
 
-def _split_frame(value, label=None):
-    return Frame(np.full((FRAME_SIDE, FRAME_SIDE), value), label=label)
+def _split(*frames):
+    """A split of constant frames, each given as (pixel value, label)."""
+    values = np.array([value for value, _ in frames], dtype=np.float64)
+    pixels = np.ones((len(frames), FRAME_SIDE, FRAME_SIDE)) * values[:, None, None]
+    return Split(pixels, tuple(f"s/{i}" for i in range(len(frames))),
+                 tuple(range(len(frames))), tuple(label for _, label in frames))
 
 
 TAPE = AnomalyLabel("tape", "semantic", "yes", "yes")
@@ -403,13 +405,12 @@ GLARE = AnomalyLabel("glare", "sensory", "no", "no")
 
 
 def test_dataset_built_directly_checks_the_split_protocol():
-    test = [_split_frame(0.5), _split_frame(0.9, TAPE), _split_frame(0.1, GLARE),
-            _split_frame(0.8, TAPE)]
-    with pytest.raises(ProtocolViolationError, match="val split contains"):
-        ScenarioDataset(train=[_split_frame(0.4)],
-                        val=[_split_frame(0.45), _split_frame(0.9, TAPE)],
-                        test=test)
-    ds = ScenarioDataset(train=[], val=[_split_frame(0.45)], test=test)
+    test = _split((0.5, None), (0.9, TAPE), (0.1, GLARE), (0.8, TAPE))
+    with pytest.raises(ProtocolViolationError,
+                       match="val split contains anomalous frame 's/1'"):
+        ScenarioDataset(train=_split((0.4, None)),
+                        val=_split((0.45, None), (0.9, TAPE)), test=test)
+    ds = ScenarioDataset(train=_split(), val=_split((0.45, None)), test=test)
     assert ds.taxonomy == {"tape": TAPE, "glare": GLARE}
 
 
@@ -420,8 +421,8 @@ def test_dataset_built_directly_checks_the_split_protocol():
 ])
 def test_dataset_test_split_needs_both_classes(test_labels, message):
     with pytest.raises(ProtocolViolationError, match=message):
-        ScenarioDataset(train=[], val=[_split_frame(0.45)],
-                        test=[_split_frame(0.5, label) for label in test_labels])
+        ScenarioDataset(train=_split(), val=_split((0.45, None)),
+                        test=_split(*[(0.5, label) for label in test_labels]))
 
 
 def test_frame_rejects_out_of_range_pixels():
@@ -436,3 +437,29 @@ def test_frame_rejects_nan_pixels(nan_pixels):
     pixels[nan_pixels] = np.nan
     with pytest.raises(ContractViolationError):
         Frame(pixels)
+
+
+@pytest.mark.parametrize("pixels, source_ids, timestamps, labels, message", [
+    (np.full((2, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0,), (None,), "pixels shape"),
+    (np.full((1, FRAME_SIDE, 3), 0.5), ("a",), (0,), (None,), "pixels shape"),
+    (np.full((1, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0, 1), (None,), "2 timestamps"),
+    (np.full((1, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0,), (), "0 labels"),
+    (np.full((1, FRAME_SIDE, FRAME_SIDE), -0.1), ("a",), (0,), (None,), r"\[0, 1\]"),
+    (np.full((1, FRAME_SIDE, FRAME_SIDE), np.nan), ("a",), (0,), (None,), r"\[0, 1\]"),
+], ids=["rows", "side", "timestamps", "labels", "range", "nan"])
+def test_split_rejects_a_malformed_record(pixels, source_ids, timestamps, labels,
+                                          message):
+    with pytest.raises(ContractViolationError, match=message):
+        Split(pixels, source_ids, timestamps, labels)
+
+
+def test_split_is_its_pixel_array():
+    """len() counts frames, np.asarray gives the pixels without a copy, and
+    a dtype or copy request is honoured."""
+    split = _split((0.25, None), (0.75, TAPE))
+    assert len(split) == 2
+    assert np.asarray(split) is split.pixels
+    assert np.array(split).base is None
+    assert np.asarray(split, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.asarray(split, dtype=np.float32, copy=False)

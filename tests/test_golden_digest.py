@@ -46,15 +46,16 @@ GOLDEN_SCENARIO_SHA256 = "e25658e9375d477c716e35fb1b71665e4cb17f2b85b4b62cfb96e3
 
 
 def scenario_digest(dataset) -> str:
-    """sha256 over the train, val and test splits in turn: each frame's
-    source_id, timestamp and label, then its pixels' dtype and raw bytes."""
+    """sha256 over the train, val and test splits in turn: the frame count,
+    then for each frame its source_id, timestamp and label, then its
+    pixels' dtype and raw bytes."""
     digest = hashlib.sha256()
-    for frames in (dataset.train, dataset.val, dataset.test):
-        digest.update(f"{len(frames)}\n".encode("ascii"))
-        for frame in frames:
-            digest.update(repr((frame.source_id, frame.timestamp,
-                                frame.label)).encode("utf-8"))
-            pixels = np.ascontiguousarray(frame.pixels)
+    for split in (dataset.train, dataset.val, dataset.test):
+        digest.update(f"{len(split)}\n".encode("ascii"))
+        for source_id, timestamp, label, pixels in zip(
+                split.source_ids, split.timestamps, split.labels, split.pixels):
+            digest.update(repr((source_id, timestamp, label)).encode("utf-8"))
+            pixels = np.ascontiguousarray(pixels)
             digest.update(pixels.dtype.str.encode("ascii"))
             digest.update(pixels.tobytes())
     return digest.hexdigest()

@@ -11,7 +11,7 @@ from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer, Mlp,
                            init_dense, init_mlp)
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_grad, flats, max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, unpack
 
 
 def test_dense_forward_identity():
@@ -359,7 +359,7 @@ def test_train_autoencoder_returns_float32_exact_float64():
     frames = [Frame(RngStream(s).uniform(FRAME_SIDE * FRAME_SIDE).reshape(
         FRAME_SIDE, FRAME_SIDE)) for s in range(6)]
     cfg = AutoencoderConfig(epochs=2, batch_size=2, latent_dim=8)
-    x = flats(frames)
+    x = np.asarray(frames).reshape(len(frames), -1)
     model, _ = train_autoencoder(x[:4], x[4:], cfg, seed=4)
     for a in model.params():
         assert a.dtype == np.float64

@@ -124,7 +124,7 @@ def test_validation_terms_standardized(combined_run):
     dataset, trained, _ = combined_run
     ae, flow = trained.autoencoder, trained.flow
     std = trained.score_config.standardization
-    flats = np.stack([f.flat() for f in dataset.val])
+    flats = dataset.val.pixels.reshape(len(dataset.val), -1)
     recon = reconstruction_error(ae, flats, encode_batch(ae, flats))
     nll = score_frames(ae, flow, dataset.val, ScoreConfig(mode="nll"))
     for values, mean, sd in ((recon, std.recon_mean, std.recon_std),
@@ -132,6 +132,29 @@ def test_validation_terms_standardized(combined_run):
         z = (values - mean) / sd
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
+
+
+def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
+    """A loaded Split, a list of Frames built from its rows and its raw
+    (n, 64, 64) array give bit-equal scores, and the Split is encoded from
+    its own pixel array, not a copy."""
+    dataset, trained, _ = combined_run
+    split = dataset.test
+    ae, flow, config = trained.autoencoder, trained.flow, trained.score_config
+    assert config.mode == "combined"
+    encoded = []
+
+    def recording(ae, flats):
+        encoded.append(flats)
+        return encode_batch(ae, flats)
+
+    monkeypatch.setattr(scoring, "encode_batch", recording)
+    scores = score_frames(ae, flow, split, config)
+    assert np.shares_memory(encoded[0], split.pixels)
+    assert np.shares_memory(np.asarray(split), split.pixels)
+    frames = [Frame(row) for row in split.pixels]
+    assert np.array_equal(score_frames(ae, flow, frames, config), scores)
+    assert np.array_equal(score_frames(ae, flow, split.pixels, config), scores)
 
 
 @pytest.mark.parametrize("mode", ["nll", "combined"])

@@ -61,7 +61,7 @@ def test_unknown_kind_rejected():
 def test_generate_scenario_counts(tmp_path):
     ds = generate_scenario(SMALL_SPEC, tmp_path / "scen")
     assert len(ds.train) == 6 and len(ds.val) == 3 and len(ds.test) == 9
-    assert sum(1 for f in ds.test if f.is_anomalous) == 6
+    assert sum(label is not None for label in ds.test.labels) == 6
     assert len(ds.taxonomy) == 3
 
 
