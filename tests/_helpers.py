@@ -51,23 +51,39 @@ def roc_auc_trapezoid(points):
 
 
 def finite_diff_grad(f, x, eps=1e-5):
-    """Central-difference gradient estimate of a scalar function."""
+    """Central-difference gradient estimate of a scalar function f(x).
+
+    Each element of `x` is moved to x_i + eps and x_i - eps in place, f is
+    called on `x` after each move, and the element is put back.  A float64
+    array is perturbed where it lives, so a model that holds it sees each
+    move without a rebuild."""
     if eps <= 0.0:
         raise ContractViolationError("finite_diff_grad: eps must be positive")
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[i] += eps
-        xm.flat[i] -= eps
-        fp = f(xp)
-        fm = f(xm)
+        value = x.flat[i]
+        x.flat[i] = value + eps
+        fp = f(x)
+        x.flat[i] = value - eps
+        fm = f(x)
+        x.flat[i] = value
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ContractViolationError(
                 f"finite_diff_grad: non-finite evaluation at component {i}")
         grad.flat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def finite_diff_param_grad(loss, params, eps=1e-5):
+    """Central-difference gradient of loss() over a model's live float64
+    parameter arrays, flattened in pack() order; each element is perturbed
+    in place and restored."""
+    for p in params:
+        if p.dtype != np.float64:
+            raise ContractViolationError(
+                f"finite_diff_param_grad: parameter is {p.dtype}, not float64")
+    return pack([finite_diff_grad(lambda _: loss(), p, eps) for p in params])
 
 
 def reference_average_ranks(values):

@@ -28,7 +28,7 @@ from framewatch.rng import RngStream
 from framewatch.scoring import score_frames
 from framewatch.synth import SynthSpec, generate_normal, generate_scenario
 
-from _helpers import brute_force_auc, finite_diff_grad, max_rel_err, pack, unpack
+from _helpers import brute_force_auc, finite_diff_param_grad, max_rel_err, pack
 
 
 def _report(criterion, name, ok, detail=""):
@@ -90,16 +90,12 @@ def test_criterion_3_gradient_checks():
         batch = rng.uniform(2 * 16).reshape(2, 16)
         from framewatch.autoencoder import _mse_loss_and_grads
         _, grads = _mse_loss_and_grads(model, batch)
-        shapes = [p.shape for p in model.params()]
 
-        def ae_loss(v):
-            model.set_params(unpack(v, shapes))
+        def ae_loss():
             recon = model.decoder.forward(model.encoder.forward(batch))
             return float(np.mean((recon - batch) ** 2))
 
-        theta = pack(model.params())
-        fd = finite_diff_grad(ae_loss, theta, 1e-5)
-        model.set_params(unpack(theta, shapes))
+        fd = finite_diff_param_grad(ae_loss, model.params(), 1e-5)
         worst_ae = max(worst_ae, max_rel_err(pack(grads), fd))
 
     worst_flow = 0.0
@@ -108,15 +104,11 @@ def test_criterion_3_gradient_checks():
         flow = init_flow(rng, 4, num_layers=2, hidden=8)
         z0 = rng.gaussian(2 * 4).reshape(2, 4)
         _, grads = _nll_loss_and_grads(flow, z0)
-        shapes = [p.shape for p in flow.params()]
 
-        def flow_loss(v):
-            flow.set_params(unpack(v, shapes))
+        def flow_loss():
             return float(-flow_log_prob_batch(flow, z0).mean())
 
-        theta = pack(flow.params())
-        fd = finite_diff_grad(flow_loss, theta, 1e-5)
-        flow.set_params(unpack(theta, shapes))
+        fd = finite_diff_param_grad(flow_loss, flow.params(), 1e-5)
         worst_flow = max(worst_flow, max_rel_err(pack(grads), fd))
 
     _report(3, "gradient checks", worst_ae < 1e-4 and worst_flow < 1e-4,
