@@ -84,7 +84,9 @@ class Frame:
 class Split:
     """A split's n frames: their pixels as one (n, 64, 64) float64 array in
     [0, 1], and in the same order each frame's source_id, timestamp and
-    label (None when normal).  `np.asarray(split)` is `pixels`, not a copy."""
+    label (None when normal).  `np.asarray(split)` is `pixels`, not a copy.
+    Once checked, `pixels` is read-only; a caller's float64 array is shared,
+    not copied, so it is frozen too."""
 
     pixels: np.ndarray
     source_ids: tuple[str, ...]
@@ -101,6 +103,7 @@ class Split:
                 f"timestamps and {len(self.labels)} labels for {n} source_ids")
         if n and not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails
             raise ContractViolationError("Split: pixel values must lie in [0, 1]")
+        self.pixels.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.source_ids)

@@ -453,9 +453,10 @@ def test_split_rejects_a_malformed_record(pixels, source_ids, timestamps, labels
         Split(pixels, source_ids, timestamps, labels)
 
 
-def test_split_is_its_pixel_array():
-    """len() counts frames, np.asarray gives the pixels without a copy, and
-    a dtype or copy request is honoured."""
+def test_split_is_its_pixel_array(tmp_path):
+    """len() counts frames, np.asarray gives the pixels without a copy, a
+    dtype or copy request is honoured, and a loaded split's pixels cannot
+    be written."""
     split = _split((0.25, None), (0.75, TAPE))
     assert len(split) == 2
     assert np.asarray(split) is split.pixels
@@ -463,3 +464,7 @@ def test_split_is_its_pixel_array():
     assert np.asarray(split, dtype=np.float32).dtype == np.float32
     with pytest.raises(ValueError):
         np.asarray(split, dtype=np.float32, copy=False)
+    _make_fixture(tmp_path)
+    val = load_scenario(tmp_path).val
+    with pytest.raises(ValueError):
+        val.pixels[0, 0, 0] = 7.0
