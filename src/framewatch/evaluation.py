@@ -120,43 +120,48 @@ _AXES = (
 def evaluate(scored_test: list[ScoredSample],
              taxonomy: dict[str, AnomalyLabel],
              val_scores: np.ndarray, q: float = 0.99) -> EvalReport:
-    """Full evaluation: overall, per-type and per-axis AUC plus threshold."""
-    pos_samples = [s for s in scored_test if s.anomaly_type is not None]
-    neg = np.array([s.score for s in scored_test if s.anomaly_type is None])
-    if not pos_samples:
+    """Full evaluation: overall, per-type and per-axis AUC plus threshold.
+
+    The samples are read once, into a score array and a type array; each
+    subset is a boolean mask over them, so it keeps the samples' order."""
+    types = np.array([s.anomaly_type for s in scored_test], dtype=object)
+    scores = np.array([s.score for s in scored_test], dtype=np.float64)
+    normal = types == None  # noqa: E711 (elementwise over the type array)
+    pos, pos_types, neg = scores[~normal], types[~normal], scores[normal]
+    if pos.size == 0:
         raise EvaluationError("evaluate: test set has no anomalous samples")
     if neg.size == 0:
         raise EvaluationError("evaluate: test set has no normal samples")
 
     warnings: list[str] = []
-    overall = auc_from_scores(np.array([s.score for s in pos_samples]), neg)
+    overall = auc_from_scores(pos, neg)
 
     per_type: dict[str, float] = {}
-    present_types = sorted({s.anomaly_type for s in pos_samples})
-    for atype in sorted(set(taxonomy).union(present_types)):
-        subset = np.array([s.score for s in pos_samples if s.anomaly_type == atype])
-        if subset.size == 0:
+    of_type = {atype: pos_types == atype for atype in sorted(set(pos_types))}
+    for atype in sorted(set(taxonomy).union(of_type)):
+        if atype not in of_type:
             warnings.append(f"anomaly type {atype!r} has no test samples; omitted")
             continue
-        per_type[atype] = auc_from_scores(subset, neg)
+        per_type[atype] = auc_from_scores(pos[of_type[atype]], neg)
 
     per_axis: dict[str, float] = {}
     for axis_name, get, values in _AXES:
         for value in values:
-            subset = np.array([
-                s.score for s in pos_samples
-                if s.anomaly_type in taxonomy and get(taxonomy[s.anomaly_type]) == value])
-            if subset.size == 0:
+            subset = np.zeros(pos.size, dtype=bool)
+            for atype, mask in of_type.items():
+                if atype in taxonomy and get(taxonomy[atype]) == value:
+                    subset |= mask
+            if not subset.any():
                 warnings.append(f"axis {axis_name}={value} has no test samples; omitted")
                 continue
-            per_axis[f"{axis_name}={value}"] = auc_from_scores(subset, neg)
+            per_axis[f"{axis_name}={value}"] = auc_from_scores(pos[subset], neg)
 
     tau = choose_threshold(val_scores, q)
     val_fpr = float(np.mean(np.asarray(val_scores) > tau))
 
-    counts = {"normal": int(neg.size), "anomalous": len(pos_samples)}
-    for atype in present_types:
-        counts[f"type:{atype}"] = sum(1 for s in pos_samples if s.anomaly_type == atype)
+    counts = {"normal": int(neg.size), "anomalous": int(pos.size)}
+    for atype, mask in of_type.items():
+        counts[f"type:{atype}"] = int(mask.sum())
 
     return EvalReport(
         overall_auc=overall,

@@ -1,14 +1,15 @@
 """Shared test utilities: parameter flattening, relative error
 and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
-ranks and ROC points, the monitor fold and the PGM header parser are checked
-against."""
+ranks and ROC points, the evaluation report, the monitor fold and the PGM
+header parser are checked against."""
 
 import math
 
 import numpy as np
 
 from framewatch.errors import ContractViolationError, EvaluationError, ParseError
-from framewatch.evaluation import RocPoint
+from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
+                                  choose_threshold)
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
 
 
@@ -124,6 +125,58 @@ def reference_roc_curve(scored):
         points.append(RocPoint(float(scores[i]), tp / pos.size, fp / neg.size))
         i = j + 1
     return points
+
+
+def reference_evaluate(scored_test, taxonomy, val_scores, q=0.99):
+    """`evaluate` as a scan of the sample list once overall, once per type
+    and once per axis value: the oracle of the one-pass version."""
+    pos_samples = [s for s in scored_test if s.anomaly_type is not None]
+    neg = np.array([s.score for s in scored_test if s.anomaly_type is None])
+    if not pos_samples:
+        raise EvaluationError("evaluate: test set has no anomalous samples")
+    if neg.size == 0:
+        raise EvaluationError("evaluate: test set has no normal samples")
+
+    warnings = []
+    overall = auc_from_scores(np.array([s.score for s in pos_samples]), neg)
+
+    per_type = {}
+    present_types = sorted({s.anomaly_type for s in pos_samples})
+    for atype in sorted(set(taxonomy).union(present_types)):
+        subset = np.array([s.score for s in pos_samples if s.anomaly_type == atype])
+        if subset.size == 0:
+            warnings.append(f"anomaly type {atype!r} has no test samples; omitted")
+            continue
+        per_type[atype] = auc_from_scores(subset, neg)
+
+    per_axis = {}
+    for axis_name, get, values in _AXES:
+        for value in values:
+            subset = np.array([
+                s.score for s in pos_samples
+                if s.anomaly_type in taxonomy and get(taxonomy[s.anomaly_type]) == value])
+            if subset.size == 0:
+                warnings.append(f"axis {axis_name}={value} has no test samples; omitted")
+                continue
+            per_axis[f"{axis_name}={value}"] = auc_from_scores(subset, neg)
+
+    tau = choose_threshold(val_scores, q)
+    val_fpr = float(np.mean(np.asarray(val_scores) > tau))
+
+    counts = {"normal": int(neg.size), "anomalous": len(pos_samples)}
+    for atype in present_types:
+        counts[f"type:{atype}"] = sum(1 for s in pos_samples if s.anomaly_type == atype)
+
+    return EvalReport(
+        overall_auc=overall,
+        per_type_auc=per_type,
+        per_axis_auc=per_axis,
+        counts=counts,
+        threshold=tau,
+        threshold_quantile=q,
+        val_false_positive_rate=val_fpr,
+        warnings=warnings,
+    )
 
 
 def reference_monitor_step(state, score, cfg):

@@ -10,8 +10,8 @@ from framewatch.evaluation import (_average_ranks, auc_from_scores, choose_thres
 from framewatch.flow import ScoredSample
 from framewatch.rng import RngStream
 
-from _helpers import (brute_force_auc, reference_average_ranks, reference_roc_curve,
-                      roc_auc_trapezoid)
+from _helpers import (brute_force_auc, reference_average_ranks, reference_evaluate,
+                      reference_roc_curve, roc_auc_trapezoid)
 
 
 def _scored(normals, anomalies, atype="tape"):
@@ -231,3 +231,30 @@ def test_roc_curve_matches_loop_oracle(neg, pos):
          for p in expected]
     assert all(type(p.true_positive_rate) is float and type(p.false_positive_rate) is float
                and type(p.threshold) is float for p in points)
+
+
+# Types: None (normal), the two taxonomy types and one the taxonomy lacks.
+# The taxonomy is a subset of three labels, so a type may also be absent.
+LABELS = {**TAXONOMY, "glare": AnomalyLabel("glare", "sensory", "yes", "no")}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(TIE_HEAVY, st.sampled_from([None, "easy", "hard",
+                                                       "glare", "unlisted"])),
+                max_size=40),
+       st.sets(st.sampled_from(sorted(LABELS))))
+def test_evaluate_matches_scan_oracle(samples, listed):
+    """One pass over the samples gives the report of one scan per subset:
+    AUCs, counts, warnings, and the types missing from or absent in the
+    taxonomy."""
+    scored = [ScoredSample(f"s{i}", score, anomaly_type=atype)
+              for i, (score, atype) in enumerate(samples)]
+    taxonomy = {atype: LABELS[atype] for atype in sorted(listed)}
+    val = np.array([score for score, _ in samples] or [0.0])
+    try:
+        expected = reference_evaluate(scored, taxonomy, val, q=0.9)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError, match=str(exc)):
+            evaluate(scored, taxonomy, val, q=0.9)
+        return
+    assert evaluate(scored, taxonomy, val, q=0.9) == expected
