@@ -176,12 +176,12 @@ def evaluate(scored_test: list[ScoredSample],
 
 
 def scores_to_csv(scored: list[ScoredSample]) -> str:
-    """Export scores as CSV for external plotting."""
+    """Export test-split scores as CSV for external plotting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["sample_id", "split", "label", "anomaly_type", "score"])
     for s in scored:
         label = "normal" if s.anomaly_type is None else "anomalous"
-        writer.writerow([s.sample_id, s.split, label, s.anomaly_type or "",
+        writer.writerow([s.sample_id, "test", label, s.anomaly_type or "",
                          repr(s.score)])
     return buf.getvalue()

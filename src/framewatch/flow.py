@@ -101,7 +101,6 @@ class ScoredSample:
     sample_id: str
     score: float
     anomaly_type: str | None = None   # None means ground-truth normal
-    split: str = "test"
 
     def __post_init__(self):
         if not math.isfinite(self.score):
