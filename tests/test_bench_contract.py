@@ -19,12 +19,14 @@ import numpy as np
 import pytest
 
 from framewatch import nn
-from framewatch.autoencoder import init_autoencoder
+from framewatch.autoencoder import encode_batch, init_autoencoder
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
-from framewatch.flow import init_flow
+from framewatch.evaluation import evaluate
+from framewatch.flow import ScoredSample, coupling_forward, init_flow
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, score_frames
-from framewatch.synth import SynthSpec, apply_anomaly, generate_normal, generate_scenario
+from framewatch.synth import (ANOMALY_LABELS, SynthSpec, apply_anomaly, generate_normal,
+                             generate_scenario)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,8 +90,10 @@ def test_mlp_runs_the_timed_dense_kernels(monkeypatch):
 def test_package_calls_the_bench_makes(tmp_path):
     """The calls perfbench/ makes into the package, with the arguments it
     passes: Frame(pixels, source_id=, timestamp=) with .pixels and .flat(),
-    len() of each loaded split, apply_anomaly returning a Frame, and
-    score_frames on a list of Frames and on a loaded split."""
+    len() of each loaded split, apply_anomaly returning a Frame,
+    score_frames on a list of Frames and on a loaded split, and the kernel
+    suite's coupling_forward on a whitened latent and evaluate on a list of
+    ScoredSamples."""
     spec = SynthSpec(seed=2, n_train=3, n_val=4, n_test_normal=2,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 0})
     generate_scenario(spec, tmp_path / "scenario")
@@ -114,3 +118,14 @@ def test_package_calls_the_bench_makes(tmp_path):
     assert scores.shape == (2,) and np.isfinite(scores).all()
     assert score_frames(ae, flow, [frame], ScoreConfig()).shape == (1,)
     assert score_frames(ae, flow, dataset.val, ScoreConfig()).shape == (4,)
+
+    latent = encode_batch(ae, frame.flat()[None, :])
+    y, log_det = coupling_forward(flow.layers[0], flow.whiten(latent)[0])
+    assert y.shape == (flow.dim,) and type(log_det) is float
+    neg_scores = np.array([0.1, 0.3, 0.2])
+    scored = [ScoredSample(f"normal/{i}", float(s)) for i, s in enumerate(neg_scores)]
+    scored += [ScoredSample(f"blob/2/{i}", float(s), anomaly_type="blob")
+               for i, s in enumerate([0.25, 0.4])]
+    report = evaluate(scored, ANOMALY_LABELS, neg_scores)
+    assert report.counts == {"normal": 3, "anomalous": 2, "type:blob": 2}
+    assert report.per_type_auc == {"blob": report.overall_auc}
