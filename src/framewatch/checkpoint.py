@@ -1,6 +1,6 @@
 """Checkpoints of the full pipeline: autoencoder, flow and scoring.
 
-A checkpoint (`format_version` 5, written by `train` as `checkpoint.fwc`)
+A checkpoint (`format_version` 6, written by `train` as `checkpoint.fwc`)
 is one binary file laid out like a safetensors file: a JSON header that
 describes every array, then the arrays' raw bytes.
 
@@ -16,34 +16,35 @@ replaced by `{"shape": [...], "offset": n}`, n being the array's byte
 offset in the payload.  It holds what loading uses and nothing else: the
 networks, each coupling layer's scale clamp, the score settings, the
 threshold and the quantile it was chosen at.  Each fact is stored once:
-`format_version` and `model_kind` only at the top level, the input and
-latent dims only in each network's `layer_dims`, and each coupling
-layer's clamp only in the flow's `scale_clamps` list, in the order of
-its `masks`.  How the models were trained (the run config and its seed)
-is recorded in `train_report.json`, not here.
+`format_version` and `model_kind` only at the top level, each network's
+dims only as its weight shapes, and each coupling layer's clamp only in
+the flow's `scale_clamps` list.  A coupling layer's parity is its index
+k % 2, so its half-width nets map the latent dims i % 2 == k % 2 to the
+others.  How the models were trained (the run config and its seed) is
+recorded in `train_report.json`, not here.
 
-The parameters (weights, biases, coupling masks, whitening vectors) are
-stored as their own bytes, not as text: base64 would make the file a
-third larger, decimals larger still, and either costs a decode of every
-byte at load.  Saving writes each array's buffer as it is; loading reads
-each array straight into a fresh C-contiguous float64 array, so a
-reloaded model reproduces scores bit-exactly by construction.  Scalars
+The parameters (weights, biases, whitening vectors) are stored as their
+own bytes, not as text: base64 would make the file a third larger,
+decimals larger still, and either costs a decode of every byte at load.
+Loading reads each array straight into a fresh C-contiguous float64
+array, so a reloaded model reproduces scores bit-exactly.  Scalars
 (clamps, threshold, standardization, alpha) stay JSON numbers.
 
 `load_json` checks the layout before it reads any array: the magic, the
 header length against the file size, and that the array offsets are
 8-byte aligned, in bounds, non-overlapping and in header order, and that
 the arrays cover the payload exactly.  `pipeline_from_dict` then checks
-and builds in one pass: it reads `input_dim` and `latent_dim` from the
-encoder's `layer_dims`, checks the decoder, the coupling masks and nets
-and the whitening vectors against them, and checks keys, types, array
-shapes and finiteness before it hands a value to a model or config
-constructor.  Rules that a type owns (the coupling mask and scale clamp,
-the score mode and alpha, the positive score spreads) are checked by
-that type's constructor, and its error is reported as a CheckpointError.
-Building a model has no side effects, so `pipeline_from_dict` returns
-nothing unless the whole file passed.  Format 1 to 4 files (JSON
-documents) are rejected: retrain to write a format 5 checkpoint.
+and builds in one pass: each network's dims come from its weight shapes,
+which must chain; the encoder's give `input_dim` and `latent_dim`, which
+the decoder, the flow and the whitening vectors are checked against.
+Keys, types, array shapes and finiteness are checked before a value
+reaches a model or config constructor, and a rule that a type owns (a
+coupling layer's halves and clamp, the score mode and alpha, the
+positive score spreads) is checked by that constructor, its error
+reported as a CheckpointError.  Building a model has no side effects, so
+`pipeline_from_dict` returns nothing unless the whole file passed.
+Format 1 to 5 files (JSON documents, then full-width coupling nets with
+masks) are rejected: retrain to write a format 6 checkpoint.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .flow import CouplingLayer, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import ScoreConfig, ScoreStandardization
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MAGIC = b"FRAMEWATCH CKPT\n"
 _LENGTH = struct.Struct("<Q")
 _F8 = np.dtype("<f8")
@@ -113,7 +114,6 @@ def _list(data, key: str, where: str, length: int) -> list:
 
 def _mlp_to_dict(mlp: Mlp) -> dict:
     return {
-        "layer_dims": [mlp.layers[0].in_dim] + [l.out_dim for l in mlp.layers],
         "activations": [l.activation.value for l in mlp.layers],
         "weights": [l.weights for l in mlp.layers],
         "biases": [l.bias for l in mlp.layers],
@@ -121,20 +121,20 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
 
 
 def _read_mlp(data, where: str, ends=None) -> Mlp:
-    """The network stored at `where`.  `ends`, if given, is the
-    ((name, dim), (name, dim)) it must map between."""
-    dims = _get(data, "layer_dims", where)
-    if (not isinstance(dims, list) or len(dims) < 2
-            or any(type(d) is not int or d < 1 for d in dims)):
-        raise CheckpointError(
-            f"{where}.layer_dims: expected a list of two or more positive integers")
+    """The network stored at `where`.  Its dims are its weight shapes,
+    which must chain: layer i maps dims[i] to dims[i + 1].  `ends`, if
+    given, is the ((name, dim), (name, dim)) it must map between."""
+    weights = _get(data, "weights", where)
+    if not (isinstance(weights, list) and weights and all(
+            isinstance(w, np.ndarray) and w.ndim == 2 and w.size for w in weights)):
+        raise CheckpointError(f"{where}.weights: expected a list of non-empty matrices")
+    n = len(weights)
+    dims = [w.shape[1] for w in weights] + [weights[-1].shape[0]]
     if ends and (dims[0], dims[-1]) != (ends[0][1], ends[1][1]):
         (a, m), (b, n) = ends
-        raise CheckpointError(f"{where}.layer_dims: maps {dims[0]} -> {dims[-1]}, "
+        raise CheckpointError(f"{where}: maps {dims[0]} -> {dims[-1]}, "
                               f"expected {a} {m} -> {b} {n}")
-    n = len(dims) - 1
     acts = _list(data, "activations", where, n)
-    weights = _list(data, "weights", where, n)
     biases = _list(data, "biases", where, n)
     layers = []
     for i in range(n):
@@ -157,8 +157,8 @@ def autoencoder_to_dict(model: AutoencoderModel) -> dict:
 
 
 def _read_autoencoder(data, where: str) -> AutoencoderModel:
-    """The encoder's layer_dims define input_dim and latent_dim; the
-    decoder must map them back."""
+    """The encoder's ends define input_dim and latent_dim; the decoder must
+    map them back."""
     encoder = _read_mlp(_get(data, "encoder", where), f"{where}.encoder")
     decoder = _read_mlp(_get(data, "decoder", where), f"{where}.decoder",
                         (("latent_dim", encoder.out_dim), ("input_dim", encoder.in_dim)))
@@ -168,7 +168,6 @@ def _read_autoencoder(data, where: str) -> AutoencoderModel:
 def flow_to_dict(model: FlowModel) -> dict:
     return {
         "scale_clamps": [layer.scale_clamp for layer in model.layers],
-        "masks": [layer.mask for layer in model.layers],
         "scale_nets": [_mlp_to_dict(layer.scale_net) for layer in model.layers],
         "shift_nets": [_mlp_to_dict(layer.shift_net) for layer in model.layers],
         "whitening_mean": model.whitening_mean,
@@ -177,26 +176,27 @@ def flow_to_dict(model: FlowModel) -> dict:
 
 
 def _read_flow(data, where: str, dim: int) -> FlowModel:
-    """The flow over the autoencoder's `dim` latents."""
-    latent = ("latent_dim", dim)
+    """The flow over the autoencoder's `dim` latents; layer k has parity
+    k % 2, and CouplingLayer checks that its nets fit it."""
     size = f"latent_dim {dim}"
-    masks = _get(data, "masks", where)
-    if not isinstance(masks, list):
-        raise CheckpointError(f"{where}.masks: expected a list")
-    n = len(masks)
+    clamps = _get(data, "scale_clamps", where)
+    if not isinstance(clamps, list):
+        raise CheckpointError(f"{where}.scale_clamps: expected a list")
+    n = len(clamps)
     scale_nets = _list(data, "scale_nets", where, n)
     shift_nets = _list(data, "shift_nets", where, n)
-    clamps = _list(data, "scale_clamps", where, n)
     layers = []
     for k in range(n):
-        mask = _array(masks[k], (dim,), f"{where}.masks[{k}]", size)
-        scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]", (latent, latent))
-        shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]", (latent, latent))
+        scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]")
+        shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]")
         clamp = _finite(clamps[k], f"{where}.scale_clamps[{k}]")
         try:
-            layers.append(CouplingLayer(mask, scale_net, shift_net, clamp))
+            layers.append(CouplingLayer(k % 2, scale_net, shift_net, clamp))
         except ContractViolationError as exc:
             raise CheckpointError(f"{where}: coupling layer {k}: {exc}") from None
+        if layers[k].dim != dim:
+            raise CheckpointError(f"{where}: coupling layer {k} maps "
+                                  f"{layers[k].dim} dims, {size} needs {dim}")
     std = _array(_get(data, "whitening_std", where), (dim,),
                  f"{where}.whitening_std", size)
     if not (std > 0.0).all():
@@ -283,7 +283,7 @@ def _header(tree, arrays: list[np.ndarray]):
 
 
 def save_json(data, path: Path | str) -> None:
-    """Write the tree `data` as a format 5 file: each numpy array in it goes
+    """Write the tree `data` as a checkpoint file: each numpy array in it goes
     to the payload as `<f8` bytes, everything else to the JSON header.  The
     bytes depend on `data` alone, so two saves of one tree are identical."""
     arrays: list[np.ndarray] = []
@@ -347,7 +347,7 @@ def _parse_header(raw: bytes, path: Path, payload: int, arrays: list[np.ndarray]
 def load_json(path: Path | str):
     """The tree `save_json` wrote to `path`, each array read into a fresh
     C-contiguous float64 array.  IOFailure if `path` is not a file;
-    CheckpointError unless it is a well-formed format 5 file, whose layout
+    CheckpointError unless it is a well-formed checkpoint file, whose layout
     is checked in full before any array is read."""
     path = Path(path)
     if not path.is_file():

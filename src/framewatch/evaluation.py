@@ -121,12 +121,10 @@ def evaluate(scored_test: list[ScoredSample],
              taxonomy: dict[str, AnomalyLabel],
              val_scores: np.ndarray, q: float = 0.99) -> EvalReport:
     """Full evaluation: overall, per-type and per-axis AUC plus threshold.
-
-    The samples are read once, into a score array and a type array; each
-    subset is a boolean mask over them, so it keeps the samples' order."""
+    The samples are read once; each subset is a boolean mask over them."""
     types = np.array([s.anomaly_type for s in scored_test], dtype=object)
     scores = np.array([s.score for s in scored_test], dtype=np.float64)
-    normal = types == None  # noqa: E711 (elementwise over the type array)
+    normal = types == None  # noqa: E711 (elementwise)
     pos, pos_types, neg = scores[~normal], types[~normal], scores[normal]
     if pos.size == 0:
         raise EvaluationError("evaluate: test set has no anomalous samples")
@@ -147,10 +145,8 @@ def evaluate(scored_test: list[ScoredSample],
     per_axis: dict[str, float] = {}
     for axis_name, get, values in _AXES:
         for value in values:
-            subset = np.zeros(pos.size, dtype=bool)
-            for atype, mask in of_type.items():
-                if atype in taxonomy and get(taxonomy[atype]) == value:
-                    subset |= mask
+            subset = np.isin(pos_types, [atype for atype in of_type if atype in taxonomy
+                                         and get(taxonomy[atype]) == value])
             if not subset.any():
                 warnings.append(f"axis {axis_name}={value} has no test samples; omitted")
                 continue

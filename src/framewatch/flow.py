@@ -1,9 +1,12 @@
 """Real NVP density model over latent vectors.
 
-A stack of affine coupling layers with alternating binary masks gives an
-invertible map with a cheap exact log-determinant, hence an exact
-log-density via the change of variables formula.  The negative
-log-likelihood under this model is the pipeline's anomaly score.
+A stack of affine coupling layers gives an invertible map with a cheap
+exact log-determinant, hence an exact log-density via the change of
+variables formula.  The negative log-likelihood under this model is the
+pipeline's anomaly score.  Layer k has parity k % 2, Real NVP's
+alternating split (Dinh et al., ICLR 2017): the dims i % 2 == k % 2 pass
+through and condition half-width scale and shift nets, which map them to
+the other dims.
 
 The raw scale output of each coupling net is squashed to
 ``s_max * tanh(raw / s_max)``, so |s| < s_max everywhere: the layer is
@@ -36,35 +39,35 @@ STD_FLOOR = 1e-6
 
 @dataclass
 class CouplingLayer:
-    """One affine coupling transform.
-
-    Dimensions where mask == 1 pass through unchanged and condition the
-    scale/shift networks; the remaining dimensions are transformed as
-    x * exp(s) + t.
+    """One affine coupling transform of a `dim`-vector, `dim` being the
+    nets' input plus output width.  The dims `a` (i % 2 == parity) pass
+    through unchanged and condition the scale/shift networks; the other
+    dims `b` are transformed as x * exp(s) + t.
     """
 
-    mask: np.ndarray          # (h,) of {0.0, 1.0}
-    scale_net: Mlp            # h -> hidden -> h, Tanh hidden, Identity out
+    parity: int               # 0 or 1
+    scale_net: Mlp            # len(a) -> hidden -> len(b), Tanh hidden, Identity out
     shift_net: Mlp            # same shape
     scale_clamp: float = DEFAULT_SCALE_CLAMP
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if not (np.isin(self.mask, (0.0, 1.0)).all()
-                and 0.0 < self.mask.sum() < self.mask.size):
+        ends = (self.scale_net.in_dim, self.scale_net.out_dim)
+        shift = (self.shift_net.in_dim, self.shift_net.out_dim)
+        self.dim = sum(ends)
+        if not (self.parity in (0, 1) and 0 not in ends and shift == ends
+                and ends[0] == (self.dim + 1 - self.parity) // 2):
             raise ContractViolationError(
-                "coupling mask must hold both 0 and 1 and nothing else")
+                f"coupling layer of parity {self.parity!r}: nets map {ends} and "
+                f"{shift} dims, but both must map the dims i % 2 == parity to "
+                "the others, and neither may be empty")
+        self.a, self.b = slice(self.parity, None, 2), slice(1 - self.parity, None, 2)
         if not (math.isfinite(self.scale_clamp) and self.scale_clamp > 0.0):
             raise ContractViolationError(
                 f"scale_clamp must be positive and finite, got {self.scale_clamp}")
 
     def params(self):
+        """The nets' live parameter arrays: writing one changes the layer."""
         return self.scale_net.params() + self.shift_net.params()
-
-    def set_params(self, params):
-        n = 2 * len(self.scale_net.layers)
-        self.scale_net.set_params(params[:n])
-        self.shift_net.set_params(params[n:])
 
 
 @dataclass
@@ -80,17 +83,7 @@ class FlowModel:
             np.asarray(self.whitening_std, dtype=np.float64), STD_FLOOR)
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def set_params(self, params):
-        if not self.layers:
-            return
-        per_layer = len(params) // len(self.layers)
-        for i, layer in enumerate(self.layers):
-            layer.set_params(params[i * per_layer:(i + 1) * per_layer])
+        return [p for layer in self.layers for p in layer.params()]
 
     def whiten(self, latents: np.ndarray) -> np.ndarray:
         return (latents - self.whitening_mean) / self.whitening_std
@@ -135,16 +128,21 @@ def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
               hidden: int = DEFAULT_HIDDEN,
               whitening_mean: np.ndarray | None = None,
               whitening_std: np.ndarray | None = None) -> FlowModel:
-    """Random flow with alternating even/odd masks (every dim transformed)."""
-    net_acts = [Activation.TANH, Activation.IDENTITY]
-    layers = []
-    for k in range(num_layers):
-        layers.append(CouplingLayer(
-            mask=((np.arange(dim) % 2) == (k % 2)).astype(np.float64),
-            scale_net=init_mlp(rng.derive(2 * k), (dim, hidden, dim), net_acts),
-            shift_net=init_mlp(rng.derive(2 * k + 1), (dim, hidden, dim), net_acts),
-            scale_clamp=scale_clamp,
-        ))
+    """Random flow whose layer k has parity k % 2 (every dim transformed).
+    Each net is a full dim -> hidden -> dim `init_mlp` draw cut to half
+    width: the columns of the dims a and the rows of the dims b."""
+    def half_width(net_rng: RngStream, p: int) -> Mlp:
+        net = init_mlp(net_rng, (dim, hidden, dim),
+                       [Activation.TANH, Activation.IDENTITY])
+        first, last = net.layers
+        first.weights = np.ascontiguousarray(first.weights[:, p::2])
+        last.weights = np.ascontiguousarray(last.weights[1 - p::2])
+        last.bias = last.bias[1 - p::2].copy()
+        return net
+
+    layers = [CouplingLayer(k % 2, half_width(rng.derive(2 * k), k % 2),
+                            half_width(rng.derive(2 * k + 1), k % 2), scale_clamp)
+              for k in range(num_layers)]
     if whitening_mean is None:
         whitening_mean = np.zeros(dim)
     if whitening_std is None:
@@ -156,28 +154,28 @@ def _couple(layers: list[CouplingLayer], xs: np.ndarray, inverse: bool = False,
             tape: list | None = None):
     """Run coupling layers over a (n, dim) batch; returns (out, log_det).
 
-    Forward applies each layer in order as masked + (1 - mask) * (x *
-    exp(s) + t); inverse undoes them in reverse order.  s and t come from
-    the masked dims, which no layer changes, and log_det is the forward
-    map's log-determinant in both directions.  When `tape` is a list, each
-    forward layer appends (input, scale-net cache, shift-net cache, s,
-    tanh(raw / s_max)) to it for the backward pass.
+    Forward applies each layer in order, setting the dims b to x_b *
+    exp(s) + t; inverse undoes them in reverse order.  s and t come from
+    the dims a, which the layer does not change, and log_det is the
+    forward map's log-determinant in both directions.  When `tape` is a
+    list, each forward layer appends (x_b, scale-net cache, shift-net
+    cache, s, tanh(raw / s_max)) to it for the backward pass.
     """
     log_det = np.zeros(xs.shape[0])
     for layer in (reversed(layers) if inverse else layers):
-        masked = xs * layer.mask
+        x_a, x_b = xs[:, layer.a], xs[:, layer.b]
         s_cache, t_cache = ([], []) if tape is not None else (None, None)
-        u = np.tanh(layer.scale_net.forward(masked, s_cache) / layer.scale_clamp)
+        u = np.tanh(layer.scale_net.forward(x_a, s_cache) / layer.scale_clamp)
         s = layer.scale_clamp * u
-        t = layer.shift_net.forward(masked, t_cache)
-        inv_mask = 1.0 - layer.mask
+        t = layer.shift_net.forward(x_a, t_cache)
+        xs = xs.copy()
         if inverse:
-            xs = masked + inv_mask * ((xs - t) * np.exp(-s))
+            xs[:, layer.b] = (x_b - t) * np.exp(-s)
         else:
             if tape is not None:
-                tape.append((xs, s_cache, t_cache, s, u))
-            xs = masked + inv_mask * (xs * np.exp(s) + t)
-        log_det += (inv_mask * s).sum(axis=1)
+                tape.append((x_b, s_cache, t_cache, s, u))
+            xs[:, layer.b] = x_b * np.exp(s) + t
+        log_det += s.sum(axis=1)
     return xs, log_det
 
 
@@ -191,9 +189,9 @@ def _log_density(zs: np.ndarray, log_det: np.ndarray) -> np.ndarray:
 def coupling_forward(layer: CouplingLayer, x: np.ndarray):
     """Affine coupling transform of one vector; returns (y, log_det)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.mask.size,):
+    if x.shape != (layer.dim,):
         raise ContractViolationError(
-            f"coupling_forward: input shape {x.shape}, expected ({layer.mask.size},)")
+            f"coupling_forward: input shape {x.shape}, expected ({layer.dim},)")
     if not np.isfinite(x).all():
         raise ContractViolationError("coupling_forward: non-finite input")
     ys, log_det = _couple([layer], x[None, :])
@@ -213,9 +211,9 @@ def flow_inverse_batch(flow: FlowModel, zs: np.ndarray) -> np.ndarray:
 def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
     """Exact log-density of each row of a (n, dim) latent batch.
 
-    A non-finite value at any coupling layer reaches the output (the mask
-    product turns an inf into a NaN, and a NaN stays one), so one check on
-    the result covers every layer.
+    A non-finite value at any coupling layer reaches the output (a layer
+    copies its dims a and maps a non-finite x_b, s or t to a non-finite
+    x_b * exp(s) + t), so one check on the result covers every layer.
     """
     log_probs = _log_density(*flow_forward_batch(flow, latents))
     if not np.isfinite(log_probs).all():
@@ -230,8 +228,8 @@ def _nll_loss_and_grads(flow: FlowModel, z0: np.ndarray):
     """Mean NLL over a batch of pre-whitened inputs, plus parameter grads.
 
     The forward tape holds everything needed to backpropagate through the
-    coupling transform by hand: x * exp(s) + t on the transformed dims,
-    with s = s_max * tanh(raw / s_max) conditioned on the masked dims.
+    coupling transform by hand: x_b * exp(s) + t on the transformed dims b,
+    with s = s_max * tanh(raw / s_max) conditioned on the dims a.
     """
     n = z0.shape[0]
     tape: list = []
@@ -240,18 +238,16 @@ def _nll_loss_and_grads(flow: FlowModel, z0: np.ndarray):
 
     grad_y = z / n
     all_grads: list[list[np.ndarray]] = []
-    for layer, (x_in, s_cache, t_cache, s, u) in zip(reversed(flow.layers),
-                                                     reversed(tape)):
-        inv_mask = 1.0 - layer.mask
+    for layer, (x_b, s_cache, t_cache, s, u) in zip(reversed(flow.layers),
+                                                    reversed(tape)):
+        grad_b = grad_y[:, layer.b]
         e_s = np.exp(s)
-        # d loss / d s: through y = x * exp(s) + t and through -log_det.
-        grad_s = grad_y * inv_mask * x_in * e_s - (1.0 / n) * inv_mask
-        grad_raw = grad_s * (1.0 - u * u)
-        grad_t = grad_y * inv_mask
-        gin_s, grads_s = layer.scale_net.backward(s_cache, grad_raw)
-        gin_t, grads_t = layer.shift_net.backward(t_cache, grad_t)
-        grad_y = (grad_y * layer.mask + grad_y * inv_mask * e_s
-                  + layer.mask * (gin_s + gin_t))
+        # d loss / d s: through y_b = x_b * exp(s) + t and through -log_det.
+        grad_s = grad_b * x_b * e_s - 1.0 / n
+        gin_s, grads_s = layer.scale_net.backward(s_cache, grad_s * (1.0 - u * u))
+        gin_t, grads_t = layer.shift_net.backward(t_cache, grad_b)
+        grad_y[:, layer.a] += gin_s + gin_t
+        grad_y[:, layer.b] = grad_b * e_s
         all_grads.append(grads_s + grads_t)
     all_grads.reverse()
     return loss, [g for layer_grads in all_grads for g in layer_grads]

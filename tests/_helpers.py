@@ -1,7 +1,7 @@
 """Shared test utilities: parameter flattening, relative error
 and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
-ranks and ROC points, the evaluation report, the monitor fold and the PGM
-header parser are checked against."""
+ranks and ROC points, the evaluation report, the masked coupling loop, the
+monitor fold and the PGM header parser are checked against."""
 
 import math
 
@@ -11,6 +11,7 @@ from framewatch.errors import ContractViolationError, EvaluationError, ParseErro
 from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
                                   choose_threshold)
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
+from framewatch.nn import DenseLayer, Mlp
 
 
 def pack(params):
@@ -85,6 +86,40 @@ def finite_diff_param_grad(loss, params, eps=1e-5):
             raise ContractViolationError(
                 f"finite_diff_param_grad: parameter is {p.dtype}, not float64")
     return pack([finite_diff_grad(lambda _: loss(), p, eps) for p in params])
+
+
+def _full_width(net, keep_in, keep_out):
+    """A two-layer half-width net zero-padded back to dim -> hidden -> dim:
+    the columns of the dims it reads and the rows of the dims it writes."""
+    first, last = net.layers
+    w_in = np.zeros((first.out_dim, keep_in.size))
+    w_in[:, keep_in] = first.weights
+    w_out = np.zeros((keep_out.size, last.in_dim))
+    w_out[keep_out] = last.weights
+    b_out = np.zeros(keep_out.size)
+    b_out[keep_out] = last.bias
+    return Mlp([DenseLayer(w_in, first.bias, first.activation),
+                DenseLayer(w_out, b_out, last.activation)])
+
+
+def reference_masked_log_prob(flow, latents):
+    """The flow's log-density by the masked coupling loop: full-width nets
+    read x * mask and only (1 - mask) of their output is used, with mask
+    1 on the dims i % 2 == parity."""
+    xs = flow.whiten(np.asarray(latents, dtype=np.float64))
+    log_det = np.zeros(xs.shape[0])
+    for layer in flow.layers:
+        mask = ((np.arange(flow.dim) % 2) == layer.parity).astype(np.float64)
+        inv_mask = 1.0 - mask
+        scale_net, shift_net = (_full_width(net, mask == 1.0, mask == 0.0)
+                                for net in (layer.scale_net, layer.shift_net))
+        masked = xs * mask
+        s = layer.scale_clamp * np.tanh(scale_net.forward(masked) / layer.scale_clamp)
+        t = shift_net.forward(masked)
+        xs = masked + inv_mask * (xs * np.exp(s) + t)
+        log_det += (inv_mask * s).sum(axis=1)
+    return (-0.5 * flow.dim * math.log(2.0 * math.pi)
+            - 0.5 * (xs * xs).sum(axis=1) + log_det)
 
 
 def reference_average_ranks(values):

@@ -104,7 +104,7 @@ def test_latent_dim_mismatch_rejected():
 
 
 def _container(header: bytes, payload: bytes = b"") -> bytes:
-    """A format 5 file around raw `header` bytes, padded as save_json pads."""
+    """A checkpoint file around raw `header` bytes, padded as save_json pads."""
     header += b" " * (-(len(ckpt.MAGIC) + 8 + len(header)) % 8)
     return ckpt.MAGIC + struct.pack("<Q", len(header)) + header + payload
 
@@ -172,8 +172,10 @@ MALFORMED = {
     "unknown_activation": _set(*ENC, "activations", 0, "relu6"),
     "list_as_activation": _set(*ENC, "activations", 0, ["tanh"]),
     "string_as_array": _set(*ENC, "biases", 0, "not an array"),
-    "string_dimension": _set(*ENC, "layer_dims", 0, "16"),
-    "decoder_dims_mismatch": _set("autoencoder", "decoder", "layer_dims", 0, 5),
+    "decoder_dims_mismatch": _set("autoencoder", "decoder", "weights", 0,
+                                  np.ones((8, 5))),
+    "full_width_coupling_input": _set("flow", "scale_nets", 0, "weights", 0,
+                                      np.ones((4, 4))),
     "nan_weight": _set(*ENC, "weights", 0, np.full((8, 16), np.nan)),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),
@@ -182,19 +184,19 @@ MALFORMED = {
                                  np.array([1.0, np.inf, 1.0, 1.0])),
     "non_finite_threshold": _set("threshold", float("inf")),
     "threshold_beyond_float_range": _set("threshold", 10 ** 400),
-    "all_one_mask": _set("flow", "masks", 0, np.ones(4)),
     "standardization_missing_key": _delete("score_standardization", "nll_std"),
     "v1_file": _set("format_version", 1),
     "v2_file": _set("format_version", 2),
     "v3_file": _set("format_version", 3),
     "v4_file": _set("format_version", 4),
+    "v5_file": _set("format_version", 5),
     "quantile_of_one": _set("threshold_quantile", 1.0),
     "quantile_of_zero": _set("threshold_quantile", 0),
 }
 
 
 def _split(raw: bytes):
-    """(header, payload) of a format 5 file: the header as plain JSON."""
+    """(header, payload) of a checkpoint file: the header as plain JSON."""
     start = len(ckpt.MAGIC) + 8
     (length,) = struct.unpack_from("<Q", raw, len(ckpt.MAGIC))
     return json.loads(raw[start:start + length]), raw[start + length:]
@@ -273,6 +275,7 @@ RAW_MALFORMED = {
     "offset_past_payload": _edit_header(_shift(-1, 2 ** 20)),
     "float_offset": _edit_header(_entry(0, offset=0.0)),
     "negative_dimension": _edit_header(_entry(0, shape=[-8])),
+    "string_dimension": _edit_header(_entry(0, shape=["8", 16])),
     "shape_not_a_list": _edit_header(_entry(0, shape=8)),
     "too_many_dimensions": _edit_header(_entry(0, shape=[1] * 65)),
     "header_shape_disagrees_with_layer_dims": _edit_header(_transpose_first_matrix),
@@ -311,7 +314,7 @@ def test_malformed_checkpoint_exits_5(tmp_path, case):
     code, err = _simulate(path, tmp_path)
     assert code == 5
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
-    if case in ("format_4_json", "v4_file"):
+    if case in ("format_4_json", "v4_file", "v5_file"):
         assert "retrain" in err
 
 
@@ -334,16 +337,18 @@ def test_small_pipeline_checkpoint_is_valid():
 
 def test_each_fact_stored_once():
     """The version and kind appear only at the top level, the dims only as
-    layer_dims, and no training record (train_config, seed) at all: the
-    run config and its seed live in train_report.json."""
+    array shapes, a coupling layer's parity only as its index, and no
+    training record (train_config, seed) at all: the run config and its
+    seed live in train_report.json."""
     data = _small_pipeline_dict()
     paths = list(_json_paths(data))
     keys = [p[-1] for p in paths]
     for key in ("format_version", "model_kind"):
         assert [p for p in paths if p[-1] == key] == [(key,)]
-    for key in ("latent_dim", "input_dim", "train_config", "seed"):
+    for key in ("latent_dim", "input_dim", "layer_dims", "masks", "train_config",
+                "seed"):
         assert key not in keys
-    assert data["format_version"] == 5
+    assert data["format_version"] == 6
 
 
 def test_file_is_header_then_raw_arrays():
@@ -374,12 +379,12 @@ def test_two_saves_of_one_tree_are_identical(tmp_path):
 # Exit-code contract of checkpoint loading, probed with mutated checkpoints.
 # Each example is one of the hand-picked cases above; or the small valid
 # tree with one mutation (a key or list entry dropped, a value swapped for
-# one of another JSON type, an array flattened and truncated, or a mask bit
-# set to 0.5), then saved; or the small valid file with a byte-level
+# one of another JSON type, or an array flattened and truncated), then
+# saved; or the small valid file with a byte-level
 # mutation (cut short, extended, or given another header length).
 # `simulate` must reject it with exit 5 and one stderr line.
 
-ARRAY_KEYS = {"weights", "biases", "masks", "whitening_mean", "whitening_std"}
+ARRAY_KEYS = {"weights", "biases", "whitening_mean", "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
 
 
@@ -413,7 +418,6 @@ JSON_VALUES = {
     "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
 }
 VALID_PIPELINE = _small_pipeline_dict()
-LATENT_DIM = VALID_PIPELINE["autoencoder"]["encoder"]["layer_dims"][-1]
 PATHS = list(_json_paths(VALID_PIPELINE))
 ARRAY_PATHS = [p for p in PATHS if ARRAY_KEYS & set(p[-2:])
                and isinstance(_at(VALID_PIPELINE, p), np.ndarray)]
@@ -424,13 +428,9 @@ def _mutations(draw):
     """A short description of one malformed checkpoint; _write_checkpoint
     builds it."""
     kind = draw(st.sampled_from(["hand_picked", "drop", "other_type", "truncate",
-                                 "mask_half", "cut", "append", "length"]))
+                                 "cut", "append", "length"]))
     if kind == "hand_picked":
         return kind, draw(st.sampled_from(HAND_PICKED))
-    if kind == "mask_half":
-        masks = VALID_PIPELINE["flow"]["masks"]
-        return (kind, draw(st.integers(0, len(masks) - 1)),
-                draw(st.integers(0, LATENT_DIM - 1)))
     if kind in ("cut", "append", "length"):
         size = len(_valid_file())
         (length,) = struct.unpack_from("<Q", _valid_file(), len(ckpt.MAGIC))
@@ -462,9 +462,6 @@ def _write_checkpoint(mutation, path: Path) -> None:
     data = copy.deepcopy(VALID_PIPELINE)
     if kind == "hand_picked":
         MALFORMED[args[0]](data)
-    elif kind == "mask_half":
-        k, i = args
-        data["flow"]["masks"][k][i] = 0.5
     else:
         path_in_tree = args[0]
         parent, key = _at(data, path_in_tree[:-1]), path_in_tree[-1]

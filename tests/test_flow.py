@@ -12,29 +12,34 @@ from framewatch.flow import (CouplingLayer, FlowConfig, FlowModel,
 from framewatch.nn import Activation, init_mlp
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_param_grad, max_rel_err, pack
+from _helpers import finite_diff_param_grad, max_rel_err, pack, reference_masked_log_prob
+
+
+ACTS = [Activation.TANH, Activation.IDENTITY]
+
+
+def _coupling(rng, h, parity, hidden=8, scale_clamp=3.0):
+    """A random coupling layer of an h-vector, with half-width nets."""
+    n_a = len(range(parity, h, 2))
+    return CouplingLayer(parity, init_mlp(rng.derive(0), (n_a, hidden, h - n_a), ACTS),
+                         init_mlp(rng.derive(1), (n_a, hidden, h - n_a), ACTS),
+                         scale_clamp)
 
 
 def _zero_coupling(h=4, parity=0):
-    mask = ((np.arange(h) % 2) == parity).astype(float)
-    layer = CouplingLayer(
-        mask=mask,
-        scale_net=init_mlp(RngStream(0), (h, 8, h),
-                           [Activation.TANH, Activation.IDENTITY]),
-        shift_net=init_mlp(RngStream(1), (h, 8, h),
-                           [Activation.TANH, Activation.IDENTITY]),
-    )
-    layer.set_params([np.zeros_like(p) for p in layer.params()])
+    layer = _coupling(RngStream(0), h, parity)
+    for p in layer.params():
+        p[...] = 0.0
     return layer
 
 
 def _rigged_coupling(a, c, s_max=3.0):
-    """h=2 layer with mask (1,0) whose nets output constants: s=a, t=c."""
+    """h=2 layer with parity 0 whose nets output constants: s=a, t=c."""
     layer = _zero_coupling(h=2, parity=0)
     layer.scale_clamp = s_max
     raw_a = s_max * math.atanh(a / s_max)
-    layer.scale_net.layers[1].bias = np.array([0.0, raw_a])
-    layer.shift_net.layers[1].bias = np.array([0.0, c])
+    layer.scale_net.layers[1].bias = np.array([raw_a])
+    layer.shift_net.layers[1].bias = np.array([c])
     return layer
 
 
@@ -71,13 +76,7 @@ def test_rigged_coupling_inverse_analytic():
 def test_coupling_log_det_matches_jacobian():
     rng = RngStream(13)
     h = 6
-    layer = CouplingLayer(
-        mask=((np.arange(h) % 2) == 0).astype(float),
-        scale_net=init_mlp(rng.derive(0), (h, 16, h),
-                           [Activation.TANH, Activation.IDENTITY]),
-        shift_net=init_mlp(rng.derive(1), (h, 16, h),
-                           [Activation.TANH, Activation.IDENTITY]),
-    )
+    layer = _coupling(rng, h, 0, hidden=16)
     x = rng.gaussian(h)
     _, log_det = coupling_forward(layer, x)
     eps = 1e-6
@@ -91,29 +90,31 @@ def test_coupling_log_det_matches_jacobian():
     assert abs(math.exp(log_det) - det) / det < 1e-4
 
 
-def test_coupling_rejects_bad_mask():
+@pytest.mark.parametrize("parity, scale_dims, shift_dims", [
+    (0, (2, 8, 3), (2, 8, 3)),   # 5 dims split 3 / 2 by parity 0, not 2 / 3
+    (1, (2, 8, 2), (2, 8, 3)),   # shift net does not match the scale net
+    (2, (2, 8, 2), (2, 8, 2)),   # no such parity
+    (0, (1, 8, 0), (1, 8, 0)),   # a 1-dim layer transforms nothing
+], ids=["wrong-split", "nets-differ", "parity-2", "empty-half"])
+def test_coupling_rejects_bad_halves(parity, scale_dims, shift_dims):
+    """The constructor holds the one rule on the halves: both non-empty,
+    the dims i % 2 == parity mapped to the others by both nets."""
     with pytest.raises(ContractViolationError):
-        CouplingLayer(mask=np.ones(4),
-                      scale_net=init_mlp(RngStream(0), (4, 8, 4),
-                                         [Activation.TANH, Activation.IDENTITY]),
-                      shift_net=init_mlp(RngStream(1), (4, 8, 4),
-                                         [Activation.TANH, Activation.IDENTITY]))
+        CouplingLayer(parity, init_mlp(RngStream(0), scale_dims, ACTS),
+                      init_mlp(RngStream(1), shift_dims, ACTS))
 
 
-@pytest.mark.parametrize("mask, scale_clamp", [
-    ([1.0, 0.5, 1.0, 0.0], 3.0),
-    ([1.0, 0.0, 1.0, 0.0], float("nan")),
-    ([1.0, 0.0, 1.0, 0.0], float("inf")),
-])
-def test_coupling_rejects_non_binary_mask_and_bad_clamp(mask, scale_clamp):
-    """The constructor holds the one mask and clamp rule: a 0.5 entry, a
-    NaN clamp and an infinite clamp all fail."""
-    acts = [Activation.TANH, Activation.IDENTITY]
+def test_flow_over_one_dim_rejected():
     with pytest.raises(ContractViolationError):
-        CouplingLayer(mask=np.array(mask),
-                      scale_net=init_mlp(RngStream(0), (4, 8, 4), acts),
-                      shift_net=init_mlp(RngStream(1), (4, 8, 4), acts),
-                      scale_clamp=scale_clamp)
+        init_flow(RngStream(0), 1)
+
+
+@pytest.mark.parametrize("scale_clamp", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_coupling_rejects_bad_clamp(scale_clamp):
+    """A NaN clamp and an infinite clamp both fail in the constructor."""
+    with pytest.raises(ContractViolationError):
+        _coupling(RngStream(0), 4, 0, scale_clamp=scale_clamp)
 
 
 def test_coupling_rejects_nonfinite_input():
@@ -159,7 +160,8 @@ def test_log_prob_normalization_qmc():
     h = 6
     rng = RngStream(21)
     flow = init_flow(rng, h, num_layers=2, hidden=8)
-    flow.set_params([0.4 * p for p in flow.params()])
+    for p in flow.params():
+        p *= 0.4
 
     base = RngStream(22).gaussian(4000 * h).reshape(4000, h)
     mapped = flow_inverse_batch(flow, base)
@@ -172,11 +174,9 @@ def test_log_prob_normalization_qmc():
 
 
 def _broken_flow(h=4):
-    """A flow whose first scale-net weight matrix is inf, so its output is NaN."""
+    """A flow whose first scale-net weight matrix is NaN, so its output is NaN."""
     flow = init_flow(RngStream(34), h, num_layers=2, hidden=8)
-    params = flow.params()
-    params[0] = np.full_like(params[0], np.inf)
-    flow.set_params(params)
+    flow.params()[0][...] = np.nan
     return flow
 
 
@@ -210,6 +210,30 @@ def test_tiny_flow_nll_gradient_check():
 
     fd = finite_diff_param_grad(f, flow.params(), 1e-5)
     assert max_rel_err(pack(grads), fd) < 1e-4
+
+
+@pytest.mark.parametrize("dim, hidden", [(64, 64), (7, 5)])
+def test_half_width_flow_matches_masked_oracle(dim, hidden):
+    """The masked loop, fed the half-width nets zero-padded to full width,
+    gives the same log-densities; an odd dim splits its halves unevenly."""
+    rng = RngStream(35)
+    flow = init_flow(rng.derive(0), dim, hidden=hidden)
+    noise = rng.derive(1)
+    for p in flow.params():
+        p += 0.1 * noise.gaussian(p.size).reshape(p.shape)
+    latents = rng.derive(2).gaussian(300 * dim).reshape(300, dim)
+    assert max_rel_err(flow_log_prob_batch(flow, latents),
+                       reference_masked_log_prob(flow, latents), floor=1e-300) < 1e-12
+
+
+def test_default_flow_holds_only_live_parameters():
+    """At the default size every coupling parameter gets a gradient: none
+    is multiplied by zero on its way to the loss."""
+    rng = RngStream(36)
+    flow = init_flow(rng.derive(0), 64)
+    assert sum(p.size for p in flow.params()) == 67_072
+    _, grads = _nll_loss_and_grads(flow, rng.derive(1).gaussian(16 * 64).reshape(16, 64))
+    assert all((g != 0.0).all() for g in grads)
 
 
 def test_train_flow_deterministic(tmp_path):

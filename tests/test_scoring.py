@@ -77,9 +77,7 @@ def test_combined_without_standardization_rejected(models, frames):
 def test_non_finite_flow_raises_scoring_error(frames):
     ae = init_autoencoder(RngStream(11), LATENT)
     flow = init_flow(RngStream(12), LATENT, num_layers=4, hidden=16)
-    params = flow.params()
-    params[0] = np.full_like(params[0], np.inf)
-    flow.set_params(params)
+    flow.params()[0][...] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ScoringError):
         score_frames(ae, flow, frames[:3])
 
