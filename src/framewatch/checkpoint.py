@@ -128,12 +128,12 @@ def _read_mlp(data, where: str, ends=None) -> Mlp:
     if not (isinstance(weights, list) and weights and all(
             isinstance(w, np.ndarray) and w.ndim == 2 and w.size for w in weights)):
         raise CheckpointError(f"{where}.weights: expected a list of non-empty matrices")
-    n = len(weights)
     dims = [w.shape[1] for w in weights] + [weights[-1].shape[0]]
     if ends and (dims[0], dims[-1]) != (ends[0][1], ends[1][1]):
         (a, m), (b, n) = ends
         raise CheckpointError(f"{where}: maps {dims[0]} -> {dims[-1]}, "
                               f"expected {a} {m} -> {b} {n}")
+    n = len(weights)
     acts = _list(data, "activations", where, n)
     biases = _list(data, "biases", where, n)
     layers = []

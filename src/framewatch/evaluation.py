@@ -145,8 +145,10 @@ def evaluate(scored_test: list[ScoredSample],
     per_axis: dict[str, float] = {}
     for axis_name, get, values in _AXES:
         for value in values:
-            subset = np.isin(pos_types, [atype for atype in of_type if atype in taxonomy
-                                         and get(taxonomy[atype]) == value])
+            subset = np.zeros(pos.size, dtype=bool)
+            for atype in of_type:
+                if atype in taxonomy and get(taxonomy[atype]) == value:
+                    subset |= of_type[atype]
             if not subset.any():
                 warnings.append(f"axis {axis_name}={value} has no test samples; omitted")
                 continue
@@ -155,9 +157,8 @@ def evaluate(scored_test: list[ScoredSample],
     tau = choose_threshold(val_scores, q)
     val_fpr = float(np.mean(np.asarray(val_scores) > tau))
 
-    counts = {"normal": int(neg.size), "anomalous": int(pos.size)}
-    for atype, mask in of_type.items():
-        counts[f"type:{atype}"] = int(mask.sum())
+    counts = {"normal": int(neg.size), "anomalous": int(pos.size),
+              **{f"type:{atype}": int(mask.sum()) for atype, mask in of_type.items()}}
 
     return EvalReport(
         overall_auc=overall,

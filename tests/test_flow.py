@@ -94,7 +94,7 @@ def test_coupling_log_det_matches_jacobian():
     (0, (2, 8, 3), (2, 8, 3)),   # 5 dims split 3 / 2 by parity 0, not 2 / 3
     (1, (2, 8, 2), (2, 8, 3)),   # shift net does not match the scale net
     (2, (2, 8, 2), (2, 8, 2)),   # no such parity
-    (0, (1, 8, 0), (1, 8, 0)),   # a 1-dim layer transforms nothing
+    (0, (1, 8, 0), (1, 8, 0)),   # init_flow over 1 dim: nothing to transform
 ], ids=["wrong-split", "nets-differ", "parity-2", "empty-half"])
 def test_coupling_rejects_bad_halves(parity, scale_dims, shift_dims):
     """The constructor holds the one rule on the halves: both non-empty,
@@ -102,11 +102,6 @@ def test_coupling_rejects_bad_halves(parity, scale_dims, shift_dims):
     with pytest.raises(ContractViolationError):
         CouplingLayer(parity, init_mlp(RngStream(0), scale_dims, ACTS),
                       init_mlp(RngStream(1), shift_dims, ACTS))
-
-
-def test_flow_over_one_dim_rejected():
-    with pytest.raises(ContractViolationError):
-        init_flow(RngStream(0), 1)
 
 
 @pytest.mark.parametrize("scale_clamp", [float("nan"), float("inf")],
