@@ -23,7 +23,7 @@ import numpy as np
 from .config import check_ranges
 from .data_io import FRAME_PIXELS
 from .errors import ContractViolationError, TrainingError
-from .nn import (Activation, AdamState, Mlp, adam_step, init_mlp)
+from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
 from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
@@ -46,8 +46,17 @@ class AutoencoderConfig:
 
 @dataclass
 class AutoencoderModel:
+    """An encoder from input_dim to latent_dim and a decoder back."""
+
     encoder: Mlp
     decoder: Mlp
+
+    def __post_init__(self):
+        ends = (self.decoder.in_dim, self.decoder.out_dim)
+        if ends != (self.latent_dim, self.input_dim):
+            raise ContractViolationError(
+                f"AutoencoderModel: decoder maps {ends[0]} -> {ends[1]}, expected "
+                f"latent_dim {self.latent_dim} -> input_dim {self.input_dim}")
 
     @property
     def latent_dim(self) -> int:
@@ -59,11 +68,6 @@ class AutoencoderModel:
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
-
-    def set_params(self, params):
-        n_enc = 2 * len(self.encoder.layers)
-        self.encoder.set_params(params[:n_enc])
-        self.decoder.set_params(params[n_enc:])
 
 
 @dataclass
@@ -112,6 +116,13 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
     return errors
 
 
+def _cast(model: AutoencoderModel, dtype) -> AutoencoderModel:
+    """A copy of `model` with every parameter cast to `dtype`."""
+    return AutoencoderModel(*(
+        Mlp([DenseLayer(l.weights.astype(dtype), l.bias.astype(dtype), l.activation)
+             for l in net.layers]) for net in (model.encoder, model.decoder)))
+
+
 def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
     """Mean-over-batch-and-pixels MSE loss and its parameter gradients."""
     enc_cache, dec_cache = [], []
@@ -146,8 +157,7 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                 f"(n, {FRAME_PIXELS}) array, got shape {x.shape}")
 
     rng = RngStream(seed)
-    model = init_autoencoder(rng.derive(0), config.latent_dim)
-    model.set_params([p.astype(np.float32) for p in model.params()])
+    model = _cast(init_autoencoder(rng.derive(0), config.latent_dim), np.float32)
     shuffle_rng = rng.derive(1)
 
     params = model.params()
@@ -173,7 +183,7 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
     # Free the moments and the last gradients before the float64 copy is
     # made, so that the copy can reuse their memory.
     del state, grads
-    model.set_params([p.astype(np.float64) for p in params])
+    model = _cast(model, np.float64)
     if report.val_loss[-1] > report.val_loss[0]:
         report.warnings.append(
             "validation loss did not improve over training "

@@ -13,15 +13,16 @@ describes every array, then the arrays' raw bytes.
 
 The header is the tree `pipeline_to_dict` returns, with each numpy array
 replaced by `{"shape": [...], "offset": n}`, n being the array's byte
-offset in the payload.  It holds what loading uses and nothing else: the
-networks, each coupling layer's scale clamp, the score settings, the
-threshold and the quantile it was chosen at.  Each fact is stored once:
-`format_version` and `model_kind` only at the top level, each network's
-dims only as its weight shapes, and each coupling layer's clamp only in
-the flow's `scale_clamps` list.  A coupling layer's parity is its index
-k % 2, so its half-width nets map the latent dims i % 2 == k % 2 to the
-others.  How the models were trained (the run config and its seed) is
-recorded in `train_report.json`, not here.
+offset in the payload.  It holds the networks, each coupling layer's
+scale clamp, the score settings, the threshold and the quantile it was
+chosen at; loading uses all but the quantile, which is range-checked and
+not returned.  Each fact is stored once: `format_version` and
+`model_kind` only at the top level, each network's dims only as its
+weight shapes, and each coupling layer's clamp only in the flow's
+`scale_clamps` list.  A coupling layer's parity is its index k % 2, so
+its half-width nets map the latent dims i % 2 == k % 2 to the others.
+How the models were trained (the run config and its seed) is recorded
+in `train_report.json`, not here.
 
 The parameters (weights, biases, whitening vectors) are stored as their
 own bytes, not as text: base64 would make the file a third larger,
@@ -31,18 +32,20 @@ array, so a reloaded model reproduces scores bit-exactly.  Scalars
 (clamps, threshold, standardization, alpha) stay JSON numbers.
 
 `load_json` checks the layout before it reads any array: the magic, the
-header length against the file size, and that the array offsets are
-8-byte aligned, in bounds, non-overlapping and in header order, and that
-the arrays cover the payload exactly.  `pipeline_from_dict` then checks
-and builds in one pass: each network's dims come from its weight shapes,
-which must chain; the encoder's give `input_dim` and `latent_dim`, which
-the decoder, the flow and the whitening vectors are checked against.
-Keys, types, array shapes and finiteness are checked before a value
-reaches a model or config constructor, and a rule that a type owns (a
-coupling layer's halves and clamp, the score mode and alpha, the
-positive score spreads) is checked by that constructor, its error
-reported as a CheckpointError.  Building a model has no side effects, so
-`pipeline_from_dict` returns nothing unless the whole file passed.
+header length against the file size, that each array's offset is the
+integer where the array before it ends (so the offsets are 8-byte
+aligned and in header order) and in bounds, and that the arrays cover
+the payload exactly.  `pipeline_from_dict` then checks the file's own
+rules (keys, JSON types, list lengths, each array a float64 array, the
+format, kind, threshold and quantile) and builds the types, which check
+their own parts: `DenseLayer` its shapes, dtypes, finiteness and non-zero
+widths, `Mlp` that its layers chain, `AutoencoderModel` that the decoder
+maps latent_dim back to input_dim, `CouplingLayer` its halves and clamp,
+`FlowModel` its layers' dim and its finite whitening vectors with
+positive std, and `ScoreConfig` and `ScoreStandardization` the score
+settings.  Each type's rejection is reported as a one-line
+CheckpointError with the key path.  Building a model has no side effects,
+so `pipeline_from_dict` returns nothing unless the whole file passed.
 Format 1 to 5 files (JSON documents, then full-width coupling nets with
 masks) are rejected: retrain to write a format 6 checkpoint.
 """
@@ -71,20 +74,20 @@ _LENGTH = struct.Struct("<Q")
 _F8 = np.dtype("<f8")
 
 
-def _array(value, shape: tuple[int, ...], where: str,
-           size: str | None = None) -> np.ndarray:
-    """`value` if it is a finite float64 array of `shape`; `size` names the
-    shape in the mismatch message."""
-    if (not isinstance(value, np.ndarray) or value.dtype.kind != "f"
-            or value.dtype.itemsize != 8):
+def _array(value, where: str) -> np.ndarray:
+    """`value` if it is a float64 array."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
         raise CheckpointError(f"{where}: expected a float64 array")
-    if value.shape != shape:
-        need = f"{size} needs" if size else "expected"
-        raise CheckpointError(
-            f"{where}: has shape {list(value.shape)}, {need} {list(shape)}")
-    if not np.isfinite(value).all():
-        raise CheckpointError(f"{where}: non-finite value")
-    return value.astype(np.float64, copy=False)
+    return value
+
+
+def _build(where: str, make, *args):
+    """make(*args), the type's rejection of its parts reported as a
+    CheckpointError at `where`."""
+    try:
+        return make(*args)
+    except (ContractViolationError, ConfigError) as exc:
+        raise CheckpointError(f"{where}: {exc}") from None
 
 
 def _get(data, key: str, where: str):
@@ -120,19 +123,10 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def _read_mlp(data, where: str, ends=None) -> Mlp:
-    """The network stored at `where`.  Its dims are its weight shapes,
-    which must chain: layer i maps dims[i] to dims[i + 1].  `ends`, if
-    given, is the ((name, dim), (name, dim)) it must map between."""
+def _read_mlp(data, where: str) -> Mlp:
     weights = _get(data, "weights", where)
-    if not (isinstance(weights, list) and weights and all(
-            isinstance(w, np.ndarray) and w.ndim == 2 and w.size for w in weights)):
-        raise CheckpointError(f"{where}.weights: expected a list of non-empty matrices")
-    dims = [w.shape[1] for w in weights] + [weights[-1].shape[0]]
-    if ends and (dims[0], dims[-1]) != (ends[0][1], ends[1][1]):
-        (a, m), (b, n) = ends
-        raise CheckpointError(f"{where}: maps {dims[0]} -> {dims[-1]}, "
-                              f"expected {a} {m} -> {b} {n}")
+    if not isinstance(weights, list):
+        raise CheckpointError(f"{where}.weights: expected a list")
     n = len(weights)
     acts = _list(data, "activations", where, n)
     biases = _list(data, "biases", where, n)
@@ -143,10 +137,11 @@ def _read_mlp(data, where: str, ends=None) -> Mlp:
         except ValueError:
             raise CheckpointError(
                 f"{where}.activations[{i}]: unknown activation {acts[i]!r}") from None
-        layers.append(DenseLayer(
-            _array(weights[i], (dims[i + 1], dims[i]), f"{where}.weights[{i}]"),
-            _array(biases[i], (dims[i + 1],), f"{where}.biases[{i}]"), act))
-    return Mlp(layers)
+        layers.append(_build(
+            f"{where} layer {i}", DenseLayer,
+            _array(weights[i], f"{where}.weights[{i}]"),
+            _array(biases[i], f"{where}.biases[{i}]"), act))
+    return _build(where, Mlp, layers)
 
 
 def autoencoder_to_dict(model: AutoencoderModel) -> dict:
@@ -157,12 +152,9 @@ def autoencoder_to_dict(model: AutoencoderModel) -> dict:
 
 
 def _read_autoencoder(data, where: str) -> AutoencoderModel:
-    """The encoder's ends define input_dim and latent_dim; the decoder must
-    map them back."""
-    encoder = _read_mlp(_get(data, "encoder", where), f"{where}.encoder")
-    decoder = _read_mlp(_get(data, "decoder", where), f"{where}.decoder",
-                        (("latent_dim", encoder.out_dim), ("input_dim", encoder.in_dim)))
-    return AutoencoderModel(encoder=encoder, decoder=decoder)
+    return _build(where, AutoencoderModel,
+                  _read_mlp(_get(data, "encoder", where), f"{where}.encoder"),
+                  _read_mlp(_get(data, "decoder", where), f"{where}.decoder"))
 
 
 def flow_to_dict(model: FlowModel) -> dict:
@@ -177,33 +169,21 @@ def flow_to_dict(model: FlowModel) -> dict:
 
 def _read_flow(data, where: str, dim: int) -> FlowModel:
     """The flow over the autoencoder's `dim` latents; layer k has parity
-    k % 2, and CouplingLayer checks that its nets fit it."""
-    size = f"latent_dim {dim}"
+    k % 2."""
     clamps = _get(data, "scale_clamps", where)
     if not isinstance(clamps, list):
         raise CheckpointError(f"{where}.scale_clamps: expected a list")
     n = len(clamps)
     scale_nets = _list(data, "scale_nets", where, n)
     shift_nets = _list(data, "shift_nets", where, n)
-    layers = []
-    for k in range(n):
-        scale_net = _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]")
-        shift_net = _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]")
-        clamp = _finite(clamps[k], f"{where}.scale_clamps[{k}]")
-        try:
-            layers.append(CouplingLayer(k % 2, scale_net, shift_net, clamp))
-        except ContractViolationError as exc:
-            raise CheckpointError(f"{where}: coupling layer {k}: {exc}") from None
-        if layers[k].dim != dim:
-            raise CheckpointError(f"{where}: coupling layer {k} maps "
-                                  f"{layers[k].dim} dims, {size} needs {dim}")
-    std = _array(_get(data, "whitening_std", where), (dim,),
-                 f"{where}.whitening_std", size)
-    if not (std > 0.0).all():
-        raise CheckpointError(f"{where}.whitening_std: must be positive")
-    mean = _array(_get(data, "whitening_mean", where), (dim,),
-                  f"{where}.whitening_mean", size)
-    return FlowModel(layers=layers, dim=dim, whitening_mean=mean, whitening_std=std)
+    layers = [_build(f"{where} coupling layer {k}", CouplingLayer, k % 2,
+                     _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]"),
+                     _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]"),
+                     _finite(clamps[k], f"{where}.scale_clamps[{k}]"))
+              for k in range(n)]
+    return _build(f"{where} over latent_dim {dim}", FlowModel, layers, dim,
+                  _array(_get(data, "whitening_mean", where), f"{where}.whitening_mean"),
+                  _array(_get(data, "whitening_std", where), f"{where}.whitening_std"))
 
 
 def pipeline_to_dict(ae: AutoencoderModel, flow: FlowModel,
@@ -229,11 +209,8 @@ def _read_standardization(data, where: str) -> ScoreStandardization:
     names = [f.name for f in fields(ScoreStandardization)]
     if not isinstance(data, dict) or sorted(data) != sorted(names):
         raise CheckpointError(f"{where}: expected exactly the keys {names}")
-    values = {name: _number(data, name, where) for name in names}
-    try:
-        return ScoreStandardization(**values)
-    except ConfigError as exc:
-        raise CheckpointError(f"{where}: {exc}") from None
+    return _build(where, ScoreStandardization,
+                  *(_number(data, name, where) for name in names))
 
 
 def pipeline_from_dict(data: dict):
@@ -258,12 +235,9 @@ def pipeline_from_dict(data: dict):
     standardization = _read_standardization(
         _get(data, "score_standardization", "checkpoint"),
         "checkpoint.score_standardization")
-    try:
-        score_config = ScoreConfig(mode=_get(data, "score_mode", "checkpoint"),
-                                   alpha=_number(data, "score_alpha", "checkpoint"),
-                                   standardization=standardization)
-    except ConfigError as exc:
-        raise CheckpointError(f"checkpoint: {exc}") from None
+    score_config = _build("checkpoint", ScoreConfig,
+                          _get(data, "score_mode", "checkpoint"),
+                          _number(data, "score_alpha", "checkpoint"), standardization)
     return ae, flow, score_config, _number(data, "threshold", "checkpoint")
 
 
@@ -298,8 +272,9 @@ def save_json(data, path: Path | str) -> None:
 def _parse_header(raw: bytes, path: Path, payload: int, arrays: list[np.ndarray]):
     """The parsed header.  Each array entry becomes an empty `<f8` array,
     appended to `arrays`, once its shape and offset are checked: the offset
-    is 8-byte aligned and is where the array before it ends, and the array
-    ends inside the `payload` bytes.  The last array must end the payload."""
+    is the integer where the array before it ends (0 for the first, so
+    every offset is 8-byte aligned), and the array ends inside the
+    `payload` bytes.  The last array must end the payload."""
     end = 0
 
     def entry(obj: dict):
@@ -311,17 +286,13 @@ def _parse_header(raw: bytes, path: Path, payload: int, arrays: list[np.ndarray]
         if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
             raise CheckpointError(
                 f"{what}: shape must be a list of non-negative integers")
-        if type(offset) is not int or offset < 0 or offset % _F8.itemsize:
-            raise CheckpointError(f"{what}: offset must be a non-negative integer "
-                                  f"multiple of {_F8.itemsize}, got {offset!r}")
+        if type(offset) is not int or offset != end:
+            raise CheckpointError(f"{what}: offset must be the integer {end}, where "
+                                  f"the array before it ends, got {offset!r}")
         stop = offset + _F8.itemsize * math.prod(shape)
         if stop > payload:
             raise CheckpointError(f"{what}: bytes {offset} to {stop} lie past the end "
                                   f"of the {payload}-byte payload")
-        if offset != end:
-            problem = "overlaps" if offset < end else "leaves a gap after"
-            raise CheckpointError(f"{what}: offset {offset} {problem} the array "
-                                  f"before it, which ends at {end}")
         end = stop
         arrays.append(np.empty(shape, dtype=_F8))
         return arrays[-1]

@@ -110,11 +110,7 @@ def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:
     return float(np.quantile(val_scores, q))
 
 
-_AXES = (
-    ("level", lambda lab: lab.level, LEVELS),
-    ("geometric", lambda lab: lab.geometric, YES_NO),
-    ("hazard", lambda lab: lab.hazard, YES_NO),
-)
+_AXES = (("level", LEVELS), ("geometric", YES_NO), ("hazard", YES_NO))
 
 
 def evaluate(scored_test: list[ScoredSample],
@@ -143,11 +139,11 @@ def evaluate(scored_test: list[ScoredSample],
         per_type[atype] = auc_from_scores(pos[of_type[atype]], neg)
 
     per_axis: dict[str, float] = {}
-    for axis_name, get, values in _AXES:
+    for axis_name, values in _AXES:
         for value in values:
             subset = np.zeros(pos.size, dtype=bool)
             for atype in of_type:
-                if atype in taxonomy and get(taxonomy[atype]) == value:
+                if atype in taxonomy and getattr(taxonomy[atype], axis_name) == value:
                     subset |= of_type[atype]
             if not subset.any():
                 warnings.append(f"axis {axis_name}={value} has no test samples; omitted")

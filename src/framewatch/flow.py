@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import check_ranges
 from .errors import ContractViolationError, ScoringError, TrainingError
-from .nn import Activation, AdamState, Mlp, adam_step, init_mlp
+from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
 from .rng import RngStream
 
 DEFAULT_NUM_LAYERS = 8
@@ -72,15 +72,29 @@ class CouplingLayer:
 
 @dataclass
 class FlowModel:
+    """Coupling layers over `dim`-vectors, each latent whitened first by
+    finite (dim,) mean and std vectors, the std positive."""
+
     layers: list[CouplingLayer]
     dim: int
-    whitening_mean: np.ndarray   # (h,)
-    whitening_std: np.ndarray    # (h,), floored at STD_FLOOR
+    whitening_mean: np.ndarray   # (dim,)
+    whitening_std: np.ndarray    # (dim,)
 
     def __post_init__(self):
+        for k, layer in enumerate(self.layers):
+            if layer.dim != self.dim:
+                raise ContractViolationError(f"FlowModel: coupling layer {k} maps "
+                                             f"{layer.dim} dims, not dim {self.dim}")
         self.whitening_mean = np.asarray(self.whitening_mean, dtype=np.float64)
-        self.whitening_std = np.maximum(
-            np.asarray(self.whitening_std, dtype=np.float64), STD_FLOOR)
+        self.whitening_std = np.asarray(self.whitening_std, dtype=np.float64)
+        for name, value in (("whitening_mean", self.whitening_mean),
+                            ("whitening_std", self.whitening_std)):
+            if value.shape != (self.dim,) or not np.isfinite(value).all():
+                raise ContractViolationError(
+                    f"FlowModel: {name} (shape {list(value.shape)}) must be a finite "
+                    f"array of shape [{self.dim}]")
+        if not (self.whitening_std > 0.0).all():
+            raise ContractViolationError("FlowModel: whitening_std must be positive")
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -132,13 +146,13 @@ def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
     Each net is a full dim -> hidden -> dim `init_mlp` draw cut to half
     width: the columns of the dims a and the rows of the dims b."""
     def half_width(net_rng: RngStream, p: int) -> Mlp:
-        net = init_mlp(net_rng, (dim, hidden, dim),
-                       [Activation.TANH, Activation.IDENTITY])
-        first, last = net.layers
-        first.weights = np.ascontiguousarray(first.weights[:, p::2])
-        last.weights = np.ascontiguousarray(last.weights[1 - p::2])
-        last.bias = last.bias[1 - p::2].copy()
-        return net
+        first, last = init_mlp(net_rng, (dim, hidden, dim),
+                               [Activation.TANH, Activation.IDENTITY]).layers
+        return Mlp([
+            DenseLayer(np.ascontiguousarray(first.weights[:, p::2]), first.bias,
+                       first.activation),
+            DenseLayer(np.ascontiguousarray(last.weights[1 - p::2]),
+                       last.bias[1 - p::2].copy(), last.activation)])
 
     layers = [CouplingLayer(k % 2, half_width(rng.derive(2 * k), k % 2),
                             half_width(rng.derive(2 * k + 1), k % 2), scale_clamp)
@@ -257,8 +271,8 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                config: FlowConfig, seed: int = 0):
     """Fit the flow to normal latents by maximum likelihood.
 
-    Whitening statistics come from the training latents only.  Returns
-    (model, report); deterministic given `seed`.
+    Whitening statistics come from the training latents only, each std
+    floored at STD_FLOOR.  Returns (model, report); deterministic given `seed`.
     """
     train_latents = np.asarray(train_latents, dtype=np.float64)
     val_latents = np.asarray(val_latents, dtype=np.float64)
@@ -274,7 +288,7 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
     flow = init_flow(rng.derive(0), dim, config.num_layers, config.scale_clamp,
                      config.hidden,
                      whitening_mean=train_latents.mean(axis=0),
-                     whitening_std=train_latents.std(axis=0))
+                     whitening_std=np.maximum(train_latents.std(axis=0), STD_FLOOR))
     shuffle_rng = rng.derive(1)
 
     train_z0 = flow.whiten(train_latents)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,9 @@ from .rng import RngStream
 
 LEAKY_SLOPE = 0.01
 ADAM_BLOCK = 1 << 15   # elements per array updated at once by adam_step
+ADAM_BETA1 = 0.9       # Adam's moment decay rates and denominator epsilon
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class Activation(enum.Enum):
@@ -96,6 +99,9 @@ class DenseLayer:
             raise ContractViolationError(
                 f"DenseLayer: bias length {self.bias.shape[0]} does not match "
                 f"out_dim {self.weights.shape[0]}")
+        if not self.weights.size:
+            raise ContractViolationError(
+                f"DenseLayer: weights of shape {self.weights.shape} have a zero width")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ContractViolationError("DenseLayer: parameters must be finite")
 
@@ -160,7 +166,15 @@ def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
 
 @dataclass
 class Mlp:
-    layers: list[DenseLayer] = field(default_factory=list)
+    layers: list[DenseLayer]
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ContractViolationError("Mlp: needs at least one layer")
+        for i, (a, b) in enumerate(zip(self.layers, self.layers[1:])):
+            if a.out_dim != b.in_dim:
+                raise ContractViolationError(f"Mlp: layer {i} maps to {a.out_dim} "
+                                             f"dims, layer {i + 1} reads {b.in_dim}")
 
     @property
     def in_dim(self) -> int:
@@ -198,13 +212,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def set_params(self, params: Sequence[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise ContractViolationError("set_params: wrong parameter count")
-        for i, layer in enumerate(self.layers):
-            layer.weights = _float_array(params[2 * i])
-            layer.bias = _float_array(params[2 * i + 1])
-
 
 def init_mlp(rng: RngStream, dims: Sequence[int],
              activations: Sequence[Activation]) -> Mlp:
@@ -231,9 +238,9 @@ class AdamState:
 
 
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-              state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> None:
-    """One bias-corrected Adam update (Kingma & Ba, Alg. 1), in place.
+              state: AdamState, lr: float = 1e-3) -> None:
+    """One bias-corrected Adam update (Kingma & Ba, Alg. 1), in place, with
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
 
     Writes `params`, `state.first_moment` and `state.second_moment` and
     increments `state.step_count`.  Every array shares one float dtype, in
@@ -243,8 +250,6 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
     gradient, runs before anything is written: a failed step leaves params
     and state untouched.
     """
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ContractViolationError("adam_step: betas must lie in [0, 1)")
     if not (len(params) == len(grads) == len(state.first_moment)
             == len(state.second_moment)):
         raise ContractViolationError("adam_step: params/grads/state length mismatch")
@@ -269,8 +274,8 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
         if not np.isfinite(g).all():
             raise TrainingError(f"adam_step: non-finite gradient at step {t}, "
                                 f"parameter {i}")
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     scratch_a = np.empty(block, dtype)
     scratch_b = np.empty(block, dtype)
@@ -281,18 +286,18 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             pb, gb, mb, vb = p[cut], g[cut], m[cut], v[cut]
             a, b = scratch_a[:pb.size], scratch_b[:pb.size]
             # m = beta1*m + (1-beta1)*g
-            np.multiply(mb, beta1, out=mb)
-            np.multiply(gb, 1.0 - beta1, out=a)
+            np.multiply(mb, ADAM_BETA1, out=mb)
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
             np.add(mb, a, out=mb)
             # v = beta2*v + ((1-beta2)*g)*g
-            np.multiply(vb, beta2, out=vb)
-            np.multiply(gb, 1.0 - beta2, out=a)
+            np.multiply(vb, ADAM_BETA2, out=vb)
+            np.multiply(gb, 1.0 - ADAM_BETA2, out=a)
             np.multiply(a, gb, out=a)
             np.add(vb, a, out=vb)
             # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
             np.divide(vb, c2, out=a)
             np.sqrt(a, out=a)
-            np.add(a, epsilon, out=a)
+            np.add(a, ADAM_EPSILON, out=a)
             np.divide(mb, c1, out=b)
             np.multiply(b, lr, out=b)
             np.divide(b, a, out=b)

@@ -185,11 +185,11 @@ def reference_evaluate(scored_test, taxonomy, val_scores, q=0.99):
         per_type[atype] = auc_from_scores(subset, neg)
 
     per_axis = {}
-    for axis_name, get, values in _AXES:
+    for axis_name, values in _AXES:
         for value in values:
             subset = np.array([
-                s.score for s in pos_samples
-                if s.anomaly_type in taxonomy and get(taxonomy[s.anomaly_type]) == value])
+                s.score for s in pos_samples if s.anomaly_type in taxonomy
+                and getattr(taxonomy[s.anomaly_type], axis_name) == value])
             if subset.size == 0:
                 warnings.append(f"axis {axis_name}={value} has no test samples; omitted")
                 continue

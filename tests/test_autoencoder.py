@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from framewatch.autoencoder import (AutoencoderConfig, encode_batch,
+from framewatch.autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                                     init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict, save_json
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError
+from framewatch.nn import Activation, init_mlp
 from framewatch.rng import RngStream
 
 from _helpers import finite_diff_param_grad, max_rel_err, pack
@@ -33,7 +34,8 @@ def decode(model, latent):
 
 def _zero_model(latent_dim=8):
     model = init_autoencoder(RngStream(0), latent_dim)
-    model.set_params([np.zeros_like(p) for p in model.params()])
+    for p in model.params():
+        p[...] = 0.0
     return model
 
 
@@ -122,6 +124,16 @@ def test_train_deterministic_checkpoints(tmp_path):
         model, _ = train_autoencoder(x[:4], x[4:], cfg, seed=12)
         save_json(autoencoder_to_dict(model), tmp_path / name)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("decoder_dims", [(4, 8, 9), (5, 8, 16)],
+                         ids=["wrong-output", "wrong-input"])
+def test_autoencoder_model_rejects_decoder_that_does_not_map_back(decoder_dims):
+    """An encoder of 16 -> 8 -> 4 needs a decoder of 4 -> ... -> 16."""
+    acts = [Activation.LEAKY_RELU] * 2
+    encoder = init_mlp(RngStream(0), (16, 8, 4), acts)
+    with pytest.raises(ContractViolationError, match="latent_dim 4 -> input_dim 16"):
+        AutoencoderModel(encoder, init_mlp(RngStream(1), decoder_dims, acts))
 
 
 def test_train_rejects_empty_split():

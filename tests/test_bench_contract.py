@@ -20,6 +20,7 @@ import pytest
 
 from framewatch import nn
 from framewatch.autoencoder import encode_batch, init_autoencoder
+from framewatch.checkpoint import load_json, pipeline_from_dict, pipeline_to_dict, save_json
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
 from framewatch.evaluation import evaluate
 from framewatch.flow import ScoredSample, coupling_forward, init_flow
@@ -91,9 +92,11 @@ def test_package_calls_the_bench_makes(tmp_path):
     """The calls perfbench/ makes into the package, with the arguments it
     passes: Frame(pixels, source_id=, timestamp=) with .pixels and .flat(),
     len() of each loaded split, apply_anomaly returning a Frame,
-    score_frames on a list of Frames and on a loaded split, and the kernel
-    suite's coupling_forward on a whitened latent and evaluate on a list of
-    ScoredSamples."""
+    score_frames on a list of Frames and on a loaded split, the checkpoint
+    round trip (five positional arguments to pipeline_to_dict, a 4-tuple
+    back from pipeline_from_dict), and the kernel suite's reads of the
+    reloaded autoencoder's layers and parameters, its coupling_forward on a
+    whitened latent and evaluate on a list of ScoredSamples."""
     spec = SynthSpec(seed=2, n_train=3, n_val=4, n_test_normal=2,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 0})
     generate_scenario(spec, tmp_path / "scenario")
@@ -118,6 +121,15 @@ def test_package_calls_the_bench_makes(tmp_path):
     assert scores.shape == (2,) and np.isfinite(scores).all()
     assert score_frames(ae, flow, [frame], ScoreConfig()).shape == (1,)
     assert score_frames(ae, flow, dataset.val, ScoreConfig()).shape == (4,)
+
+    path = tmp_path / "kernel_checkpoint.json"
+    save_json(pipeline_to_dict(ae, flow, ScoreConfig(), 1.5, 0.99), path)
+    ae, flow, score_config, threshold = pipeline_from_dict(load_json(path))
+    assert isinstance(score_config, ScoreConfig) and threshold == 1.5
+    assert [(layer.in_dim, layer.out_dim) for layer in ae.encoder.layers
+            + ae.decoder.layers] == [(FRAME_PIXELS, 512), (512, 128), (128, 4),
+                                     (4, 128), (128, 512), (512, FRAME_PIXELS)]
+    assert [p.shape for p in ae.params()][:2] == [(512, FRAME_PIXELS), (512,)]
 
     latent = encode_batch(ae, frame.flat()[None, :])
     y, log_det = coupling_forward(flow.layers[0], flow.whiten(latent)[0])

@@ -5,7 +5,7 @@ import pytest
 
 from framewatch.checkpoint import flow_to_dict, save_json
 from framewatch.errors import ContractViolationError, ScoringError
-from framewatch.flow import (CouplingLayer, FlowConfig, FlowModel,
+from framewatch.flow import (STD_FLOOR, CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
                              flow_forward_batch, flow_inverse_batch,
                              flow_log_prob_batch, init_flow, train_flow)
@@ -250,6 +250,38 @@ def test_train_flow_whitening_from_train_only():
     flow, _ = train_flow(latents, val, cfg, seed=9)
     assert np.allclose(flow.whitening_mean, latents.mean(axis=0))
     assert np.allclose(flow.whitening_std, latents.std(axis=0))
+
+
+def test_train_flow_floors_constant_latent_std():
+    """A latent dim with zero spread on the train split is whitened with
+    std STD_FLOOR, which the flow accepts."""
+    latents = RngStream(42).gaussian(32 * 4).reshape(32, 4)
+    latents[:, 2] = 1.5
+    cfg = FlowConfig(epochs=1, batch_size=16, num_layers=2, hidden=8)
+    flow, _ = train_flow(latents, latents[:8], cfg, seed=3)
+    assert flow.whitening_std[2] == STD_FLOOR
+    assert np.array_equal(flow.whitening_std[[0, 1, 3]], latents.std(axis=0)[[0, 1, 3]])
+
+
+def test_flow_model_rejects_layer_of_other_dim():
+    layers = [_coupling(RngStream(0), 4, 0), _coupling(RngStream(1), 6, 1)]
+    with pytest.raises(ContractViolationError, match="coupling layer 1 maps 6 dims, not dim 4"):
+        FlowModel(layers, 4, np.zeros(4), np.ones(4))
+
+
+@pytest.mark.parametrize("mean, std, match", [
+    (np.zeros(5), np.ones(4), r"whitening_mean \(shape \[5\]\) must be a finite"),
+    (np.zeros(4), np.ones(3), r"whitening_std \(shape \[3\]\) must be a finite"),
+    (np.zeros((1, 4)), np.ones(4), r"whitening_mean \(shape \[1, 4\]\) must be"),
+    (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), r"whitening_mean \(shape \[4\]\)"),
+    (np.zeros(4), np.array([1.0, np.inf, 1.0, 1.0]), r"whitening_std \(shape \[4\]\)"),
+    (np.zeros(4), np.array([1.0, 0.0, 1.0, 1.0]), "whitening_std must be positive"),
+], ids=["long-mean", "short-std", "2-d-mean", "nan-mean", "inf-std", "zero-std"])
+def test_flow_model_rejects_bad_whitening(mean, std, match):
+    """Whitening vectors that would fail later in scoring, or divide by
+    zero there, are rejected when the flow is built."""
+    with pytest.raises(ContractViolationError, match=match):
+        FlowModel([_coupling(RngStream(0), 4, 0)], 4, mean, std)
 
 
 def test_train_flow_rejects_empty():

@@ -6,9 +6,9 @@ import pytest
 from framewatch.autoencoder import AutoencoderConfig, train_autoencoder
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError, TrainingError
-from framewatch.nn import (ADAM_BLOCK, Activation, AdamState, DenseLayer, Mlp,
-                           adam_step, dense_backward_batch, dense_forward_batch,
-                           init_dense, init_mlp)
+from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, Activation,
+                           AdamState, DenseLayer, Mlp, adam_step, dense_backward_batch,
+                           dense_forward_batch, init_dense, init_mlp)
 from framewatch.rng import RngStream
 
 from _helpers import finite_diff_grad, max_rel_err, pack, unpack
@@ -104,10 +104,10 @@ def test_gradient_check_many_random_layers():
 # ---------------------------------------------------------------------------
 # Adam
 
-def reference_adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999,
-                        epsilon=1e-8):
+def reference_adam_step(params, grads, state, lr=1e-3):
     """The functional Adam update the in-place one must match bit for bit:
     returns (new_params, new_state) and leaves its arguments untouched."""
+    beta1, beta2, epsilon = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     t = state.step_count + 1
     new_params, new_m, new_v = [], [], []
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -152,12 +152,11 @@ def _check_adam_against_oracle(dtype):
     state = AdamState.zeros_like(params)
     ref_params = [p.copy() for p in params]
     ref_state = AdamState.zeros_like(params)
-    hyper = dict(lr=3e-3, beta1=0.8, beta2=0.99, epsilon=1e-6)
     for _ in range(3):
         grads = draw()
-        assert adam_step(params, grads, state, **hyper) is None
+        assert adam_step(params, grads, state, lr=3e-3) is None
         ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state,
-                                                    **hyper)
+                                                    lr=3e-3)
         assert _same_bits(params, ref_params)
         assert _same_bits(state.first_moment, ref_state.first_moment)
         assert _same_bits(state.second_moment, ref_state.second_moment)
@@ -188,11 +187,9 @@ def test_adam_first_step_hand_oracle():
     # m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
     g = 0.25
     lr = 0.01
-    eps = 1e-8
     params = [np.array([1.0])]
-    adam_step(params, [np.array([g])], AdamState.zeros_like(params),
-              lr=lr, epsilon=eps)
-    expected = 1.0 - lr * g / (abs(g) + eps)
+    adam_step(params, [np.array([g])], AdamState.zeros_like(params), lr=lr)
+    expected = 1.0 - lr * g / (abs(g) + ADAM_EPSILON)
     assert params[0][0] == pytest.approx(expected, abs=1e-15)
 
 
@@ -262,13 +259,6 @@ def test_adam_rejects_mixed_dtypes():
     assert state.step_count == 0
 
 
-def test_adam_rejects_bad_betas():
-    params = [np.array([1.0])]
-    with pytest.raises(ContractViolationError):
-        adam_step(params, [np.array([0.0])], AdamState.zeros_like(params),
-                  beta1=1.0)
-
-
 # ---------------------------------------------------------------------------
 # Cached pre-activations
 
@@ -326,14 +316,25 @@ def test_float32_kernels_keep_float32(act):
     assert all(a.dtype == F32 for a in state.first_moment + state.second_moment)
 
 
-def test_set_params_keeps_float_dtypes():
-    mlp = init_mlp(RngStream(3), (4, 3, 2), [Activation.TANH] * 2)
-    mlp.set_params([p.astype(F32) for p in mlp.params()])
-    assert all(p.dtype == F32 for p in mlp.params())
-    mlp.set_params([p.astype(np.float64) for p in mlp.params()])
-    assert all(p.dtype == np.float64 for p in mlp.params())
-    mlp.set_params([np.zeros(p.shape, dtype=np.int64) for p in mlp.params()])
-    assert all(p.dtype == np.float64 for p in mlp.params())
+def test_dense_layer_keeps_float_dtypes():
+    layer = init_dense(RngStream(3), 4, 3, Activation.TANH)
+    for dtype, kept in ((F32, F32), (np.float64, np.float64), (np.int64, np.float64)):
+        cast = DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
+        assert cast.weights.dtype == cast.bias.dtype == kept
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_dense_layer_rejects_zero_width(shape):
+    with pytest.raises(ContractViolationError, match="zero"):
+        DenseLayer(np.zeros(shape), np.zeros(shape[0]))
+
+
+def test_mlp_rejects_empty_or_unchained_layers():
+    with pytest.raises(ContractViolationError, match="at least one layer"):
+        Mlp([])
+    rng = RngStream(7)
+    with pytest.raises(ContractViolationError, match="layer 0 maps to 3 dims.*reads 5"):
+        Mlp([init_dense(rng, 4, 3, Activation.TANH), init_dense(rng, 5, 2, Activation.TANH)])
 
 
 def test_dense_layer_rejects_mixed_dtypes():
