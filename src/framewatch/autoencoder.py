@@ -102,7 +102,8 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
     decoding of `latents` (n, latent_dim), their encodings.
 
     Decodes RECON_BLOCK_ROWS rows at a time, so only one block of
-    full-width reconstructions is alive at once.
+    full-width reconstructions is alive at once; the difference and its
+    square are written into that block.
     """
     if flats.shape != (latents.shape[0], model.input_dim):
         raise ContractViolationError(
@@ -111,7 +112,8 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
     errors = np.empty(flats.shape[0])
     for start in range(0, flats.shape[0], RECON_BLOCK_ROWS):
         rows = slice(start, start + RECON_BLOCK_ROWS)
-        diff = model.decoder.forward(latents[rows]) - flats[rows]
+        diff = model.decoder.forward(latents[rows])
+        diff -= flats[rows]
         errors[rows] = np.square(diff, out=diff).mean(axis=1)
     return errors
 
@@ -136,8 +138,9 @@ def _mse_loss_and_grads(model: AutoencoderModel, batch: np.ndarray):
 
 
 def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
-    recon = model.decoder.forward(model.encoder.forward(flats))
-    return float(np.mean((recon - flats) ** 2, dtype=np.float64))
+    diff = model.decoder.forward(model.encoder.forward(flats))
+    diff -= flats
+    return float(np.mean(np.square(diff, out=diff), dtype=np.float64))
 
 
 def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
@@ -176,13 +179,16 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                     f"autoencoder loss non-finite at epoch {epoch}, "
                     f"batch {start // config.batch_size}")
             adam_step(params, grads, state, lr=config.lr)
+            # Dropped now, so the next backward pass is not made while this
+            # step's gradients are still alive.
+            del grads
             epoch_loss += loss * batch.shape[0]
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(_mean_mse(model, val_x))
     report.epochs_run = config.epochs
-    # Free the moments and the last gradients before the float64 copy is
-    # made, so that the copy can reuse their memory.
-    del state, grads
+    # Free the moments before the float64 copy is made, so that the copy
+    # can reuse their memory.
+    del state
     model = _cast(model, np.float64)
     if report.val_loss[-1] > report.val_loss[0]:
         report.warnings.append(

@@ -31,27 +31,30 @@ FRAME_SIDE = 64
 FRAME_PIXELS = FRAME_SIDE * FRAME_SIDE
 FRAME_RATE = 30  # capture rate, frames per second
 
-LEVELS = ("sensory", "semantic")
-YES_NO = ("yes", "no")
-MISSION = ("yes", "no", "unspecified")
+# Each label axis with its allowed values, in labels.csv column order.
+LABEL_AXES = {
+    "level": ("sensory", "semantic"),
+    "hazard": ("yes", "no"),
+    "geometric": ("yes", "no"),
+    "mission_relevant": ("yes", "no", "unspecified"),
+}
 
-LABELS_HEADER = ["filename", "label", "anomaly_type", "level", "hazard",
-                 "geometric", "mission_relevant"]
+LABELS_HEADER = ["filename", "label", "anomaly_type", *LABEL_AXES]
 
 
 @dataclass(frozen=True)
 class AnomalyLabel:
-    """Four-axis categorization of an anomalous sample."""
+    """Four-axis categorization of an anomalous sample; each axis takes one
+    of its LABEL_AXES values."""
 
     anomaly_type: str
-    level: str                     # sensory | semantic
-    hazard: str                    # yes | no
-    geometric: str                 # yes | no
-    mission_relevant: str = "unspecified"  # yes | no | unspecified
+    level: str
+    hazard: str
+    geometric: str
+    mission_relevant: str = "unspecified"
 
     def __post_init__(self):
-        for axis, allowed in (("level", LEVELS), ("hazard", YES_NO),
-                              ("geometric", YES_NO), ("mission_relevant", MISSION)):
+        for axis, allowed in LABEL_AXES.items():
             if getattr(self, axis) not in allowed:
                 raise ContractViolationError(f"invalid {axis} {getattr(self, axis)!r}")
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data_io import LEVELS, YES_NO, AnomalyLabel
+from .data_io import LABEL_AXES, AnomalyLabel
 from .errors import EvaluationError
 from .flow import ScoredSample
 
@@ -110,7 +110,7 @@ def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:
     return float(np.quantile(val_scores, q))
 
 
-_AXES = (("level", LEVELS), ("geometric", YES_NO), ("hazard", YES_NO))
+_AXES = ("level", "geometric", "hazard")   # the label axes with per-value AUCs
 
 
 def evaluate(scored_test: list[ScoredSample],
@@ -139,8 +139,8 @@ def evaluate(scored_test: list[ScoredSample],
         per_type[atype] = auc_from_scores(pos[of_type[atype]], neg)
 
     per_axis: dict[str, float] = {}
-    for axis_name, values in _AXES:
-        for value in values:
+    for axis_name in _AXES:
+        for value in LABEL_AXES[axis_name]:
             subset = np.zeros(pos.size, dtype=bool)
             for atype in of_type:
                 if atype in taxonomy and getattr(taxonomy[atype], axis_name) == value:

@@ -11,7 +11,12 @@ traced, which keeps them checkable against central finite differences.
 
 One forward kernel serves inference and training: given a cache list,
 `dense_forward_batch` and `Mlp.forward` append each layer's (input,
-pre-activation) to it for `Mlp.backward`; inference passes none.
+pre-activation) to it for `Mlp.backward`; inference passes none.  Without
+a cache the layer adds the bias to its product and applies the
+activation in place, so each layer leaves one array, its output.  With a
+cache the activation goes to a new array, because the cache holds the
+pre-activation.  Both paths make the same float operations in the same
+order, so their outputs are bit-equal.
 """
 
 from __future__ import annotations
@@ -47,20 +52,29 @@ def _float_array(a) -> np.ndarray:
     return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-z) overflows to inf for z below about -88.7 in float32 (-709 in
-    # float64), and 1 / inf is the correct limit 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+def _apply_activation(act: Activation, z: np.ndarray,
+                      in_place: bool = False) -> np.ndarray:
+    """act(z), written into z when `in_place`, else into a new array; the
+    identity returns z itself either way.
 
-
-def _apply_activation(act: Activation, z: np.ndarray) -> np.ndarray:
+    Leaky ReLU is max(z, LEAKY_SLOPE * z), which equals
+    where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, -0.0, infinities and
+    NaNs included, and is several times faster.
+    """
+    out = z if in_place else None
     if act is Activation.LEAKY_RELU:
-        return np.where(z >= 0.0, z, LEAKY_SLOPE * z)
+        return np.maximum(z, LEAKY_SLOPE * z, out=out)
     if act is Activation.TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if act is Activation.SIGMOID:
-        return _sigmoid(z)
+        # 1 / (1 + exp(-z)), one pass at a time.  exp(-z) overflows to inf
+        # for z below about -88.7 in float32 (-709 in float64), and 1 / inf
+        # is the correct limit 0.
+        s = np.negative(z, out=out)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        return np.reciprocal(s, out=s)
     return z
 
 
@@ -73,7 +87,7 @@ def _activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
         t = np.tanh(z)
         return 1.0 - t * t
     if act is Activation.SIGMOID:
-        s = _sigmoid(z)
+        s = _apply_activation(act, z)
         return s * (1.0 - s)
     return np.ones_like(z)
 
@@ -102,7 +116,10 @@ class DenseLayer:
         if not self.weights.size:
             raise ContractViolationError(
                 f"DenseLayer: weights of shape {self.weights.shape} have a zero width")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+        # A NaN carries through min and max, and an infinity is one of them,
+        # so this needs no boolean array the size of the weights.
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
+                   for a in (self.weights, self.bias)):
             raise ContractViolationError("DenseLayer: parameters must be finite")
 
     @property
@@ -123,21 +140,26 @@ def init_dense(rng: RngStream, in_dim: int, out_dim: int,
 
 
 def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
-    """W x + b for each row of a (n, in_dim) batch."""
+    """W x + b for each row of a (n, in_dim) batch, the bias added in place
+    to the new product."""
     if xs.ndim != 2 or xs.shape[1] != layer.in_dim:
         raise ContractViolationError(
             f"dense layer: input shape {xs.shape}, expected (n, {layer.in_dim})")
-    return xs @ layer.weights.T + layer.bias
+    z = xs @ layer.weights.T
+    z += layer.bias
+    return z
 
 
 def dense_forward_batch(layer: DenseLayer, xs: np.ndarray,
                         cache: list | None = None) -> np.ndarray:
     """Row-wise forward for a (n, in_dim) batch.  When `cache` is a list,
     the layer's (input, pre-activation) is appended to it for the backward
-    pass."""
+    pass and the output is a new array; without one the activation
+    overwrites the pre-activation."""
     z = _pre_activation(layer, xs)
-    if cache is not None:
-        cache.append((xs, z))
+    if cache is None:
+        return _apply_activation(layer.activation, z, in_place=True)
+    cache.append((xs, z))
     return _apply_activation(layer.activation, z)
 
 

@@ -25,6 +25,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _TWO53_INV = 2.0 ** -53
+UNIFORM_BLOCK = 1 << 16   # words drawn at once by RngStream.uniform
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -60,10 +61,19 @@ class RngStream:
         return words
 
     def uniform(self, n: int) -> np.ndarray:
-        """n uniform doubles in [0, 1) with 53-bit resolution."""
+        """n uniform doubles in [0, 1) with 53-bit resolution.
+
+        The words are drawn UNIFORM_BLOCK at a time and each block is
+        written straight into the output, so a large draw needs no
+        temporaries of its own size.
+        """
         if n < 1:
             raise ContractViolationError(f"uniform: n must be >= 1, got {n}")
-        return (self._raw(n) >> _U64(11)).astype(np.float64) * _TWO53_INV
+        out = np.empty(n)
+        for start in range(0, n, UNIFORM_BLOCK):
+            block = out[start:start + UNIFORM_BLOCK]
+            np.multiply(self._raw(block.size) >> _U64(11), _TWO53_INV, out=block)
+        return out
 
     def gaussian(self, n: int) -> np.ndarray:
         """n independent standard-normal draws via Box-Muller."""
@@ -82,8 +92,11 @@ class RngStream:
         return out[:n]
 
     def uniform_range(self, low: float, high: float, n: int) -> np.ndarray:
-        """n uniform doubles in [low, high)."""
-        return low + (high - low) * self.uniform(n)
+        """n uniform doubles in [low, high): low + (high - low) * u, in place."""
+        u = self.uniform(n)
+        u *= high - low
+        u += low
+        return u
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
         """n integers uniform on the inclusive range [low, high]."""

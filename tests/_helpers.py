@@ -1,17 +1,19 @@
 """Shared test utilities: parameter flattening, relative error
-and the oracles that hand-derived gradients, the rank AUC, the tie grouping of
-ranks and ROC points, the evaluation report, the masked coupling loop, the
-monitor fold and the PGM header parser are checked against."""
+and the oracles that hand-derived gradients, the activations, the blocked
+uniform draw, the rank AUC, the tie grouping of ranks and ROC points, the
+evaluation report, the masked coupling loop, the monitor fold and the PGM
+header parser are checked against."""
 
 import math
 
 import numpy as np
 
+from framewatch.data_io import LABEL_AXES
 from framewatch.errors import ContractViolationError, EvaluationError, ParseError
 from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
                                   choose_threshold)
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
-from framewatch.nn import DenseLayer, Mlp
+from framewatch.nn import LEAKY_SLOPE, Activation, DenseLayer, Mlp
 
 
 def pack(params):
@@ -32,6 +34,25 @@ def max_rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom))
+
+
+def reference_activation(act, z):
+    """Each activation as one expression into a new array: the oracle of
+    the in-place routine."""
+    if act is Activation.LEAKY_RELU:
+        return np.where(z >= 0.0, z, LEAKY_SLOPE * z)
+    if act is Activation.TANH:
+        return np.tanh(z)
+    if act is Activation.SIGMOID:
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
+    return z
+
+
+def reference_uniform(stream, n):
+    """n uniform doubles from `stream` as one draw of n words, the whole
+    request at once: the oracle of the blocked RngStream.uniform."""
+    return (stream._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def brute_force_auc(pos, neg):
@@ -185,8 +206,8 @@ def reference_evaluate(scored_test, taxonomy, val_scores, q=0.99):
         per_type[atype] = auc_from_scores(subset, neg)
 
     per_axis = {}
-    for axis_name, values in _AXES:
-        for value in values:
+    for axis_name in _AXES:
+        for value in LABEL_AXES[axis_name]:
             subset = np.array([
                 s.score for s in pos_samples if s.anomaly_type in taxonomy
                 and getattr(taxonomy[s.anomaly_type], axis_name) == value])

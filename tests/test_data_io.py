@@ -214,6 +214,16 @@ def test_parse_bad_axis_value_reports_line(row):
         parse_labels(data)
 
 
+@pytest.mark.parametrize("axes, first_bad", [
+    (("medium", "maybe", "no", "often"), "level 'medium'"),
+    (("sensory", "maybe", "1", "unspecified"), "hazard 'maybe'"),
+    (("sensory", "no", "1", "often"), "geometric '1'"),
+])
+def test_label_with_two_bad_axes_reports_the_first_column(axes, first_bad):
+    with pytest.raises(ContractViolationError, match=f"^invalid {first_bad}$"):
+        AnomalyLabel("dust", *axes)
+
+
 def test_parse_duplicate_filename():
     data = HEADER + b"a.pgm,normal,,,,,\na.pgm,normal,,,,,\n"
     with pytest.raises(ParseError, match="duplicate"):

@@ -7,11 +7,11 @@ from framewatch.autoencoder import AutoencoderConfig, train_autoencoder
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError, TrainingError
 from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, Activation,
-                           AdamState, DenseLayer, Mlp, adam_step, dense_backward_batch,
-                           dense_forward_batch, init_dense, init_mlp)
+                           AdamState, DenseLayer, Mlp, _apply_activation, adam_step,
+                           dense_backward_batch, dense_forward_batch, init_dense, init_mlp)
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_grad, max_rel_err, pack, unpack
+from _helpers import finite_diff_grad, max_rel_err, pack, reference_activation, unpack
 
 
 def test_dense_forward_identity():
@@ -284,6 +284,58 @@ def test_mlp_backward_cached_matches_recomputing_layers(act):
 
 
 # ---------------------------------------------------------------------------
+# In-place inference: the activation overwrites the layer's own product.
+
+def _special_values(dtype):
+    """Signed zeros, infinities, NaNs with and without a payload,
+    subnormals and the extremes of `dtype`, then a spread of ordinary
+    values."""
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        info.smallest_subnormal, -info.smallest_subnormal,
+                        7 * info.smallest_subnormal, -7 * info.smallest_subnormal,
+                        info.tiny, -info.tiny, info.max, -info.max, -100.0, -1000.0],
+                       dtype)
+    nans = _uint_view(np.array([np.nan, -np.nan], dtype))
+    payload_nans = (nans | nans.dtype.type(0x123)).view(dtype)
+    spread = RngStream(5).uniform_range(-50.0, 50.0, 64).astype(dtype)
+    return np.concatenate([special, payload_nans, spread])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", list(Activation))
+def test_activation_matches_oracle_bitwise_in_place_or_not(act, dtype):
+    z = np.tile(_special_values(dtype), (3, 1))
+    before = z.copy()
+    want = reference_activation(act, before.copy())
+    fresh = _apply_activation(act, z)
+    assert _same_bits([fresh], [want])
+    if act is not Activation.IDENTITY:
+        assert fresh is not z and _same_bits([z], [before])
+    out = _apply_activation(act, z, in_place=True)
+    assert out is z and _same_bits([out], [want])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", list(Activation))
+def test_in_place_and_cached_forward_are_bit_equal(act, dtype):
+    rng = RngStream(6)
+    layer = DenseLayer(init_dense(rng, 7, 5, act).weights.astype(dtype),
+                       rng.uniform_range(-1.0, 1.0, 5).astype(dtype), act)
+    xs = rng.uniform_range(-3.0, 3.0, 4 * 7).reshape(4, 7).astype(dtype)
+    before = xs.copy()
+    plain = dense_forward_batch(layer, xs)
+    cache = []
+    cached = dense_forward_batch(layer, xs, cache)
+    assert plain.dtype == cached.dtype == dtype
+    assert np.array_equal(plain, cached)
+    assert np.array_equal(xs, before)
+    (cached_xs, z), = cache
+    assert cached_xs is xs
+    assert np.array_equal(z, xs @ layer.weights.T + layer.bias)
+
+
+# ---------------------------------------------------------------------------
 # dtypes: float32 in, float32 out.  A silent promotion to float64 would pass
 # every other test and only lose the float32 speed-up.
 
@@ -335,6 +387,16 @@ def test_mlp_rejects_empty_or_unchained_layers():
     rng = RngStream(7)
     with pytest.raises(ContractViolationError, match="layer 0 maps to 3 dims.*reads 5"):
         Mlp([init_dense(rng, 4, 3, Activation.TANH), init_dense(rng, 5, 2, Activation.TANH)])
+
+
+@pytest.mark.parametrize("bad", [
+    ("weights", np.nan), ("weights", np.inf), ("weights", -np.inf), ("bias", np.nan)])
+def test_dense_layer_rejects_non_finite_parameters(bad):
+    which, value = bad
+    params = {"weights": np.ones((3, 4)), "bias": np.zeros(3)}
+    params[which].flat[-1] = value
+    with pytest.raises(ContractViolationError, match="parameters must be finite"):
+        DenseLayer(params["weights"], params["bias"])
 
 
 def test_dense_layer_rejects_mixed_dtypes():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from framewatch.errors import ContractViolationError
-from framewatch.rng import RngStream
+from framewatch.rng import UNIFORM_BLOCK, RngStream
+
+from _helpers import reference_uniform
 
 
 def test_same_seed_same_sequence():
@@ -60,3 +62,26 @@ def test_derived_streams_are_independent():
     assert not np.array_equal(a, b)
     # deriving does not consume the parent stream
     assert np.array_equal(RngStream(99).derive(0).uniform(100), a)
+
+
+@pytest.mark.parametrize("n", [UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1,
+                               2 * UNIFORM_BLOCK + 3])
+def test_blocked_uniform_matches_one_shot_draw(n):
+    stream = RngStream(21, counter=9)
+    got = stream.uniform(n)
+    assert np.array_equal(got, reference_uniform(RngStream(21, counter=9), n))
+    assert int(stream.counter) == 9 + n
+
+
+def test_blocked_uniform_split_across_calls_matches_one_draw():
+    stream = RngStream(8)
+    parts = [stream.uniform(UNIFORM_BLOCK - 5), stream.uniform(UNIFORM_BLOCK + 9)]
+    assert np.array_equal(np.concatenate(parts),
+                          reference_uniform(RngStream(8), 2 * UNIFORM_BLOCK + 4))
+
+
+def test_uniform_range_matches_affine_map_of_one_shot_draw():
+    n = UNIFORM_BLOCK + 1
+    low, high = -0.37, 1.91
+    want = low + (high - low) * reference_uniform(RngStream(4), n)
+    assert np.array_equal(RngStream(4).uniform_range(low, high, n), want)
