@@ -1,8 +1,9 @@
 """Shared test utilities: parameter flattening, relative error
 and the oracles that hand-derived gradients, the activations, the blocked
 uniform draw, the rank AUC, the tie grouping of ranks and ROC points, the
-evaluation report, the masked coupling loop, the monitor fold and the PGM
-header parser are checked against."""
+evaluation report, the masked coupling loop, the per-net coupling loop
+and its backward pass, the monitor fold and the PGM header parser are
+checked against."""
 
 import math
 
@@ -141,6 +142,57 @@ def reference_masked_log_prob(flow, latents):
         log_det += (inv_mask * s).sum(axis=1)
     return (-0.5 * flow.dim * math.log(2.0 * math.pi)
             - 0.5 * (xs * xs).sum(axis=1) + log_det)
+
+
+def reference_per_net_couple(layers, xs, inverse=False, tape=None):
+    """The coupling loop with each net evaluated on its own by `Mlp.forward`
+    (`layer.scale_net`, then `layer.shift_net`) over strided views of the
+    (n, dim) batch, which is copied and scattered into at every layer: the
+    oracle of the stacked conditioner.  Returns (out, log_det); with a
+    `tape`, each forward layer appends (x_b, scale cache, shift cache, s,
+    tanh(raw / s_max))."""
+    log_det = np.zeros(xs.shape[0])
+    for layer in (reversed(layers) if inverse else layers):
+        a, b = slice(layer.parity, None, 2), slice(1 - layer.parity, None, 2)
+        x_a, x_b = xs[:, a], xs[:, b]
+        s_cache, t_cache = ([], []) if tape is not None else (None, None)
+        u = np.tanh(layer.scale_net.forward(x_a, s_cache) / layer.scale_clamp)
+        s = layer.scale_clamp * u
+        t = layer.shift_net.forward(x_a, t_cache)
+        xs = xs.copy()
+        if inverse:
+            xs[:, b] = (x_b - t) * np.exp(-s)
+        else:
+            if tape is not None:
+                tape.append((x_b, s_cache, t_cache, s, u))
+            xs[:, b] = x_b * np.exp(s) + t
+        log_det += s.sum(axis=1)
+    return xs, log_det
+
+
+def reference_per_net_loss_and_grads(flow, z0):
+    """Mean flow NLL of a whitened batch and its gradients by
+    `Mlp.backward` over each net on its own.  The gradients are listed per
+    layer as the scale net's params() then the shift net's."""
+    n = z0.shape[0]
+    tape = []
+    z, log_det = reference_per_net_couple(flow.layers, z0, tape=tape)
+    loss = float(np.mean(0.5 * flow.dim * math.log(2.0 * math.pi)
+                         + 0.5 * (z * z).sum(axis=1) - log_det))
+    grad_y = z / n
+    all_grads = []
+    for layer, (x_b, s_cache, t_cache, s, u) in zip(reversed(flow.layers),
+                                                    reversed(tape)):
+        a, b = slice(layer.parity, None, 2), slice(1 - layer.parity, None, 2)
+        grad_b = grad_y[:, b]
+        e_s = np.exp(s)
+        grad_s = grad_b * x_b * e_s - 1.0 / n
+        gin_s, grads_s = layer.scale_net.backward(s_cache, grad_s * (1.0 - u * u))
+        gin_t, grads_t = layer.shift_net.backward(t_cache, grad_b)
+        grad_y[:, a] += gin_s + gin_t
+        grad_y[:, b] = grad_b * e_s
+        all_grads.append(grads_s + grads_t)
+    return loss, all_grads[::-1]
 
 
 def reference_average_ranks(values):

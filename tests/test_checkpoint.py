@@ -176,6 +176,8 @@ MALFORMED = {
                                   np.ones((8, 5))),
     "full_width_coupling_input": _set("flow", "scale_nets", 0, "weights", 0,
                                       np.ones((4, 4))),
+    "sigmoid_coupling_hidden": _set("flow", "shift_nets", 1, "activations", 0,
+                                    "sigmoid"),
     "nan_weight": _set(*ENC, "weights", 0, np.full((8, 16), np.nan)),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),

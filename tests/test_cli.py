@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +341,27 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
     a = (workspace / "out" / "checkpoint.fwc").read_bytes()
     b = (out2 / "checkpoint.fwc").read_bytes()
     assert a == b
+
+
+def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_path):
+    """`gen-synth` then `train` in fresh interpreters, once with string
+    hash seed 0 and one BLAS thread and once with hash seed 1 and two,
+    write the same checkpoint and training report byte for byte."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed, threads in (("0", "1"), ("1", "2")):
+        root = tmp_path / f"hash{hash_seed}-threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS=threads)
+        for argv in (["gen-synth", "--config", str(workspace / "synth.json"),
+                      "--out", str(root / "scen")],
+                     ["train", "--config", str(workspace / "run.json"),
+                      "--scenario", str(root / "scen"), "--out", str(root / "out")]):
+            subprocess.run([sys.executable, "-m", "framewatch.cli", *argv], env=env,
+                           check=True, capture_output=True)
+        outputs.append([(root / "out" / name).read_bytes()
+                        for name in ("checkpoint.fwc", "train_report.json")])
+    assert outputs[0] == outputs[1]
 
 
 BAD_CONFIGS = {

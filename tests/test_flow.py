@@ -9,10 +9,11 @@ from framewatch.flow import (STD_FLOOR, CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
                              flow_forward_batch, flow_inverse_batch,
                              flow_log_prob_batch, init_flow, train_flow)
-from framewatch.nn import Activation, init_mlp
+from framewatch.nn import Activation, DenseLayer, Mlp, init_mlp
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_param_grad, max_rel_err, pack, reference_masked_log_prob
+from _helpers import (finite_diff_param_grad, max_rel_err, pack, reference_masked_log_prob,
+                      reference_per_net_couple, reference_per_net_loss_and_grads)
 
 
 ACTS = [Activation.TANH, Activation.IDENTITY]
@@ -34,13 +35,15 @@ def _zero_coupling(h=4, parity=0):
 
 
 def _rigged_coupling(a, c, s_max=3.0):
-    """h=2 layer with parity 0 whose nets output constants: s=a, t=c."""
-    layer = _zero_coupling(h=2, parity=0)
-    layer.scale_clamp = s_max
-    raw_a = s_max * math.atanh(a / s_max)
-    layer.scale_net.layers[1].bias = np.array([raw_a])
-    layer.shift_net.layers[1].bias = np.array([c])
-    return layer
+    """h=2 layer with parity 0 whose nets output constants: s=a, t=c.  The
+    layer copies its nets into its stacked conditioner, so the constant
+    output biases go in through the constructor."""
+    def constant_net(out):
+        return Mlp([DenseLayer(np.zeros((8, 1)), np.zeros(8), Activation.TANH),
+                    DenseLayer(np.zeros((1, 8)), np.array([out]))])
+
+    return CouplingLayer(0, constant_net(s_max * math.atanh(a / s_max)),
+                         constant_net(c), s_max)
 
 
 def _identity_flow(h):
@@ -102,6 +105,22 @@ def test_coupling_rejects_bad_halves(parity, scale_dims, shift_dims):
     with pytest.raises(ContractViolationError):
         CouplingLayer(parity, init_mlp(RngStream(0), scale_dims, ACTS),
                       init_mlp(RngStream(1), shift_dims, ACTS))
+
+
+@pytest.mark.parametrize("scale_dims, scale_acts, shift_dims", [
+    ((2, 8, 2), [Activation.SIGMOID, Activation.IDENTITY], (2, 8, 2)),
+    ((2, 8, 2), [Activation.TANH, Activation.TANH], (2, 8, 2)),
+    ((2, 8, 8, 2), ACTS + [Activation.IDENTITY], (2, 8, 8, 2)),
+    ((2, 8, 2), ACTS, (2, 4, 2)),
+], ids=["sigmoid-hidden", "tanh-output", "three-layers", "hidden-widths-differ"])
+def test_coupling_rejects_nets_it_cannot_stack(scale_dims, scale_acts, shift_dims):
+    """Both nets must be a Tanh layer then an Identity layer of the same
+    shapes, the one form the stacked conditioner computes."""
+    scale = init_mlp(RngStream(0), scale_dims, scale_acts)
+    shift = init_mlp(RngStream(1), shift_dims, [Activation.TANH] * (len(shift_dims) - 2)
+                     + [Activation.IDENTITY])
+    with pytest.raises(ContractViolationError, match="Tanh layer then an Identity"):
+        CouplingLayer(1, scale, shift)
 
 
 @pytest.mark.parametrize("scale_clamp", [float("nan"), float("inf")],
@@ -169,7 +188,8 @@ def test_log_prob_normalization_qmc():
 
 
 def _broken_flow(h=4):
-    """A flow whose first scale-net weight matrix is NaN, so its output is NaN."""
+    """A flow whose first stacked weight array, both nets' first layer, is
+    NaN, so its output is NaN."""
     flow = init_flow(RngStream(34), h, num_layers=2, hidden=8)
     flow.params()[0][...] = np.nan
     return flow
@@ -219,6 +239,51 @@ def test_half_width_flow_matches_masked_oracle(dim, hidden):
     latents = rng.derive(2).gaussian(300 * dim).reshape(300, dim)
     assert max_rel_err(flow_log_prob_batch(flow, latents),
                        reference_masked_log_prob(flow, latents), floor=1e-300) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 65, 2400])
+@pytest.mark.parametrize("dim", [64, 5])
+def test_stacked_conditioner_matches_per_net_loop_bitwise(dim, n):
+    """Forward, inverse, loss and every gradient equal, bit for bit, those
+    of each net run on its own, in three layers of parities 0, 1, 0; an
+    odd dim splits its halves unevenly."""
+    rng = RngStream(37)
+    flow = init_flow(rng.derive(0), dim, num_layers=3, hidden=16)
+    noise = rng.derive(1)
+    for p in flow.params():
+        p += 0.1 * noise.gaussian(p.size).reshape(p.shape)
+    xs = rng.derive(2).gaussian(n * dim).reshape(n, dim)
+
+    zs, log_det = flow_forward_batch(flow, xs)   # init_flow whitens as the identity
+    want_zs, want_log_det = reference_per_net_couple(flow.layers, xs)
+    assert np.array_equal(zs, want_zs) and np.array_equal(log_det, want_log_det)
+    assert np.array_equal(flow_inverse_batch(flow, xs),
+                          reference_per_net_couple(flow.layers, xs, inverse=True)[0])
+
+    loss, grads = _nll_loss_and_grads(flow, xs)
+    want_loss, want_grads = reference_per_net_loss_and_grads(flow, xs)
+    assert loss == want_loss
+    assert len(grads) == 4 * len(flow.layers)
+    for k, per_net in enumerate(want_grads):
+        for j, g in enumerate(grads[4 * k:4 * k + 4]):
+            assert np.array_equal(g[0], per_net[j]) and np.array_equal(g[1], per_net[4 + j])
+
+
+def test_nets_are_views_of_the_stack():
+    """Writing into a net's array changes the layer's stack and its output;
+    the stack holds the nets the layer was built from."""
+    scale, shift = (init_mlp(RngStream(k), (2, 8, 2), ACTS) for k in (0, 1))
+    layer = CouplingLayer(1, scale, shift)
+    for net, k in ((scale, 0), (shift, 1)):
+        for p, stacked in zip(net.params(), layer.params()):
+            assert np.array_equal(stacked[k], p)
+    x = RngStream(2).gaussian(4)
+    before = coupling_forward(layer, x)[0]
+    layer.shift_net.layers[1].bias[...] += 1.0
+    assert np.array_equal(layer.b_out[1], shift.layers[1].bias + 1.0)
+    after = coupling_forward(layer, x)[0]
+    assert np.array_equal(after[1::2], before[1::2])
+    assert np.allclose(after[0::2], before[0::2] + 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_default_flow_holds_only_live_parameters():

@@ -13,6 +13,10 @@ from framewatch.rng import RngStream
 
 from _helpers import finite_diff_grad, max_rel_err, pack, reference_activation, unpack
 
+# One fixed data seed per activation, so each run checks the same arrays.
+ACT_SEEDS = {Activation.LEAKY_RELU: 1, Activation.TANH: 2, Activation.SIGMOID: 3,
+             Activation.IDENTITY: 4}
+
 
 def test_dense_forward_identity():
     layer = DenseLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)
@@ -62,7 +66,7 @@ def test_dense_backward_zero_grad():
 @pytest.mark.parametrize("act", list(Activation))
 def test_dense_backward_matches_finite_diff(act):
     # loss = sum of outputs; grads over weights, bias and input
-    rng = RngStream(hash(act.value) & 0xFFFF)
+    rng = RngStream(ACT_SEEDS[act])
     layer = init_dense(rng, 4, 3, act)
     x = rng.gaussian(4)
 
@@ -264,7 +268,7 @@ def test_adam_rejects_mixed_dtypes():
 
 @pytest.mark.parametrize("act", list(Activation))
 def test_mlp_backward_cached_matches_recomputing_layers(act):
-    rng = RngStream(hash(act.value) & 0xFFFF)
+    rng = RngStream(ACT_SEEDS[act])
     mlp = init_mlp(rng, (6, 5, 4), [act, act])
     xs = rng.gaussian(3 * 6).reshape(3, 6)
     g = rng.gaussian(3 * 4).reshape(3, 4)
@@ -349,7 +353,7 @@ def _f32_layer(rng, in_dim, out_dim, act):
 
 @pytest.mark.parametrize("act", list(Activation))
 def test_float32_kernels_keep_float32(act):
-    rng = RngStream(hash(act.value) & 0xFFFF)
+    rng = RngStream(ACT_SEEDS[act])
     mlp = Mlp([_f32_layer(rng, 6, 5, act), _f32_layer(rng, 5, 4, act)])
     assert all(p.dtype == F32 for p in mlp.params())
     xs = rng.gaussian(3 * 6).reshape(3, 6).astype(F32)
