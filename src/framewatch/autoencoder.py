@@ -28,7 +28,9 @@ from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
 DEFAULT_LATENT_DIM = 64
-RECON_BLOCK_ROWS = 256   # rows decoded at once by reconstruction_error
+# The most rows that score_frames and reconstruction_error carry through
+# the networks at once; see row_blocks.
+SCORE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -91,6 +93,21 @@ def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
     )
 
 
+def row_blocks(n: int) -> list[slice]:
+    """ceil(n / SCORE_BLOCK_ROWS) consecutive slices that cover n rows, their
+    sizes differing by at most one row; none for n == 0.
+
+    An even split never leaves a short tail block: OpenBLAS computes a
+    product of a few rows (under about 38) with other kernels, whose rows
+    differ from a larger product's in their last bits, while rows of larger
+    blocks equal those of one product over the whole batch.  Each block
+    repacks the 4096 x 512 first-layer weights; of the sizes tried, 512
+    rows scored a large batch fastest (README, Scoring modes).
+    """
+    count = -(-n // SCORE_BLOCK_ROWS)
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
 def encode_batch(model: AutoencoderModel, flats: np.ndarray) -> np.ndarray:
     """Latent embedding of each row of a (n, input_dim) batch of flat frames."""
     return model.encoder.forward(flats)
@@ -101,7 +118,7 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
     """Per-row mean squared error between `flats` (n, input_dim) and the
     decoding of `latents` (n, latent_dim), their encodings.
 
-    Decodes RECON_BLOCK_ROWS rows at a time, so only one block of
+    Decodes one `row_blocks` block at a time, so only one block of
     full-width reconstructions is alive at once; the difference and its
     square are written into that block.
     """
@@ -110,8 +127,7 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
             f"reconstruction_error: frames shape {flats.shape}, expected "
             f"({latents.shape[0]}, {model.input_dim})")
     errors = np.empty(flats.shape[0])
-    for start in range(0, flats.shape[0], RECON_BLOCK_ROWS):
-        rows = slice(start, start + RECON_BLOCK_ROWS)
+    for rows in row_blocks(flats.shape[0]):
         diff = model.decoder.forward(latents[rows])
         diff -= flats[rows]
         errors[rows] = np.square(diff, out=diff).mean(axis=1)

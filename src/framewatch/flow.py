@@ -31,6 +31,7 @@ serves scoring and the loss.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,13 @@ STD_FLOOR = 1e-6
 _NET_ACTIVATIONS = [Activation.TANH, Activation.IDENTITY]
 
 
+def _over(layer: DenseLayer, weights: np.ndarray, bias: np.ndarray) -> DenseLayer:
+    """A copy of `layer` over `weights` and `bias`, which hold its values."""
+    view = copy.copy(layer)
+    view.weights, view.bias = weights, bias
+    return view
+
+
 @dataclass
 class CouplingLayer:
     """One affine coupling transform of a `dim`-vector, `dim` being the
@@ -63,7 +71,10 @@ class CouplingLayer:
     the float64 arrays that `params()` returns and training updates.
     `scale_net` and `shift_net` are then rebuilt as `Mlp`s over views of
     those slices: writing into one of their arrays changes the layer, but
-    binding a new array to one of their attributes does not.
+    binding a new array to one of their attributes does not.  Their dense
+    layers are copies of the given ones, not new constructions: the views
+    hold the values the given layers were checked with, so they are not
+    checked again.
     """
 
     parity: int               # 0 or 1
@@ -93,9 +104,9 @@ class CouplingLayer:
             np.array(pair, dtype=np.float64)
             for pair in zip(self.scale_net.params(), self.shift_net.params()))
         self.scale_net, self.shift_net = (
-            Mlp([DenseLayer(self.w_in[k], self.b_in[k], Activation.TANH),
-                 DenseLayer(self.w_out[k], self.b_out[k], Activation.IDENTITY)])
-            for k in (0, 1))
+            Mlp([_over(first, self.w_in[k], self.b_in[k]),
+                 _over(last, self.w_out[k], self.b_out[k])])
+            for k, (first, last) in enumerate(net.layers for net in nets))
 
     def params(self):
         """The stacked conditioner's live arrays: writing one changes the layer."""

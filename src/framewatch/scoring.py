@@ -14,7 +14,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, encode_batch, reconstruction_error
+from .autoencoder import (AutoencoderModel, encode_batch, reconstruction_error,
+                          row_blocks)
 from .errors import ConfigError
 from .flow import FlowModel, flow_log_prob_batch
 
@@ -65,20 +66,28 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
                  config: ScoreConfig | None = None) -> np.ndarray:
     """Anomaly score of each frame; higher means more anomalous.
 
-    `frames` is anything `np.asarray` makes n frames of: a `Split` (its
-    pixel array, not a copy), an (n, 64, 64) array or a list of `Frame`s.
-    One encoder pass over the whole batch feeds both the NLL and, in
-    combined mode, the reconstruction error.
+    `frames` is a list or tuple of n frames (`Frame`s or (64, 64) arrays),
+    or anything `np.asarray` makes n frames of without a copy: a `Split`
+    (its pixel array) or an (n, 64, 64) array.  The frames are scored one
+    `row_blocks` block at a time, at most SCORE_BLOCK_ROWS of them: each
+    block is made float64 flats, encoded once, and its latents feed the
+    NLL and, in combined mode, the reconstruction error, so memory does
+    not grow with n past one block.  Zero frames give an empty array.
     """
     config = config or ScoreConfig()
     if ae.latent_dim != flow.dim:
         raise ConfigError(
             f"autoencoder latent_dim {ae.latent_dim} does not match flow "
             f"dimension {flow.dim}")
-    flats = np.asarray(frames, dtype=np.float64).reshape(len(frames), -1)
-    latents = encode_batch(ae, flats)
-    nll = -flow_log_prob_batch(flow, latents)
-    if config.mode == "nll":
-        return nll
-    return config.combined(nll, reconstruction_error(ae, flats, latents))
-
+    if not isinstance(frames, (list, tuple)):
+        frames = np.asarray(frames)
+    scores = np.empty(len(frames))
+    for rows in row_blocks(len(frames)):
+        flats = np.asarray(frames[rows], dtype=np.float64)
+        flats = flats.reshape(rows.stop - rows.start, -1)
+        latents = encode_batch(ae, flats)
+        nll = -flow_log_prob_batch(flow, latents)
+        scores[rows] = (nll if config.mode == "nll" else config.combined(
+            nll, reconstruction_error(ae, flats, latents)))
+        del flats   # so the next block's flats are not made beside these
+    return scores

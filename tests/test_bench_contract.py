@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from framewatch import nn
-from framewatch.autoencoder import encode_batch, init_autoencoder
+from framewatch.autoencoder import SCORE_BLOCK_ROWS, encode_batch, init_autoencoder
 from framewatch.checkpoint import load_json, pipeline_from_dict, pipeline_to_dict, save_json
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
 from framewatch.evaluation import evaluate
@@ -92,7 +92,8 @@ def test_package_calls_the_bench_makes(tmp_path):
     """The calls perfbench/ makes into the package, with the arguments it
     passes: Frame(pixels, source_id=, timestamp=) with .pixels and .flat(),
     len() of each loaded split, apply_anomaly returning a Frame,
-    score_frames on a list of Frames and on a loaded split, the checkpoint
+    score_frames on a list of Frames, one longer than a scoring block as
+    `stream` scores its reference, and on a loaded split, the checkpoint
     round trip (five positional arguments to pipeline_to_dict, a 4-tuple
     back from pipeline_from_dict), and the kernel suite's reads of the
     reloaded autoencoder's layers and parameters, its coupling_forward on a
@@ -119,7 +120,10 @@ def test_package_calls_the_bench_makes(tmp_path):
     flow = init_flow(RngStream(4), 4, num_layers=2, hidden=8)
     scores = score_frames(ae, flow, [frame, anomalous], ScoreConfig())
     assert scores.shape == (2,) and np.isfinite(scores).all()
-    assert score_frames(ae, flow, [frame], ScoreConfig()).shape == (1,)
+    single = score_frames(ae, flow, [frame], ScoreConfig())
+    assert single.shape == (1,)
+    reference = score_frames(ae, flow, [frame] * (SCORE_BLOCK_ROWS + 1), ScoreConfig())
+    assert np.allclose(reference, single[0], rtol=1e-6, atol=0.0)
     assert score_frames(ae, flow, dataset.val, ScoreConfig()).shape == (4,)
 
     path = tmp_path / "kernel_checkpoint.json"

@@ -19,6 +19,7 @@ from framewatch.cli import main
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import CheckpointError, ConfigError, IOFailure
 from framewatch.flow import flow_log_prob_batch, init_flow
+from framewatch.nn import DenseLayer
 from framewatch.pipeline import RunConfig
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
@@ -55,6 +56,31 @@ def test_flow_round_trip_bit_exact(tmp_path):
     _, reloaded, _, _ = _reload(tmp_path, ae, flow)
     latent = RngStream(4).gaussian(16)[None, :]
     assert flow_log_prob_batch(flow, latent)[0] == flow_log_prob_batch(reloaded, latent)[0]
+
+
+def test_load_builds_each_dense_layer_once(tmp_path, monkeypatch):
+    """Loading the default model constructs, and so checks, its 6
+    autoencoder layers and the 32 of its flow's scale and shift nets once
+    each: a coupling layer's nets over its stack are copies of them, and
+    they score as the saved model does."""
+    ae, flow = init_autoencoder(RngStream(1)), init_flow(RngStream(3), 64)
+    path = tmp_path / "default.fwc"
+    ckpt.save_json(ckpt.pipeline_to_dict(ae, flow, ScoreConfig(), 3.5, 0.99), path)
+    data = ckpt.load_json(path)
+    built = []
+    check = DenseLayer.__post_init__
+
+    def counting(layer):
+        built.append(layer.weights.shape)
+        check(layer)
+
+    monkeypatch.setattr(DenseLayer, "__post_init__", counting)
+    _, reloaded, _, _ = ckpt.pipeline_from_dict(data)
+    assert len(built) == 38
+    monkeypatch.undo()
+    latent = RngStream(4).gaussian(4 * 64).reshape(4, 64)
+    assert np.array_equal(flow_log_prob_batch(reloaded, latent),
+                          flow_log_prob_batch(flow, latent))
 
 
 def test_flow_round_trip_keeps_each_layer_clamp(tmp_path):

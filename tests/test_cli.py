@@ -344,23 +344,29 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
 
 
 def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_path):
-    """`gen-synth` then `train` in fresh interpreters, once with string
-    hash seed 0 and one BLAS thread and once with hash seed 1 and two,
-    write the same checkpoint and training report byte for byte."""
+    """`gen-synth`, `train` and `eval` in fresh interpreters, once with
+    string hash seed 0 and one BLAS thread and once with hash seed 1 and
+    two, write the same checkpoint, training report, evaluation report and
+    scores byte for byte."""
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for hash_seed, threads in (("0", "1"), ("1", "2")):
         root = tmp_path / f"hash{hash_seed}-threads{threads}"
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
                    OPENBLAS_NUM_THREADS=threads)
+        run = ["--config", str(workspace / "run.json"), "--scenario", str(root / "scen")]
         for argv in (["gen-synth", "--config", str(workspace / "synth.json"),
                       "--out", str(root / "scen")],
-                     ["train", "--config", str(workspace / "run.json"),
-                      "--scenario", str(root / "scen"), "--out", str(root / "out")]):
+                     ["train", *run, "--out", str(root / "out")],
+                     ["eval", *run, "--checkpoint", str(root / "out" / "checkpoint.fwc"),
+                      "--out", str(root / "eval")]):
             subprocess.run([sys.executable, "-m", "framewatch.cli", *argv], env=env,
                            check=True, capture_output=True)
-        outputs.append([(root / "out" / name).read_bytes()
-                        for name in ("checkpoint.fwc", "train_report.json")])
+        outputs.append([(root / out / name).read_bytes()
+                        for out, name in (("out", "checkpoint.fwc"),
+                                          ("out", "train_report.json"),
+                                          ("eval", "eval_report.json"),
+                                          ("eval", "scores.csv"))])
     assert outputs[0] == outputs[1]
 
 

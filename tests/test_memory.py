@@ -3,27 +3,29 @@ numpy reports its array buffers.
 
 Each bound is in units of the largest array the path has to make: the
 first encoder layer's output for `encode_batch`, one decoded block for
-combined-mode `score_frames`, the float32 parameters for autoencoder
-training, one (n, dim) latent batch for flow scoring, and the float64
-flow parameters for flow training.  An inference layer that kept its
-pre-activation next to its output, a coupling layer whose arrays
-outlived it, or a training step that made its gradients while the
-previous step's were still alive, goes over these bounds.
+combined-mode `score_frames`, one block of float64 pixels for scoring a
+list of frames, the float32 parameters for autoencoder training, one
+(n, dim) latent batch for flow scoring, and the float64 flow parameters
+for flow training.  An inference layer that kept its pre-activation next
+to its output, scoring that stacked its whole input, a coupling layer
+whose arrays outlived it, or a training step that made its gradients
+while the previous step's were still alive, goes over these bounds.
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from framewatch.autoencoder import (ENCODER_HIDDEN, RECON_BLOCK_ROWS, AutoencoderConfig,
+from framewatch.autoencoder import (ENCODER_HIDDEN, SCORE_BLOCK_ROWS, AutoencoderConfig,
                                     encode_batch, init_autoencoder, train_autoencoder)
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
 from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow, train_flow
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
 
-ROWS = RECON_BLOCK_ROWS   # 256 frames, one block, so combined scoring decodes once
+ROWS = SCORE_BLOCK_ROWS   # one block, so combined scoring decodes once
 
 
 def _traced_peak(fn) -> int:
@@ -83,3 +85,19 @@ def test_flow_training_keeps_one_gradient_set():
                   for seed, n in ((4, 400), (5, 200)))
     peak = _traced_peak(lambda: train_flow(train, val, FlowConfig(epochs=1)))
     assert peak <= 7.5 * n_params * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("mode, blocks", [("nll", 1.25), ("combined", 2.0)])
+def test_scoring_a_frame_list_keeps_one_block(mode, blocks):
+    """A list of 3 blocks and 1 frame is scored in 4 blocks of 385 or 384
+    frames.  One block's float64 pixels are alive at once, never the whole
+    list stacked nor two blocks side by side, and in combined mode its
+    reconstructions beside them."""
+    ae = init_autoencoder(RngStream(11), 8)
+    flow = init_flow(RngStream(12), 8, num_layers=4, hidden=16)
+    config = ScoreConfig(mode=mode, alpha=0.3, standardization=ScoreStandardization(
+        nll_mean=3.0, nll_std=2.5, recon_mean=0.2, recon_std=0.05))
+    n = 3 * ROWS + 1
+    frames = [Frame(p) for p in _flats(n, 3).reshape(n, FRAME_SIDE, FRAME_SIDE)]
+    block = ROWS * FRAME_PIXELS * np.dtype(np.float64).itemsize
+    assert _traced_peak(lambda: score_frames(ae, flow, frames, config)) <= blocks * block

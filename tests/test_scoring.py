@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from framewatch import checkpoint as ckpt, pipeline, scoring
-from framewatch.autoencoder import (RECON_BLOCK_ROWS, encode_batch,
+from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
-from framewatch.data_io import FRAME_SIDE, Frame
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split
 from framewatch.errors import ConfigError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
@@ -36,8 +36,8 @@ def models():
 
 @pytest.fixture(scope="module")
 def frames():
-    # More than one row block, so the remainder block is covered too.
-    return _frames(RECON_BLOCK_ROWS + 37)
+    # More than one row block, so a second block is covered too.
+    return _frames(SCORE_BLOCK_ROWS + 37)
 
 
 def _oracle_score(ae, flow, frame, config):
@@ -66,6 +66,44 @@ def test_batch_of_one_equals_score_frames_element(models, frames, config):
         single = float(score_frames(ae, flow, [frames[i]], config)[0])
         assert isinstance(single, float)
         assert single == pytest.approx(batch[i], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1])
+def test_blocked_inputs_score_alike(models, monkeypatch, n):
+    """A Split, its (n, 64, 64) array and a list of Frames over its rows
+    give bit-equal scores.  The encoder sees ceil(n / SCORE_BLOCK_ROWS)
+    blocks whose sizes differ by at most one row, never a one-row tail,
+    and the first and last frame of each block score as the per-frame
+    oracle does."""
+    ae, flow = models
+    pixels = RngStream(n).uniform(n * FRAME_PIXELS).reshape(n, FRAME_SIDE, FRAME_SIDE)
+    split = Split(pixels, tuple(f"f{i}" for i in range(n)), tuple(range(n)), (None,) * n)
+    blocks = []
+
+    def recording(ae, flats):
+        blocks.append(flats.shape[0])
+        return encode_batch(ae, flats)
+
+    monkeypatch.setattr(scoring, "encode_batch", recording)
+    scores = score_frames(ae, flow, split, COMBINED)
+    monkeypatch.undo()
+    assert len(blocks) == -(-n // SCORE_BLOCK_ROWS) and sum(blocks) == n
+    assert max(blocks) - min(blocks) <= 1
+    assert np.array_equal(score_frames(ae, flow, pixels, COMBINED), scores)
+    assert np.array_equal(score_frames(ae, flow, [Frame(p) for p in pixels], COMBINED),
+                          scores)
+    ends = np.cumsum(blocks)
+    for i in sorted({0, *(ends[:-1]), *(ends - 1)}):
+        assert scores[i] == pytest.approx(
+            _oracle_score(ae, flow, Frame(pixels[i]), COMBINED), rel=1e-12)
+
+
+@pytest.mark.parametrize("empty", [[], np.empty((0, FRAME_SIDE, FRAME_SIDE))],
+                         ids=["list", "array"])
+def test_zero_frames_score_to_an_empty_array(models, empty):
+    ae, flow = models
+    scores = score_frames(ae, flow, empty, COMBINED)
+    assert scores.dtype == np.float64 and scores.shape == (0,)
 
 
 def test_combined_without_standardization_rejected(models, frames):
