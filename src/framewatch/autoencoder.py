@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_ranges
-from .data_io import FRAME_PIXELS
+from .data_io import FRAME_PIXELS, intensities
 from .errors import ContractViolationError, TrainingError
 from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
 from .rng import RngStream
@@ -162,13 +162,15 @@ def _mean_mse(model: AutoencoderModel, flats: np.ndarray) -> float:
 def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                       config: AutoencoderConfig, seed: int = 0):
     """Train on the rows of `train_x`, validating on those of `val_x`,
-    each a non-empty `(n, 4096)` array of flat frames; deterministic given
-    `seed`.  The frames and the float64 initialisation are cast to float32
-    and trained in float32; the returned model is float64, each value
-    exactly a float32 one.  Returns (model, report).
+    each a non-empty `(n, 4096)` array of flat frames, as uint8 codes or
+    float intensities; deterministic given `seed`.  The frames (codes go
+    straight to float32 intensities) and the float64 initialisation are
+    cast to float32 and trained in float32; the returned model is float64,
+    each value exactly a float32 one.  Returns (model, report).
     """
-    train_x = np.asarray(train_x, dtype=np.float32)
-    val_x = np.asarray(val_x, dtype=np.float32)
+    train_x, val_x = np.asarray(train_x), np.asarray(val_x)
+    train_x, val_x = (intensities(x, np.float32) if x.dtype == np.uint8
+                      else x.astype(np.float32, copy=False) for x in (train_x, val_x))
     for x, split_name in ((train_x, "train"), (val_x, "val")):
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != FRAME_PIXELS:
             raise ContractViolationError(

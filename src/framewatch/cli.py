@@ -27,7 +27,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from .config import from_dict
 from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, load_scenario,
-                      read_frame_pixels)
+                      read_frame_codes)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
@@ -200,8 +200,8 @@ def cmd_simulate(args) -> int:
                 if delay > 0.0:
                     time.sleep(delay)
             try:
-                pixels = read_frame_pixels(path)[None]
-                score = float(score_frames(ae, flow, pixels, score_config)[0])
+                codes = read_frame_codes(path)[None]
+                score = float(score_frames(ae, flow, codes, score_config)[0])
             except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
                 # Fail-safe: an unreadable frame counts as an anomaly.
                 print(f"warning: frame {path.name} unreadable ({exc}); "

@@ -85,11 +85,13 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class Split:
-    """A split's n frames: their pixels as one (n, 64, 64) float64 array in
-    [0, 1], and in the same order each frame's source_id, timestamp and
-    label (None when normal).  `np.asarray(split)` is `pixels`, not a copy.
-    Once checked, `pixels` is read-only; a caller's float64 array is shared,
-    not copied, so it is frozen too."""
+    """A split's n frames: their 8-bit codes as one (n, 64, 64) uint8 array,
+    `intensities(pixels)` being their [0, 1] values, and in the same order
+    each frame's source_id, timestamp and label (None when normal).
+    `np.asarray(split)` is `pixels`, not a copy; a float dtype is refused,
+    so no caller reads the codes as intensities.  Once checked, `pixels`
+    is read-only; a caller's uint8 array is shared, not copied, so it is
+    frozen too."""
 
     pixels: np.ndarray
     source_ids: tuple[str, ...]
@@ -97,21 +99,26 @@ class Split:
     labels: tuple[Optional[AnomalyLabel], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.float64))
+        object.__setattr__(self, "pixels", np.asarray(self.pixels))
+        if self.pixels.dtype != np.uint8:
+            raise ContractViolationError(
+                f"Split: pixels must be uint8 codes, got {self.pixels.dtype}")
         n = len(self.source_ids)
         if (self.pixels.shape != (n, FRAME_SIDE, FRAME_SIDE)
                 or not len(self.timestamps) == len(self.labels) == n):
             raise ContractViolationError(
                 f"Split: pixels shape {self.pixels.shape}, {len(self.timestamps)} "
                 f"timestamps and {len(self.labels)} labels for {n} source_ids")
-        if n and not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails
-            raise ContractViolationError("Split: pixel values must lie in [0, 1]")
         self.pixels.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.source_ids)
 
     def __array__(self, dtype=None, copy=None):
+        if dtype is not None and np.dtype(dtype).kind == "f":
+            raise ContractViolationError(
+                "Split: pixels are 8-bit codes; intensities(split.pixels) "
+                "gives their [0, 1] values")
         return np.array(self.pixels, dtype=dtype, copy=copy)
 
 
@@ -182,12 +189,18 @@ def _pgm_header(data: bytes) -> tuple[int, int, int]:
     return width, height, offset
 
 
-def _pgm_pixels(data: bytes, width: int, height: int, offset: int,
+def _pgm_codes(data: bytes, width: int, height: int, offset: int) -> np.ndarray:
+    """The payload bytes as a read-only (height, width) uint8 view."""
+    return np.frombuffer(data, np.uint8, width * height, offset).reshape(height, width)
+
+
+def intensities(codes: np.ndarray, dtype=np.float64,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The payload bytes k as float64 k/255, shaped (height, width); written
-    into `out` when given."""
-    raw = np.frombuffer(data, np.uint8, width * height, offset)
-    return np.divide(raw.reshape(height, width), 255.0, out=out)
+    """The intensity k/255 of each 8-bit code k, in `dtype`, written into
+    `out` when given.  Each value is the correctly rounded quotient: in
+    float64 exactly `decode_pgm`'s value, in float32 the float32 cast of
+    it.  Multiplying by 1/255 instead differs on 24 of the 256 codes."""
+    return np.divide(codes, 255, out=out, dtype=dtype)
 
 
 def decode_pgm(data: bytes):
@@ -196,7 +209,7 @@ def decode_pgm(data: bytes):
     Returns (pixels, width, height) with pixels shaped (height, width).
     """
     width, height, offset = _pgm_header(data)
-    return _pgm_pixels(data, width, height, offset), width, height
+    return intensities(_pgm_codes(data, width, height, offset)), width, height
 
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
@@ -241,17 +254,22 @@ def resize_bilinear(image: np.ndarray, out_h: int = FRAME_SIDE,
     return top * (1 - fy[:, None]) + bot * fy[:, None]
 
 
-def read_frame_pixels(path: Path | str, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pixels of one .pgm file as a (64, 64) array in [0, 1], written into
-    `out` (a new array when None).  A 64x64 frame is exactly `decode_pgm`'s
-    k/255 values; any other size is resized bilinearly, then clipped."""
+def read_frame_codes(path: Path | str, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The 8-bit codes of one .pgm file as a (64, 64) uint8 array, written
+    into `out` (a new array when None).  A 64x64 frame's codes are its
+    payload bytes; any other size is decoded, resized bilinearly, clipped
+    to [0, 1] and rounded to the nearest code."""
     with open(path, "rb") as f:
         data = f.read()
     width, height, offset = _pgm_header(data)
-    if (height, width) == (FRAME_SIDE, FRAME_SIDE):
-        return _pgm_pixels(data, width, height, offset, out)
-    resized = resize_bilinear(_pgm_pixels(data, width, height, offset))
-    return np.clip(resized, 0.0, 1.0, out=out)
+    codes = _pgm_codes(data, width, height, offset)
+    if (height, width) != (FRAME_SIDE, FRAME_SIDE):
+        resized = np.clip(resize_bilinear(intensities(codes)), 0.0, 1.0)
+        codes = np.rint(resized * 255.0)
+    if out is None:
+        out = np.empty((FRAME_SIDE, FRAME_SIDE), np.uint8)
+    np.copyto(out, codes, casting="unsafe")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +337,17 @@ def _timestamp_of(filename: str) -> int:
 
 def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
                 split_name: str) -> Split:
-    """The split's frames in (timestamp, name) order, each decoded straight
-    into its row of the split's pixel array."""
+    """The split's frames in (timestamp, name) order, the codes of each
+    copied straight into its row of the split's uint8 array."""
     if not split_dir.is_dir():
         raise IOFailure(f"missing split directory {split_dir}")
     with os.scandir(split_dir) as it:
         entries = sorted((_timestamp_of(e.name), e.name, e.path)
                          for e in it if e.name.endswith(".pgm"))
-    pixels = np.empty((len(entries), FRAME_SIDE, FRAME_SIDE))
+    pixels = np.empty((len(entries), FRAME_SIDE, FRAME_SIDE), np.uint8)
     for row, (_, name, path) in zip(pixels, entries):
         try:
-            read_frame_pixels(path, out=row)
+            read_frame_codes(path, out=row)
         except ParseError as exc:
             raise ParseError(f"{split_name}/{name}: {exc}") from None
         if split_name == "test" and name not in labels:

@@ -14,7 +14,7 @@ import numpy as np
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
                           reconstruction_error, train_autoencoder, TrainReport)
 from .config import from_dict
-from .data_io import ScenarioDataset
+from .data_io import ScenarioDataset, intensities
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
@@ -78,18 +78,20 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     """Train autoencoder then flow on the normal splits; derive the
     validation-based score standardization and trigger threshold.
 
-    Each split is encoded once: the same float64 flats, views of the
-    split's pixels, feed the autoencoder and the encoder, and the
-    validation latents feed flow training, the standardization and the
-    validation scores.
+    The autoencoder trains on the splits' codes.  Each split is encoded
+    once, from float64 intensities made only after that training returns,
+    so they are never alive beside its float32 frames; the validation
+    latents feed flow training, the standardization and the validation
+    scores.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")
-    train_flats = dataset.train.pixels.reshape(len(dataset.train), -1)
-    val_flats = dataset.val.pixels.reshape(len(dataset.val), -1)
-    ae, ae_report = train_autoencoder(train_flats, val_flats,
+    train_codes = dataset.train.pixels.reshape(len(dataset.train), -1)
+    val_codes = dataset.val.pixels.reshape(len(dataset.val), -1)
+    ae, ae_report = train_autoencoder(train_codes, val_codes,
                                       config.autoencoder, config.seed)
-    train_latents = encode_batch(ae, train_flats)
+    train_latents = encode_batch(ae, intensities(train_codes))
+    val_flats = intensities(val_codes)
     val_latents = encode_batch(ae, val_flats)
     flow, flow_report = train_flow(train_latents, val_latents, config.flow,
                                    config.seed)

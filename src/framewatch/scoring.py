@@ -16,6 +16,7 @@ import numpy as np
 
 from .autoencoder import (AutoencoderModel, encode_batch, reconstruction_error,
                           row_blocks)
+from .data_io import intensities
 from .errors import ConfigError
 from .flow import FlowModel, flow_log_prob_batch
 
@@ -66,13 +67,15 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
                  config: ScoreConfig | None = None) -> np.ndarray:
     """Anomaly score of each frame; higher means more anomalous.
 
-    `frames` is a list or tuple of n frames (`Frame`s or (64, 64) arrays),
-    or anything `np.asarray` makes n frames of without a copy: a `Split`
-    (its pixel array) or an (n, 64, 64) array.  The frames are scored one
+    `frames` is a list or tuple of n frames (`Frame`s or (64, 64) float
+    arrays), or anything `np.asarray` makes n frames of without a copy: a
+    `Split` (its uint8 codes), an (n, 64, 64) uint8 array of codes or an
+    (n, 64, 64) float array of intensities.  The frames are scored one
     `row_blocks` block at a time, at most SCORE_BLOCK_ROWS of them: each
-    block is made float64 flats, encoded once, and its latents feed the
-    NLL and, in combined mode, the reconstruction error, so memory does
-    not grow with n past one block.  Zero frames give an empty array.
+    block is made float64 flats (codes are divided into one buffer that
+    every block reuses), encoded once, and its latents feed the NLL and,
+    in combined mode, the reconstruction error, so memory does not grow
+    with n past one block.  Zero frames give an empty array.
     """
     config = config or ScoreConfig()
     if ae.latent_dim != flow.dim:
@@ -81,10 +84,19 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
             f"dimension {flow.dim}")
     if not isinstance(frames, (list, tuple)):
         frames = np.asarray(frames)
+    blocks = row_blocks(len(frames))
+    codes = isinstance(frames, np.ndarray) and frames.dtype == np.uint8
+    if codes:
+        buffer = np.empty((max((b.stop - b.start for b in blocks), default=0),
+                           *frames.shape[1:]))
     scores = np.empty(len(frames))
-    for rows in row_blocks(len(frames)):
-        flats = np.asarray(frames[rows], dtype=np.float64)
-        flats = flats.reshape(rows.stop - rows.start, -1)
+    for rows in blocks:
+        n_rows = rows.stop - rows.start
+        if codes:
+            flats = intensities(frames[rows], out=buffer[:n_rows])
+        else:
+            flats = np.asarray(frames[rows], dtype=np.float64)
+        flats = flats.reshape(n_rows, -1)
         latents = encode_batch(ae, flats)
         nll = -flow_log_prob_batch(flow, latents)
         scores[rows] = (nll if config.mode == "nll" else config.combined(

@@ -11,8 +11,8 @@ import pytest
 from framewatch import cli
 from framewatch.checkpoint import load_json, pipeline_from_dict, save_json
 from framewatch.cli import main
-from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, load_scenario,
-                                read_frame_pixels)
+from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, intensities,
+                                load_scenario, read_frame_codes)
 from framewatch.scoring import score_frames
 
 SMALL_SYNTH = {
@@ -248,11 +248,31 @@ def test_simulate_anomalous_stream_triggers(workspace, tmp_path, capsys):
     assert "trigger at frame" in capsys.readouterr().out
 
     ae, flow, score_config, _ = pipeline_from_dict(load_json(checkpoint))
-    frames = [Frame(read_frame_pixels(p)) for p in sorted(stream.glob("*.pgm"))]
+    frames = [Frame(intensities(read_frame_codes(p))) for p in sorted(stream.glob("*.pgm"))]
     batch = score_frames(ae, flow, frames, score_config)
     with open(out / "monitor_log.csv", newline="") as log:
         logged = [float(row["score"]) for row in csv.DictReader(log)]
     assert logged == pytest.approx(batch.tolist(), rel=1e-9)
+
+
+def test_simulate_scores_a_resized_frame_as_eval_does(workspace, tmp_path):
+    """A 48x48 frame is read by simulate, as by load_scenario, as its
+    nearest 8-bit codes, so the logged score is the one score_frames gives
+    those codes."""
+    stream = tmp_path / "stream"
+    stream.mkdir()
+    rng = np.random.default_rng(4)
+    path = stream / "frame_000000.pgm"
+    path.write_bytes(encode_pgm(rng.uniform(size=(48, 48))))
+    out = tmp_path / "sim"
+    checkpoint = workspace / "out" / "checkpoint.fwc"
+    assert main(["simulate", "--checkpoint", str(checkpoint),
+                 "--scenario", str(stream), "--out", str(out)]) == 0
+    ae, flow, score_config, _ = pipeline_from_dict(load_json(checkpoint))
+    expected = score_frames(ae, flow, read_frame_codes(path)[None], score_config)
+    with open(out / "monitor_log.csv", newline="") as log:
+        [row] = csv.DictReader(log)
+    assert row["score"] == repr(float(expected[0]))
 
 
 def test_simulate_unreadable_frame_fails_safe(workspace, tmp_path, capsys):
@@ -344,10 +364,11 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
 
 
 def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_path):
-    """`gen-synth`, `train` and `eval` in fresh interpreters, once with
-    string hash seed 0 and one BLAS thread and once with hash seed 1 and
-    two, write the same checkpoint, training report, evaluation report and
-    scores byte for byte."""
+    """`gen-synth`, `train`, `eval` and `simulate` (over the test split's
+    frames) in fresh interpreters, once with string hash seed 0 and one
+    BLAS thread and once with hash seed 1 and two, write the same
+    checkpoint, training report, evaluation report, scores and monitor log
+    byte for byte."""
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for hash_seed, threads in (("0", "1"), ("1", "2")):
@@ -359,14 +380,18 @@ def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_pa
                       "--out", str(root / "scen")],
                      ["train", *run, "--out", str(root / "out")],
                      ["eval", *run, "--checkpoint", str(root / "out" / "checkpoint.fwc"),
-                      "--out", str(root / "eval")]):
+                      "--out", str(root / "eval")],
+                     ["simulate", "--config", str(workspace / "run.json"),
+                      "--checkpoint", str(root / "out" / "checkpoint.fwc"),
+                      "--scenario", str(root / "scen" / "test"), "--out", str(root / "sim")]):
             subprocess.run([sys.executable, "-m", "framewatch.cli", *argv], env=env,
                            check=True, capture_output=True)
         outputs.append([(root / out / name).read_bytes()
                         for out, name in (("out", "checkpoint.fwc"),
                                           ("out", "train_report.json"),
                                           ("eval", "eval_report.json"),
-                                          ("eval", "scores.csv"))])
+                                          ("eval", "scores.csv"),
+                                          ("sim", "monitor_log.csv"))])
     assert outputs[0] == outputs[1]
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from _helpers import reference_decode_pgm
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, Split, decode_pgm, encode_pgm,
-                                load_scenario, parse_labels, read_frame_pixels,
-                                resize_bilinear)
+                                intensities, load_scenario, parse_labels,
+                                read_frame_codes, resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
 from framewatch.rng import RngStream
@@ -65,15 +65,34 @@ def test_pgm_round_trip_exact_for_quantized():
 
 
 def test_every_byte_value_reads_as_k_over_255(tmp_path):
-    """Byte k is k/255 in float64, from decode_pgm and, unclipped, from
-    read_frame_pixels for a 64x64 frame."""
+    """Byte k is k/255 in float64, from decode_pgm and from the
+    intensities of read_frame_codes for a 64x64 frame, whose codes are the
+    payload bytes themselves."""
     path = tmp_path / "f.pgm"
-    path.write_bytes(b"P5\n64 64\n255\n" + bytes(range(256)) * 16)
+    payload = bytes(range(256)) * 16
+    path.write_bytes(b"P5\n64 64\n255\n" + payload)
     expected = np.tile(np.arange(256) / 255.0, 16).reshape(FRAME_SIDE, FRAME_SIDE)
+    codes = read_frame_codes(path)
+    assert codes.dtype == np.uint8 and codes.tobytes() == payload
     decoded, _, _ = decode_pgm(path.read_bytes())
-    for pixels in (decoded, read_frame_pixels(path)):
+    for pixels in (decoded, intensities(codes)):
         assert pixels.dtype == np.float64
         assert pixels.tobytes() == expected.tobytes()
+
+
+def test_intensities_of_all_256_codes():
+    """In float64 each code k gives decode_pgm's k/255; in float32 the
+    float32 cast of that value.  Multiplying by 1/255 is no substitute: it
+    rounds 24 of the 256 codes differently."""
+    codes = np.arange(256, dtype=np.uint8)
+    decoded, _, _ = decode_pgm(b"P5\n256 1\n255\n" + codes.tobytes())
+    exact = intensities(codes)
+    assert exact.dtype == np.float64
+    assert exact.tobytes() == decoded[0].tobytes()
+    single = intensities(codes, np.float32)
+    assert single.dtype == np.float32
+    assert single.tobytes() == exact.astype(np.float32).tobytes()
+    assert int(np.count_nonzero(codes * (1.0 / 255.0) != exact)) == 24
 
 
 WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]  # what bytes.isspace accepts
@@ -338,10 +357,10 @@ def _write_pgm(path, height, width, seed):
     path.write_bytes(encode_pgm(raw.reshape(height, width) / 255.0))
 
 
-def test_load_mixed_sizes_matches_read_frame_pixels(tmp_path):
+def test_load_mixed_sizes_matches_read_frame_codes(tmp_path):
     """A split of 64x64 frames and frames of other sizes loads in
-    (timestamp, name) order as rows of one array, each row bit-identical
-    to read_frame_pixels of its file, with its name, timestamp and label."""
+    (timestamp, name) order as rows of one uint8 array, each row equal to
+    read_frame_codes of its file, with its name, timestamp and label."""
     _make_fixture(tmp_path)
     sizes = {"test_00001.pgm": (48, 80), "test_00002.pgm": (1, 1),
              "b_7.pgm": (FRAME_SIDE, FRAME_SIDE), "a_7.pgm": (3, 2),
@@ -362,11 +381,24 @@ def test_load_mixed_sizes_matches_read_frame_pixels(tmp_path):
     assert test.timestamps == (0, 0, 1, 2, 7, 7, 10)
     assert test.labels == tuple(labels[name] for name in order)
     assert test.pixels.shape == (len(order), FRAME_SIDE, FRAME_SIDE)
+    assert test.pixels.dtype == np.uint8
     for row, name in zip(test.pixels, order):
-        expected = read_frame_pixels(tmp_path / "test" / name)
-        assert row.dtype == expected.dtype
-        assert row.tobytes() == expected.tobytes()
-        assert 0.0 <= row.min() and row.max() <= 1.0
+        assert row.tobytes() == read_frame_codes(tmp_path / "test" / name).tobytes()
+
+
+def test_a_resized_frame_rounds_to_the_nearest_code(tmp_path):
+    """A 48x48 frame loads as the codes read_frame_codes gives, and those
+    are rint(255 * clip(resize_bilinear(decode))), one rule for every
+    reader."""
+    _make_fixture(tmp_path)
+    path = tmp_path / "val" / "val_00000.pgm"
+    _write_pgm(path, 48, 48, 9)
+    decoded, _, _ = decode_pgm(path.read_bytes())
+    expected = np.rint(255 * np.clip(resize_bilinear(decoded), 0.0, 1.0))
+    codes = read_frame_codes(path)
+    assert codes.dtype == np.uint8
+    assert np.array_equal(codes, expected)
+    assert np.array_equal(load_scenario(tmp_path).val.pixels[0], codes)
 
 
 def test_load_error_names_the_frame_file(tmp_path):
@@ -404,8 +436,9 @@ def test_load_eight_anomaly_types(tmp_path):
 
 def _split(*frames):
     """A split of constant frames, each given as (pixel value, label)."""
-    values = np.array([value for value, _ in frames], dtype=np.float64)
-    pixels = np.ones((len(frames), FRAME_SIDE, FRAME_SIDE)) * values[:, None, None]
+    codes = np.rint(255 * np.array([value for value, _ in frames])).astype(np.uint8)
+    pixels = np.empty((len(frames), FRAME_SIDE, FRAME_SIDE), np.uint8)
+    pixels[...] = codes[:, None, None]
     return Split(pixels, tuple(f"s/{i}" for i in range(len(frames))),
                  tuple(range(len(frames))), tuple(label for _, label in frames))
 
@@ -449,14 +482,18 @@ def test_frame_rejects_nan_pixels(nan_pixels):
         Frame(pixels)
 
 
+def _codes(*shape):
+    return np.full(shape, 128, np.uint8)
+
+
 @pytest.mark.parametrize("pixels, source_ids, timestamps, labels, message", [
-    (np.full((2, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0,), (None,), "pixels shape"),
-    (np.full((1, FRAME_SIDE, 3), 0.5), ("a",), (0,), (None,), "pixels shape"),
-    (np.full((1, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0, 1), (None,), "2 timestamps"),
-    (np.full((1, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0,), (), "0 labels"),
-    (np.full((1, FRAME_SIDE, FRAME_SIDE), -0.1), ("a",), (0,), (None,), r"\[0, 1\]"),
-    (np.full((1, FRAME_SIDE, FRAME_SIDE), np.nan), ("a",), (0,), (None,), r"\[0, 1\]"),
-], ids=["rows", "side", "timestamps", "labels", "range", "nan"])
+    (_codes(2, FRAME_SIDE, FRAME_SIDE), ("a",), (0,), (None,), "pixels shape"),
+    (_codes(1, FRAME_SIDE, 3), ("a",), (0,), (None,), "pixels shape"),
+    (_codes(1, FRAME_SIDE, FRAME_SIDE), ("a",), (0, 1), (None,), "2 timestamps"),
+    (_codes(1, FRAME_SIDE, FRAME_SIDE), ("a",), (0,), (), "0 labels"),
+    (np.full((1, FRAME_SIDE, FRAME_SIDE), 0.5), ("a",), (0,), (None,),
+     "uint8 codes, got float64"),
+], ids=["rows", "side", "timestamps", "labels", "float_pixels"])
 def test_split_rejects_a_malformed_record(pixels, source_ids, timestamps, labels,
                                           message):
     with pytest.raises(ContractViolationError, match=message):
@@ -464,17 +501,21 @@ def test_split_rejects_a_malformed_record(pixels, source_ids, timestamps, labels
 
 
 def test_split_is_its_pixel_array(tmp_path):
-    """len() counts frames, np.asarray gives the pixels without a copy, a
-    dtype or copy request is honoured, and a loaded split's pixels cannot
-    be written."""
+    """len() counts frames, np.asarray gives the codes without a copy, an
+    integer dtype or copy request is honoured, a float dtype is refused
+    so the codes are never read as intensities, and a loaded split's
+    pixels cannot be written."""
     split = _split((0.25, None), (0.75, TAPE))
     assert len(split) == 2
     assert np.asarray(split) is split.pixels
     assert np.array(split).base is None
-    assert np.asarray(split, dtype=np.float32).dtype == np.float32
+    assert np.array_equal(np.asarray(split, dtype=np.int16), split.pixels)
     with pytest.raises(ValueError):
-        np.asarray(split, dtype=np.float32, copy=False)
+        np.asarray(split, dtype=np.int16, copy=False)
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ContractViolationError, match="intensities"):
+            np.asarray(split, dtype=dtype)
     _make_fixture(tmp_path)
     val = load_scenario(tmp_path).val
     with pytest.raises(ValueError):
-        val.pixels[0, 0, 0] = 7.0
+        val.pixels[0, 0, 0] = 7

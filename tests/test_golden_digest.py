@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 
 from framewatch import checkpoint as ckpt
-from framewatch.data_io import load_scenario
+from framewatch.data_io import intensities, load_scenario
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.synth import SynthSpec, generate_scenario
 
@@ -48,14 +48,17 @@ GOLDEN_SCENARIO_SHA256 = "e25658e9375d477c716e35fb1b71665e4cb17f2b85b4b62cfb96e3
 def scenario_digest(dataset) -> str:
     """sha256 over the train, val and test splits in turn: the frame count,
     then for each frame its source_id, timestamp and label, then its
-    pixels' dtype and raw bytes."""
+    intensities' dtype and raw bytes.  A split holds 8-bit codes; the
+    digest hashes their float64 intensities, the values that scoring and
+    training read."""
     digest = hashlib.sha256()
     for split in (dataset.train, dataset.val, dataset.test):
+        assert split.pixels.dtype == np.uint8
         digest.update(f"{len(split)}\n".encode("ascii"))
-        for source_id, timestamp, label, pixels in zip(
+        for source_id, timestamp, label, codes in zip(
                 split.source_ids, split.timestamps, split.labels, split.pixels):
             digest.update(repr((source_id, timestamp, label)).encode("utf-8"))
-            pixels = np.ascontiguousarray(pixels)
+            pixels = intensities(codes)
             digest.update(pixels.dtype.str.encode("ascii"))
             digest.update(pixels.tobytes())
     return digest.hexdigest()

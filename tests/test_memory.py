@@ -4,12 +4,14 @@ numpy reports its array buffers.
 Each bound is in units of the largest array the path has to make: the
 first encoder layer's output for `encode_batch`, one decoded block for
 combined-mode `score_frames`, one block of float64 pixels for scoring a
-list of frames, the float32 parameters for autoencoder training, one
-(n, dim) latent batch for flow scoring, and the float64 flow parameters
-for flow training.  An inference layer that kept its pre-activation next
-to its output, scoring that stacked its whole input, a coupling layer
-whose arrays outlived it, or a training step that made its gradients
-while the previous step's were still alive, goes over these bounds.
+list of frames or a split, the float32 parameters for autoencoder
+training, one (n, dim) latent batch for flow scoring, the float64 flow
+parameters for flow training, and one byte per pixel for loading a
+scenario.  An inference layer that kept its pre-activation next to its
+output, scoring that stacked its whole input, a coupling layer whose
+arrays outlived it, a training step that made its gradients while the
+previous step's were still alive, or a loader that kept float pixels,
+goes over these bounds.
 """
 
 import gc
@@ -20,12 +22,16 @@ import pytest
 
 from framewatch.autoencoder import (ENCODER_HIDDEN, SCORE_BLOCK_ROWS, AutoencoderConfig,
                                     encode_batch, init_autoencoder, train_autoencoder)
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, load_scenario
 from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow, train_flow
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
+from framewatch.synth import SynthSpec, generate_scenario
 
 ROWS = SCORE_BLOCK_ROWS   # one block, so combined scoring decodes once
+CONFIG = {mode: ScoreConfig(mode=mode, alpha=0.3, standardization=ScoreStandardization(
+    nll_mean=3.0, nll_std=2.5, recon_mean=0.2, recon_std=0.05))
+    for mode in ("nll", "combined")}
 
 
 def _traced_peak(fn) -> int:
@@ -53,11 +59,9 @@ def test_encode_batch_keeps_one_first_layer_output():
 def test_combined_scoring_keeps_one_decoded_block():
     ae = init_autoencoder(RngStream(11), 8)
     flow = init_flow(RngStream(12), 8, num_layers=4, hidden=16)
-    config = ScoreConfig(mode="combined", alpha=0.3, standardization=ScoreStandardization(
-        nll_mean=3.0, nll_std=2.5, recon_mean=0.2, recon_std=0.05))
     frames = _flats(ROWS, 3).reshape(ROWS, FRAME_SIDE, FRAME_SIDE)
     block = frames.nbytes
-    assert _traced_peak(lambda: score_frames(ae, flow, frames, config)) <= 1.5 * block
+    assert _traced_peak(lambda: score_frames(ae, flow, frames, CONFIG["combined"])) <= 1.5 * block
 
 
 def test_training_keeps_one_gradient_set():
@@ -95,9 +99,35 @@ def test_scoring_a_frame_list_keeps_one_block(mode, blocks):
     reconstructions beside them."""
     ae = init_autoencoder(RngStream(11), 8)
     flow = init_flow(RngStream(12), 8, num_layers=4, hidden=16)
-    config = ScoreConfig(mode=mode, alpha=0.3, standardization=ScoreStandardization(
-        nll_mean=3.0, nll_std=2.5, recon_mean=0.2, recon_std=0.05))
     n = 3 * ROWS + 1
     frames = [Frame(p) for p in _flats(n, 3).reshape(n, FRAME_SIDE, FRAME_SIDE)]
     block = ROWS * FRAME_PIXELS * np.dtype(np.float64).itemsize
-    assert _traced_peak(lambda: score_frames(ae, flow, frames, config)) <= blocks * block
+    assert _traced_peak(lambda: score_frames(ae, flow, frames, CONFIG[mode])) <= blocks * block
+
+
+@pytest.mark.parametrize("mode, blocks", [("nll", 1.0), ("combined", 1.75)])
+def test_scoring_a_split_keeps_one_float64_block(mode, blocks):
+    """A split of 3 blocks and 1 frame of uint8 codes is scored in 4 blocks
+    of 385 or 384 frames, each divided into one reused float64 buffer:
+    never the whole split as float64 (3 blocks), and in combined mode one
+    block of reconstructions beside the buffer."""
+    ae = init_autoencoder(RngStream(11), 8)
+    flow = init_flow(RngStream(12), 8, num_layers=4, hidden=16)
+    n = 3 * ROWS + 1
+    codes = np.floor(_flats(n, 3) * 256).astype(np.uint8)
+    split = Split(codes.reshape(n, FRAME_SIDE, FRAME_SIDE), tuple(map(str, range(n))),
+                  tuple(range(n)), (None,) * n)
+    block = ROWS * FRAME_PIXELS * np.dtype(np.float64).itemsize
+    assert _traced_peak(lambda: score_frames(ae, flow, split, CONFIG[mode])) <= blocks * block
+
+
+def test_loading_keeps_one_byte_per_pixel(tmp_path):
+    """load_scenario copies each frame's codes into its split's uint8
+    array; the file it reads and its bookkeeping stay a small share."""
+    spec = SynthSpec(seed=2, n_train=64, n_val=16, n_test_normal=16,
+                     n_per_anomaly={"dim_light": 4, "blob": 4, "sensor_noise": 4})
+    dataset = generate_scenario(spec, tmp_path / "scen")
+    pixels = sum(len(split) for split in (dataset.train, dataset.val, dataset.test))
+    pixels *= FRAME_PIXELS
+    del dataset
+    assert _traced_peak(lambda: load_scenario(tmp_path / "scen")) <= 1.25 * pixels

@@ -5,10 +5,10 @@ derives."""
 import numpy as np
 import pytest
 
-from framewatch import checkpoint as ckpt, pipeline, scoring
+from framewatch import autoencoder, checkpoint as ckpt, pipeline, scoring
 from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, intensities
 from framewatch.errors import ConfigError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
@@ -70,14 +70,16 @@ def test_batch_of_one_equals_score_frames_element(models, frames, config):
 
 @pytest.mark.parametrize("n", [SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1])
 def test_blocked_inputs_score_alike(models, monkeypatch, n):
-    """A Split, its (n, 64, 64) array and a list of Frames over its rows
-    give bit-equal scores.  The encoder sees ceil(n / SCORE_BLOCK_ROWS)
-    blocks whose sizes differ by at most one row, never a one-row tail,
-    and the first and last frame of each block score as the per-frame
-    oracle does."""
+    """A Split, its intensities as an (n, 64, 64) array and a list of
+    Frames over their rows give bit-equal scores.  The encoder sees
+    ceil(n / SCORE_BLOCK_ROWS) blocks whose sizes differ by at most one
+    row, never a one-row tail, and the first and last frame of each block
+    score as the per-frame oracle does."""
     ae, flow = models
-    pixels = RngStream(n).uniform(n * FRAME_PIXELS).reshape(n, FRAME_SIDE, FRAME_SIDE)
-    split = Split(pixels, tuple(f"f{i}" for i in range(n)), tuple(range(n)), (None,) * n)
+    codes = np.floor(RngStream(n).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
+    codes = codes.reshape(n, FRAME_SIDE, FRAME_SIDE)
+    pixels = intensities(codes)
+    split = Split(codes, tuple(f"f{i}" for i in range(n)), tuple(range(n)), (None,) * n)
     blocks = []
 
     def recording(ae, flats):
@@ -160,7 +162,7 @@ def test_validation_terms_standardized(combined_run):
     dataset, trained, _ = combined_run
     ae, flow = trained.autoencoder, trained.flow
     std = trained.score_config.standardization
-    flats = dataset.val.pixels.reshape(len(dataset.val), -1)
+    flats = intensities(dataset.val.pixels).reshape(len(dataset.val), -1)
     recon = reconstruction_error(ae, flats, encode_batch(ae, flats))
     nll = score_frames(ae, flow, dataset.val, ScoreConfig(mode="nll"))
     for values, mean, sd in ((recon, std.recon_mean, std.recon_std),
@@ -171,13 +173,15 @@ def test_validation_terms_standardized(combined_run):
 
 
 def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
-    """A loaded Split, a list of Frames built from its rows and its raw
-    (n, 64, 64) array give bit-equal scores, and the Split is encoded from
-    its own pixel array, not a copy."""
+    """A loaded Split, its raw (n, 64, 64) codes, their intensities and a
+    list of Frames built from those give bit-equal scores.  The Split is
+    read in place, not copied, and each block of its flats is made in one
+    float64 buffer that every block reuses."""
     dataset, trained, _ = combined_run
     split = dataset.test
     ae, flow, config = trained.autoencoder, trained.flow, trained.score_config
     assert config.mode == "combined"
+    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ROWS", 4)
     encoded = []
 
     def recording(ae, flats):
@@ -186,11 +190,13 @@ def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
 
     monkeypatch.setattr(scoring, "encode_batch", recording)
     scores = score_frames(ae, flow, split, config)
-    assert np.shares_memory(encoded[0], split.pixels)
+    assert len(encoded) == -(-len(split) // 4)
+    assert all(flats.dtype == np.float64 and np.shares_memory(flats, encoded[0])
+               for flats in encoded)
     assert np.shares_memory(np.asarray(split), split.pixels)
-    frames = [Frame(row) for row in split.pixels]
-    assert np.array_equal(score_frames(ae, flow, frames, config), scores)
-    assert np.array_equal(score_frames(ae, flow, split.pixels, config), scores)
+    pixels = intensities(split.pixels)
+    for frames in (split.pixels, pixels, [Frame(p) for p in pixels]):
+        assert np.array_equal(score_frames(ae, flow, frames, config), scores)
 
 
 @pytest.mark.parametrize("mode", ["nll", "combined"])
