@@ -21,8 +21,11 @@ not returned.  Each fact is stored once: `format_version` and
 weight shapes, and each coupling layer's clamp only in the flow's
 `scale_clamps` list.  A coupling layer's parity is its index k % 2, so
 its half-width nets map the latent dims i % 2 == k % 2 to the others.
-How the models were trained (the run config and its seed) is recorded
-in `train_report.json`, not here.
+Only this module splits a layer's stacked conditioner into the file's
+`scale_nets[k]` (slice 0) and `shift_nets[k]` (slice 1), each a Tanh
+layer then an Identity layer, and stacks them again on load.  How the
+models were trained (the run config and its seed) is recorded in
+`train_report.json`, not here.
 
 The parameters (weights, biases, whitening vectors) are stored as their
 own bytes, not as text: base64 would make the file a third larger,
@@ -36,16 +39,18 @@ header length against the file size, that each array's offset is the
 integer where the array before it ends (so the offsets are 8-byte
 aligned and in header order) and in bounds, and that the arrays cover
 the payload exactly.  `pipeline_from_dict` then checks the file's own
-rules (keys, JSON types, list lengths, each array a float64 array, the
-format, kind, threshold and quantile) and builds the types, which check
-their own parts: `DenseLayer` its shapes, dtypes, finiteness and non-zero
+rules (keys, JSON types, list lengths, each array a float64 array, each
+coupling net's activations, a layer's two nets of one shape, the format,
+kind, threshold and quantile) and builds the types, which check their
+own parts: `DenseLayer` its shapes, dtypes, finiteness and non-zero
 widths, `Mlp` that its layers chain, `AutoencoderModel` that the decoder
-maps latent_dim back to input_dim, `CouplingLayer` its halves and clamp,
-`FlowModel` its layers' dim and its finite whitening vectors with
-positive std, and `ScoreConfig` and `ScoreStandardization` the score
-settings.  Each type's rejection is reported as a one-line
-CheckpointError with the key path.  Building a model has no side effects,
-so `pipeline_from_dict` returns nothing unless the whole file passed.
+maps latent_dim back to input_dim, `CouplingLayer` its stacked shapes,
+halves, finiteness and clamp, `FlowModel` its layers' dim and its finite
+whitening vectors with positive std, and `ScoreConfig` and
+`ScoreStandardization` the score settings.  Each type's rejection is
+reported as a one-line CheckpointError with the key path.  Building a
+model has no side effects, so `pipeline_from_dict` returns nothing unless
+the whole file passed.
 Format 1 to 5 files (JSON documents, then full-width coupling nets with
 masks) are rejected: retrain to write a format 6 checkpoint.
 """
@@ -115,14 +120,6 @@ def _list(data, key: str, where: str, length: int) -> list:
     return value
 
 
-def _mlp_to_dict(mlp: Mlp) -> dict:
-    return {
-        "activations": [l.activation.value for l in mlp.layers],
-        "weights": [l.weights for l in mlp.layers],
-        "biases": [l.bias for l in mlp.layers],
-    }
-
-
 def _read_mlp(data, where: str) -> Mlp:
     weights = _get(data, "weights", where)
     if not isinstance(weights, list):
@@ -145,10 +142,10 @@ def _read_mlp(data, where: str) -> Mlp:
 
 
 def autoencoder_to_dict(model: AutoencoderModel) -> dict:
-    return {
-        "encoder": _mlp_to_dict(model.encoder),
-        "decoder": _mlp_to_dict(model.decoder),
-    }
+    return {name: {"activations": [l.activation.value for l in net.layers],
+                   "weights": [l.weights for l in net.layers],
+                   "biases": [l.bias for l in net.layers]}
+            for name, net in (("encoder", model.encoder), ("decoder", model.decoder))}
 
 
 def _read_autoencoder(data, where: str) -> AutoencoderModel:
@@ -158,13 +155,27 @@ def _read_autoencoder(data, where: str) -> AutoencoderModel:
 
 
 def flow_to_dict(model: FlowModel) -> dict:
+    nets = [[{"activations": ["tanh", "identity"],
+              "weights": [layer.w_in[k], layer.w_out[k]],
+              "biases": [layer.b_in[k], layer.b_out[k]]} for layer in model.layers]
+            for k in (0, 1)]
     return {
         "scale_clamps": [layer.scale_clamp for layer in model.layers],
-        "scale_nets": [_mlp_to_dict(layer.scale_net) for layer in model.layers],
-        "shift_nets": [_mlp_to_dict(layer.shift_net) for layer in model.layers],
+        "scale_nets": nets[0],
+        "shift_nets": nets[1],
         "whitening_mean": model.whitening_mean,
         "whitening_std": model.whitening_std,
     }
+
+
+def _read_coupling_net(data, where: str) -> list[np.ndarray]:
+    """A coupling net's [w_in, b_in, w_out, b_out]."""
+    if _get(data, "activations", where) != ["tanh", "identity"]:
+        raise CheckpointError(f"{where}.activations: expected ['tanh', 'identity']")
+    weights, biases = ([_array(value, f"{where}.{key}[{i}]")
+                        for i, value in enumerate(_list(data, key, where, 2))]
+                       for key in ("weights", "biases"))
+    return [weights[0], biases[0], weights[1], biases[1]]
 
 
 def _read_flow(data, where: str, dim: int) -> FlowModel:
@@ -174,13 +185,16 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
     if not isinstance(clamps, list):
         raise CheckpointError(f"{where}.scale_clamps: expected a list")
     n = len(clamps)
-    scale_nets = _list(data, "scale_nets", where, n)
-    shift_nets = _list(data, "shift_nets", where, n)
-    layers = [_build(f"{where} coupling layer {k}", CouplingLayer, k % 2,
-                     _read_mlp(scale_nets[k], f"{where}.scale_nets[{k}]"),
-                     _read_mlp(shift_nets[k], f"{where}.shift_nets[{k}]"),
-                     _finite(clamps[k], f"{where}.scale_clamps[{k}]"))
-              for k in range(n)]
+    entries = {key: _list(data, key, where, n) for key in ("scale_nets", "shift_nets")}
+    layers = []
+    for k in range(n):
+        scale, shift = (_read_coupling_net(nets[k], f"{where}.{key}[{k}]")
+                        for key, nets in entries.items())
+        if [a.shape for a in scale] != [a.shape for a in shift]:
+            raise CheckpointError(f"{where} coupling layer {k}: nets of two shapes")
+        layers.append(_build(f"{where} coupling layer {k}", CouplingLayer, k % 2,
+                             *map(np.stack, zip(scale, shift)),
+                             _finite(clamps[k], f"{where}.scale_clamps[{k}]")))
     return _build(f"{where} over latent_dim {dim}", FlowModel, layers, dim,
                   _array(_get(data, "whitening_mean", where), f"{where}.whitening_mean"),
                   _array(_get(data, "whitening_std", where), f"{where}.whitening_std"))

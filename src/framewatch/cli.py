@@ -234,15 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unsupervised visual anomaly detection for robot camera streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help_text, **paths):
-        """A subcommand with --config and --seed, and one flag for each path
-        it reads; `paths` maps each such flag to its help text."""
+    def add_command(name, func, help_text, seed=True, **paths):
+        """A subcommand with --config, --seed if `seed`, and one flag for each
+        path it reads; `paths` maps each such flag to its help text."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         for flag, path_help in paths.items():
             p.add_argument(f"--{flag}", help=path_help)
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        p.set_defaults(func=func, seed=None)
         return p
 
     checkpoint = f"pipeline checkpoint written by train ({CHECKPOINT})"
@@ -250,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("gen-synth", cmd_gen_synth, "generate a synthetic scenario", out=out)
     add_command("train", cmd_train, "train autoencoder and flow, write checkpoint",
                 scenario="scenario directory", out=out)
-    add_command("eval", cmd_eval, "score the test split and report AUC",
+    add_command("eval", cmd_eval, "score the test split and report AUC", seed=False,
                 checkpoint=checkpoint, scenario="scenario directory", out=out)
     p = add_command("simulate", cmd_simulate,
-                    "run the deployment monitor over a frame stream",
+                    "run the deployment monitor over a frame stream", seed=False,
                     checkpoint=checkpoint,
                     scenario="directory of .pgm frames, processed in name order",
                     out=out)

@@ -31,7 +31,6 @@ serves scoring and the loss.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .config import check_ranges
 from .errors import ContractViolationError, ScoringError, TrainingError
-from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
+from .nn import AdamState, adam_step, glorot_uniform
 from .rng import RngStream
 
 DEFAULT_NUM_LAYERS = 8
@@ -48,65 +47,46 @@ DEFAULT_HIDDEN = 64
 STD_FLOOR = 1e-6
 
 
-_NET_ACTIVATIONS = [Activation.TANH, Activation.IDENTITY]
-
-
-def _over(layer: DenseLayer, weights: np.ndarray, bias: np.ndarray) -> DenseLayer:
-    """A copy of `layer` over `weights` and `bias`, which hold its values."""
-    view = copy.copy(layer)
-    view.weights, view.bias = weights, bias
-    return view
-
-
 @dataclass
 class CouplingLayer:
     """One affine coupling transform of a `dim`-vector, `dim` being the
-    nets' input plus output width.  The dims `a` (i % 2 == parity) pass
-    through unchanged and condition the scale/shift networks; the other
-    dims `b` are transformed as x * exp(s) + t.
+    conditioner's input plus output width.  The dims `a` (i % 2 == parity)
+    pass through unchanged and condition the scale/shift networks; the
+    other dims `b` are transformed as x * exp(s) + t.
 
-    The constructor copies the two nets into one stacked conditioner,
-    slice 0 the scale net and slice 1 the shift net: `w_in` (2, hidden,
-    |a|), `b_in` (2, hidden), `w_out` (2, |b|, hidden) and `b_out` (2, |b|),
-    the float64 arrays that `params()` returns and training updates.
-    `scale_net` and `shift_net` are then rebuilt as `Mlp`s over views of
-    those slices: writing into one of their arrays changes the layer, but
-    binding a new array to one of their attributes does not.  Their dense
-    layers are copies of the given ones, not new constructions: the views
-    hold the values the given layers were checked with, so they are not
-    checked again.
-    """
+    The layer is its stacked conditioner, slice 0 the scale net and slice
+    1 the shift net, each a Tanh layer then a linear one: `w_in` (2,
+    hidden, |a|), `b_in` (2, hidden), `w_out` (2, |b|, hidden) and `b_out`
+    (2, |b|), the float64 arrays, kept as given when C-contiguous, that
+    `params()` returns and training updates."""
 
     parity: int               # 0 or 1
-    scale_net: Mlp            # len(a) -> hidden -> len(b), Tanh hidden, Identity out
-    shift_net: Mlp            # same shape
+    w_in: np.ndarray
+    b_in: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
     scale_clamp: float = DEFAULT_SCALE_CLAMP
 
     def __post_init__(self):
-        nets = (self.scale_net, self.shift_net)
-        kinds = [[(layer.weights.shape, layer.activation) for layer in net.layers]
-                 for net in nets]
-        if not ([act for _, act in kinds[0]] == _NET_ACTIVATIONS and kinds[1] == kinds[0]):
+        self.w_in, self.b_in, self.w_out, self.b_out = (
+            np.ascontiguousarray(p, dtype=np.float64) for p in self.params())
+        hidden, n_a, n_b = (p.shape[-1] if p.ndim else 0
+                            for p in (self.b_in, self.w_in, self.b_out))
+        self.dim = n_a + n_b
+        shapes = [p.shape for p in self.params()]
+        if not (shapes == [(2, hidden, n_a), (2, hidden), (2, n_b, hidden), (2, n_b)]
+                and self.parity in (0, 1) and hidden and n_a and n_b
+                and n_a == (self.dim + 1 - self.parity) // 2):
             raise ContractViolationError(
-                f"coupling layer of parity {self.parity!r}: the scale and shift nets "
-                "must both be a Tanh layer then an Identity layer, of the same shapes")
-        ends = (self.scale_net.in_dim, self.scale_net.out_dim)
-        self.dim = sum(ends)
-        if not (self.parity in (0, 1) and ends[0] == (self.dim + 1 - self.parity) // 2):
+                f"coupling layer of parity {self.parity!r}: conditioner shapes {shapes}; "
+                "need (2, h, |a|), (2, h), (2, |b|, h) and (2, |b|), a being the dims "
+                "i % 2 == parity, b the others and no width 0")
+        if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in self.params()):
             raise ContractViolationError(
-                f"coupling layer of parity {self.parity!r}: nets map {ends} dims, but "
-                "they must map the dims i % 2 == parity to the others, and neither "
-                "may be empty")
+                f"coupling layer of parity {self.parity!r}: parameters must be finite")
         if not (math.isfinite(self.scale_clamp) and self.scale_clamp > 0.0):
             raise ContractViolationError(
                 f"scale_clamp must be positive and finite, got {self.scale_clamp}")
-        self.w_in, self.b_in, self.w_out, self.b_out = (
-            np.array(pair, dtype=np.float64)
-            for pair in zip(self.scale_net.params(), self.shift_net.params()))
-        self.scale_net, self.shift_net = (
-            Mlp([_over(first, self.w_in[k], self.b_in[k]),
-                 _over(last, self.w_out[k], self.b_out[k])])
-            for k, (first, last) in enumerate(net.layers for net in nets))
 
     def params(self):
         """The stacked conditioner's live arrays: writing one changes the layer."""
@@ -186,18 +166,20 @@ def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
               whitening_mean: np.ndarray | None = None,
               whitening_std: np.ndarray | None = None) -> FlowModel:
     """Random flow whose layer k has parity k % 2 (every dim transformed).
-    Each net is a full dim -> hidden -> dim `init_mlp` draw cut to half
-    width: the columns of the dims a and the rows of the dims b, which
-    the layer copies into its stack."""
-    def half_width(net_rng: RngStream, p: int) -> Mlp:
-        first, last = init_mlp(net_rng, (dim, hidden, dim), _NET_ACTIVATIONS).layers
-        return Mlp([DenseLayer(first.weights[:, p::2], first.bias, first.activation),
-                    DenseLayer(last.weights[1 - p::2], last.bias[1 - p::2],
-                               last.activation)])
-
-    layers = [CouplingLayer(k % 2, half_width(rng.derive(2 * k), k % 2),
-                            half_width(rng.derive(2 * k + 1), k % 2), scale_clamp)
-              for k in range(num_layers)]
+    Layer k's scale net draws full dim -> hidden -> dim `glorot_uniform`
+    weights from `rng.derive(2 * k)` and its shift net from
+    `rng.derive(2 * k + 1)`; the stack keeps their half width, the columns
+    of the dims a and the rows of the dims b.  The biases start at zero."""
+    layers = []
+    for k in range(num_layers):
+        p = k % 2
+        w_in, w_out = [], []
+        for net in (rng.derive(2 * k), rng.derive(2 * k + 1)):
+            w_in.append(glorot_uniform(net, dim, hidden)[:, p::2])
+            w_out.append(glorot_uniform(net, hidden, dim)[1 - p::2])
+        layers.append(CouplingLayer(p, np.stack(w_in), np.zeros((2, hidden)),
+                                    np.stack(w_out), np.zeros((2, len(w_out[0]))),
+                                    scale_clamp))
     if whitening_mean is None:
         whitening_mean = np.zeros(dim)
     if whitening_std is None:

@@ -98,7 +98,7 @@ class DenseLayer:
 
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray     # (out_dim,)
-    activation: Activation = Activation.IDENTITY
+    activation: Activation
 
     def __post_init__(self):
         self.weights = _float_array(self.weights)
@@ -131,12 +131,16 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+def glorot_uniform(rng: RngStream, in_dim: int, out_dim: int) -> np.ndarray:
+    """Fan-based uniform(-a, a) (out_dim, in_dim) weights, a = sqrt(6/(in+out))."""
+    a = math.sqrt(6.0 / (in_dim + out_dim))
+    return rng.uniform_range(-a, a, out_dim * in_dim).reshape(out_dim, in_dim)
+
+
 def init_dense(rng: RngStream, in_dim: int, out_dim: int,
                activation: Activation) -> DenseLayer:
-    """Fan-based uniform(-a, a) weight init with a = sqrt(6/(in+out)); zero bias."""
-    a = math.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform_range(-a, a, out_dim * in_dim).reshape(out_dim, in_dim)
-    return DenseLayer(w, np.zeros(out_dim), activation)
+    """`glorot_uniform` weights and a zero bias."""
+    return DenseLayer(glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), activation)
 
 
 def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:

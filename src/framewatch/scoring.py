@@ -67,15 +67,14 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
                  config: ScoreConfig | None = None) -> np.ndarray:
     """Anomaly score of each frame; higher means more anomalous.
 
-    `frames` is a list or tuple of n frames (`Frame`s or (64, 64) float
-    arrays), or anything `np.asarray` makes n frames of without a copy: a
-    `Split` (its uint8 codes), an (n, 64, 64) uint8 array of codes or an
-    (n, 64, 64) float array of intensities.  The frames are scored one
-    `row_blocks` block at a time, at most SCORE_BLOCK_ROWS of them: each
-    block is made float64 flats (codes are divided into one buffer that
-    every block reuses), encoded once, and its latents feed the NLL and,
-    in combined mode, the reconstruction error, so memory does not grow
-    with n past one block.  Zero frames give an empty array.
+    `frames` is a list or tuple of n frames, or anything `np.asarray` makes
+    n frames of without a copy, such as a `Split`.  Each `row_blocks`
+    block of at most SCORE_BLOCK_ROWS frames is `np.asarray` of its rows,
+    and its dtype decides: uint8 codes are divided into one float64 buffer
+    that every such block reuses, and `Frame`s or float arrays are read as
+    float64 intensities.  A block is encoded once, and its latents feed the
+    NLL and, in combined mode, the reconstruction error, so memory does not
+    grow with n past one block.  Zero frames give an empty array.
     """
     config = config or ScoreConfig()
     if ae.latent_dim != flow.dim:
@@ -85,21 +84,20 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
     if not isinstance(frames, (list, tuple)):
         frames = np.asarray(frames)
     blocks = row_blocks(len(frames))
-    codes = isinstance(frames, np.ndarray) and frames.dtype == np.uint8
-    if codes:
-        buffer = np.empty((max((b.stop - b.start for b in blocks), default=0),
-                           *frames.shape[1:]))
     scores = np.empty(len(frames))
+    buffer = None
     for rows in blocks:
-        n_rows = rows.stop - rows.start
-        if codes:
-            flats = intensities(frames[rows], out=buffer[:n_rows])
+        block = np.asarray(frames[rows])
+        if block.dtype == np.uint8:
+            if buffer is None:
+                buffer = np.empty((max(b.stop - b.start for b in blocks), *block.shape[1:]))
+            flats = intensities(block, out=buffer[:len(block)])
         else:
-            flats = np.asarray(frames[rows], dtype=np.float64)
-        flats = flats.reshape(n_rows, -1)
+            flats = np.asarray(block, dtype=np.float64)
+        flats = flats.reshape(len(block), -1)
         latents = encode_batch(ae, flats)
         nll = -flow_log_prob_batch(flow, latents)
         scores[rows] = (nll if config.mode == "nll" else config.combined(
             nll, reconstruction_error(ae, flats, latents)))
-        del flats   # so the next block's flats are not made beside these
+        del block, flats   # so the next block's arrays are not made beside these
     return scores

@@ -110,6 +110,15 @@ def finite_diff_param_grad(loss, params, eps=1e-5):
     return pack([finite_diff_grad(lambda _: loss(), p, eps) for p in params])
 
 
+def per_net_mlps(layer):
+    """A coupling layer's scale net and shift net, slices 0 and 1 of its
+    stack, each an `Mlp` of a Tanh layer then an Identity layer over views
+    of the slice."""
+    return [Mlp([DenseLayer(layer.w_in[k], layer.b_in[k], Activation.TANH),
+                 DenseLayer(layer.w_out[k], layer.b_out[k], Activation.IDENTITY)])
+            for k in (0, 1)]
+
+
 def _full_width(net, keep_in, keep_out):
     """A two-layer half-width net zero-padded back to dim -> hidden -> dim:
     the columns of the dims it reads and the rows of the dims it writes."""
@@ -134,7 +143,7 @@ def reference_masked_log_prob(flow, latents):
         mask = ((np.arange(flow.dim) % 2) == layer.parity).astype(np.float64)
         inv_mask = 1.0 - mask
         scale_net, shift_net = (_full_width(net, mask == 1.0, mask == 0.0)
-                                for net in (layer.scale_net, layer.shift_net))
+                                for net in per_net_mlps(layer))
         masked = xs * mask
         s = layer.scale_clamp * np.tanh(scale_net.forward(masked) / layer.scale_clamp)
         t = shift_net.forward(masked)
@@ -145,20 +154,21 @@ def reference_masked_log_prob(flow, latents):
 
 
 def reference_per_net_couple(layers, xs, inverse=False, tape=None):
-    """The coupling loop with each net evaluated on its own by `Mlp.forward`
-    (`layer.scale_net`, then `layer.shift_net`) over strided views of the
-    (n, dim) batch, which is copied and scattered into at every layer: the
-    oracle of the stacked conditioner.  Returns (out, log_det); with a
-    `tape`, each forward layer appends (x_b, scale cache, shift cache, s,
-    tanh(raw / s_max))."""
+    """The coupling loop with each net of `per_net_mlps` evaluated on its
+    own by `Mlp.forward`, the scale net then the shift net, over strided
+    views of the (n, dim) batch, which is copied and scattered into at
+    every layer: the oracle of the stacked conditioner.  Returns (out,
+    log_det); with a `tape`, each forward layer appends (x_b, scale cache,
+    shift cache, s, tanh(raw / s_max))."""
     log_det = np.zeros(xs.shape[0])
     for layer in (reversed(layers) if inverse else layers):
         a, b = slice(layer.parity, None, 2), slice(1 - layer.parity, None, 2)
         x_a, x_b = xs[:, a], xs[:, b]
+        scale_net, shift_net = per_net_mlps(layer)
         s_cache, t_cache = ([], []) if tape is not None else (None, None)
-        u = np.tanh(layer.scale_net.forward(x_a, s_cache) / layer.scale_clamp)
+        u = np.tanh(scale_net.forward(x_a, s_cache) / layer.scale_clamp)
         s = layer.scale_clamp * u
-        t = layer.shift_net.forward(x_a, t_cache)
+        t = shift_net.forward(x_a, t_cache)
         xs = xs.copy()
         if inverse:
             xs[:, b] = (x_b - t) * np.exp(-s)
@@ -187,8 +197,9 @@ def reference_per_net_loss_and_grads(flow, z0):
         grad_b = grad_y[:, b]
         e_s = np.exp(s)
         grad_s = grad_b * x_b * e_s - 1.0 / n
-        gin_s, grads_s = layer.scale_net.backward(s_cache, grad_s * (1.0 - u * u))
-        gin_t, grads_t = layer.shift_net.backward(t_cache, grad_b)
+        scale_net, shift_net = per_net_mlps(layer)
+        gin_s, grads_s = scale_net.backward(s_cache, grad_s * (1.0 - u * u))
+        gin_t, grads_t = shift_net.backward(t_cache, grad_b)
         grad_y[:, a] += gin_s + gin_t
         grad_y[:, b] = grad_b * e_s
         all_grads.append(grads_s + grads_t)

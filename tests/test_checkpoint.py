@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import struct
@@ -60,9 +61,9 @@ def test_flow_round_trip_bit_exact(tmp_path):
 
 def test_load_builds_each_dense_layer_once(tmp_path, monkeypatch):
     """Loading the default model constructs, and so checks, its 6
-    autoencoder layers and the 32 of its flow's scale and shift nets once
-    each: a coupling layer's nets over its stack are copies of them, and
-    they score as the saved model does."""
+    autoencoder layers once each and no layer of the flow, whose coupling
+    layers are their stacked conditioners; the reloaded flow scores as the
+    saved one does."""
     ae, flow = init_autoencoder(RngStream(1)), init_flow(RngStream(3), 64)
     path = tmp_path / "default.fwc"
     ckpt.save_json(ckpt.pipeline_to_dict(ae, flow, ScoreConfig(), 3.5, 0.99), path)
@@ -76,7 +77,7 @@ def test_load_builds_each_dense_layer_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DenseLayer, "__post_init__", counting)
     _, reloaded, _, _ = ckpt.pipeline_from_dict(data)
-    assert len(built) == 38
+    assert len(built) == 6
     monkeypatch.undo()
     latent = RngStream(4).gaussian(4 * 64).reshape(4, 64)
     assert np.array_equal(flow_log_prob_batch(reloaded, latent),
@@ -204,6 +205,12 @@ MALFORMED = {
                                       np.ones((4, 4))),
     "sigmoid_coupling_hidden": _set("flow", "shift_nets", 1, "activations", 0,
                                     "sigmoid"),
+    "identity_coupling_hidden": _set("flow", "scale_nets", 0, "activations",
+                                     ["identity", "identity"]),
+    "coupling_nets_of_two_shapes": _set("flow", "shift_nets", 0, "biases", 0,
+                                        np.zeros(3)),
+    "nan_coupling_weight": _set("flow", "scale_nets", 1, "weights", 1,
+                                np.full((2, 4), np.nan)),
     "nan_weight": _set(*ENC, "weights", 0, np.full((8, 16), np.nan)),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),
@@ -311,6 +318,14 @@ RAW_MALFORMED = {
 }
 
 
+# sha256 of `_valid_file()`, the small seeded pipeline checkpoint (a
+# 16 -> 8 -> 4 autoencoder and two coupling layers of hidden width 4), as
+# format 6 writes it.  Its bytes need no BLAS, so they are the same on every
+# machine.  Re-pin it only for a change to the file format on purpose, and
+# record the old and the new digest where the change is recorded.
+FORMAT_6_SHA256 = "1f402bc0da19d990aa3f09820624877028e2a438a44ffabfa3897ae804e19f2e"
+
+
 @functools.cache
 def _valid_file() -> bytes:
     """The bytes of the small valid pipeline checkpoint."""
@@ -394,6 +409,12 @@ def test_file_is_header_then_raw_arrays():
         {"offset": offset, "shape": list(a.shape)} for offset, a in
         zip(np.cumsum([0] + [a.nbytes for a in arrays[:-1]]).tolist(), arrays)]
     assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+
+def test_format_6_bytes_are_pinned():
+    """A change to how the models hold their parameters leaves the file
+    they save unchanged, byte for byte."""
+    assert hashlib.sha256(_valid_file()).hexdigest() == FORMAT_6_SHA256
 
 
 def test_two_saves_of_one_tree_are_identical(tmp_path):

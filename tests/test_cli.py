@@ -537,7 +537,9 @@ def test_synth_spec_types_positive_control(tmp_path):
 @pytest.mark.parametrize("command, flag", [("gen-synth", "--checkpoint"),
                                            ("gen-synth", "--scenario"),
                                            ("train", "--checkpoint"),
-                                           ("print-config", "--checkpoint")])
+                                           ("print-config", "--checkpoint"),
+                                           ("eval", "--seed"),
+                                           ("simulate", "--seed")])
 def test_command_rejects_flag_it_does_not_read(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, flag, "x"])

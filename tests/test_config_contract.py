@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framewatch.cli import main
+from framewatch.cli import build_parser, main
 from framewatch.config import from_dict
 from framewatch.errors import ConfigError
 from framewatch.pipeline import RunConfig
@@ -36,6 +36,16 @@ RUN_CONFIG_KEYS = {
     "flow.scale_clamp", "flow.hidden",
     "score_mode", "score_alpha", "eval_quantile",
     "monitor_window", "monitor_consecutive", "monitor_threshold",
+}
+
+
+# Every subcommand's flags.  Adding or removing a flag edits this table.
+COMMAND_FLAGS = {
+    "gen-synth": {"--config", "--out", "--seed"},
+    "train": {"--config", "--scenario", "--out", "--seed"},
+    "eval": {"--config", "--checkpoint", "--scenario", "--out"},
+    "simulate": {"--config", "--checkpoint", "--scenario", "--out", "--realtime"},
+    "print-config": {"--config", "--seed"},
 }
 
 
@@ -107,6 +117,14 @@ def test_run_config_keys_are_pinned():
 
     assert set(leaves(VALID_RUN)) == RUN_CONFIG_KEYS
     assert len(RUN_CONFIG_KEYS) == 17
+
+
+def test_command_flags_are_pinned():
+    subcommands = next(action for action in build_parser()._actions
+                       if action.dest == "command").choices
+    assert {name: {flag for action in parser._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+            for name, parser in subcommands.items()} == COMMAND_FLAGS
 
 
 @pytest.mark.parametrize("key", ["out", "scenario"] + [

@@ -3,27 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from framewatch.checkpoint import flow_to_dict, save_json
-from framewatch.errors import ContractViolationError, ScoringError
+from framewatch.checkpoint import _read_flow, flow_to_dict, save_json
+from framewatch.errors import CheckpointError, ContractViolationError, ScoringError
 from framewatch.flow import (STD_FLOOR, CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
                              flow_forward_batch, flow_inverse_batch,
                              flow_log_prob_batch, init_flow, train_flow)
-from framewatch.nn import Activation, DenseLayer, Mlp, init_mlp
 from framewatch.rng import RngStream
 
 from _helpers import (finite_diff_param_grad, max_rel_err, pack, reference_masked_log_prob,
                       reference_per_net_couple, reference_per_net_loss_and_grads)
 
 
-ACTS = [Activation.TANH, Activation.IDENTITY]
+def _stack_shapes(n_a, n_b, hidden=8):
+    """The shapes of w_in, b_in, w_out and b_out of a conditioner mapping
+    n_a dims to n_b."""
+    return [(2, hidden, n_a), (2, hidden), (2, n_b, hidden), (2, n_b)]
+
+
+def _stack(rng, shapes):
+    """Uniform(-0.5, 0.5) arrays of the given shapes, one derived stream each."""
+    return [rng.derive(k).uniform_range(-0.5, 0.5, math.prod(shape)).reshape(shape)
+            for k, shape in enumerate(shapes)]
 
 
 def _coupling(rng, h, parity, hidden=8, scale_clamp=3.0):
-    """A random coupling layer of an h-vector, with half-width nets."""
+    """A random coupling layer of an h-vector."""
     n_a = len(range(parity, h, 2))
-    return CouplingLayer(parity, init_mlp(rng.derive(0), (n_a, hidden, h - n_a), ACTS),
-                         init_mlp(rng.derive(1), (n_a, hidden, h - n_a), ACTS),
+    return CouplingLayer(parity, *_stack(rng, _stack_shapes(n_a, h - n_a, hidden)),
                          scale_clamp)
 
 
@@ -35,15 +42,10 @@ def _zero_coupling(h=4, parity=0):
 
 
 def _rigged_coupling(a, c, s_max=3.0):
-    """h=2 layer with parity 0 whose nets output constants: s=a, t=c.  The
-    layer copies its nets into its stacked conditioner, so the constant
-    output biases go in through the constructor."""
-    def constant_net(out):
-        return Mlp([DenseLayer(np.zeros((8, 1)), np.zeros(8), Activation.TANH),
-                    DenseLayer(np.zeros((1, 8)), np.array([out]))])
-
-    return CouplingLayer(0, constant_net(s_max * math.atanh(a / s_max)),
-                         constant_net(c), s_max)
+    """h=2 layer with parity 0 whose nets output constants: s=a, t=c, the
+    output biases of slices 0 and 1."""
+    return CouplingLayer(0, np.zeros((2, 8, 1)), np.zeros((2, 8)), np.zeros((2, 1, 8)),
+                         np.array([[s_max * math.atanh(a / s_max)], [c]]), s_max)
 
 
 def _identity_flow(h):
@@ -93,34 +95,67 @@ def test_coupling_log_det_matches_jacobian():
     assert abs(math.exp(log_det) - det) / det < 1e-4
 
 
-@pytest.mark.parametrize("parity, scale_dims, shift_dims", [
-    (0, (2, 8, 3), (2, 8, 3)),   # 5 dims split 3 / 2 by parity 0, not 2 / 3
-    (1, (2, 8, 2), (2, 8, 3)),   # shift net does not match the scale net
-    (2, (2, 8, 2), (2, 8, 2)),   # no such parity
-    (0, (1, 8, 0), (1, 8, 0)),   # init_flow over 1 dim: nothing to transform
-], ids=["wrong-split", "nets-differ", "parity-2", "empty-half"])
-def test_coupling_rejects_bad_halves(parity, scale_dims, shift_dims):
-    """The constructor holds the one rule on the halves: both non-empty,
-    the dims i % 2 == parity mapped to the others by both nets."""
+@pytest.mark.parametrize("parity, shapes", [
+    (0, _stack_shapes(2, 3)),    # 5 dims split 3 / 2 by parity 0, not 2 / 3
+    (1, _stack_shapes(2, 3)[:3] + [(2, 2)]),   # output biases narrower than weights
+    (2, _stack_shapes(2, 2)),    # no such parity
+    (0, _stack_shapes(1, 0)),    # init_flow over 1 dim: nothing to transform
+    (1, _stack_shapes(0, 1)),    # nothing to condition on
+    (0, _stack_shapes(2, 2, hidden=0)),
+    (0, [(3, 8, 2), (3, 8), (3, 2, 8), (3, 2)]),   # three nets
+    (0, [(8, 2), (8,), (2, 8), (2,)]),             # one net, unstacked
+], ids=["wrong-split", "widths-differ", "parity-2", "empty-half", "empty-a",
+        "zero-hidden", "three-nets", "unstacked"])
+def test_coupling_rejects_bad_halves(parity, shapes):
+    """The constructor holds the one rule on the stack and its halves: two
+    nets, each mapping the dims i % 2 == parity to the others through a
+    hidden layer, no width zero."""
     with pytest.raises(ContractViolationError):
-        CouplingLayer(parity, init_mlp(RngStream(0), scale_dims, ACTS),
-                      init_mlp(RngStream(1), shift_dims, ACTS))
+        CouplingLayer(parity, *(np.full(shape, 0.25) for shape in shapes))
 
 
-@pytest.mark.parametrize("scale_dims, scale_acts, shift_dims", [
-    ((2, 8, 2), [Activation.SIGMOID, Activation.IDENTITY], (2, 8, 2)),
-    ((2, 8, 2), [Activation.TANH, Activation.TANH], (2, 8, 2)),
-    ((2, 8, 8, 2), ACTS + [Activation.IDENTITY], (2, 8, 8, 2)),
-    ((2, 8, 2), ACTS, (2, 4, 2)),
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_coupling_rejects_non_finite_parameters(which, value):
+    arrays = _stack(RngStream(0), _stack_shapes(2, 2))
+    arrays[which].flat[-1] = value
+    with pytest.raises(ContractViolationError, match="parameters must be finite"):
+        CouplingLayer(0, *arrays)
+
+
+def _edit_net(*keys_and_value):
+    """Sets the value at `keys` of layer 1's shift net in a flow_to_dict tree."""
+    *keys, value = keys_and_value
+
+    def edit(data):
+        net = data["shift_nets"][1]
+        for key in keys[:-1]:
+            net = net[key]
+        net[keys[-1]] = value
+    return edit
+
+
+def _add_identity_layer(data):
+    net = data["shift_nets"][1]
+    net["activations"].append("identity")
+    net["weights"].append(np.zeros((2, 2)))
+    net["biases"].append(np.zeros(2))
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_net("activations", 0, "sigmoid"),
+    _edit_net("activations", 1, "tanh"),
+    _add_identity_layer,
+    _edit_net("weights", 0, np.zeros((4, 2))),
 ], ids=["sigmoid-hidden", "tanh-output", "three-layers", "hidden-widths-differ"])
-def test_coupling_rejects_nets_it_cannot_stack(scale_dims, scale_acts, shift_dims):
-    """Both nets must be a Tanh layer then an Identity layer of the same
-    shapes, the one form the stacked conditioner computes."""
-    scale = init_mlp(RngStream(0), scale_dims, scale_acts)
-    shift = init_mlp(RngStream(1), shift_dims, [Activation.TANH] * (len(shift_dims) - 2)
-                     + [Activation.IDENTITY])
-    with pytest.raises(ContractViolationError, match="Tanh layer then an Identity"):
-        CouplingLayer(1, scale, shift)
+def test_coupling_rejects_nets_it_cannot_stack(edit):
+    """A checkpoint's scale and shift nets must both be a Tanh layer then an
+    Identity layer of the same shapes, the one form the stacked conditioner
+    computes; the reader rejects any other before it stacks them."""
+    data = flow_to_dict(init_flow(RngStream(0), 4, num_layers=2, hidden=8))
+    edit(data)
+    with pytest.raises(CheckpointError, match=r"flow\.shift_nets\[1\]|two shapes"):
+        _read_flow(data, "flow", 4)
 
 
 @pytest.mark.parametrize("scale_clamp", [float("nan"), float("inf")],
@@ -270,17 +305,15 @@ def test_stacked_conditioner_matches_per_net_loop_bitwise(dim, n):
 
 
 def test_nets_are_views_of_the_stack():
-    """Writing into a net's array changes the layer's stack and its output;
-    the stack holds the nets the layer was built from."""
-    scale, shift = (init_mlp(RngStream(k), (2, 8, 2), ACTS) for k in (0, 1))
-    layer = CouplingLayer(1, scale, shift)
-    for net, k in ((scale, 0), (shift, 1)):
-        for p, stacked in zip(net.params(), layer.params()):
-            assert np.array_equal(stacked[k], p)
+    """The layer keeps the stacked arrays it is given, slice 0 the scale net
+    and slice 1 the shift net: writing into the shift net's output bias
+    moves the transformed dims by as much."""
+    arrays = _stack(RngStream(0), _stack_shapes(2, 2))
+    layer = CouplingLayer(1, *arrays)
+    assert all(p is a for p, a in zip(layer.params(), arrays))
     x = RngStream(2).gaussian(4)
     before = coupling_forward(layer, x)[0]
-    layer.shift_net.layers[1].bias[...] += 1.0
-    assert np.array_equal(layer.b_out[1], shift.layers[1].bias + 1.0)
+    arrays[3][1] += 1.0
     after = coupling_forward(layer, x)[0]
     assert np.array_equal(after[1::2], before[1::2])
     assert np.allclose(after[0::2], before[0::2] + 1.0, rtol=0.0, atol=1e-12)

@@ -66,13 +66,14 @@ def scenario_digest(dataset) -> str:
 
 def parameter_digest(ae, flow, threshold) -> str:
     """sha256 over autoencoder params (encoder then decoder, weights then
-    bias per layer), then per coupling layer its parity (as an int64),
-    scale-net and shift-net params, then the whitening mean and std, then
+    bias per layer), then per coupling layer its parity (as an int64), the
+    scale net's params (slice 0 of its stacked w_in, b_in, w_out, b_out)
+    and the shift net's (slice 1), then the whitening mean and std, then
     the threshold."""
     arrays = list(ae.params())
     for layer in flow.layers:
-        arrays += [np.int64(layer.parity), *layer.scale_net.params(),
-                   *layer.shift_net.params()]
+        arrays += [np.int64(layer.parity), *(p[0] for p in layer.params()),
+                   *(p[1] for p in layer.params())]
     arrays += [flow.whitening_mean, flow.whitening_std, np.float64(threshold)]
     digest = hashlib.sha256()
     for a in arrays:

@@ -42,7 +42,7 @@ def test_dense_forward_matches_loop_oracle():
 
 
 def test_dense_forward_shape_mismatch():
-    layer = DenseLayer(np.eye(3), np.zeros(3))
+    layer = DenseLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)
     with pytest.raises(ContractViolationError):
         dense_forward_batch(layer, np.zeros((1, 4)))
 
@@ -375,14 +375,15 @@ def test_float32_kernels_keep_float32(act):
 def test_dense_layer_keeps_float_dtypes():
     layer = init_dense(RngStream(3), 4, 3, Activation.TANH)
     for dtype, kept in ((F32, F32), (np.float64, np.float64), (np.int64, np.float64)):
-        cast = DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
+        cast = DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype),
+                          layer.activation)
         assert cast.weights.dtype == cast.bias.dtype == kept
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
 def test_dense_layer_rejects_zero_width(shape):
     with pytest.raises(ContractViolationError, match="zero"):
-        DenseLayer(np.zeros(shape), np.zeros(shape[0]))
+        DenseLayer(np.zeros(shape), np.zeros(shape[0]), Activation.LEAKY_RELU)
 
 
 def test_mlp_rejects_empty_or_unchained_layers():
@@ -400,12 +401,12 @@ def test_dense_layer_rejects_non_finite_parameters(bad):
     params = {"weights": np.ones((3, 4)), "bias": np.zeros(3)}
     params[which].flat[-1] = value
     with pytest.raises(ContractViolationError, match="parameters must be finite"):
-        DenseLayer(params["weights"], params["bias"])
+        DenseLayer(params["weights"], params["bias"], Activation.LEAKY_RELU)
 
 
 def test_dense_layer_rejects_mixed_dtypes():
     with pytest.raises(ContractViolationError, match="float32"):
-        DenseLayer(np.eye(2, dtype=F32), np.zeros(2))
+        DenseLayer(np.eye(2, dtype=F32), np.zeros(2), Activation.LEAKY_RELU)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -100,6 +100,19 @@ def test_blocked_inputs_score_alike(models, monkeypatch, n):
             _oracle_score(ae, flow, Frame(pixels[i]), COMBINED), rel=1e-12)
 
 
+def test_code_arrays_in_a_list_or_tuple_score_as_codes(models):
+    """A list or a tuple of uint8 code arrays scores bit for bit as their
+    stacked (n, 64, 64) array, not as intensities 0-255, and a list of the
+    `Frame`s of their intensities scores alike; n spans two blocks."""
+    ae, flow = models
+    n = SCORE_BLOCK_ROWS + 3
+    codes = np.floor(RngStream(5).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
+    codes = codes.reshape(n, FRAME_SIDE, FRAME_SIDE)
+    want = score_frames(ae, flow, codes, COMBINED)
+    for frames in (list(codes), tuple(codes), [Frame(p) for p in intensities(codes)]):
+        assert np.array_equal(score_frames(ae, flow, frames, COMBINED), want)
+
+
 @pytest.mark.parametrize("empty", [[], np.empty((0, FRAME_SIDE, FRAME_SIDE))],
                          ids=["list", "array"])
 def test_zero_frames_score_to_an_empty_array(models, empty):
