@@ -2,14 +2,14 @@
 and the oracles that hand-derived gradients, the activations, the blocked
 uniform draw, the rank AUC, the tie grouping of ranks and ROC points, the
 evaluation report, the masked coupling loop, the per-net coupling loop
-and its backward pass, the monitor fold and the PGM header parser are
-checked against."""
+and its backward pass, the monitor fold, the PGM header parser and the
+frame reader are checked against."""
 
 import math
 
 import numpy as np
 
-from framewatch.data_io import LABEL_AXES
+from framewatch.data_io import FRAME_SIDE, LABEL_AXES, resize_bilinear
 from framewatch.errors import ContractViolationError, EvaluationError, ParseError
 from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
                                   choose_threshold)
@@ -386,3 +386,16 @@ def reference_decode_pgm(data):
             f"{width * height} pixel bytes, got {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     return pixels.reshape(height, width), width, height
+
+
+def reference_read_frame_codes(path):
+    """A frame's (64, 64) uint8 codes read through a buffered file object
+    and decoded by the byte loop, any other size resized, clipped and
+    rounded: the oracle of read_frame_codes, whose raw reads and canonical
+    header short path must give the same codes or the same message."""
+    with open(path, "rb") as f:
+        data = f.read()
+    pixels, width, height = reference_decode_pgm(data)
+    if (height, width) != (FRAME_SIDE, FRAME_SIDE):
+        pixels = np.clip(resize_bilinear(pixels), 0.0, 1.0)
+    return np.rint(pixels * 255.0).astype(np.uint8)

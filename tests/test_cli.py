@@ -290,6 +290,41 @@ def test_simulate_unreadable_frame_fails_safe(workspace, tmp_path, capsys):
     assert "trigger at frame 1" in captured.out
 
 
+def test_a_directory_named_like_a_frame_is_reported_by_name(workspace, tmp_path, capsys):
+    """A directory `x.pgm` among the frames is read as a frame and fails with
+    the error `open` gives, its path included: eval exits 3 naming it, and
+    simulate warns with its name and logs a fail-safe stop for it."""
+    import errno
+    import shutil
+    checkpoint = str(workspace / "out" / "checkpoint.fwc")
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    bad = scen / "test" / "x.pgm"
+    bad.mkdir()
+    message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{bad}'"
+    assert main(["eval", "--checkpoint", checkpoint, "--scenario", str(scen),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"i/o error: {message}\n"
+
+    stream = tmp_path / "stream"
+    stream.mkdir()
+    (stream / "frame_000000.pgm").write_bytes(
+        encode_pgm(np.full((FRAME_SIDE, FRAME_SIDE), 0.5)))
+    bad = stream / "frame_000001.pgm"
+    bad.mkdir()
+    message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{bad}'"
+    out = tmp_path / "sim"
+    assert main(["simulate", "--checkpoint", checkpoint, "--scenario", str(stream),
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"warning: frame frame_000001.pgm unreadable ({message}); "
+                            "logging fail-safe stop\ncompleted with warnings\n")
+    assert "trigger at frame 1" in captured.out
+    with open(out / "monitor_log.csv", newline="") as log:
+        rows = list(csv.DictReader(log))
+    assert (rows[1]["action"], rows[1]["fault"]) == ("Stop", "1")
+
+
 def test_simulate_missing_frames_dir(workspace, tmp_path):
     assert main(["simulate", "--checkpoint",
                  str(workspace / "out" / "checkpoint.fwc"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import reference_decode_pgm
+from _helpers import reference_decode_pgm, reference_read_frame_codes
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, Split, decode_pgm, encode_pgm,
                                 intensities, load_scenario, parse_labels,
@@ -13,6 +13,9 @@ from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
 from framewatch.rng import RngStream
 
 HEADER = b"filename,label,anomaly_type,level,hazard,geometric,mission_relevant\n"
+# The header encode_pgm writes for a 64x64 frame, and a payload of every code.
+CANONICAL = b"P5\n64 64\n255\n"
+PAYLOAD = bytes(range(256)) * (FRAME_SIDE * FRAME_SIDE // 256)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +162,15 @@ def _decoded(decode, data):
 @example(b"P5 0003 02 255\n" + bytes(6) + b"extra")
 @example(b"P5 2 2 255\n\x00")
 @example(b"P5 2 2 255")
+@example(CANONICAL + PAYLOAD)
+@example(CANONICAL + PAYLOAD[:-1])
+@example(CANONICAL + PAYLOAD + b"\x00")
+@example(b"P5\n# 64 64 255\n64 64\n255\n" + PAYLOAD)
+@example(CANONICAL[:-1] + b"\r" + PAYLOAD)
 def test_decode_matches_byte_loop_oracle(data):
-    """The one-regex header parser and the byte loop it replaced agree on
-    every input: the same pixels, width and height, or the same message."""
+    """The header parser, its canonical 64x64 short path included, and the
+    byte loop it replaced agree on every input: the same pixels, width and
+    height, or the same message."""
     assert _decoded(decode_pgm, data) == _decoded(reference_decode_pgm, data)
 
 
@@ -358,32 +367,54 @@ def _write_pgm(path, height, width, seed):
 
 
 def test_load_mixed_sizes_matches_read_frame_codes(tmp_path):
-    """A split of 64x64 frames and frames of other sizes loads in
-    (timestamp, name) order as rows of one uint8 array, each row equal to
-    read_frame_codes of its file, with its name, timestamp and label."""
+    """A split of canonical 64x64 frames, 64x64 frames with other headers
+    and frames of other sizes loads in (timestamp, name) order as rows of
+    one uint8 array, each row equal to read_frame_codes of its file and to
+    the buffered reference reader's codes, with its name, timestamp and
+    label.  A truncated file fails with the reference's message behind its
+    `<split>/<file>:` prefix."""
     _make_fixture(tmp_path)
     sizes = {"test_00001.pgm": (48, 80), "test_00002.pgm": (1, 1),
              "b_7.pgm": (FRAME_SIDE, FRAME_SIDE), "a_7.pgm": (3, 2),
              "c.pgm": (FRAME_SIDE, FRAME_SIDE), "test_00010.pgm": (80, 48)}
     for seed, (name, (height, width)) in enumerate(sizes.items()):
         _write_pgm(tmp_path / "test" / name, height, width, seed)
+    headers = {"test_00003.pgm": b"P5\n# by hand\n64 64\n255\n",
+               "test_00004.pgm": b"P5 64 64 255\r",
+               "test_00005.pgm": CANONICAL}
+    for name, header in headers.items():
+        (tmp_path / "test" / name).write_bytes(header + PAYLOAD[::-1] + b"tail")
     (tmp_path / "test" / "notes.txt").write_text("not a frame\n")
     with (tmp_path / "labels.csv").open("a") as f:
-        for name in sizes:
+        for name in [*sizes, *headers]:
             if name != "test_00001.pgm":
                 f.write(f"{name},normal,,,,,\n")
     labels = parse_labels((tmp_path / "labels.csv").read_bytes())
 
     test = load_scenario(tmp_path).test
     order = ["c.pgm", "test_00000.pgm", "test_00001.pgm", "test_00002.pgm",
+             "test_00003.pgm", "test_00004.pgm", "test_00005.pgm",
              "a_7.pgm", "b_7.pgm", "test_00010.pgm"]
     assert test.source_ids == tuple(f"test/{name}" for name in order)
-    assert test.timestamps == (0, 0, 1, 2, 7, 7, 10)
+    assert test.timestamps == (0, 0, 1, 2, 3, 4, 5, 7, 7, 10)
     assert test.labels == tuple(labels[name] for name in order)
     assert test.pixels.shape == (len(order), FRAME_SIDE, FRAME_SIDE)
     assert test.pixels.dtype == np.uint8
     for row, name in zip(test.pixels, order):
-        assert row.tobytes() == read_frame_codes(tmp_path / "test" / name).tobytes()
+        path = tmp_path / "test" / name
+        assert row.tobytes() == read_frame_codes(path).tobytes()
+        assert row.tobytes() == reference_read_frame_codes(path).tobytes()
+
+    for name in ("b_7.pgm", "test_00003.pgm", "test_00010.pgm"):
+        path = tmp_path / "test" / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-5])
+        with pytest.raises(ParseError) as want:
+            reference_read_frame_codes(path)
+        with pytest.raises(ParseError) as got:
+            load_scenario(tmp_path)
+        assert str(got.value) == f"test/{name}: {want.value}"
+        path.write_bytes(whole)
 
 
 def test_a_resized_frame_rounds_to_the_nearest_code(tmp_path):

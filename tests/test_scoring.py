@@ -9,7 +9,7 @@ from framewatch import autoencoder, checkpoint as ckpt, pipeline, scoring
 from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, intensities
-from framewatch.errors import ConfigError, ScoringError
+from framewatch.errors import ConfigError, ContractViolationError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
@@ -111,6 +111,19 @@ def test_code_arrays_in_a_list_or_tuple_score_as_codes(models):
     want = score_frames(ae, flow, codes, COMBINED)
     for frames in (list(codes), tuple(codes), [Frame(p) for p in intensities(codes)]):
         assert np.array_equal(score_frames(ae, flow, frames, COMBINED), want)
+
+
+@pytest.mark.parametrize("wrap", [list, tuple])
+def test_a_list_mixing_frames_and_codes_is_rejected(models, wrap):
+    """A `Frame` beside a uint8 code array makes a float block, which would
+    read the codes as intensities 0-255; such a block is refused, whichever
+    comes first."""
+    ae, flow = models
+    codes = np.full((2, FRAME_SIDE, FRAME_SIDE), 200, np.uint8)
+    frame = Frame(intensities(codes[0]))
+    for frames in ([frame, codes[1]], [codes[0], frame]):
+        with pytest.raises(ContractViolationError, match="mix uint8 codes"):
+            score_frames(ae, flow, wrap(frames))
 
 
 @pytest.mark.parametrize("empty", [[], np.empty((0, FRAME_SIDE, FRAME_SIDE))],
