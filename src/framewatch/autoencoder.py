@@ -8,10 +8,13 @@ score.
 The trainer takes arrays of flat frames; `ScenarioDataset` owns the split
 protocol.  Training runs in float32: parameters, Adam moments, frames,
 activations and gradients, while the reported losses are summed in
-float64.  The trained model is cast back to float64, which is exact, so
-everything downstream (flow training, score standardization, the
-threshold, scoring and the `<f8` checkpoint) sees and computes with a
-float64 model.
+float64.  The caller's frames are kept as they come, so a split's 8-bit
+codes stay one byte a pixel: each step makes the float32 frames of the
+batch it gathers, and each epoch's validation loss those of the val
+split, so no float32 copy of a whole split lives through training.  The
+trained model is cast back to float64, which is exact, so everything
+downstream (flow training, score standardization, the threshold, scoring
+and the `<f8` checkpoint) sees and computes with a float64 model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_ranges
-from .data_io import FRAME_PIXELS, intensities
+from .data_io import FRAME_PIXELS, as_intensities
 from .errors import ContractViolationError, TrainingError
 from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
 from .rng import RngStream
@@ -163,19 +166,23 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
                       config: AutoencoderConfig, seed: int = 0):
     """Train on the rows of `train_x`, validating on those of `val_x`,
     each a non-empty `(n, 4096)` array of flat frames, as uint8 codes or
-    float intensities; deterministic given `seed`.  The frames (codes go
-    straight to float32 intensities) and the float64 initialisation are
-    cast to float32 and trained in float32; the returned model is float64,
-    each value exactly a float32 one.  Returns (model, report).
+    float intensities (any other dtype raises ContractViolationError);
+    deterministic given `seed`.  Neither array is copied: each step turns
+    the rows of its batch into float32 intensities (`as_intensities`, so
+    codes, their float32 and their float64 intensities train alike), and
+    each epoch's validation loss turns the whole val split, as one array
+    so that its float64 mean is summed in one order.  The float64
+    initialisation is cast to float32 and trained in float32; the returned
+    model is float64, each value exactly a float32 one.  Returns (model,
+    report).
     """
     train_x, val_x = np.asarray(train_x), np.asarray(val_x)
-    train_x, val_x = (intensities(x, np.float32) if x.dtype == np.uint8
-                      else x.astype(np.float32, copy=False) for x in (train_x, val_x))
     for x, split_name in ((train_x, "train"), (val_x, "val")):
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != FRAME_PIXELS:
             raise ContractViolationError(
                 f"train_autoencoder: {split_name} frames must be a non-empty "
                 f"(n, {FRAME_PIXELS}) array, got shape {x.shape}")
+        as_intensities(x[:0])   # refuses any other dtype before training starts
 
     rng = RngStream(seed)
     model = _cast(init_autoencoder(rng.derive(0), config.latent_dim), np.float32)
@@ -190,7 +197,8 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
-            batch = train_x[order[start:start + config.batch_size]]
+            batch = as_intensities(train_x[order[start:start + config.batch_size]],
+                                   np.float32)
             loss, grads = _mse_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -202,7 +210,7 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
             del grads
             epoch_loss += loss * batch.shape[0]
         report.train_loss.append(epoch_loss / n)
-        report.val_loss.append(_mean_mse(model, val_x))
+        report.val_loss.append(_mean_mse(model, as_intensities(val_x, np.float32)))
     report.epochs_run = config.epochs
     # Free the moments before the float64 copy is made, so that the copy
     # can reuse their memory.

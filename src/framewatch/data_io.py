@@ -220,6 +220,24 @@ def intensities(codes: np.ndarray, dtype=np.float64,
     return np.divide(codes, 255, out=out, dtype=dtype)
 
 
+def as_intensities(frames: np.typing.ArrayLike, dtype=np.float64,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`frames` as intensities in `dtype`, by their dtype: uint8 codes are
+    divided by `intensities` (into `out` when given), float intensities are
+    cast (not copied when already `dtype`).  Any other dtype raises
+    ContractViolationError: integers or booleans could be codes or
+    intensities, and reading codes as intensities 0-255 gives scores and
+    losses thousands of times too large."""
+    frames = np.asarray(frames)
+    if frames.dtype == np.uint8:
+        return intensities(frames, dtype, out)
+    if frames.dtype.kind != "f":
+        raise ContractViolationError(
+            f"frames of dtype {frames.dtype} are neither uint8 codes nor "
+            "float intensities")
+    return frames.astype(dtype, copy=False)
+
+
 def decode_pgm(data: bytes):
     """Decode a binary PGM (P5, maxval 255) into a float image in [0, 1].
 

@@ -78,11 +78,12 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     """Train autoencoder then flow on the normal splits; derive the
     validation-based score standardization and trigger threshold.
 
-    The autoencoder trains on the splits' codes.  Each split is encoded
-    once, from float64 intensities made only after that training returns,
-    so they are never alive beside its float32 frames; the validation
-    latents feed flow training, the standardization and the validation
-    scores.
+    The autoencoder trains on the splits' codes, which it turns into
+    float32 frames one batch at a time (and the val split once an epoch).
+    Each split is then encoded once, from float64 intensities made after
+    that training returns; the train split's is the one whole-split copy
+    left that grows with its size.  The validation latents feed flow
+    training, the standardization and the validation scores.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autoencoder import (AutoencoderModel, encode_batch, reconstruction_error,
                           row_blocks)
-from .data_io import intensities
+from .data_io import as_intensities
 from .errors import ConfigError, ContractViolationError
 from .flow import FlowModel, flow_log_prob_batch
 
@@ -70,11 +70,12 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
     `frames` is a list or tuple of n frames, or anything `np.asarray` makes
     n frames of without a copy, such as a `Split`.  Each `row_blocks`
     block of at most SCORE_BLOCK_ROWS frames is `np.asarray` of its rows,
-    and its dtype decides: uint8 codes are divided into one float64 buffer
-    that every such block reuses, and `Frame`s or float arrays are read as
-    float64 intensities.  A list or tuple that mixes uint8 codes with other
-    frames raises ContractViolationError, as its block's dtype would read the
-    codes as intensities.  A block is encoded once, and its latents feed the
+    and `data_io.as_intensities` reads it by its dtype: uint8 codes are
+    divided into one float64 buffer that every such block reuses, `Frame`s
+    or float arrays are read as float64 intensities, and any other dtype
+    raises ContractViolationError.  So does a list or tuple that mixes uint8
+    codes with other frames, as its block's dtype would read the codes as
+    intensities.  A block is encoded once, and its latents feed the
     NLL and, in combined mode, the reconstruction error, so memory does not
     grow with n past one block.  Zero frames give an empty array.
     """
@@ -93,14 +94,12 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
         if block.dtype == np.uint8:
             if buffer is None:
                 buffer = np.empty((max(b.stop - b.start for b in blocks), *block.shape[1:]))
-            flats = intensities(block, out=buffer[:len(block)])
-        else:
-            if isinstance(frames, (list, tuple)) and any(
-                    np.asarray(frame).dtype == np.uint8 for frame in frames[rows]):
-                raise ContractViolationError(
-                    "score_frames: frames mix uint8 codes with other frames; "
-                    "pass intensities(codes) or codes alone")
-            flats = np.asarray(block, dtype=np.float64)
+        elif isinstance(frames, (list, tuple)) and any(
+                np.asarray(frame).dtype == np.uint8 for frame in frames[rows]):
+            raise ContractViolationError(
+                "score_frames: frames mix uint8 codes with other frames; "
+                "pass intensities(codes) or codes alone")
+        flats = as_intensities(block, out=None if buffer is None else buffer[:len(block)])
         flats = flats.reshape(len(block), -1)
         latents = encode_batch(ae, flats)
         nll = -flow_log_prob_batch(flow, latents)

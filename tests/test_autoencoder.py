@@ -5,7 +5,7 @@ from framewatch.autoencoder import (AutoencoderConfig, AutoencoderModel, encode_
                                     init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict, save_json
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, intensities
 from framewatch.errors import ContractViolationError
 from framewatch.nn import Activation, init_mlp
 from framewatch.rng import RngStream
@@ -140,6 +140,34 @@ def test_train_rejects_empty_split():
     with pytest.raises(ContractViolationError, match="train frames"):
         train_autoencoder(np.zeros((0, FRAME_PIXELS)), _frame().flat()[None],
                           AutoencoderConfig())
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_integer_frames(dtype, split):
+    """Read as intensities 0-255, codes would give losses thousands of
+    times too large; integer or boolean frames are refused before training,
+    naming the dtype."""
+    frames = {"train": _frame().flat()[None], "val": _frame().flat()[None]}
+    frames[split] = np.full((1, FRAME_PIXELS), 200).astype(dtype)
+    with pytest.raises(ContractViolationError, match=np.dtype(dtype).name):
+        train_autoencoder(frames["train"], frames["val"], AutoencoderConfig(epochs=1))
+
+
+def test_codes_and_their_intensities_train_alike():
+    """Each step turns its batch's rows into float32 intensities: uint8
+    codes, their float32 and their float64 intensities train to bit-equal
+    parameters and equal reports (a short last batch included)."""
+    codes = np.floor(RngStream(9).uniform(10 * FRAME_PIXELS) * 256).astype(np.uint8)
+    codes = codes.reshape(10, FRAME_PIXELS)
+    cfg = AutoencoderConfig(epochs=2, batch_size=3, latent_dim=8)
+    (model, report), *others = (
+        train_autoencoder(x[:7], x[7:], cfg, seed=5)
+        for x in (codes, intensities(codes, np.float32), intensities(codes)))
+    for other_model, other_report in others:
+        assert other_report == report
+        for got, want in zip(other_model.params(), model.params()):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_trained_latent_is_bounded():

@@ -5,13 +5,15 @@ Each bound is in units of the largest array the path has to make: the
 first encoder layer's output for `encode_batch`, one decoded block for
 combined-mode `score_frames`, one block of float64 pixels for scoring a
 list of frames or a split, the float32 parameters for autoencoder
-training, one (n, dim) latent batch for flow scoring, the float64 flow
-parameters for flow training, and one byte per pixel for loading a
-scenario.  An inference layer that kept its pre-activation next to its
-output, scoring that stacked its whole input, a coupling layer whose
-arrays outlived it, a training step that made its gradients while the
-previous step's were still alive, or a loader that kept float pixels,
-goes over these bounds.
+training, one batch of float32 frames for how autoencoder training grows
+with its train split, one (n, dim) latent batch for flow scoring, the
+float64 flow parameters for flow training, and one byte per pixel for
+loading a scenario.  An inference layer that kept its pre-activation next
+to its output, scoring that stacked its whole input, a coupling layer
+whose arrays outlived it, a training step that made its gradients while
+the previous step's were still alive, training that made float32 frames
+of its whole train split, or a loader that kept float pixels, goes over
+these bounds.
 """
 
 import gc
@@ -70,6 +72,18 @@ def test_training_keeps_one_gradient_set():
     config = AutoencoderConfig(epochs=1, batch_size=64)
     peak = _traced_peak(lambda: train_autoencoder(train_x, val_x, config))
     assert peak <= 5 * n_params * np.dtype(np.float32).itemsize
+
+
+def test_training_memory_does_not_grow_with_the_train_split():
+    """One epoch on the codes of 1,024 frames peaks within one batch of
+    float32 frames of one epoch on 64: each step makes the float32 frames of
+    its own batch only, never of the whole split (15.7 MB more here)."""
+    codes = np.floor(_flats(1024, 4) * 256).astype(np.uint8)
+    val_codes = np.floor(_flats(16, 5) * 256).astype(np.uint8)
+    config = AutoencoderConfig(epochs=1, batch_size=64)
+    small, large = (_traced_peak(lambda: train_autoencoder(codes[:n], val_codes, config))
+                    for n in (64, 1024))
+    assert abs(large - small) < config.batch_size * FRAME_PIXELS * np.dtype(np.float32).itemsize
 
 
 def test_flow_scoring_keeps_one_coupling_layer_alive():

@@ -126,6 +126,19 @@ def test_a_list_mixing_frames_and_codes_is_rejected(models, wrap):
             score_frames(ae, flow, wrap(frames))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+def test_integer_frames_are_rejected(models, dtype):
+    """Integer or boolean frames could be codes or intensities; read as
+    intensities, code 200 would score about 3.96e6 instead of 11.5.  An
+    array of them and a list of their frames are refused, naming the
+    dtype."""
+    ae, flow = models
+    frames = np.full((2, FRAME_SIDE, FRAME_SIDE), 200).astype(dtype)
+    for block in (frames, list(frames)):
+        with pytest.raises(ContractViolationError, match=np.dtype(dtype).name):
+            score_frames(ae, flow, block)
+
+
 @pytest.mark.parametrize("empty", [[], np.empty((0, FRAME_SIDE, FRAME_SIDE))],
                          ids=["list", "array"])
 def test_zero_frames_score_to_an_empty_array(models, empty):
