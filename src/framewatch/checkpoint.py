@@ -1,6 +1,6 @@
 """Checkpoints of the full pipeline: autoencoder, flow and scoring.
 
-A checkpoint (`format_version` 6, written by `train` as `checkpoint.fwc`)
+A checkpoint (`format_version` 7, written by `train` as `checkpoint.fwc`)
 is one binary file laid out like a safetensors file: a JSON header that
 describes every array, then the arrays' raw bytes.
 
@@ -19,13 +19,10 @@ chosen at; loading uses all but the quantile, which is range-checked and
 not returned.  Each fact is stored once: `format_version` and
 `model_kind` only at the top level, each network's dims only as its
 weight shapes, and each coupling layer's clamp only in the flow's
-`scale_clamps` list.  A coupling layer's parity is its index k % 2, so
-its half-width nets map the latent dims i % 2 == k % 2 to the others.
-Only this module splits a layer's stacked conditioner into the file's
-`scale_nets[k]` (slice 0) and `shift_nets[k]` (slice 1), each a Tanh
-layer then an Identity layer, and stacks them again on load.  How the
-models were trained (the run config and its seed) is recorded in
-`train_report.json`, not here.
+`scale_clamps` list.  The flow's `layers[k]` holds coupling layer k as
+the model does, the `w_in`, `b_in`, `w_out` and `b_out` of its stacked
+conditioner; its parity is its index k % 2.  How the models were trained
+(the run config and its seed) is recorded in `train_report.json`.
 
 The parameters (weights, biases, whitening vectors) are stored as their
 own bytes, not as text: base64 would make the file a third larger,
@@ -39,10 +36,9 @@ header length against the file size, that each array's offset is the
 integer where the array before it ends (so the offsets are 8-byte
 aligned and in header order) and in bounds, and that the arrays cover
 the payload exactly.  `pipeline_from_dict` then checks the file's own
-rules (keys, JSON types, list lengths, each array a float64 array, each
-coupling net's activations, a layer's two nets of one shape, the format,
-kind, threshold and quantile) and builds the types, which check their
-own parts: `DenseLayer` its shapes, dtypes, finiteness and non-zero
+rules (keys, JSON types, list lengths, each array a float64 array, the
+format, kind, threshold and quantile) and builds the types, which check
+their own parts: `DenseLayer` its shapes, dtypes, finiteness and non-zero
 widths, `Mlp` that its layers chain, `AutoencoderModel` that the decoder
 maps latent_dim back to input_dim, `CouplingLayer` its stacked shapes,
 halves, finiteness and clamp, `FlowModel` its layers' dim and its finite
@@ -51,8 +47,9 @@ whitening vectors with positive std, and `ScoreConfig` and
 reported as a one-line CheckpointError with the key path.  Building a
 model has no side effects, so `pipeline_from_dict` returns nothing unless
 the whole file passed.
-Format 1 to 5 files (JSON documents, then full-width coupling nets with
-masks) are rejected: retrain to write a format 6 checkpoint.
+Format 1 to 6 files (JSON documents, then full-width coupling nets with
+masks, then each coupling layer split into two per-net entries) are
+rejected: retrain to write a format 7 checkpoint.
 """
 
 from __future__ import annotations
@@ -73,7 +70,8 @@ from .flow import CouplingLayer, FlowModel
 from .nn import Activation, DenseLayer, Mlp
 from .scoring import ScoreConfig, ScoreStandardization
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
+_COUPLING_KEYS = ("w_in", "b_in", "w_out", "b_out")   # CouplingLayer.params() order
 MAGIC = b"FRAMEWATCH CKPT\n"
 _LENGTH = struct.Struct("<Q")
 _F8 = np.dtype("<f8")
@@ -155,27 +153,12 @@ def _read_autoencoder(data, where: str) -> AutoencoderModel:
 
 
 def flow_to_dict(model: FlowModel) -> dict:
-    nets = [[{"activations": ["tanh", "identity"],
-              "weights": [layer.w_in[k], layer.w_out[k]],
-              "biases": [layer.b_in[k], layer.b_out[k]]} for layer in model.layers]
-            for k in (0, 1)]
     return {
+        "layers": [dict(zip(_COUPLING_KEYS, layer.params())) for layer in model.layers],
         "scale_clamps": [layer.scale_clamp for layer in model.layers],
-        "scale_nets": nets[0],
-        "shift_nets": nets[1],
         "whitening_mean": model.whitening_mean,
         "whitening_std": model.whitening_std,
     }
-
-
-def _read_coupling_net(data, where: str) -> list[np.ndarray]:
-    """A coupling net's [w_in, b_in, w_out, b_out]."""
-    if _get(data, "activations", where) != ["tanh", "identity"]:
-        raise CheckpointError(f"{where}.activations: expected ['tanh', 'identity']")
-    weights, biases = ([_array(value, f"{where}.{key}[{i}]")
-                        for i, value in enumerate(_list(data, key, where, 2))]
-                       for key in ("weights", "biases"))
-    return [weights[0], biases[0], weights[1], biases[1]]
 
 
 def _read_flow(data, where: str, dim: int) -> FlowModel:
@@ -184,17 +167,12 @@ def _read_flow(data, where: str, dim: int) -> FlowModel:
     clamps = _get(data, "scale_clamps", where)
     if not isinstance(clamps, list):
         raise CheckpointError(f"{where}.scale_clamps: expected a list")
-    n = len(clamps)
-    entries = {key: _list(data, key, where, n) for key in ("scale_nets", "shift_nets")}
-    layers = []
-    for k in range(n):
-        scale, shift = (_read_coupling_net(nets[k], f"{where}.{key}[{k}]")
-                        for key, nets in entries.items())
-        if [a.shape for a in scale] != [a.shape for a in shift]:
-            raise CheckpointError(f"{where} coupling layer {k}: nets of two shapes")
-        layers.append(_build(f"{where} coupling layer {k}", CouplingLayer, k % 2,
-                             *map(np.stack, zip(scale, shift)),
-                             _finite(clamps[k], f"{where}.scale_clamps[{k}]")))
+    entries = _list(data, "layers", where, len(clamps))
+    layers = [_build(f"{where} coupling layer {k}", CouplingLayer, k % 2,
+                     *(_array(_get(entry, key, f"{where}.layers[{k}]"),
+                              f"{where}.layers[{k}].{key}") for key in _COUPLING_KEYS),
+                     _finite(clamps[k], f"{where}.scale_clamps[{k}]"))
+              for k, entry in enumerate(entries)]
     return _build(f"{where} over latent_dim {dim}", FlowModel, layers, dim,
                   _array(_get(data, "whitening_mean", where), f"{where}.whitening_mean"),
                   _array(_get(data, "whitening_std", where), f"{where}.whitening_std"))

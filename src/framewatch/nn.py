@@ -40,9 +40,7 @@ ADAM_EPSILON = 1e-8
 
 class Activation(enum.Enum):
     LEAKY_RELU = "leaky_relu"
-    TANH = "tanh"
     SIGMOID = "sigmoid"
-    IDENTITY = "identity"
 
 
 def _float_array(a) -> np.ndarray:
@@ -54,8 +52,7 @@ def _float_array(a) -> np.ndarray:
 
 def _apply_activation(act: Activation, z: np.ndarray,
                       in_place: bool = False) -> np.ndarray:
-    """act(z), written into z when `in_place`, else into a new array; the
-    identity returns z itself either way.
+    """act(z), written into z when `in_place`, else into a new array.
 
     Leaky ReLU is max(z, LEAKY_SLOPE * z), which equals
     where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, -0.0, infinities and
@@ -64,18 +61,14 @@ def _apply_activation(act: Activation, z: np.ndarray,
     out = z if in_place else None
     if act is Activation.LEAKY_RELU:
         return np.maximum(z, LEAKY_SLOPE * z, out=out)
-    if act is Activation.TANH:
-        return np.tanh(z, out=out)
-    if act is Activation.SIGMOID:
-        # 1 / (1 + exp(-z)), one pass at a time.  exp(-z) overflows to inf
-        # for z below about -88.7 in float32 (-709 in float64), and 1 / inf
-        # is the correct limit 0.
-        s = np.negative(z, out=out)
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
-        s += 1.0
-        return np.reciprocal(s, out=s)
-    return z
+    # Sigmoid: 1 / (1 + exp(-z)), one pass at a time.  exp(-z) overflows to
+    # inf for z below about -88.7 in float32 (-709 in float64), and 1 / inf
+    # is the correct limit 0.
+    s = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def _activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
@@ -83,13 +76,8 @@ def _activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
     z's dtype."""
     if act is Activation.LEAKY_RELU:
         return np.where(z >= 0.0, z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE))
-    if act is Activation.TANH:
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if act is Activation.SIGMOID:
-        s = _apply_activation(act, z)
-        return s * (1.0 - s)
-    return np.ones_like(z)
+    s = _apply_activation(act, z)
+    return s * (1.0 - s)
 
 
 @dataclass
@@ -101,6 +89,9 @@ class DenseLayer:
     activation: Activation
 
     def __post_init__(self):
+        if not isinstance(self.activation, Activation):
+            raise ContractViolationError(
+                f"DenseLayer: unknown activation {self.activation!r}")
         self.weights = _float_array(self.weights)
         self.bias = _float_array(self.bias)
         if self.weights.dtype != self.bias.dtype:

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
-                          reconstruction_error, train_autoencoder, TrainReport)
+                          reconstruction_error, row_blocks, train_autoencoder,
+                          TrainReport)
 from .config import from_dict
 from .data_io import ScenarioDataset, intensities
 from .errors import ConfigError, ProtocolViolationError
@@ -81,9 +82,9 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     The autoencoder trains on the splits' codes, which it turns into
     float32 frames one batch at a time (and the val split once an epoch).
     Each split is then encoded once, from float64 intensities made after
-    that training returns; the train split's is the one whole-split copy
-    left that grows with its size.  The validation latents feed flow
-    training, the standardization and the validation scores.
+    that training returns, the train split one `row_blocks` block at a
+    time.  The validation latents feed flow training, the standardization
+    and the validation scores.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")
@@ -91,7 +92,8 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
     val_codes = dataset.val.pixels.reshape(len(dataset.val), -1)
     ae, ae_report = train_autoencoder(train_codes, val_codes,
                                       config.autoencoder, config.seed)
-    train_latents = encode_batch(ae, intensities(train_codes))
+    train_latents = np.concatenate([encode_batch(ae, intensities(train_codes[rows]))
+                                    for rows in row_blocks(len(train_codes))])
     val_flats = intensities(val_codes)
     val_latents = encode_batch(ae, val_flats)
     flow, flow_report = train_flow(train_latents, val_latents, config.flow,

@@ -14,7 +14,7 @@ from framewatch.errors import ContractViolationError, EvaluationError, ParseErro
 from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
                                   choose_threshold)
 from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
-from framewatch.nn import LEAKY_SLOPE, Activation, DenseLayer, Mlp
+from framewatch.nn import LEAKY_SLOPE, Activation
 
 
 def pack(params):
@@ -42,12 +42,8 @@ def reference_activation(act, z):
     the in-place routine."""
     if act is Activation.LEAKY_RELU:
         return np.where(z >= 0.0, z, LEAKY_SLOPE * z)
-    if act is Activation.TANH:
-        return np.tanh(z)
-    if act is Activation.SIGMOID:
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
-    return z
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def reference_uniform(stream, n):
@@ -110,27 +106,40 @@ def finite_diff_param_grad(loss, params, eps=1e-5):
     return pack([finite_diff_grad(lambda _: loss(), p, eps) for p in params])
 
 
-def per_net_mlps(layer):
-    """A coupling layer's scale net and shift net, slices 0 and 1 of its
-    stack, each an `Mlp` of a Tanh layer then an Identity layer over views
-    of the slice."""
-    return [Mlp([DenseLayer(layer.w_in[k], layer.b_in[k], Activation.TANH),
-                 DenseLayer(layer.w_out[k], layer.b_out[k], Activation.IDENTITY)])
-            for k in (0, 1)]
+def _net_forward(w_in, b_in, w_out, b_out, xs):
+    """One coupling net run on its own over a (n, |a|) batch: its tanh
+    hidden activations and its affine output."""
+    hidden = np.tanh(xs @ w_in.T + b_in)
+    return hidden, hidden @ w_out.T + b_out
+
+
+def _per_net(layer, k):
+    """Net k of a coupling layer's stack, 0 the scale net and 1 the shift
+    net: views of its w_in, b_in, w_out and b_out slices."""
+    return [p[k] for p in layer.params()]
+
+
+def _net_backward(net, x_a, hidden, grad_out):
+    """A net's input gradient and its [w_in, b_in, w_out, b_out] gradients
+    for the output gradient `grad_out`, derived by hand: back through the
+    affine output layer, then through tanh (1 - hidden^2)."""
+    w_in, _, w_out, _ = net
+    grad_hidden = (grad_out @ w_out) * (1.0 - hidden * hidden)
+    return grad_hidden @ w_in, [grad_hidden.T @ x_a, grad_hidden.sum(axis=0),
+                                grad_out.T @ hidden, grad_out.sum(axis=0)]
 
 
 def _full_width(net, keep_in, keep_out):
-    """A two-layer half-width net zero-padded back to dim -> hidden -> dim:
-    the columns of the dims it reads and the rows of the dims it writes."""
-    first, last = net.layers
-    w_in = np.zeros((first.out_dim, keep_in.size))
-    w_in[:, keep_in] = first.weights
-    w_out = np.zeros((keep_out.size, last.in_dim))
-    w_out[keep_out] = last.weights
-    b_out = np.zeros(keep_out.size)
-    b_out[keep_out] = last.bias
-    return Mlp([DenseLayer(w_in, first.bias, first.activation),
-                DenseLayer(w_out, b_out, last.activation)])
+    """A half-width net zero-padded back to dim -> hidden -> dim: the
+    columns of the dims it reads and the rows of the dims it writes."""
+    w_in, b_in, w_out, b_out = net
+    full_in = np.zeros((w_in.shape[0], keep_in.size))
+    full_in[:, keep_in] = w_in
+    full_out = np.zeros((keep_out.size, w_out.shape[1]))
+    full_out[keep_out] = w_out
+    full_b_out = np.zeros(keep_out.size)
+    full_b_out[keep_out] = b_out
+    return full_in, b_in, full_out, full_b_out
 
 
 def reference_masked_log_prob(flow, latents):
@@ -142,11 +151,10 @@ def reference_masked_log_prob(flow, latents):
     for layer in flow.layers:
         mask = ((np.arange(flow.dim) % 2) == layer.parity).astype(np.float64)
         inv_mask = 1.0 - mask
-        scale_net, shift_net = (_full_width(net, mask == 1.0, mask == 0.0)
-                                for net in per_net_mlps(layer))
         masked = xs * mask
-        s = layer.scale_clamp * np.tanh(scale_net.forward(masked) / layer.scale_clamp)
-        t = shift_net.forward(masked)
+        raw, t = (_net_forward(*_full_width(_per_net(layer, k), mask == 1.0, mask == 0.0),
+                               masked)[1] for k in (0, 1))
+        s = layer.scale_clamp * np.tanh(raw / layer.scale_clamp)
         xs = masked + inv_mask * (xs * np.exp(s) + t)
         log_det += (inv_mask * s).sum(axis=1)
     return (-0.5 * flow.dim * math.log(2.0 * math.pi)
@@ -154,36 +162,34 @@ def reference_masked_log_prob(flow, latents):
 
 
 def reference_per_net_couple(layers, xs, inverse=False, tape=None):
-    """The coupling loop with each net of `per_net_mlps` evaluated on its
-    own by `Mlp.forward`, the scale net then the shift net, over strided
-    views of the (n, dim) batch, which is copied and scattered into at
-    every layer: the oracle of the stacked conditioner.  Returns (out,
-    log_det); with a `tape`, each forward layer appends (x_b, scale cache,
-    shift cache, s, tanh(raw / s_max))."""
+    """The coupling loop with each net evaluated on its own, the scale net
+    then the shift net, over strided views of the (n, dim) batch, which is
+    copied and scattered into at every layer: the oracle of the stacked
+    conditioner.  Returns (out, log_det); with a `tape`, each forward layer
+    appends (x_a, x_b, scale hidden, shift hidden, s, tanh(raw / s_max))."""
     log_det = np.zeros(xs.shape[0])
     for layer in (reversed(layers) if inverse else layers):
         a, b = slice(layer.parity, None, 2), slice(1 - layer.parity, None, 2)
         x_a, x_b = xs[:, a], xs[:, b]
-        scale_net, shift_net = per_net_mlps(layer)
-        s_cache, t_cache = ([], []) if tape is not None else (None, None)
-        u = np.tanh(scale_net.forward(x_a, s_cache) / layer.scale_clamp)
+        s_hidden, raw = _net_forward(*_per_net(layer, 0), x_a)
+        u = np.tanh(raw / layer.scale_clamp)
         s = layer.scale_clamp * u
-        t = shift_net.forward(x_a, t_cache)
+        t_hidden, t = _net_forward(*_per_net(layer, 1), x_a)
         xs = xs.copy()
         if inverse:
             xs[:, b] = (x_b - t) * np.exp(-s)
         else:
             if tape is not None:
-                tape.append((x_b, s_cache, t_cache, s, u))
+                tape.append((x_a, x_b, s_hidden, t_hidden, s, u))
             xs[:, b] = x_b * np.exp(s) + t
         log_det += s.sum(axis=1)
     return xs, log_det
 
 
 def reference_per_net_loss_and_grads(flow, z0):
-    """Mean flow NLL of a whitened batch and its gradients by
-    `Mlp.backward` over each net on its own.  The gradients are listed per
-    layer as the scale net's params() then the shift net's."""
+    """Mean flow NLL of a whitened batch and its gradients, back through
+    each net on its own.  The gradients are listed per layer as the scale
+    net's [w_in, b_in, w_out, b_out] then the shift net's."""
     n = z0.shape[0]
     tape = []
     z, log_det = reference_per_net_couple(flow.layers, z0, tape=tape)
@@ -191,15 +197,17 @@ def reference_per_net_loss_and_grads(flow, z0):
                          + 0.5 * (z * z).sum(axis=1) - log_det))
     grad_y = z / n
     all_grads = []
-    for layer, (x_b, s_cache, t_cache, s, u) in zip(reversed(flow.layers),
-                                                    reversed(tape)):
+    for layer, (x_a, x_b, s_hidden, t_hidden, s, u) in zip(reversed(flow.layers),
+                                                           reversed(tape)):
         a, b = slice(layer.parity, None, 2), slice(1 - layer.parity, None, 2)
-        grad_b = grad_y[:, b]
+        # C-ordered, as the stacked pass's shift-net gradient is: numpy
+        # sums a one-row product of a strided view in another order.
+        grad_b = grad_y[:, b].copy()
         e_s = np.exp(s)
         grad_s = grad_b * x_b * e_s - 1.0 / n
-        scale_net, shift_net = per_net_mlps(layer)
-        gin_s, grads_s = scale_net.backward(s_cache, grad_s * (1.0 - u * u))
-        gin_t, grads_t = shift_net.backward(t_cache, grad_b)
+        gin_s, grads_s = _net_backward(_per_net(layer, 0), x_a, s_hidden,
+                                       grad_s * (1.0 - u * u))
+        gin_t, grads_t = _net_backward(_per_net(layer, 1), x_a, t_hidden, grad_b)
         grad_y[:, a] += gin_s + gin_t
         grad_y[:, b] = grad_b * e_s
         all_grads.append(grads_s + grads_t)

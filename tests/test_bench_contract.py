@@ -79,7 +79,7 @@ def test_mlp_runs_the_timed_dense_kernels(monkeypatch):
 
     for name in ("dense_forward_batch", "dense_backward_batch"):
         monkeypatch.setattr(nn, name, counted(name))
-    mlp = nn.init_mlp(RngStream(0), (5, 4, 3), [nn.Activation.TANH] * 2)
+    mlp = nn.init_mlp(RngStream(0), (5, 4, 3), [nn.Activation.LEAKY_RELU] * 2)
     xs = RngStream(1).gaussian(10).reshape(2, 5)
     cache = []
     out = mlp.forward(xs, cache)

@@ -201,16 +201,12 @@ MALFORMED = {
     "string_as_array": _set(*ENC, "biases", 0, "not an array"),
     "decoder_dims_mismatch": _set("autoencoder", "decoder", "weights", 0,
                                   np.ones((8, 5))),
-    "full_width_coupling_input": _set("flow", "scale_nets", 0, "weights", 0,
-                                      np.ones((4, 4))),
-    "sigmoid_coupling_hidden": _set("flow", "shift_nets", 1, "activations", 0,
-                                    "sigmoid"),
-    "identity_coupling_hidden": _set("flow", "scale_nets", 0, "activations",
-                                     ["identity", "identity"]),
-    "coupling_nets_of_two_shapes": _set("flow", "shift_nets", 0, "biases", 0,
-                                        np.zeros(3)),
-    "nan_coupling_weight": _set("flow", "scale_nets", 1, "weights", 1,
-                                np.full((2, 4), np.nan)),
+    "full_width_coupling_input": _set("flow", "layers", 0, "w_in", np.ones((2, 4, 4))),
+    "coupling_hidden_bias_of_other_width": _set("flow", "layers", 0, "b_in",
+                                                np.zeros((2, 3))),
+    "nan_coupling_weight": _set("flow", "layers", 1, "w_out",
+                                np.full((2, 2, 4), np.nan)),
+    "coupling_missing_key": _delete("flow", "layers", 1, "b_out"),
     "nan_weight": _set(*ENC, "weights", 0, np.full((8, 16), np.nan)),
     "unknown_score_mode": _set("score_mode", "max"),
     "alpha_out_of_range": _set("score_alpha", 2.0),
@@ -225,6 +221,7 @@ MALFORMED = {
     "v3_file": _set("format_version", 3),
     "v4_file": _set("format_version", 4),
     "v5_file": _set("format_version", 5),
+    "v6_file": _set("format_version", 6),
     "quantile_of_one": _set("threshold_quantile", 1.0),
     "quantile_of_zero": _set("threshold_quantile", 0),
 }
@@ -320,10 +317,10 @@ RAW_MALFORMED = {
 
 # sha256 of `_valid_file()`, the small seeded pipeline checkpoint (a
 # 16 -> 8 -> 4 autoencoder and two coupling layers of hidden width 4), as
-# format 6 writes it.  Its bytes need no BLAS, so they are the same on every
+# format 7 writes it.  Its bytes need no BLAS, so they are the same on every
 # machine.  Re-pin it only for a change to the file format on purpose, and
 # record the old and the new digest where the change is recorded.
-FORMAT_6_SHA256 = "1f402bc0da19d990aa3f09820624877028e2a438a44ffabfa3897ae804e19f2e"
+FORMAT_7_SHA256 = "35f9b5d489ef6b9727d8f8844c30580ba1ac42c8cafdb04ec6ac1947af277bc3"
 
 
 @functools.cache
@@ -357,7 +354,7 @@ def test_malformed_checkpoint_exits_5(tmp_path, case):
     code, err = _simulate(path, tmp_path)
     assert code == 5
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
-    if case in ("format_4_json", "v4_file", "v5_file"):
+    if case in ("format_4_json", "v4_file", "v5_file", "v6_file"):
         assert "retrain" in err
 
 
@@ -380,9 +377,10 @@ def test_small_pipeline_checkpoint_is_valid():
 
 def test_each_fact_stored_once():
     """The version and kind appear only at the top level, the dims only as
-    array shapes, a coupling layer's parity only as its index, and no
-    training record (train_config, seed) at all: the run config and its
-    seed live in train_report.json."""
+    array shapes, a coupling layer's parity only as its index and the layer
+    itself once, as the arrays of its stacked conditioner, and no training
+    record (train_config, seed) at all: the run config and its seed live in
+    train_report.json."""
     data = _small_pipeline_dict()
     paths = list(_json_paths(data))
     keys = [p[-1] for p in paths]
@@ -391,7 +389,9 @@ def test_each_fact_stored_once():
     for key in ("latent_dim", "input_dim", "layer_dims", "masks", "train_config",
                 "seed"):
         assert key not in keys
-    assert data["format_version"] == 6
+    flow_keys = {p[-1] for p in paths if p[0] == "flow"}
+    assert not flow_keys & {"scale_nets", "shift_nets", "activations"}
+    assert data["format_version"] == 7
 
 
 def test_file_is_header_then_raw_arrays():
@@ -411,10 +411,10 @@ def test_file_is_header_then_raw_arrays():
     assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
 
-def test_format_6_bytes_are_pinned():
+def test_format_7_bytes_are_pinned():
     """A change to how the models hold their parameters leaves the file
     they save unchanged, byte for byte."""
-    assert hashlib.sha256(_valid_file()).hexdigest() == FORMAT_6_SHA256
+    assert hashlib.sha256(_valid_file()).hexdigest() == FORMAT_7_SHA256
 
 
 def test_two_saves_of_one_tree_are_identical(tmp_path):
@@ -433,7 +433,8 @@ def test_two_saves_of_one_tree_are_identical(tmp_path):
 # mutation (cut short, extended, or given another header length).
 # `simulate` must reject it with exit 5 and one stderr line.
 
-ARRAY_KEYS = {"weights", "biases", "whitening_mean", "whitening_std"}
+ARRAY_KEYS = {"weights", "biases", "w_in", "b_in", "w_out", "b_out", "whitening_mean",
+              "whitening_std"}
 HAND_PICKED = sorted([*MALFORMED, *RAW_MALFORMED])
 
 

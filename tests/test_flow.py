@@ -123,38 +123,28 @@ def test_coupling_rejects_non_finite_parameters(which, value):
         CouplingLayer(0, *arrays)
 
 
-def _edit_net(*keys_and_value):
-    """Sets the value at `keys` of layer 1's shift net in a flow_to_dict tree."""
-    *keys, value = keys_and_value
-
-    def edit(data):
-        net = data["shift_nets"][1]
-        for key in keys[:-1]:
-            net = net[key]
-        net[keys[-1]] = value
-    return edit
+def _three_nets(entry):
+    entry.update((key, np.concatenate([a, a[:1]])) for key, a in entry.items())
 
 
-def _add_identity_layer(data):
-    net = data["shift_nets"][1]
-    net["activations"].append("identity")
-    net["weights"].append(np.zeros((2, 2)))
-    net["biases"].append(np.zeros(2))
+def _hidden_widths_differ(entry):
+    entry["w_in"] = entry["w_in"][:, :4]
 
 
-@pytest.mark.parametrize("edit", [
-    _edit_net("activations", 0, "sigmoid"),
-    _edit_net("activations", 1, "tanh"),
-    _add_identity_layer,
-    _edit_net("weights", 0, np.zeros((4, 2))),
-], ids=["sigmoid-hidden", "tanh-output", "three-layers", "hidden-widths-differ"])
+def _full_width_input(entry):
+    entry["w_in"] = np.zeros((2, 8, 4))
+
+
+@pytest.mark.parametrize("edit", [_three_nets, _hidden_widths_differ, _full_width_input],
+                         ids=["three-nets", "hidden-widths-differ", "full-width-input"])
 def test_coupling_rejects_nets_it_cannot_stack(edit):
-    """A checkpoint's scale and shift nets must both be a Tanh layer then an
-    Identity layer of the same shapes, the one form the stacked conditioner
-    computes; the reader rejects any other before it stacks them."""
+    """A checkpoint's coupling layer must be the stacked conditioner the
+    model holds, a scale net and a shift net of one hidden width mapping
+    the dims a to the others; the reader passes the file's arrays to
+    CouplingLayer, which rejects any other stack."""
     data = flow_to_dict(init_flow(RngStream(0), 4, num_layers=2, hidden=8))
-    edit(data)
-    with pytest.raises(CheckpointError, match=r"flow\.shift_nets\[1\]|two shapes"):
+    edit(data["layers"][1])
+    with pytest.raises(CheckpointError, match="flow coupling layer 1: coupling layer"):
         _read_flow(data, "flow", 4)
 
 

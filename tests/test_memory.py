@@ -6,14 +6,16 @@ first encoder layer's output for `encode_batch`, one decoded block for
 combined-mode `score_frames`, one block of float64 pixels for scoring a
 list of frames or a split, the float32 parameters for autoencoder
 training, one batch of float32 frames for how autoencoder training grows
-with its train split, one (n, dim) latent batch for flow scoring, the
-float64 flow parameters for flow training, and one byte per pixel for
-loading a scenario.  An inference layer that kept its pre-activation next
-to its output, scoring that stacked its whole input, a coupling layer
-whose arrays outlived it, a training step that made its gradients while
-the previous step's were still alive, training that made float32 frames
-of its whole train split, or a loader that kept float pixels, goes over
-these bounds.
+with its train split, the train latents and their whitened copy for how
+`train_pipeline` grows with it, one (n, dim) latent batch for flow
+scoring, the float64 flow parameters for flow training, and one byte per
+pixel for loading a scenario.  An inference layer that kept its
+pre-activation next to its output, scoring that stacked its whole input,
+a coupling layer whose arrays outlived it, a training step that made its
+gradients while the previous step's were still alive, training that made
+float32 frames of its whole train split, a pipeline that encoded its
+whole train split from one float64 copy, or a loader that kept float
+pixels, goes over these bounds.
 """
 
 import gc
@@ -24,11 +26,13 @@ import pytest
 
 from framewatch.autoencoder import (ENCODER_HIDDEN, SCORE_BLOCK_ROWS, AutoencoderConfig,
                                     encode_batch, init_autoencoder, train_autoencoder)
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, load_scenario
+from framewatch.data_io import (FRAME_PIXELS, FRAME_SIDE, Frame, ScenarioDataset, Split,
+                                load_scenario)
 from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow, train_flow
+from framewatch.pipeline import RunConfig, train_pipeline
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
-from framewatch.synth import SynthSpec, generate_scenario
+from framewatch.synth import ANOMALY_LABELS, SynthSpec, generate_scenario
 
 ROWS = SCORE_BLOCK_ROWS   # one block, so combined scoring decodes once
 CONFIG = {mode: ScoreConfig(mode=mode, alpha=0.3, standardization=ScoreStandardization(
@@ -49,6 +53,13 @@ def _traced_peak(fn) -> int:
 
 def _flats(n, seed):
     return RngStream(seed).uniform(n * FRAME_PIXELS).reshape(n, FRAME_PIXELS)
+
+
+def _split(codes, labels=None):
+    """A split of (n, FRAME_PIXELS) uint8 codes, normal unless `labels`."""
+    n = len(codes)
+    return Split(codes.reshape(n, FRAME_SIDE, FRAME_SIDE), tuple(map(str, range(n))),
+                 tuple(range(n)), labels or (None,) * n)
 
 
 def test_encode_batch_keeps_one_first_layer_output():
@@ -84,6 +95,23 @@ def test_training_memory_does_not_grow_with_the_train_split():
     small, large = (_traced_peak(lambda: train_autoencoder(codes[:n], val_codes, config))
                     for n in (64, 1024))
     assert abs(large - small) < config.batch_size * FRAME_PIXELS * np.dtype(np.float32).itemsize
+
+
+def test_pipeline_training_memory_does_not_grow_with_the_train_split():
+    """train_pipeline (one autoencoder and one flow epoch) on the codes of
+    1,500 train frames peaks within their latents and the flow's whitened
+    copy of them of the run on 64: the train split is encoded one block at
+    a time, never from one float64 copy of the whole split (19.5 MiB more
+    here)."""
+    codes = np.floor(_flats(1500, 4) * 256).astype(np.uint8)
+    val = _split(np.floor(_flats(64, 5) * 256).astype(np.uint8))
+    test = _split(np.floor(_flats(2, 6) * 256).astype(np.uint8),
+                  (None, ANOMALY_LABELS["blob"]))
+    config = RunConfig(autoencoder=AutoencoderConfig(epochs=1), flow=FlowConfig(epochs=1))
+    small, large = (_traced_peak(lambda: train_pipeline(
+        ScenarioDataset(_split(codes[:n]), val, test), config)) for n in (64, 1500))
+    latents = len(codes) * config.autoencoder.latent_dim * np.dtype(np.float64).itemsize
+    assert abs(large - small) < 2 * latents
 
 
 def test_flow_scoring_keeps_one_coupling_layer_alive():
@@ -128,9 +156,7 @@ def test_scoring_a_split_keeps_one_float64_block(mode, blocks):
     ae = init_autoencoder(RngStream(11), 8)
     flow = init_flow(RngStream(12), 8, num_layers=4, hidden=16)
     n = 3 * ROWS + 1
-    codes = np.floor(_flats(n, 3) * 256).astype(np.uint8)
-    split = Split(codes.reshape(n, FRAME_SIDE, FRAME_SIDE), tuple(map(str, range(n))),
-                  tuple(range(n)), (None,) * n)
+    split = _split(np.floor(_flats(n, 3) * 256).astype(np.uint8))
     block = ROWS * FRAME_PIXELS * np.dtype(np.float64).itemsize
     assert _traced_peak(lambda: score_frames(ae, flow, split, CONFIG[mode])) <= blocks * block
 
