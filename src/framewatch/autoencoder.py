@@ -12,9 +12,10 @@ float64.  The caller's frames are kept as they come, so a split's 8-bit
 codes stay one byte a pixel: each step makes the float32 frames of the
 batch it gathers, and each epoch's validation loss those of the val
 split, so no float32 copy of a whole split lives through training.  The
-trained model is cast back to float64, which is exact, so everything
+trained model is cast back to float64, which is exact; everything
 downstream (flow training, score standardization, the threshold, scoring
-and the `<f8` checkpoint) sees and computes with a float64 model.
+and the `<f8` checkpoint) computes with it, on float64 frames that
+`frame_blocks` makes one block at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
 DEFAULT_LATENT_DIM = 64
-# The most rows that score_frames and reconstruction_error carry through
-# the networks at once; see row_blocks.
+# The most rows that scoring and training carry through the networks at
+# once; see frame_blocks.
 SCORE_BLOCK_ROWS = 512
 
 
@@ -96,9 +97,17 @@ def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
     )
 
 
-def row_blocks(n: int) -> list[slice]:
-    """ceil(n / SCORE_BLOCK_ROWS) consecutive slices that cover n rows, their
-    sizes differing by at most one row; none for n == 0.
+def frame_blocks(frames: np.typing.ArrayLike):
+    """Yield `(rows, flats)` for ceil(n / SCORE_BLOCK_ROWS) consecutive
+    slices `rows` that cover n frames, their sizes differing by at most one
+    row, with `flats` the block's frames as (rows, pixels) float64.
+
+    The one place where frames become float64 intensities, each read by its
+    dtype (`as_intensities`).  An array or `Split` goes through `np.asarray`
+    once: its uint8 codes are divided into one float64 buffer that every
+    block reuses, and a float64 array's blocks are views of it.  The frames
+    of a list or tuple are read one by one, so codes and `Frame`s may mix,
+    then stacked.
 
     An even split never leaves a short tail block: OpenBLAS computes a
     product of a few rows (under about 38) with other kernels, whose rows
@@ -107,8 +116,19 @@ def row_blocks(n: int) -> list[slice]:
     repacks the 4096 x 512 first-layer weights; of the sizes tried, 512
     rows scored a large batch fastest (README, Scoring modes).
     """
+    listed = isinstance(frames, (list, tuple))
+    frames = frames if listed else np.asarray(frames)
+    n = len(frames)
     count = -(-n // SCORE_BLOCK_ROWS)
-    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+    codes = not listed and n > 0 and frames.dtype == np.uint8
+    buffer = np.empty((-(-n // count), *frames.shape[1:])) if codes else None
+    for k in range(count):
+        rows = slice(n * k // count, n * (k + 1) // count)
+        size = rows.stop - rows.start
+        block = (np.stack([as_intensities(frame) for frame in frames[rows]]) if listed
+                 else as_intensities(frames[rows], out=buffer[:size] if codes else None))
+        yield rows, block.reshape(size, -1)
+        del block   # so the next block is not made beside this one
 
 
 def encode_batch(model: AutoencoderModel, flats: np.ndarray) -> np.ndarray:
@@ -119,22 +139,15 @@ def encode_batch(model: AutoencoderModel, flats: np.ndarray) -> np.ndarray:
 def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
                          latents: np.ndarray) -> np.ndarray:
     """Per-row mean squared error between `flats` (n, input_dim) and the
-    decoding of `latents` (n, latent_dim), their encodings.
-
-    Decodes one `row_blocks` block at a time, so only one block of
-    full-width reconstructions is alive at once; the difference and its
-    square are written into that block.
-    """
+    decoding of `latents` (n, latent_dim), their encodings, taken inside the
+    decoded array; callers pass one `frame_blocks` block."""
     if flats.shape != (latents.shape[0], model.input_dim):
         raise ContractViolationError(
             f"reconstruction_error: frames shape {flats.shape}, expected "
             f"({latents.shape[0]}, {model.input_dim})")
-    errors = np.empty(flats.shape[0])
-    for rows in row_blocks(flats.shape[0]):
-        diff = model.decoder.forward(latents[rows])
-        diff -= flats[rows]
-        errors[rows] = np.square(diff, out=diff).mean(axis=1)
-    return errors
+    diff = model.decoder.forward(latents)
+    diff -= flats
+    return np.square(diff, out=diff).mean(axis=1)
 
 
 def _cast(model: AutoencoderModel, dtype) -> AutoencoderModel:

@@ -1,17 +1,25 @@
 """Deployment monitor: advance, stop, backtrack over a live score stream.
 
-The per-frame anomaly score is smoothed by a trailing mean over the last
-W frames (partial windows at stream start).  While advancing, the
-monitor counts consecutive frames whose smoothed score exceeds the
-trigger threshold; at C consecutive exceedances it stops, and on the
-next frame it starts backtracking.  BACKTRACK is terminal: the mission
-is aborted and the monitor never returns to ADVANCE.
+The per-frame anomaly score is smoothed by a trailing median over the
+last W frames (partial windows at stream start): one middle value of the
+sorted window, `sorted(w)[(len(w) - 1) // 2]`, the lower one for an even
+window.  It exceeds the trigger threshold exactly when more than half of
+the window's frames do, so one outlier frame, however high, cannot stop
+the monitor.  While advancing, the monitor counts consecutive frames
+whose smoothed score exceeds the threshold; at C consecutive exceedances
+it stops, and on the next frame it starts backtracking.  An episode whose
+every frame exceeds the threshold lifts a full window of W = 15 once 8
+of its frames are in, so with C = 3 it stops by onset + 9.  On normal
+frames that each exceed it independently with p = 0.01, a smoothed
+exceedance needs 8 of 15 over: about C(15, 8) p^8 = 6e-13 per frame.
+BACKTRACK is terminal: the mission is aborted and the monitor never
+returns to ADVANCE.
 
 A non-finite score is a monitor fault and triggers an immediate
 fail-safe Stop, logged distinctly; it does not enter the window.
 
-`monitor_step` keeps the trailing mean in the state, where `run_monitor`
-reads it for the log.
+`monitor_step` keeps the trailing median in the state, where `run_monitor`
+reads it for the log's `smoothed` column.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .config import check_ranges
 from .errors import ConfigError
@@ -60,10 +68,8 @@ class MonitorConfig:
 class MonitorState:
     phase: Phase = Phase.ADVANCE
     window_buffer: deque = field(default_factory=deque)
-    smoothed: float = math.nan   # trailing mean of window_buffer; NaN while empty
+    smoothed: float = math.nan   # trailing median of window_buffer; NaN while empty
     consecutive_over: int = 0
-    frames_seen: int = 0
-    trigger_frame: Optional[int] = None
 
 
 @dataclass
@@ -82,16 +88,15 @@ def monitor_step(state: MonitorState, score: float,
 
     The action is named after the phase the frame leaves the monitor in.
     """
-    frame = state.frames_seen
-    state.frames_seen += 1
     # A non-finite score leaves the window alone and, while advancing,
     # stops at once: a hazard monitor must not silently advance.
     fault = not math.isfinite(score)
     if not fault:
-        state.window_buffer.append(score)
-        while len(state.window_buffer) > cfg.window:
-            state.window_buffer.popleft()
-        state.smoothed = sum(state.window_buffer) / len(state.window_buffer)
+        window = state.window_buffer
+        window.append(score)
+        while len(window) > cfg.window:
+            window.popleft()
+        state.smoothed = sorted(window)[(len(window) - 1) // 2]
 
     if state.phase is Phase.STOP:
         state.phase = Phase.BACKTRACK
@@ -101,7 +106,6 @@ def monitor_step(state: MonitorState, score: float,
                                       if state.smoothed > cfg.threshold else 0)
         if fault or state.consecutive_over >= cfg.consecutive:
             state.phase = Phase.STOP
-            state.trigger_frame = frame
     return state, Action[state.phase.name]
 
 

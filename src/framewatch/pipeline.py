@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
-                          reconstruction_error, row_blocks, train_autoencoder,
+                          frame_blocks, reconstruction_error, train_autoencoder,
                           TrainReport)
 from .config import from_dict
-from .data_io import ScenarioDataset, intensities
+from .data_io import ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
@@ -81,26 +81,27 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
 
     The autoencoder trains on the splits' codes, which it turns into
     float32 frames one batch at a time (and the val split once an epoch).
-    Each split is then encoded once, from float64 intensities made after
-    that training returns, the train split one `row_blocks` block at a
-    time.  The validation latents feed flow training, the standardization
-    and the validation scores.
+    Each split is then read in `frame_blocks`, as scoring reads it, and
+    each block encoded once; each val block is also decoded once for its
+    reconstruction error.  The validation latents feed flow training, the
+    standardization and the validation scores.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")
-    train_codes = dataset.train.pixels.reshape(len(dataset.train), -1)
-    val_codes = dataset.val.pixels.reshape(len(dataset.val), -1)
-    ae, ae_report = train_autoencoder(train_codes, val_codes,
-                                      config.autoencoder, config.seed)
-    train_latents = np.concatenate([encode_batch(ae, intensities(train_codes[rows]))
-                                    for rows in row_blocks(len(train_codes))])
-    val_flats = intensities(val_codes)
-    val_latents = encode_batch(ae, val_flats)
+    ae, ae_report = train_autoencoder(
+        dataset.train.pixels.reshape(len(dataset.train), -1),
+        dataset.val.pixels.reshape(len(dataset.val), -1), config.autoencoder, config.seed)
+    train_latents = np.concatenate([encode_batch(ae, flats)
+                                    for _, flats in frame_blocks(dataset.train)])
+    val_latents, val_recon = [], []
+    for _, flats in frame_blocks(dataset.val):
+        val_latents.append(encode_batch(ae, flats))
+        val_recon.append(reconstruction_error(ae, flats, val_latents[-1]))
+    val_latents, val_recon = np.concatenate(val_latents), np.concatenate(val_recon)
     flow, flow_report = train_flow(train_latents, val_latents, config.flow,
                                    config.seed)
 
     val_nll = -flow_log_prob_batch(flow, val_latents)
-    val_recon = reconstruction_error(ae, val_flats, val_latents)
     standardization = ScoreStandardization(
         nll_mean=float(val_nll.mean()),
         nll_std=float(max(val_nll.std(), 1e-12)),

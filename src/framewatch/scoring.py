@@ -14,10 +14,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .autoencoder import (AutoencoderModel, encode_batch, reconstruction_error,
-                          row_blocks)
-from .data_io import as_intensities
-from .errors import ConfigError, ContractViolationError
+from .autoencoder import (AutoencoderModel, encode_batch, frame_blocks,
+                          reconstruction_error)
+from .errors import ConfigError
 from .flow import FlowModel, flow_log_prob_batch
 
 SCORE_MODES = ("nll", "combined")
@@ -68,42 +67,23 @@ def score_frames(ae: AutoencoderModel, flow: FlowModel, frames: np.typing.ArrayL
     """Anomaly score of each frame; higher means more anomalous.
 
     `frames` is a list or tuple of n frames, or anything `np.asarray` makes
-    n frames of without a copy, such as a `Split`.  Each `row_blocks`
-    block of at most SCORE_BLOCK_ROWS frames is `np.asarray` of its rows,
-    and `data_io.as_intensities` reads it by its dtype: uint8 codes are
-    divided into one float64 buffer that every such block reuses, `Frame`s
-    or float arrays are read as float64 intensities, and any other dtype
-    raises ContractViolationError.  So does a list or tuple that mixes uint8
-    codes with other frames, as its block's dtype would read the codes as
-    intensities.  A block is encoded once, and its latents feed the
-    NLL and, in combined mode, the reconstruction error, so memory does not
-    grow with n past one block.  Zero frames give an empty array.
+    n frames of without a copy, such as a `Split`; `frame_blocks` reads
+    them one block of at most SCORE_BLOCK_ROWS frames at a time, as uint8
+    codes or float intensities (any other dtype raises
+    ContractViolationError).  A block is encoded once, and its latents feed
+    the NLL and, in combined mode, the reconstruction error, so memory does
+    not grow with n past one block.  Zero frames give an empty array.
     """
     config = config or ScoreConfig()
     if ae.latent_dim != flow.dim:
         raise ConfigError(
             f"autoencoder latent_dim {ae.latent_dim} does not match flow "
             f"dimension {flow.dim}")
-    if not isinstance(frames, (list, tuple)):
-        frames = np.asarray(frames)
-    blocks = row_blocks(len(frames))
     scores = np.empty(len(frames))
-    buffer = None
-    for rows in blocks:
-        block = np.asarray(frames[rows])
-        if block.dtype == np.uint8:
-            if buffer is None:
-                buffer = np.empty((max(b.stop - b.start for b in blocks), *block.shape[1:]))
-        elif isinstance(frames, (list, tuple)) and any(
-                np.asarray(frame).dtype == np.uint8 for frame in frames[rows]):
-            raise ContractViolationError(
-                "score_frames: frames mix uint8 codes with other frames; "
-                "pass intensities(codes) or codes alone")
-        flats = as_intensities(block, out=None if buffer is None else buffer[:len(block)])
-        flats = flats.reshape(len(block), -1)
+    for rows, flats in frame_blocks(frames):
         latents = encode_batch(ae, flats)
         nll = -flow_log_prob_batch(flow, latents)
         scores[rows] = (nll if config.mode == "nll" else config.combined(
             nll, reconstruction_error(ae, flats, latents)))
-        del block, flats   # so the next block's arrays are not made beside these
+        del flats   # so the next block's frames are not made beside these
     return scores

@@ -6,6 +6,7 @@ and its backward pass, the monitor fold, the PGM header parser and the
 frame reader are checked against."""
 
 import math
+import statistics
 
 import numpy as np
 
@@ -308,14 +309,10 @@ def reference_evaluate(scored_test, taxonomy, val_scores, q=0.99):
 
 def reference_monitor_step(state, score, cfg):
     """The monitor state machine with one return per branch; the trailing
-    mean is recomputed by reference_run_monitor, not kept in the state."""
-    frame = state.frames_seen
-    state.frames_seen += 1
-
+    median is recomputed by reference_run_monitor, not kept in the state."""
     if not math.isfinite(score):
         if state.phase is Phase.ADVANCE:
             state.phase = Phase.STOP
-            state.trigger_frame = frame
             return state, Action.STOP
         if state.phase is Phase.STOP:
             state.phase = Phase.BACKTRACK
@@ -324,7 +321,7 @@ def reference_monitor_step(state, score, cfg):
     state.window_buffer.append(score)
     while len(state.window_buffer) > cfg.window:
         state.window_buffer.popleft()
-    smoothed = sum(state.window_buffer) / len(state.window_buffer)
+    smoothed = statistics.median_low(state.window_buffer)
 
     if state.phase is Phase.ADVANCE:
         if smoothed > cfg.threshold:
@@ -333,7 +330,6 @@ def reference_monitor_step(state, score, cfg):
             state.consecutive_over = 0
         if state.consecutive_over >= cfg.consecutive:
             state.phase = Phase.STOP
-            state.trigger_frame = frame
             return state, Action.STOP
         return state, Action.ADVANCE
     if state.phase is Phase.STOP:
@@ -343,7 +339,8 @@ def reference_monitor_step(state, score, cfg):
 
 
 def reference_run_monitor(scores, cfg):
-    """Fold reference_monitor_step, summing the window again per event."""
+    """Fold reference_monitor_step, taking the window's median again per
+    event."""
     state = MonitorState()
     events = []
     for frame, score in enumerate(scores):
@@ -352,7 +349,7 @@ def reference_run_monitor(scores, cfg):
         buf = state.window_buffer
         events.append(MonitorEvent(
             frame_index=frame, score=score,
-            smoothed=sum(buf) / len(buf) if buf else float("nan"),
+            smoothed=statistics.median_low(buf) if buf else float("nan"),
             phase=state.phase, action=action, fault=fault))
     return events
 

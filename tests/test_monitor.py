@@ -37,10 +37,36 @@ def test_single_spike_is_debounced():
     assert all(e.action is Action.ADVANCE for e in events)
 
 
-def test_window_smoothing_is_trailing_mean():
+def test_window_smoothing_is_trailing_median():
+    """The smoothed score is one middle value of the sorted trailing
+    window; an even partial window at stream start takes the lower one."""
     cfg = MonitorConfig(threshold=100.0, window=3, consecutive=1)
-    events = run_monitor([3.0, 6.0, 9.0, 12.0], cfg)
-    assert [e.smoothed for e in events] == [3.0, 4.5, 6.0, 9.0]
+    events = run_monitor([9.0, 3.0, 6.0, 12.0, 1.0], cfg)
+    assert [e.smoothed for e in events] == [9.0, 3.0, 6.0, 6.0, 6.0]
+
+
+def test_one_outlier_frame_does_not_stop_the_monitor():
+    """A single frame at 100 x tau in a stream of normal scores moves the
+    median of no window over tau."""
+    cfg = MonitorConfig(threshold=1.0, window=15, consecutive=3)
+    scores = (0.9 * RngStream(4).uniform(200)).tolist()
+    scores[120] = 100.0
+    assert all(e.action is Action.ADVANCE for e in run_monitor(scores, cfg))
+
+
+def test_sustained_episode_stops_by_onset_plus_nine():
+    """Every frame from the onset over tau: the median of a full 15-frame
+    window crosses tau with the 8th of them, so C = 3 stops at onset + 9.
+    Normal frames over tau still in the window count too: with six of
+    them, the 2nd anomalous frame crosses and the Stop comes at onset + 3,
+    and none comes before the onset."""
+    cfg = MonitorConfig(threshold=1.0, window=15, consecutive=3)
+    onset = 100
+    normal = (0.9 * RngStream(5).uniform(onset)).tolist()
+    for over_before, stop in ((0, onset + 9), (6, onset + 3)):
+        normal[onset - 1 - over_before:onset - 1] = [1.5] * over_before
+        events = run_monitor(normal + [5.0] * 30, cfg)
+        assert [e.frame_index for e in events if e.action is Action.STOP] == [stop]
 
 
 def test_partial_window_at_stream_start():
@@ -116,7 +142,9 @@ def test_state_invariants():
     for score in [0.0, 5.0, 5.0, 5.0, 5.0]:
         state, _ = monitor_step(state, score, cfg)
         assert state.consecutive_over <= cfg.consecutive
-        assert (state.trigger_frame is not None) == (state.phase is not Phase.ADVANCE)
+        window = sorted(state.window_buffer)
+        assert len(window) <= cfg.window
+        assert state.smoothed == window[(len(window) - 1) // 2]
 
 
 def test_event_log_csv():

@@ -114,16 +114,18 @@ def test_code_arrays_in_a_list_or_tuple_score_as_codes(models):
 
 
 @pytest.mark.parametrize("wrap", [list, tuple])
-def test_a_list_mixing_frames_and_codes_is_rejected(models, wrap):
-    """A `Frame` beside a uint8 code array makes a float block, which would
-    read the codes as intensities 0-255; such a block is refused, whichever
-    comes first."""
+def test_a_list_mixing_frames_and_codes_scores_as_the_codes(models, wrap):
+    """Each frame of a list or tuple is read by its own dtype, so a `Frame`
+    beside a uint8 code array, whichever comes first, scores bit for bit as
+    their stacked codes, not as intensities 0-255."""
     ae, flow = models
-    codes = np.full((2, FRAME_SIDE, FRAME_SIDE), 200, np.uint8)
-    frame = Frame(intensities(codes[0]))
-    for frames in ([frame, codes[1]], [codes[0], frame]):
-        with pytest.raises(ContractViolationError, match="mix uint8 codes"):
-            score_frames(ae, flow, wrap(frames))
+    codes = np.floor(RngStream(9).uniform(2 * FRAME_PIXELS) * 256).astype(np.uint8)
+    codes = codes.reshape(2, FRAME_SIDE, FRAME_SIDE)
+    frames = [Frame(p) for p in intensities(codes)]
+    for config in (ScoreConfig(), COMBINED):
+        want = score_frames(ae, flow, codes, config)
+        for mixed in ([frames[0], codes[1]], [codes[0], frames[1]]):
+            assert np.array_equal(score_frames(ae, flow, wrap(mixed), config), want)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
@@ -269,3 +271,35 @@ def test_train_pipeline_encodes_each_split_once(tmp_path, monkeypatch, mode):
     monkeypatch.undo()
     assert np.array_equal(trained.val_scores, score_frames(
         trained.autoencoder, trained.flow, dataset.val, trained.score_config))
+
+
+def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
+    """After the autoencoder has trained, training encodes each split and
+    decodes the val split in blocks of at most SCORE_BLOCK_ROWS rows, in
+    order, whose rows add up to the split, never the whole split at once."""
+    spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
+                     n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
+    dataset = generate_scenario(spec, tmp_path / "scen")
+    config = RunConfig.from_dict({
+        "seed": 3, "score_mode": "combined",
+        "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
+        "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
+    })
+    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ROWS", 4)
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(ae, flats, *rest):
+            calls.append((name, flats.shape[0]))
+            return fn(ae, flats, *rest)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "encode_batch", recording("encode", encode_batch))
+    monkeypatch.setattr(pipeline, "reconstruction_error",
+                        recording("decode", reconstruction_error))
+    train_pipeline(dataset, config)
+    encoded = [rows for name, rows in calls if name == "encode"]
+    decoded = [rows for name, rows in calls if name == "decode"]
+    assert max(rows for _, rows in calls) <= 4
+    assert (len(dataset.train), len(dataset.val)) == (10, 7)
+    assert encoded == [3, 3, 4, 3, 4] and decoded == [3, 4]
