@@ -15,8 +15,7 @@ from .evaluation import (EvalReport, RocPoint, auc_from_scores, choose_threshold
 from .flow import (CouplingLayer, FlowConfig, FlowModel, ScoredSample,
                    coupling_forward, flow_inverse_batch, flow_log_prob_batch,
                    train_flow)
-from .monitor import (Action, MonitorConfig, MonitorState, Phase, monitor_step,
-                      run_monitor)
+from .monitor import Action, MonitorConfig, MonitorState, monitor_step, run_monitor
 from .nn import Activation, AdamState, DenseLayer, adam_step
 from .pipeline import RunConfig, train_pipeline
 from .rng import RngStream

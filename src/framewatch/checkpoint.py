@@ -251,14 +251,23 @@ def _header(tree, arrays: list[np.ndarray]):
 def save_json(data, path: Path | str) -> None:
     """Write the tree `data` as a checkpoint file: each numpy array in it goes
     to the payload as `<f8` bytes, everything else to the JSON header.  The
-    bytes depend on `data` alone, so two saves of one tree are identical."""
+    bytes depend on `data` alone, so two saves of one tree are identical.
+    The file is written beside `path` and then renamed onto it, so a save
+    that fails or is killed leaves any previous file at `path` whole."""
     arrays: list[np.ndarray] = []
     header = json.dumps(_header(data, arrays), separators=(",", ":")).encode("ascii")
     header += b" " * (-(len(MAGIC) + _LENGTH.size + len(header)) % _F8.itemsize)
-    with open(path, "wb") as f:
-        f.write(MAGIC + _LENGTH.pack(len(header)) + header)
-        for array in arrays:
-            f.write(array)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + _LENGTH.pack(len(header)) + header)
+            for array in arrays:
+                f.write(array)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_header(raw: bytes, path: Path, payload: int, arrays: list[np.ndarray]):

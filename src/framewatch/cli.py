@@ -187,10 +187,8 @@ def cmd_simulate(args) -> int:
     _check_frame_size(ae)
 
     cfg = config.monitor_config(ckpt_threshold)
-    warned = False
 
     def scores():
-        nonlocal warned
         start = time.monotonic()
         for index, path in enumerate(paths):
             if args.realtime:
@@ -206,7 +204,6 @@ def cmd_simulate(args) -> int:
                 # Fail-safe: an unreadable frame counts as an anomaly.
                 print(f"warning: frame {path.name} unreadable ({exc}); "
                       "logging fail-safe stop", file=sys.stderr)
-                warned = True
                 score = float("nan")
             yield score
 
@@ -217,7 +214,7 @@ def cmd_simulate(args) -> int:
         print(f"trigger at frame {stops[0]} (threshold {cfg.threshold:.4f})")
     else:
         print(f"no trigger over {len(events)} frames (threshold {cfg.threshold:.4f})")
-    if warned:
+    if any(e.fault for e in events):
         print("completed with warnings", file=sys.stderr)
     return EXIT_OK
 

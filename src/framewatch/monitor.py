@@ -39,12 +39,6 @@ DEFAULT_WINDOW = 15      # ~0.5 s at 30 fps
 DEFAULT_CONSECUTIVE = 3
 
 
-class Phase(Enum):
-    ADVANCE = "ADVANCE"
-    STOP = "STOP"
-    BACKTRACK = "BACKTRACK"
-
-
 class Action(Enum):
     ADVANCE = "Advance"
     STOP = "Stop"
@@ -66,7 +60,7 @@ class MonitorConfig:
 
 @dataclass
 class MonitorState:
-    phase: Phase = Phase.ADVANCE
+    phase: Action = Action.ADVANCE   # the action of the last frame
     window_buffer: deque = field(default_factory=deque)
     smoothed: float = math.nan   # trailing median of window_buffer; NaN while empty
     consecutive_over: int = 0
@@ -77,17 +71,14 @@ class MonitorEvent:
     frame_index: int
     score: float
     smoothed: float
-    phase: Phase
     action: Action
     fault: bool = False
 
 
 def monitor_step(state: MonitorState, score: float,
                  cfg: MonitorConfig) -> tuple[MonitorState, Action]:
-    """Advance the state machine by one frame; mutates and returns state.
-
-    The action is named after the phase the frame leaves the monitor in.
-    """
+    """Advance the state machine by one frame; mutates state and returns it
+    with its new phase, which is the frame's action."""
     # A non-finite score leaves the window alone and, while advancing,
     # stops at once: a hazard monitor must not silently advance.
     fault = not math.isfinite(score)
@@ -98,15 +89,15 @@ def monitor_step(state: MonitorState, score: float,
             window.popleft()
         state.smoothed = sorted(window)[(len(window) - 1) // 2]
 
-    if state.phase is Phase.STOP:
-        state.phase = Phase.BACKTRACK
-    elif state.phase is Phase.ADVANCE:
+    if state.phase is Action.STOP:
+        state.phase = Action.BACKTRACK
+    elif state.phase is Action.ADVANCE:
         if not fault:
-            state.consecutive_over = (min(state.consecutive_over + 1, cfg.consecutive)
+            state.consecutive_over = (state.consecutive_over + 1
                                       if state.smoothed > cfg.threshold else 0)
         if fault or state.consecutive_over >= cfg.consecutive:
-            state.phase = Phase.STOP
-    return state, Action[state.phase.name]
+            state.phase = Action.STOP
+    return state, state.phase
 
 
 def run_monitor(scores: Iterable[float], cfg: MonitorConfig) -> list[MonitorEvent]:
@@ -119,7 +110,6 @@ def run_monitor(scores: Iterable[float], cfg: MonitorConfig) -> list[MonitorEven
             frame_index=frame,
             score=score,
             smoothed=state.smoothed,
-            phase=state.phase,
             action=action,
             fault=not math.isfinite(score),
         ))
@@ -132,5 +122,5 @@ def events_to_csv(events: list[MonitorEvent]) -> str:
     writer.writerow(["frame_index", "score", "smoothed", "phase", "action", "fault"])
     for e in events:
         writer.writerow([e.frame_index, repr(e.score), repr(e.smoothed),
-                         e.phase.value, e.action.value, int(e.fault)])
+                         e.action.name, e.action.value, int(e.fault)])
     return buf.getvalue()

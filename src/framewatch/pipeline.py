@@ -46,6 +46,9 @@ class RunConfig:
         self.monitor_config(0.0)  # checks the three monitor settings
         if not 0.0 < self.eval_quantile < 1.0:
             raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
+        if self.autoencoder.latent_dim < 2:
+            raise ConfigError("autoencoder.latent_dim must be >= 2 (the flow splits it "
+                              f"into two non-empty halves), got {self.autoencoder.latent_dim}")
 
     def monitor_config(self, checkpoint_threshold: float) -> MonitorConfig:
         """The monitor settings, with `checkpoint_threshold` as tau where

@@ -14,7 +14,7 @@ from framewatch.data_io import FRAME_SIDE, LABEL_AXES, resize_bilinear
 from framewatch.errors import ContractViolationError, EvaluationError, ParseError
 from framewatch.evaluation import (_AXES, EvalReport, RocPoint, auc_from_scores,
                                   choose_threshold)
-from framewatch.monitor import Action, MonitorEvent, MonitorState, Phase
+from framewatch.monitor import Action, MonitorEvent, MonitorState
 from framewatch.nn import LEAKY_SLOPE, Activation
 
 
@@ -311,11 +311,11 @@ def reference_monitor_step(state, score, cfg):
     """The monitor state machine with one return per branch; the trailing
     median is recomputed by reference_run_monitor, not kept in the state."""
     if not math.isfinite(score):
-        if state.phase is Phase.ADVANCE:
-            state.phase = Phase.STOP
+        if state.phase is Action.ADVANCE:
+            state.phase = Action.STOP
             return state, Action.STOP
-        if state.phase is Phase.STOP:
-            state.phase = Phase.BACKTRACK
+        if state.phase is Action.STOP:
+            state.phase = Action.BACKTRACK
         return state, Action.BACKTRACK
 
     state.window_buffer.append(score)
@@ -323,17 +323,17 @@ def reference_monitor_step(state, score, cfg):
         state.window_buffer.popleft()
     smoothed = statistics.median_low(state.window_buffer)
 
-    if state.phase is Phase.ADVANCE:
+    if state.phase is Action.ADVANCE:
         if smoothed > cfg.threshold:
             state.consecutive_over = min(state.consecutive_over + 1, cfg.consecutive)
         else:
             state.consecutive_over = 0
         if state.consecutive_over >= cfg.consecutive:
-            state.phase = Phase.STOP
+            state.phase = Action.STOP
             return state, Action.STOP
         return state, Action.ADVANCE
-    if state.phase is Phase.STOP:
-        state.phase = Phase.BACKTRACK
+    if state.phase is Action.STOP:
+        state.phase = Action.BACKTRACK
         return state, Action.BACKTRACK
     return state, Action.BACKTRACK
 
@@ -350,7 +350,7 @@ def reference_run_monitor(scores, cfg):
         events.append(MonitorEvent(
             frame_index=frame, score=score,
             smoothed=statistics.median_low(buf) if buf else float("nan"),
-            phase=state.phase, action=action, fault=fault))
+            action=action, fault=fault))
     return events
 
 

@@ -22,7 +22,7 @@ from framewatch.evaluation import auc_from_scores
 from framewatch.flow import (FlowConfig, _nll_loss_and_grads, flow_forward_batch,
                              flow_inverse_batch, flow_log_prob_batch, init_flow,
                              train_flow)
-from framewatch.monitor import Action, MonitorConfig, Phase, run_monitor
+from framewatch.monitor import Action, MonitorConfig, run_monitor
 from framewatch.pipeline import (RunConfig, evaluate_pipeline, train_pipeline)
 from framewatch.rng import RngStream
 from framewatch.scoring import score_frames
@@ -215,7 +215,7 @@ def test_criterion_7_monitor(default_pipeline):
     no_false_stop = not any(e.action is Action.STOP for e in normal_events)
 
     # (c) phase monotonicity on 10,000 fuzzed streams
-    rank = {Phase.ADVANCE: 0, Phase.STOP: 1, Phase.BACKTRACK: 2}
+    rank = {Action.ADVANCE: 0, Action.STOP: 1, Action.BACKTRACK: 2}
     fuzz_rng = RngStream(7900)
     monotone = True
     for _ in range(10_000):
@@ -224,7 +224,7 @@ def test_criterion_7_monitor(default_pipeline):
         c = 1 + int(fuzz_rng.integers(0, 3, 1)[0])
         tau = float(fuzz_rng.uniform(1)[0])
         stream = fuzz_rng.uniform(length) * 2.0 - 0.5
-        phases = [rank[e.phase] for e in run_monitor(
+        phases = [rank[e.action] for e in run_monitor(
             stream.tolist(), MonitorConfig(threshold=tau, window=w,
                                            consecutive=c))]
         if phases != sorted(phases) or any(b - a > 1 for a, b in

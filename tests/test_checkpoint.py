@@ -424,6 +424,29 @@ def test_two_saves_of_one_tree_are_identical(tmp_path):
     assert (tmp_path / "a.fwc").read_bytes() == (tmp_path / "b.fwc").read_bytes()
 
 
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save whose write fails partway (here at its first array, as on a
+    full disk) leaves the file it would have replaced byte for byte, and no
+    temporary file beside it."""
+    path = tmp_path / "checkpoint.fwc"
+    path.write_bytes(_valid_file())
+    writes = []
+
+    class FailingFile(io.FileIO):
+        def write(self, b):
+            writes.append(len(b))
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return super().write(b)
+
+    monkeypatch.setattr(ckpt, "open", lambda p, mode: FailingFile(p, "w"), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        ckpt.save_json(_small_pipeline_dict(), path)
+    assert len(writes) == 2
+    assert path.read_bytes() == _valid_file()
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # Exit-code contract of checkpoint loading, probed with mutated checkpoints.
 # Each example is one of the hand-picked cases above; or the small valid

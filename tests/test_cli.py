@@ -446,6 +446,7 @@ BAD_CONFIGS = {
     "zero_flow_epochs": {"flow": {"epochs": 0}},
     "zero_autoencoder_batch_size": {"autoencoder": {"batch_size": 0}},
     "zero_latent_dim": {"autoencoder": {"latent_dim": 0}},
+    "one_latent_dim": {"autoencoder": {"latent_dim": 1}},
     "zero_flow_layers": {"flow": {"num_layers": 0}},
     "zero_flow_hidden": {"flow": {"hidden": 0}},
     "negative_autoencoder_lr": {"autoencoder": {"lr": -1}},

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from framewatch.errors import ConfigError
 from framewatch.monitor import (Action, MonitorConfig, MonitorEvent,
-                                MonitorState, Phase, events_to_csv,
+                                MonitorState, events_to_csv,
                                 monitor_step, run_monitor)
 from framewatch.rng import RngStream
 
@@ -16,7 +16,6 @@ def test_constant_below_threshold_never_triggers():
     cfg = MonitorConfig(threshold=1.0, window=5, consecutive=3)
     events = run_monitor([0.5] * 100, cfg)
     assert all(e.action is Action.ADVANCE for e in events)
-    assert all(e.phase is Phase.ADVANCE for e in events)
 
 
 def test_stop_exactly_at_third_exceedance():
@@ -26,7 +25,6 @@ def test_stop_exactly_at_third_exceedance():
     events = run_monitor(scores, cfg)
     stops = [e.frame_index for e in events if e.action is Action.STOP]
     assert stops == [52]
-    assert events[52].phase is Phase.STOP
     assert events[53].action is Action.BACKTRACK
 
 
@@ -120,9 +118,9 @@ def test_bounded_detection_latency():
 @settings(max_examples=300, deadline=None)
 def test_phase_monotone_on_fuzzed_streams(scores, window, consecutive, tau):
     cfg = MonitorConfig(threshold=tau, window=window, consecutive=consecutive)
-    rank = {Phase.ADVANCE: 0, Phase.STOP: 1, Phase.BACKTRACK: 2}
+    rank = {Action.ADVANCE: 0, Action.STOP: 1, Action.BACKTRACK: 2}
     events = run_monitor(scores, cfg)
-    phases = [rank[e.phase] for e in events]
+    phases = [rank[e.action] for e in events]
     assert phases == sorted(phases)
     # never skips STOP
     for a, b in zip(phases, phases[1:]):
@@ -140,7 +138,8 @@ def test_state_invariants():
     cfg = MonitorConfig(threshold=1.0, window=3, consecutive=2)
     state = MonitorState()
     for score in [0.0, 5.0, 5.0, 5.0, 5.0]:
-        state, _ = monitor_step(state, score, cfg)
+        state, action = monitor_step(state, score, cfg)
+        assert action is state.phase
         assert state.consecutive_over <= cfg.consecutive
         window = sorted(state.window_buffer)
         assert len(window) <= cfg.window
@@ -155,6 +154,24 @@ def test_event_log_csv():
     assert lines[0].startswith("frame_index,")
     assert len(lines) == 3
     assert "Stop" in lines[2]
+
+
+def test_event_log_csv_text_is_pinned():
+    """The log's exact text: the phase in capitals, the action as named,
+    fault 1 for a non-finite score, and `nan` smoothing until a finite
+    score enters the window."""
+    cfg = MonitorConfig(threshold=1.0, window=2, consecutive=2)
+    header = "frame_index,score,smoothed,phase,action,fault\n"
+    assert events_to_csv(run_monitor([0.1, 0.5, float("inf"), 3.0], cfg)) == (
+        header
+        + "0,0.1,0.1,ADVANCE,Advance,0\n"
+        + "1,0.5,0.1,ADVANCE,Advance,0\n"
+        + "2,inf,0.1,STOP,Stop,1\n"
+        + "3,3.0,0.5,BACKTRACK,Backtrack,0\n")
+    assert events_to_csv(run_monitor([float("nan"), 2.0], cfg)) == (
+        header
+        + "0,nan,nan,STOP,Stop,1\n"
+        + "1,2.0,2.0,BACKTRACK,Backtrack,0\n")
 
 
 def test_config_validation():
