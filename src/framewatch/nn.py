@@ -9,14 +9,11 @@ a cache block at a time, so a training loop's layers hold the updated
 values without a copy.  Gradients are derived per layer type rather than
 traced, which keeps them checkable against central finite differences.
 
-One forward kernel serves inference and training: given a cache list,
-`dense_forward_batch` and `Mlp.forward` append each layer's (input,
-pre-activation) to it for `Mlp.backward`; inference passes none.  Without
-a cache the layer adds the bias to its product and applies the
-activation in place, so each layer leaves one array, its output.  With a
-cache the activation goes to a new array, because the cache holds the
-pre-activation.  Both paths make the same float operations in the same
-order, so their outputs are bit-equal.
+One forward kernel serves inference and training: a layer writes its bias
+and activation into its own product, so it leaves one array, its output.
+Given a cache list, `dense_forward_batch` and `Mlp.forward` append each
+layer's (input, output) to it; the output is the next layer's input, and
+`Mlp.backward` reads each activation's slope from it.
 """
 
 from __future__ import annotations
@@ -50,34 +47,35 @@ def _float_array(a) -> np.ndarray:
     return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
-def _apply_activation(act: Activation, z: np.ndarray,
-                      in_place: bool = False) -> np.ndarray:
-    """act(z), written into z when `in_place`, else into a new array.
+def _apply_activation(act: Activation, z: np.ndarray) -> np.ndarray:
+    """act(z), written into z.
 
     Leaky ReLU is max(z, LEAKY_SLOPE * z), which equals
     where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, -0.0, infinities and
     NaNs included, and is several times faster.
     """
-    out = z if in_place else None
     if act is Activation.LEAKY_RELU:
-        return np.maximum(z, LEAKY_SLOPE * z, out=out)
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     # Sigmoid: 1 / (1 + exp(-z)), one pass at a time.  exp(-z) overflows to
     # inf for z below about -88.7 in float32 (-709 in float64), and 1 / inf
     # is the correct limit 0.
-    s = np.negative(z, out=out)
+    np.negative(z, out=z)
     with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    return np.reciprocal(s, out=s)
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
-def _activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation, evaluated at pre-activation z, in
-    z's dtype."""
+def _activation_grad(act: Activation, out: np.ndarray) -> np.ndarray:
+    """d activation / d pre-activation z, read from the output `out`.
+
+    Leaky ReLU's slope is 1 where out >= 0, else LEAKY_SLOPE: its slope at
+    z, except where a negative z's LEAKY_SLOPE * z rounds to -0 (the 50
+    smallest negative subnormals in float32, 49 in float64), which take 1,
+    the kink's other subgradient."""
     if act is Activation.LEAKY_RELU:
-        return np.where(z >= 0.0, z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE))
-    s = _apply_activation(act, z)
-    return s * (1.0 - s)
+        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(LEAKY_SLOPE))
+    return out * (1.0 - out)
 
 
 @dataclass
@@ -134,44 +132,33 @@ def init_dense(rng: RngStream, in_dim: int, out_dim: int,
     return DenseLayer(glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), activation)
 
 
-def _pre_activation(layer: DenseLayer, xs: np.ndarray) -> np.ndarray:
-    """W x + b for each row of a (n, in_dim) batch, the bias added in place
-    to the new product."""
+def dense_forward_batch(layer: DenseLayer, xs: np.ndarray,
+                        cache: list | None = None) -> np.ndarray:
+    """Row-wise forward for a (n, in_dim) batch, written into the new
+    product W x.  When `cache` is a list, the layer's (input, output) is
+    appended to it for the backward pass."""
     if xs.ndim != 2 or xs.shape[1] != layer.in_dim:
         raise ContractViolationError(
             f"dense layer: input shape {xs.shape}, expected (n, {layer.in_dim})")
     z = xs @ layer.weights.T
     z += layer.bias
-    return z
-
-
-def dense_forward_batch(layer: DenseLayer, xs: np.ndarray,
-                        cache: list | None = None) -> np.ndarray:
-    """Row-wise forward for a (n, in_dim) batch.  When `cache` is a list,
-    the layer's (input, pre-activation) is appended to it for the backward
-    pass and the output is a new array; without one the activation
-    overwrites the pre-activation."""
-    z = _pre_activation(layer, xs)
-    if cache is None:
-        return _apply_activation(layer.activation, z, in_place=True)
-    cache.append((xs, z))
-    return _apply_activation(layer.activation, z)
+    out = _apply_activation(layer.activation, z)
+    if cache is not None:
+        cache.append((xs, out))
+    return out
 
 
 def dense_backward_batch(layer: DenseLayer, cached_inputs: np.ndarray,
                          grad_outputs: np.ndarray,
-                         pre_activations: np.ndarray | None = None,
+                         outputs: np.ndarray | None = None,
                          input_grad: bool = True):
     """Gradients through the layer for a (n, in_dim) batch; weight and bias
-    gradients are summed over rows.
-
-    `pre_activations` is the forward pass's W x + b; it is recomputed when
-    not given.  With input_grad=False the input gradient is None and its
-    matmul is skipped.
-    """
-    z = (_pre_activation(layer, cached_inputs) if pre_activations is None
-         else pre_activations)
-    gz = grad_outputs * _activation_grad(layer.activation, z)
+    gradients are summed over rows.  `outputs`, the forward pass's output,
+    is recomputed when not given.  With input_grad=False the input
+    gradient is None and its matmul is skipped."""
+    if outputs is None:
+        outputs = dense_forward_batch(layer, cached_inputs)
+    gz = grad_outputs * _activation_grad(layer.activation, outputs)
     grad_inputs = gz @ layer.weights if input_grad else None
     grad_weights = gz.T @ cached_inputs
     grad_bias = gz.sum(axis=0)
@@ -203,7 +190,7 @@ class Mlp:
 
     def forward(self, xs: np.ndarray, cache: list | None = None) -> np.ndarray:
         """Forward pass; when `cache` is a list, each layer's (input,
-        pre-activation) is appended to it for backward()."""
+        output) is appended to it for backward()."""
         for layer in self.layers:
             xs = dense_forward_batch(layer, xs, cache)
         return xs
@@ -214,9 +201,9 @@ class Mlp:
         params(); grad_input is None when input_grad is False."""
         grads: list[np.ndarray] = []
         for i in reversed(range(len(self.layers))):
-            xs, z = cache[i]
+            xs, out = cache[i]
             grad_out, gw, gb = dense_backward_batch(
-                self.layers[i], xs, grad_out, z, input_grad=input_grad or i > 0)
+                self.layers[i], xs, grad_out, out, input_grad=input_grad or i > 0)
             grads.append(gb)
             grads.append(gw)
         grads.reverse()

@@ -119,30 +119,47 @@ _SPLIT_BASE = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 _ANOMALY_BASE = 3_000_000
 
 
+def _refuse_other_frames(frames_dir: Path, names: list[str]) -> None:
+    """IOFailure if `frames_dir` holds .pgm files outside `names`, the
+    frames about to be written there: they would be read beside them as
+    one split."""
+    if frames_dir.is_dir():
+        wanted = set(names)
+        others = [p for p in frames_dir.glob("*.pgm") if p.name not in wanted]
+        if others:
+            raise IOFailure(f"{frames_dir} holds {len(others)} .pgm files that this "
+                            "spec would not write; use an empty directory")
+
+
 def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
-    """Write a full scenario in the data-io layout and reload it."""
+    """Write a full scenario in the data-io layout and reload it.  Nothing
+    is written when a split directory holds frames this spec would not
+    write."""
     out_dir = Path(out_dir)
+    test_kinds = [None] * spec.n_test_normal + [
+        kind for kind in ANOMALY_KINDS
+        for _ in range(spec.n_per_anomaly.get(kind, 0))]
+    names = {split: [f"{split}_{t:05d}.pgm" for t in range(count)]
+             for split, count in (("train", spec.n_train), ("val", spec.n_val),
+                                  ("test", len(test_kinds)))}
     try:
+        for split, split_names in names.items():
+            _refuse_other_frames(out_dir / split, split_names)
         out_dir.mkdir(parents=True, exist_ok=True)
         root_rng = RngStream(spec.seed)
 
         label_rows = []
-        for split, count in (("train", spec.n_train), ("val", spec.n_val)):
+        for split in ("train", "val"):
             split_dir = out_dir / split
             split_dir.mkdir(exist_ok=True)
-            for t in range(count):
+            for t, name in enumerate(names[split]):
                 frame = generate_normal(root_rng.derive(_SPLIT_BASE[split] + t), t)
-                (split_dir / f"{split}_{t:05d}.pgm").write_bytes(
-                    encode_pgm(frame.pixels))
+                (split_dir / name).write_bytes(encode_pgm(frame.pixels))
 
         test_dir = out_dir / "test"
         test_dir.mkdir(exist_ok=True)
-        test_kinds = [None] * spec.n_test_normal + [
-            kind for kind in ANOMALY_KINDS
-            for _ in range(spec.n_per_anomaly.get(kind, 0))]
-        for t, kind in enumerate(test_kinds):
+        for t, (kind, name) in enumerate(zip(test_kinds, names["test"])):
             frame = generate_normal(root_rng.derive(_SPLIT_BASE["test"] + t), t)
-            name = f"test_{t:05d}.pgm"
             if kind is None:
                 label_rows.append([name, "normal", "", "", "", "", ""])
             else:
@@ -166,17 +183,20 @@ def generate_stream(spec: SynthSpec, out_dir: Path | str, n_normal: int,
                     anomaly_kind: str | None = None, n_anomalous: int = 0,
                     stream_seed: int | None = None) -> None:
     """Write a frame stream (for monitor simulation): normal frames,
-    optionally followed by sustained anomalous frames."""
+    optionally followed by sustained anomalous frames.  Nothing is written
+    when `out_dir` holds frames this stream would not write."""
     out_dir = Path(out_dir)
     seed = spec.seed if stream_seed is None else stream_seed
     rng = RngStream(seed)
+    names = [f"frame_{t:06d}.pgm" for t in range(n_normal + n_anomalous)]
     try:
+        _refuse_other_frames(out_dir, names)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for t in range(n_normal + n_anomalous):
+        for t, name in enumerate(names):
             frame = generate_normal(rng.derive(t), t)
             if t >= n_normal:
                 frame, _ = apply_anomaly(frame, anomaly_kind or "blob", spec,
                                          rng.derive(_ANOMALY_BASE + t))
-            (out_dir / f"frame_{t:06d}.pgm").write_bytes(encode_pgm(frame.pixels))
+            (out_dir / name).write_bytes(encode_pgm(frame.pixels))
     except OSError as exc:
         raise IOFailure(f"cannot write stream to {out_dir}: {exc}") from exc

@@ -47,6 +47,15 @@ def reference_activation(act, z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
+def reference_activation_slope(act, z):
+    """Each activation's slope taken from the pre-activation z: the oracle
+    of the slope that the backward pass reads from the output."""
+    if act is Activation.LEAKY_RELU:
+        return np.where(z >= 0.0, z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE))
+    s = reference_activation(act, z)
+    return s * (1.0 - s)
+
+
 def reference_uniform(stream, n):
     """n uniform doubles from `stream` as one draw of n words, the whole
     request at once: the oracle of the blocked RngStream.uniform."""

@@ -5,6 +5,7 @@ lines.  The end-to-end criteria train real models and take a few minutes
 in total.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,8 @@ from framewatch.monitor import Action, MonitorConfig, run_monitor
 from framewatch.pipeline import (RunConfig, evaluate_pipeline, train_pipeline)
 from framewatch.rng import RngStream
 from framewatch.scoring import score_frames
-from framewatch.synth import SynthSpec, generate_normal, generate_scenario
+from framewatch.synth import (SynthSpec, apply_anomaly, generate_normal,
+                             generate_scenario)
 
 from _helpers import brute_force_auc, finite_diff_param_grad, max_rel_err, pack
 
@@ -180,6 +182,84 @@ def test_criterion_6_end_to_end(default_pipeline):
             f"(overall {report.overall_auc:.3f}, "
             + ", ".join(f"{k} {v:.3f}" for k, v in sorted(per_type.items()))
             + f", {elapsed:.0f}s)")
+
+
+# Graded detection: the severity grades of the bench's sweep on the default
+# model.  The default scenario reads AUC 1.000 on every type, so only
+# grades below it can show a detection loss.  One SynthSpec field per type.
+GRADES = {"dim_light": ("brightness_delta", (-0.002, -0.004)),
+          "blob": ("blob_side", (2, 3, 4)),
+          "sensor_noise": ("noise_p", (0.001, 0.002, 0.005))}
+GRADED_SEED = 9100
+GRADED_NORMAL = 400
+GRADED_PER_GRADE = 200
+
+# (floor, measured AUC) per score mode and grade.  Each floor is the AUC
+# measured when it was set (the same with 1 and 2 BLAS threads) minus its
+# 95 % Hanley-McNeil half-width at 200 anomalous against 400 normal frames
+# (Radiology 143, 1982), rounded down; that width is 0 at AUC 1.  A floor
+# moves only with an argument that gives its old and new values.
+GRADED_FLOORS = {
+    "nll": {
+        ("dim_light", -0.002): (0.8231, 0.8581375),
+        ("dim_light", -0.004): (0.9871, 0.9944500),
+        ("blob", 2): (0.6598, 0.7057375),
+        ("blob", 3): (0.8184, 0.8539000),
+        ("blob", 4): (0.9107, 0.9352625),
+        ("sensor_noise", 0.001): (0.7114, 0.7548500),
+        ("sensor_noise", 0.002): (0.8692, 0.8992875),
+        ("sensor_noise", 0.005): (0.9675, 0.9809750),
+    },
+    "combined": {
+        ("dim_light", -0.002): (0.8134, 0.8493500),
+        ("dim_light", -0.004): (0.9913, 0.9968250),
+        ("blob", 2): (0.9758, 0.9870250),
+        ("blob", 3): (0.9985, 0.9998375),
+        ("blob", 4): (0.9994, 0.9999750),
+        ("sensor_noise", 0.001): (0.9613, 0.9763500),
+        ("sensor_noise", 0.002): (0.9996, 0.9999875),
+        ("sensor_noise", 0.005): (1.0000, 1.0),
+    },
+}
+
+
+def _graded_frames():
+    """GRADED_NORMAL normal frames and GRADED_PER_GRADE frames of each
+    grade, unquantized, each from its own stream of GRADED_SEED."""
+    rng = RngStream(GRADED_SEED)
+    normals = np.stack([generate_normal(rng.derive(t), t).pixels
+                        for t in range(GRADED_NORMAL)])
+    graded, base = {}, GRADED_NORMAL
+    for kind, (field, grades) in GRADES.items():
+        for grade in grades:
+            spec = (SynthSpec(blob_width=grade, blob_height=grade)
+                    if field == "blob_side" else SynthSpec(**{field: grade}))
+            graded[kind, grade] = np.stack([
+                apply_anomaly(generate_normal(rng.derive(t), t), kind, spec,
+                              rng.derive(1_000_000 + t))[0].pixels
+                for t in range(base, base + GRADED_PER_GRADE)])
+            base += GRADED_PER_GRADE
+    return normals, graded
+
+
+def test_graded_detection_floors(default_pipeline):
+    trained = default_pipeline["trained"]
+    normals, graded = _graded_frames()
+    low = []
+    for mode, floors in GRADED_FLOORS.items():
+        config = dataclasses.replace(trained.score_config, mode=mode)
+        neg = score_frames(trained.autoencoder, trained.flow, normals, config)
+        aucs = {key: auc_from_scores(score_frames(trained.autoencoder, trained.flow,
+                                                  frames, config), neg)
+                for key, frames in graded.items()}
+        below = [f"{mode} {kind} {grade:g} {auc:.4f} < {floors[kind, grade][0]:.4f}"
+                 for (kind, grade), auc in aucs.items() if auc < floors[kind, grade][0]]
+        print(f"ACCEPTANCE 6g graded detection ({mode}): "
+              f"{'FAIL' if below else 'PASS'} ("
+              + ", ".join(f"{kind} {grade:g} {auc:.4f}"
+                          for (kind, grade), auc in aucs.items()) + ")")
+        low += below
+    assert not low, f"graded AUCs under their floors: {'; '.join(low)}"
 
 
 def test_criterion_7_monitor(default_pipeline):

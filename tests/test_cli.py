@@ -63,6 +63,41 @@ def test_gen_synth_rerun_identical(workspace, tmp_path):
     assert _tree_bytes(again) == _tree_bytes(workspace / "scen")
 
 
+@pytest.mark.parametrize("change, split, extra", [({"n_train": 10}, "train", 2),
+                                                   ({"n_test_normal": 5}, "test", 1)])
+def test_gen_synth_refuses_to_mix_two_scenarios(workspace, tmp_path, capsys,
+                                                change, split, extra):
+    """A spec that would leave another scenario's frames beside its own
+    exits 3, naming the split directory and the count, and writes nothing."""
+    scen = tmp_path / "scen"
+    assert main(["gen-synth", "--config", str(workspace / "synth.json"),
+                 "--out", str(scen)]) == 0
+    before = _tree_bytes(scen)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**SMALL_SYNTH, "seed": 3, **change}))
+    capsys.readouterr()
+    assert main(["gen-synth", "--config", str(other), "--out", str(scen)]) == 3
+    err = capsys.readouterr().err
+    assert f"{scen / split} holds {extra} .pgm files" in err
+    assert _tree_bytes(scen) == before
+
+
+def test_gen_synth_overwrites_a_scenario_it_covers(workspace, tmp_path):
+    """A spec that writes every frame name already present regenerates in
+    place: the same spec, or a larger one of another seed."""
+    scen = tmp_path / "scen"
+    synth = str(workspace / "synth.json")
+    for _ in range(2):
+        assert main(["gen-synth", "--config", synth, "--out", str(scen)]) == 0
+        assert _tree_bytes(scen) == _tree_bytes(workspace / "scen")
+    larger = tmp_path / "larger.json"
+    larger.write_text(json.dumps({**SMALL_SYNTH, "seed": 3, "n_train": 14}))
+    fresh = tmp_path / "fresh"
+    assert main(["gen-synth", "--config", str(larger), "--out", str(fresh)]) == 0
+    assert main(["gen-synth", "--config", str(larger), "--out", str(scen)]) == 0
+    assert _tree_bytes(scen) == _tree_bytes(fresh)
+
+
 def test_gen_synth_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken")

@@ -115,7 +115,7 @@ def test_bounded_detection_latency():
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=60),
        st.integers(1, 8), st.integers(1, 4),
        st.floats(-5, 5))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 def test_phase_monotone_on_fuzzed_streams(scores, window, consecutive, tau):
     cfg = MonitorConfig(threshold=tau, window=window, consecutive=consecutive)
     rank = {Action.ADVANCE: 0, Action.STOP: 1, Action.BACKTRACK: 2}

@@ -6,12 +6,14 @@ import pytest
 from framewatch.autoencoder import AutoencoderConfig, train_autoencoder
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import ContractViolationError, TrainingError
-from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, Activation,
-                           AdamState, DenseLayer, Mlp, _apply_activation, adam_step,
-                           dense_backward_batch, dense_forward_batch, init_dense, init_mlp)
+from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, LEAKY_SLOPE,
+                           Activation, AdamState, DenseLayer, Mlp, _activation_grad,
+                           _apply_activation, adam_step, dense_backward_batch,
+                           dense_forward_batch, init_dense, init_mlp)
 from framewatch.rng import RngStream
 
-from _helpers import finite_diff_grad, max_rel_err, pack, reference_activation, unpack
+from _helpers import (finite_diff_grad, max_rel_err, pack, reference_activation,
+                      reference_activation_slope, unpack)
 
 # One fixed data seed per activation, so each run checks the same arrays.
 ACT_SEEDS = {Activation.LEAKY_RELU: 1, Activation.SIGMOID: 3}
@@ -265,7 +267,7 @@ def test_adam_rejects_mixed_dtypes():
 
 
 # ---------------------------------------------------------------------------
-# Cached pre-activations
+# Cached outputs
 
 @pytest.mark.parametrize("act", list(Activation))
 def test_mlp_backward_cached_matches_recomputing_layers(act):
@@ -289,7 +291,8 @@ def test_mlp_backward_cached_matches_recomputing_layers(act):
 
 
 # ---------------------------------------------------------------------------
-# In-place inference: the activation overwrites the layer's own product.
+# One forward path: the activation overwrites the layer's own product,
+# which is both the output and what the backward pass reads.
 
 def _special_values(dtype):
     """Signed zeros, infinities, NaNs with and without a payload,
@@ -310,13 +313,14 @@ def _special_values(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("act", list(Activation))
 def test_activation_matches_oracle_bitwise_in_place_or_not(act, dtype):
+    """The activation writes into the array it is given and nowhere else: a
+    caller keeps its pre-activation by passing a copy."""
     z = np.tile(_special_values(dtype), (3, 1))
     before = z.copy()
     want = reference_activation(act, before.copy())
-    fresh = _apply_activation(act, z)
-    assert _same_bits([fresh], [want])
-    assert fresh is not z and _same_bits([z], [before])
-    out = _apply_activation(act, z, in_place=True)
+    copied = _apply_activation(act, z.copy())
+    assert _same_bits([copied], [want]) and _same_bits([z], [before])
+    out = _apply_activation(act, z)
     assert out is z and _same_bits([out], [want])
 
 
@@ -332,11 +336,48 @@ def test_in_place_and_cached_forward_are_bit_equal(act, dtype):
     cache = []
     cached = dense_forward_batch(layer, xs, cache)
     assert plain.dtype == cached.dtype == dtype
-    assert np.array_equal(plain, cached)
+    assert _same_bits([plain], [cached])
     assert np.array_equal(xs, before)
-    (cached_xs, z), = cache
-    assert cached_xs is xs
-    assert np.array_equal(z, xs @ layer.weights.T + layer.bias)
+    (cached_xs, cached_out), = cache
+    assert cached_xs is xs and cached_out is cached
+    assert _same_bits([cached],
+                      [reference_activation(act, xs @ layer.weights.T + layer.bias)])
+
+
+@pytest.mark.parametrize("act", list(Activation))
+def test_mlp_cache_holds_each_output_once(act):
+    """Each layer's cached output is the next layer's cached input, the
+    same array, and the last one is what forward returns."""
+    rng = RngStream(ACT_SEEDS[act])
+    mlp = init_mlp(rng, (6, 5, 4, 3), [act] * 3)
+    xs = rng.gaussian(2 * 6).reshape(2, 6)
+    cache = []
+    out = mlp.forward(xs, cache)
+    assert len(cache) == 3 and cache[0][0] is xs and cache[-1][1] is out
+    for i in range(len(cache) - 1):
+        assert cache[i][1] is cache[i + 1][0]
+
+
+# Negative z whose LEAKY_SLOPE * z rounds to -0: -k * smallest_subnormal for
+# k = 1..SLOPE_CORNER[dtype].  Leaky ReLU's output there is -0, so the slope
+# read from the output is 1 where the slope read from z is LEAKY_SLOPE.
+SLOPE_CORNER = {np.float32: 50, np.float64: 49}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", list(Activation))
+def test_slope_from_output_matches_slope_from_z(act, dtype):
+    """Bit for bit the slope taken from z, on the special values and on
+    -k * smallest_subnormal for k up to 100, except at leaky ReLU's corner."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    z = np.concatenate([_special_values(dtype), (-np.arange(1, 101) * tiny).astype(dtype)])
+    got = _activation_grad(act, _apply_activation(act, z.copy()))
+    want = reference_activation_slope(act, z)
+    if act is Activation.LEAKY_RELU:
+        corner = np.isin(z, (-np.arange(1, SLOPE_CORNER[dtype] + 1) * tiny).astype(dtype))
+        assert np.all(want[corner] == dtype(LEAKY_SLOPE))
+        want[corner] = 1.0
+    assert _same_bits([got], [want])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 
 from framewatch.config import from_dict
 from framewatch.data_io import FRAME_SIDE, Frame, load_scenario
-from framewatch.errors import ConfigError
+from framewatch.errors import ConfigError, IOFailure
 from framewatch.rng import RngStream
 from framewatch.synth import (SynthSpec, apply_anomaly, generate_normal,
-                              generate_scenario)
+                              generate_scenario, generate_stream)
 
 SMALL_SPEC = SynthSpec(seed=7, n_train=6, n_val=3, n_test_normal=3,
                        n_per_anomaly={"dim_light": 2, "blob": 2,
@@ -106,3 +106,21 @@ def test_spec_needs_a_val_frame():
     with pytest.raises(ConfigError, match="n_val"):
         SynthSpec(n_val=0)
     assert SynthSpec(n_train=0).n_train == 0
+
+
+def test_stream_refuses_to_mix_two_streams(tmp_path):
+    """A shorter stream into a directory of a longer one would leave the
+    longer one's tail behind it: refused, with nothing written.  A stream
+    that writes every name present regenerates in place."""
+    def frames():
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.pgm"))}
+
+    generate_stream(SMALL_SPEC, tmp_path, 8, "blob", 4)
+    before = frames()
+    with pytest.raises(IOFailure, match=r"holds 2 \.pgm files"):
+        generate_stream(SMALL_SPEC, tmp_path, 10, stream_seed=3)
+    assert frames() == before
+    generate_stream(SMALL_SPEC, tmp_path, 8, "blob", 4)
+    assert frames() == before
+    generate_stream(SMALL_SPEC, tmp_path, 14, stream_seed=3)
+    assert len(frames()) == 14 and frames() != before
