@@ -94,7 +94,7 @@ class Frame:
 @dataclass(frozen=True, eq=False)
 class Split:
     """A split's n frames: their 8-bit codes as one (n, 64, 64) uint8 array,
-    `intensities(pixels)` being their [0, 1] values, and in the same order
+    `as_intensities(pixels)` being their [0, 1] values, and in the same order
     each frame's source_id, timestamp and label (None when normal).
     `np.asarray(split)` is `pixels`, not a copy; a float dtype is refused,
     so no caller reads the codes as intensities.  Once checked, `pixels`
@@ -125,7 +125,7 @@ class Split:
     def __array__(self, dtype=None, copy=None):
         if dtype is not None and np.dtype(dtype).kind == "f":
             raise ContractViolationError(
-                "Split: pixels are 8-bit codes; intensities(split.pixels) "
+                "Split: pixels are 8-bit codes; as_intensities(split.pixels) "
                 "gives their [0, 1] values")
         return np.array(self.pixels, dtype=dtype, copy=copy)
 
@@ -211,26 +211,18 @@ def _pgm_codes(data: bytes, width: int, height: int, offset: int) -> np.ndarray:
     return np.frombuffer(data, np.uint8, width * height, offset).reshape(height, width)
 
 
-def intensities(codes: np.ndarray, dtype=np.float64,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The intensity k/255 of each 8-bit code k, in `dtype`, written into
-    `out` when given.  Each value is the correctly rounded quotient: in
-    float64 exactly `decode_pgm`'s value, in float32 the float32 cast of
-    it.  Multiplying by 1/255 instead differs on 24 of the 256 codes."""
-    return np.divide(codes, 255, out=out, dtype=dtype)
-
-
 def as_intensities(frames: np.typing.ArrayLike, dtype=np.float64,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """`frames` as intensities in `dtype`, by their dtype: uint8 codes are
-    divided by `intensities` (into `out` when given), float intensities are
-    cast (not copied when already `dtype`).  Any other dtype raises
-    ContractViolationError: integers or booleans could be codes or
-    intensities, and reading codes as intensities 0-255 gives scores and
-    losses thousands of times too large."""
+    """`frames` as intensities in `dtype`, by their dtype: each uint8 code k
+    becomes the correctly rounded k/255 (into `out` when given), in float32
+    the float32 cast of the float64 quotient, which a multiply by 1/255
+    misses on 24 of the 256 codes; float intensities are cast (not copied
+    when already `dtype`).  Any other dtype raises ContractViolationError:
+    integers or booleans could be codes or intensities, and reading codes
+    as intensities 0-255 gives scores and losses thousands of times too large."""
     frames = np.asarray(frames)
     if frames.dtype == np.uint8:
-        return intensities(frames, dtype, out)
+        return np.divide(frames, 255, out=out, dtype=dtype)
     if frames.dtype.kind != "f":
         raise ContractViolationError(
             f"frames of dtype {frames.dtype} are neither uint8 codes nor "
@@ -244,7 +236,7 @@ def decode_pgm(data: bytes):
     Returns (pixels, width, height) with pixels shaped (height, width).
     """
     width, height, offset = _pgm_header(data)
-    return intensities(_pgm_codes(data, width, height, offset)), width, height
+    return as_intensities(_pgm_codes(data, width, height, offset)), width, height
 
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
@@ -322,7 +314,7 @@ def read_frame_codes(path: Path | str, out: Optional[np.ndarray] = None) -> np.n
     width, height, offset = _pgm_header(data)
     codes = _pgm_codes(data, width, height, offset)
     if (height, width) != (FRAME_SIDE, FRAME_SIDE):
-        resized = np.clip(resize_bilinear(intensities(codes)), 0.0, 1.0)
+        resized = np.clip(resize_bilinear(as_intensities(codes)), 0.0, 1.0)
         codes = np.rint(resized * 255.0)
     if out is None:
         out = np.empty((FRAME_SIDE, FRAME_SIDE), np.uint8)

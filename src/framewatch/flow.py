@@ -280,7 +280,9 @@ def flow_inverse_batch(flow: FlowModel, zs: np.ndarray) -> np.ndarray:
 
 
 def flow_log_prob_batch(flow: FlowModel, latents: np.ndarray) -> np.ndarray:
-    """Exact log-density of each row of a (n, dim) latent batch.
+    """Log-density of each row of a (n, dim) latent batch once whitened:
+    the flow's exact density of `flow.whiten(latents)`, which leaves out
+    the whitening's constant log-Jacobian -sum(log whitening_std).
 
     A non-finite value at any coupling layer reaches the output (a layer
     keeps its dims a and maps a non-finite x_b, s or t to a non-finite
@@ -343,12 +345,11 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
     """
     train_latents = np.asarray(train_latents, dtype=np.float64)
     val_latents = np.asarray(val_latents, dtype=np.float64)
-    if train_latents.ndim != 2 or train_latents.shape[0] == 0:
-        raise ContractViolationError("train_flow: train latents must be a "
-                                     "non-empty (n, h) array")
-    if val_latents.ndim != 2 or val_latents.shape[0] == 0:
-        raise ContractViolationError("train_flow: val latents must be a "
-                                     "non-empty (n, h) array")
+    for z, split_name in ((train_latents, "train"), (val_latents, "val")):
+        if z.ndim != 2 or z.shape[0] == 0 or z.shape[1] != train_latents.shape[1]:
+            raise ContractViolationError(
+                f"train_flow: {split_name} latents must be a non-empty (n, h) "
+                f"array, h the train latents' width, got shape {z.shape}")
     dim = train_latents.shape[1]
 
     rng = RngStream(seed)

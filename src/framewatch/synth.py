@@ -15,7 +15,7 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,13 @@ from .data_io import (FRAME_SIDE, LABELS_HEADER, AnomalyLabel, Frame,
 from .errors import ConfigError, IOFailure
 from .rng import RngStream
 
-ANOMALY_KINDS = ("dim_light", "blob", "sensor_noise")
-
 ANOMALY_LABELS = {
     "dim_light": AnomalyLabel("dim_light", "sensory", "no", "no"),
     "blob": AnomalyLabel("blob", "semantic", "yes", "yes"),
     "sensor_noise": AnomalyLabel("sensor_noise", "sensory", "no", "no"),
 }
+
+ANOMALY_KINDS = tuple(ANOMALY_LABELS)
 
 GRADIENT_TOP = 0.2
 GRADIENT_BOTTOM = 0.8
@@ -119,16 +119,32 @@ _SPLIT_BASE = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 _ANOMALY_BASE = 3_000_000
 
 
-def _refuse_other_frames(frames_dir: Path, names: list[str]) -> None:
-    """IOFailure if `frames_dir` holds .pgm files outside `names`, the
+def _refuse_other_frames(frames_dir: Path, kinds: dict[str, str | None]) -> None:
+    """IOFailure if `frames_dir` holds .pgm files not named in `kinds`, the
     frames about to be written there: they would be read beside them as
     one split."""
     if frames_dir.is_dir():
-        wanted = set(names)
-        others = [p for p in frames_dir.glob("*.pgm") if p.name not in wanted]
+        others = [p for p in frames_dir.glob("*.pgm") if p.name not in kinds]
         if others:
             raise IOFailure(f"{frames_dir} holds {len(others)} .pgm files that this "
                             "spec would not write; use an empty directory")
+
+
+def _write_frames(frames_dir: Path, kinds: dict[str, str | None], spec: SynthSpec,
+                  rng: RngStream, base: int) -> list[AnomalyLabel | None]:
+    """Write the t-th file named in `kinds` into `frames_dir`: the normal
+    frame drawn from `rng.derive(base + t)`, overlaid with the anomaly of
+    its kind, drawn from `rng.derive(_ANOMALY_BASE + t)`, unless that kind
+    is None.  Returns the frames' labels in order."""
+    frames_dir.mkdir(parents=True, exist_ok=True)
+    labels = []
+    for t, (name, kind) in enumerate(kinds.items()):
+        frame, label = generate_normal(rng.derive(base + t), t), None
+        if kind is not None:
+            frame, label = apply_anomaly(frame, kind, spec, rng.derive(_ANOMALY_BASE + t))
+        (frames_dir / name).write_bytes(encode_pgm(frame.pixels))
+        labels.append(label)
+    return labels
 
 
 def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
@@ -137,43 +153,23 @@ def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
     write."""
     out_dir = Path(out_dir)
     test_kinds = [None] * spec.n_test_normal + [
-        kind for kind in ANOMALY_KINDS
-        for _ in range(spec.n_per_anomaly.get(kind, 0))]
-    names = {split: [f"{split}_{t:05d}.pgm" for t in range(count)]
-             for split, count in (("train", spec.n_train), ("val", spec.n_val),
-                                  ("test", len(test_kinds)))}
+        kind for kind in ANOMALY_KINDS for _ in range(spec.n_per_anomaly.get(kind, 0))]
+    kinds = {split: {f"{split}_{t:05d}.pgm": kind for t, kind in enumerate(split_kinds)}
+             for split, split_kinds in (("train", [None] * spec.n_train),
+                                        ("val", [None] * spec.n_val), ("test", test_kinds))}
     try:
-        for split, split_names in names.items():
-            _refuse_other_frames(out_dir / split, split_names)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        root_rng = RngStream(spec.seed)
-
-        label_rows = []
-        for split in ("train", "val"):
-            split_dir = out_dir / split
-            split_dir.mkdir(exist_ok=True)
-            for t, name in enumerate(names[split]):
-                frame = generate_normal(root_rng.derive(_SPLIT_BASE[split] + t), t)
-                (split_dir / name).write_bytes(encode_pgm(frame.pixels))
-
-        test_dir = out_dir / "test"
-        test_dir.mkdir(exist_ok=True)
-        for t, (kind, name) in enumerate(zip(test_kinds, names["test"])):
-            frame = generate_normal(root_rng.derive(_SPLIT_BASE["test"] + t), t)
-            if kind is None:
-                label_rows.append([name, "normal", "", "", "", "", ""])
-            else:
-                frame, label = apply_anomaly(
-                    frame, kind, spec, root_rng.derive(_ANOMALY_BASE + t))
-                label_rows.append([name, "anomalous", label.anomaly_type,
-                                   label.level, label.hazard, label.geometric,
-                                   label.mission_relevant])
-            (test_dir / name).write_bytes(encode_pgm(frame.pixels))
-
+        for split, split_kinds in kinds.items():
+            _refuse_other_frames(out_dir / split, split_kinds)
+        rng = RngStream(spec.seed)
+        labels = {split: _write_frames(out_dir / split, split_kinds, spec, rng,
+                                       _SPLIT_BASE[split])
+                  for split, split_kinds in kinds.items()}
         lines = [",".join(LABELS_HEADER)]
-        lines += [",".join(row) for row in label_rows]
-        (out_dir / "labels.csv").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
+        for name, label in zip(kinds["test"], labels["test"]):
+            row = ([name, "normal"] + [""] * (len(LABELS_HEADER) - 2) if label is None
+                   else [name, "anomalous", *astuple(label)])
+            lines.append(",".join(row))
+        (out_dir / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot write scenario to {out_dir}: {exc}") from exc
     return load_scenario(out_dir)
@@ -183,20 +179,18 @@ def generate_stream(spec: SynthSpec, out_dir: Path | str, n_normal: int,
                     anomaly_kind: str | None = None, n_anomalous: int = 0,
                     stream_seed: int | None = None) -> None:
     """Write a frame stream (for monitor simulation): normal frames,
-    optionally followed by sustained anomalous frames.  Nothing is written
-    when `out_dir` holds frames this stream would not write."""
+    optionally followed by sustained anomalous frames of `anomaly_kind`
+    (`blob` when None).  Nothing is written when the kind is unknown or
+    `out_dir` holds frames this stream would not write."""
+    kind = anomaly_kind or "blob"
+    if kind not in ANOMALY_LABELS:
+        raise ConfigError(f"unknown anomaly kind {kind!r}")
     out_dir = Path(out_dir)
-    seed = spec.seed if stream_seed is None else stream_seed
-    rng = RngStream(seed)
-    names = [f"frame_{t:06d}.pgm" for t in range(n_normal + n_anomalous)]
+    kinds = {f"frame_{t:06d}.pgm": None if t < n_normal else kind
+             for t in range(n_normal + n_anomalous)}
+    rng = RngStream(spec.seed if stream_seed is None else stream_seed)
     try:
-        _refuse_other_frames(out_dir, names)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for t, name in enumerate(names):
-            frame = generate_normal(rng.derive(t), t)
-            if t >= n_normal:
-                frame, _ = apply_anomaly(frame, anomaly_kind or "blob", spec,
-                                         rng.derive(_ANOMALY_BASE + t))
-            (out_dir / name).write_bytes(encode_pgm(frame.pixels))
+        _refuse_other_frames(out_dir, kinds)
+        _write_frames(out_dir, kinds, spec, rng, 0)
     except OSError as exc:
         raise IOFailure(f"cannot write stream to {out_dir}: {exc}") from exc

@@ -5,7 +5,7 @@ from framewatch.autoencoder import (AutoencoderConfig, AutoencoderModel, encode_
                                     init_autoencoder, reconstruction_error,
                                     train_autoencoder, _mse_loss_and_grads)
 from framewatch.checkpoint import autoencoder_to_dict, save_json
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, intensities
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, as_intensities
 from framewatch.errors import ContractViolationError
 from framewatch.nn import Activation, init_mlp
 from framewatch.rng import RngStream
@@ -163,7 +163,7 @@ def test_codes_and_their_intensities_train_alike():
     cfg = AutoencoderConfig(epochs=2, batch_size=3, latent_dim=8)
     (model, report), *others = (
         train_autoencoder(x[:7], x[7:], cfg, seed=5)
-        for x in (codes, intensities(codes, np.float32), intensities(codes)))
+        for x in (codes, as_intensities(codes, np.float32), as_intensities(codes)))
     for other_model, other_report in others:
         assert other_report == report
         for got, want in zip(other_model.params(), model.params()):

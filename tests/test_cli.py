@@ -11,7 +11,7 @@ import pytest
 from framewatch import cli
 from framewatch.checkpoint import load_json, pipeline_from_dict, save_json
 from framewatch.cli import main
-from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, intensities,
+from framewatch.data_io import (FRAME_SIDE, Frame, encode_pgm, as_intensities,
                                 load_scenario, read_frame_codes)
 from framewatch.scoring import score_frames
 
@@ -197,21 +197,51 @@ def _unlabelled_frame(scen):
         encode_pgm(np.full((FRAME_SIDE, FRAME_SIDE), 0.5)))
 
 
+def _edit_label_row(lineno, row):
+    """An edit that replaces line `lineno` of labels.csv with `row`."""
+    def edit(scen):
+        lines = (scen / "labels.csv").read_text().splitlines()
+        lines[lineno - 1] = row
+        (scen / "labels.csv").write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _remove(name):
+    """An edit that removes the file or directory `name` of the scenario."""
+    def edit(scen):
+        import shutil
+        path = scen / name
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_truncate_frame, "test/test_00003.pgm: truncated PGM payload at byte 15: "
                       "expected 4096 pixel bytes, got 2"),
     (_unlabelled_frame, "test file test_00099.pgm has no labels.csv entry"),
-], ids=["truncated-frame", "unlabelled-frame"])
+    (_edit_label_row(5, "test_00003.pgm,normal,,,,"),
+     "labels.csv line 5: expected 7 columns, got 6"),
+    (_edit_label_row(8, "test_00006.pgm,anomalous,,sensory,no,no,"),
+     "labels.csv line 8: anomalous row missing anomaly_type"),
+    (_edit_label_row(3, "test_00001.pgm,weird,,,,,"),
+     "labels.csv line 3: label must be 'normal' or 'anomalous', got 'weird'"),
+    (_remove("labels.csv"), "missing labels file {scen}/labels.csv"),
+    (_remove("val"), "missing split directory {scen}/val"),
+], ids=["truncated-frame", "unlabelled-frame", "six-column-row", "no-anomaly-type",
+        "unknown-label", "no-labels-file", "no-val-dir"])
 def test_eval_bad_frame_exits_3_naming_it(workspace, tmp_path, capsys, edit, message):
-    """A frame that cannot be loaded exits 3 with one line that names its
-    file, so it can be found among thousands."""
+    """A frame, label row or scenario file that cannot be loaded exits 3
+    with one line that names it, so it can be found among thousands."""
     import shutil
     scen = tmp_path / "scen"
     shutil.copytree(workspace / "scen", scen)
     edit(scen)
     assert main(["eval", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
                  "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == f"i/o error: {message}\n"
+    assert capsys.readouterr().err == f"i/o error: {message.format(scen=scen)}\n"
 
 
 def test_train_empty_train_split_exits_4(workspace, tmp_path, capsys):
@@ -283,7 +313,7 @@ def test_simulate_anomalous_stream_triggers(workspace, tmp_path, capsys):
     assert "trigger at frame" in capsys.readouterr().out
 
     ae, flow, score_config, _ = pipeline_from_dict(load_json(checkpoint))
-    frames = [Frame(intensities(read_frame_codes(p))) for p in sorted(stream.glob("*.pgm"))]
+    frames = [Frame(as_intensities(read_frame_codes(p))) for p in sorted(stream.glob("*.pgm"))]
     batch = score_frames(ae, flow, frames, score_config)
     with open(out / "monitor_log.csv", newline="") as log:
         logged = [float(row["score"]) for row in csv.DictReader(log)]
@@ -367,6 +397,15 @@ def test_simulate_missing_frames_dir(workspace, tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_simulate_dir_without_frames_exits_3(workspace, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "notes.txt").write_text("no frames here\n")
+    assert main(["simulate", "--checkpoint", str(workspace / "out" / "checkpoint.fwc"),
+                 "--scenario", str(frames), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"i/o error: no .pgm frames in {frames}\n"
+
+
 def test_write_json_bytes_match_json_dumps(tmp_path):
     data = {"note": ["\u00e9", -0.0, 5e-324, {"b": None, "a": [True, 1.5e300]}],
             "threshold": 3.5, "config": {"seed": 7}}
@@ -395,6 +434,19 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg.write_text('{"seed": 3}')
     assert main(["print-config", "--config", str(cfg), "--seed", "11"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 11
+
+
+def test_gen_synth_seed_flag_writes_the_config_seed_scenario(tmp_path):
+    """`--seed 3` writes the bytes that a spec with seed 3 writes, not those
+    of the spec's own seed."""
+    for seed in (7, 3):
+        (tmp_path / f"seed{seed}.json").write_text(json.dumps({**SMALL_SYNTH, "seed": seed}))
+    for out, spec, flag in (("flag", "seed7", ["--seed", "3"]), ("spec", "seed3", []),
+                            ("own", "seed7", [])):
+        assert main(["gen-synth", "--config", str(tmp_path / f"{spec}.json"), *flag,
+                     "--out", str(tmp_path / out)]) == 0
+    assert _tree_bytes(tmp_path / "flag") == _tree_bytes(tmp_path / "spec")
+    assert _tree_bytes(tmp_path / "flag") != _tree_bytes(tmp_path / "own")
 
 
 @pytest.mark.parametrize("command, output", [("train", "checkpoint.fwc"),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from _helpers import reference_decode_pgm, reference_read_frame_codes
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, Split, decode_pgm, encode_pgm,
-                                intensities, load_scenario, parse_labels,
+                                as_intensities, load_scenario, parse_labels,
                                 read_frame_codes, resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
@@ -78,7 +78,7 @@ def test_every_byte_value_reads_as_k_over_255(tmp_path):
     codes = read_frame_codes(path)
     assert codes.dtype == np.uint8 and codes.tobytes() == payload
     decoded, _, _ = decode_pgm(path.read_bytes())
-    for pixels in (decoded, intensities(codes)):
+    for pixels in (decoded, as_intensities(codes)):
         assert pixels.dtype == np.float64
         assert pixels.tobytes() == expected.tobytes()
 
@@ -89,10 +89,10 @@ def test_intensities_of_all_256_codes():
     rounds 24 of the 256 codes differently."""
     codes = np.arange(256, dtype=np.uint8)
     decoded, _, _ = decode_pgm(b"P5\n256 1\n255\n" + codes.tobytes())
-    exact = intensities(codes)
+    exact = as_intensities(codes)
     assert exact.dtype == np.float64
     assert exact.tobytes() == decoded[0].tobytes()
-    single = intensities(codes, np.float32)
+    single = as_intensities(codes, np.float32)
     assert single.dtype == np.float32
     assert single.tobytes() == exact.astype(np.float32).tobytes()
     assert int(np.count_nonzero(codes * (1.0 / 255.0) != exact)) == 24

@@ -375,3 +375,19 @@ def test_flow_model_rejects_bad_whitening(mean, std, match):
 def test_train_flow_rejects_empty():
     with pytest.raises(ContractViolationError):
         train_flow(np.empty((0, 4)), np.ones((2, 4)), FlowConfig(epochs=1))
+
+
+@pytest.mark.parametrize("val_shape", [(8, 3), (8, 5), (8,)], ids=["narrower", "wider", "1-d"])
+def test_train_flow_rejects_val_of_other_width_before_training(monkeypatch, val_shape):
+    """Val latents must have the train latents' width; a mismatch is
+    refused before the first step, not after an epoch at the val NLL."""
+    import framewatch.flow as flow_module
+
+    def no_training(*args):
+        raise AssertionError("train_flow trained on a val split it cannot score")
+
+    monkeypatch.setattr(flow_module, "_nll_loss_and_grads", no_training)
+    rng = RngStream(43)
+    with pytest.raises(ContractViolationError, match=r"val latents .* got shape \(8,"):
+        train_flow(rng.gaussian(32 * 4).reshape(32, 4), np.ones(val_shape),
+                   FlowConfig(epochs=1, batch_size=16, num_layers=2, hidden=8))

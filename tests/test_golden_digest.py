@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 
 from framewatch import checkpoint as ckpt
-from framewatch.data_io import intensities, load_scenario
+from framewatch.data_io import as_intensities, load_scenario
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.synth import SynthSpec, generate_scenario
 
@@ -58,7 +58,7 @@ def scenario_digest(dataset) -> str:
         for source_id, timestamp, label, codes in zip(
                 split.source_ids, split.timestamps, split.labels, split.pixels):
             digest.update(repr((source_id, timestamp, label)).encode("utf-8"))
-            pixels = intensities(codes)
+            pixels = as_intensities(codes)
             digest.update(pixels.dtype.str.encode("ascii"))
             digest.update(pixels.tobytes())
     return digest.hexdigest()

@@ -8,7 +8,7 @@ import pytest
 from framewatch import autoencoder, checkpoint as ckpt, pipeline, scoring
 from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, intensities
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, as_intensities
 from framewatch.errors import ConfigError, ContractViolationError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
@@ -78,7 +78,7 @@ def test_blocked_inputs_score_alike(models, monkeypatch, n):
     ae, flow = models
     codes = np.floor(RngStream(n).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
     codes = codes.reshape(n, FRAME_SIDE, FRAME_SIDE)
-    pixels = intensities(codes)
+    pixels = as_intensities(codes)
     split = Split(codes, tuple(f"f{i}" for i in range(n)), tuple(range(n)), (None,) * n)
     blocks = []
 
@@ -109,7 +109,7 @@ def test_code_arrays_in_a_list_or_tuple_score_as_codes(models):
     codes = np.floor(RngStream(5).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
     codes = codes.reshape(n, FRAME_SIDE, FRAME_SIDE)
     want = score_frames(ae, flow, codes, COMBINED)
-    for frames in (list(codes), tuple(codes), [Frame(p) for p in intensities(codes)]):
+    for frames in (list(codes), tuple(codes), [Frame(p) for p in as_intensities(codes)]):
         assert np.array_equal(score_frames(ae, flow, frames, COMBINED), want)
 
 
@@ -121,7 +121,7 @@ def test_a_list_mixing_frames_and_codes_scores_as_the_codes(models, wrap):
     ae, flow = models
     codes = np.floor(RngStream(9).uniform(2 * FRAME_PIXELS) * 256).astype(np.uint8)
     codes = codes.reshape(2, FRAME_SIDE, FRAME_SIDE)
-    frames = [Frame(p) for p in intensities(codes)]
+    frames = [Frame(p) for p in as_intensities(codes)]
     for config in (ScoreConfig(), COMBINED):
         want = score_frames(ae, flow, codes, config)
         for mixed in ([frames[0], codes[1]], [codes[0], frames[1]]):
@@ -153,6 +153,14 @@ def test_combined_without_standardization_rejected(models, frames):
     ae, flow = models
     with pytest.raises(ConfigError):
         score_frames(ae, flow, frames[:2], ScoreConfig(mode="combined"))
+
+
+def test_flow_of_other_dim_rejected(models, frames):
+    ae, _ = models
+    flow = init_flow(RngStream(12), LATENT + 2, num_layers=2, hidden=16)
+    with pytest.raises(ConfigError, match=f"latent_dim {LATENT} does not match flow "
+                                          f"dimension {LATENT + 2}"):
+        score_frames(ae, flow, frames[:2])
 
 
 def test_non_finite_flow_raises_scoring_error(frames):
@@ -203,7 +211,7 @@ def test_validation_terms_standardized(combined_run):
     dataset, trained, _ = combined_run
     ae, flow = trained.autoencoder, trained.flow
     std = trained.score_config.standardization
-    flats = intensities(dataset.val.pixels).reshape(len(dataset.val), -1)
+    flats = as_intensities(dataset.val.pixels).reshape(len(dataset.val), -1)
     recon = reconstruction_error(ae, flats, encode_batch(ae, flats))
     nll = score_frames(ae, flow, dataset.val, ScoreConfig(mode="nll"))
     for values, mean, sd in ((recon, std.recon_mean, std.recon_std),
@@ -235,7 +243,7 @@ def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
     assert all(flats.dtype == np.float64 and np.shares_memory(flats, encoded[0])
                for flats in encoded)
     assert np.shares_memory(np.asarray(split), split.pixels)
-    pixels = intensities(split.pixels)
+    pixels = as_intensities(split.pixels)
     for frames in (split.pixels, pixels, [Frame(p) for p in pixels]):
         assert np.array_equal(score_frames(ae, flow, frames, config), scores)
 

@@ -124,3 +124,11 @@ def test_stream_refuses_to_mix_two_streams(tmp_path):
     assert frames() == before
     generate_stream(SMALL_SPEC, tmp_path, 14, stream_seed=3)
     assert len(frames()) == 14 and frames() != before
+
+
+def test_stream_of_unknown_kind_writes_no_frame(tmp_path):
+    """An unknown anomaly kind is refused before the stream's normal
+    frames are written, not after them."""
+    with pytest.raises(ConfigError, match="unknown anomaly kind 'fog'"):
+        generate_stream(SMALL_SPEC, tmp_path / "stream", 8, "fog", 4)
+    assert not (tmp_path / "stream").exists()
