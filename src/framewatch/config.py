@@ -37,21 +37,20 @@ def from_dict(cls, data, name: str, prefix: str = ""):
                 raise ConfigError(f"{label} must be an object with string keys, "
                                   f"got {value!r}")
             for k, v in value.items():
-                _check(v, (get_args(hint)[1],), f"{label}.{k}")
+                _check(v, get_args(hint)[1], f"{label}.{k}")
         else:
-            _check(value, get_args(hint) or (hint,), label)
+            _check(value, hint, label)
     return cls(**kwargs)
 
 
-def _check(value, allowed: tuple, label: str) -> None:
+def _check(value, expected: type, label: str) -> None:
     """Type check of a JSON value: a bool is not an int; an int is a float."""
     if isinstance(value, bool):
-        ok = bool in allowed
+        ok = expected is bool
     else:
-        ok = isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+        ok = isinstance(value, expected) or (isinstance(value, int) and expected is float)
     if not ok:
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        raise ConfigError(f"{label} must be {names}, got {value!r}")
+        raise ConfigError(f"{label} must be {expected.__name__}, got {value!r}")
 
 
 def check_ranges(config, prefix: str, at_least_one=(), positive=()) -> None:

@@ -52,9 +52,9 @@ class MonitorConfig:
     consecutive: int = DEFAULT_CONSECUTIVE
 
     def __post_init__(self):
-        # Messages name the run-config keys these fields are read from.
         if not math.isfinite(self.threshold):
-            raise ConfigError(f"monitor_threshold must be finite, got {self.threshold}")
+            raise ConfigError(f"monitor threshold must be finite, got {self.threshold}")
+        # These messages name the run-config keys the fields are read from.
         check_ranges(self, "monitor_", at_least_one=("window", "consecutive"))
 
 

@@ -274,8 +274,10 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             if not (a.flags.c_contiguous and a.flags.writeable):
                 raise ContractViolationError(
                     f"adam_step: {what} {i} must be a C-contiguous writable array")
+    # A NaN carries through min and max, and an infinity is one of them, so
+    # this needs no boolean array the size of a gradient.
     for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
+        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise TrainingError(f"adam_step: non-finite gradient at step {t}, "
                                 f"parameter {i}")
     c1 = 1.0 - ADAM_BETA1 ** t

@@ -20,7 +20,7 @@ from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
 from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
                    flow_log_prob_batch, train_flow)
-from .monitor import MonitorConfig
+from .monitor import DEFAULT_CONSECUTIVE, DEFAULT_WINDOW, MonitorConfig
 from .scoring import ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
@@ -37,26 +37,21 @@ class RunConfig:
     score_mode: str = "nll"
     score_alpha: float = 0.5
     eval_quantile: float = 0.99
-    monitor_window: int = 15
-    monitor_consecutive: int = 3
-    monitor_threshold: float | None = None  # None: take tau from the checkpoint
+    monitor_window: int = DEFAULT_WINDOW
+    monitor_consecutive: int = DEFAULT_CONSECUTIVE
 
     def __post_init__(self):
         ScoreConfig(mode=self.score_mode, alpha=self.score_alpha)  # checks both
-        self.monitor_config(0.0)  # checks the three monitor settings
+        self.monitor_config(0.0)  # checks the two monitor settings
         if not 0.0 < self.eval_quantile < 1.0:
             raise ConfigError(f"eval_quantile must lie in (0, 1), got {self.eval_quantile}")
         if self.autoencoder.latent_dim < 2:
             raise ConfigError("autoencoder.latent_dim must be >= 2 (the flow splits it "
                               f"into two non-empty halves), got {self.autoencoder.latent_dim}")
 
-    def monitor_config(self, checkpoint_threshold: float) -> MonitorConfig:
-        """The monitor settings, with `checkpoint_threshold` as tau where
-        monitor_threshold is null."""
-        threshold = self.monitor_threshold
-        return MonitorConfig(
-            threshold=checkpoint_threshold if threshold is None else threshold,
-            window=self.monitor_window, consecutive=self.monitor_consecutive)
+    def monitor_config(self, threshold: float) -> MonitorConfig:
+        """The monitor settings around `threshold`, the checkpoint's tau."""
+        return MonitorConfig(threshold, self.monitor_window, self.monitor_consecutive)
 
     def to_dict(self) -> dict:
         return asdict(self)

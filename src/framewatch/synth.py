@@ -180,8 +180,11 @@ def generate_stream(spec: SynthSpec, out_dir: Path | str, n_normal: int,
                     stream_seed: int | None = None) -> None:
     """Write a frame stream (for monitor simulation): normal frames,
     optionally followed by sustained anomalous frames of `anomaly_kind`
-    (`blob` when None).  Nothing is written when the kind is unknown or
-    `out_dir` holds frames this stream would not write."""
+    (`blob` when None).  Nothing is written when a count is negative, the
+    kind is unknown or `out_dir` holds frames this stream would not write."""
+    for name, count in (("n_normal", n_normal), ("n_anomalous", n_anomalous)):
+        if count < 0:
+            raise ConfigError(f"{name} must be >= 0, got {count}")
     kind = anomaly_kind or "blob"
     if kind not in ANOMALY_LABELS:
         raise ConfigError(f"unknown anomaly kind {kind!r}")

@@ -576,7 +576,6 @@ def test_bad_config_exits_2(workspace, tmp_path, capsys, command, name):
 @pytest.mark.parametrize("name, message", [
     ("zero_window", "monitor_window must be >= 1, got 0"),
     ("zero_consecutive", "monitor_consecutive must be >= 1, got 0"),
-    ("nan_threshold", "monitor_threshold must be finite, got nan"),
 ])
 def test_monitor_errors_name_config_keys(tmp_path, capsys, name, message):
     """The monitor settings are checked by MonitorConfig, in messages that
@@ -587,17 +586,26 @@ def test_monitor_errors_name_config_keys(tmp_path, capsys, name, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_config_setting_a_threshold_exits_2(tmp_path, capsys):
+    """simulate deploys the checkpoint's tau, so a config that sets one,
+    even to null as older print-config output did, names an unknown key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "monitor_threshold": None}))
+    assert main(["print-config", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: unknown run config keys: ['monitor_threshold']\n"
+
+
 def test_config_types_positive_control(workspace, tmp_path, capsys):
-    """Ints where floats are declared and null where allowed are accepted,
-    and the run trains and simulates with them."""
-    good = {**SMALL_RUN, "score_alpha": 1, "monitor_threshold": None,
-            "monitor_window": 1, "monitor_consecutive": 1,
+    """Ints where floats are declared are accepted, and the run trains and
+    simulates with them."""
+    good = {**SMALL_RUN, "score_alpha": 1, "monitor_window": 1, "monitor_consecutive": 1,
             "flow": {**SMALL_RUN["flow"], "scale_clamp": 3}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(good))
     assert main(["print-config", "--config", str(cfg)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["score_alpha"] == 1 and printed["monitor_threshold"] is None
+    assert printed["score_alpha"] == 1 and "monitor_threshold" not in printed
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--scenario", str(workspace / "scen"),
                  "--out", str(out)]) == 0

@@ -35,7 +35,7 @@ RUN_CONFIG_KEYS = {
     "flow.epochs", "flow.batch_size", "flow.lr", "flow.num_layers",
     "flow.scale_clamp", "flow.hidden",
     "score_mode", "score_alpha", "eval_quantile",
-    "monitor_window", "monitor_consecutive", "monitor_threshold",
+    "monitor_window", "monitor_consecutive",
 }
 
 
@@ -116,7 +116,7 @@ def test_run_config_keys_are_pinned():
                 yield prefix + key
 
     assert set(leaves(VALID_RUN)) == RUN_CONFIG_KEYS
-    assert len(RUN_CONFIG_KEYS) == 17
+    assert len(RUN_CONFIG_KEYS) == 16
 
 
 def test_command_flags_are_pinned():

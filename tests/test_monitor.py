@@ -183,6 +183,12 @@ def test_config_validation():
         MonitorConfig(threshold=float("nan"))
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_threshold(tau):
+    with pytest.raises(ConfigError, match=f"monitor threshold must be finite, got {tau}"):
+        MonitorConfig(threshold=tau)
+
+
 STREAM_SCORE = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 0.5,
                      1.0, 1.5, 4.0]),

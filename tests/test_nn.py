@@ -219,6 +219,28 @@ def test_adam_nonfinite_gradient_reports_step():
         adam_step(params, [np.array([np.nan])], state)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_adam_nonfinite_gradient_in_a_later_parameter(bad):
+    """Every gradient is checked, each before any write, whatever the
+    non-finite value and wherever it lies."""
+    params = [np.ones(3), np.ones((2, 4)), np.ones(5)]
+    state = AdamState.zeros_like(params)
+    grads = [np.full(p.shape, 0.5) for p in params]
+    grads[1][1, 2] = bad
+    with pytest.raises(TrainingError, match=r"step 1, parameter 1$"):
+        adam_step(params, grads, state)
+    assert all(np.array_equal(p, np.ones(p.shape)) for p in params)
+    assert not any(a.any() for a in state.first_moment + state.second_moment)
+    assert state.step_count == 0
+
+
+def test_adam_accepts_zero_size_gradient():
+    params = [np.ones(2), np.ones((0, 3))]
+    state = AdamState.zeros_like(params)
+    adam_step(params, [np.full(2, 0.5), np.ones((0, 3))], state)
+    assert state.step_count == 1 and np.all(params[0] < 1.0)
+
+
 def test_adam_failed_step_changes_nothing():
     rng = RngStream(43)
     shapes = [(ADAM_BLOCK + 3,), (4, 5), (6,)]

@@ -284,15 +284,12 @@ def test_train_pipeline_encodes_each_split_once(tmp_path, monkeypatch, mode):
 def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
     """After the autoencoder has trained, training encodes each split and
     decodes the val split in blocks of at most SCORE_BLOCK_ROWS rows, in
-    order, whose rows add up to the split, never the whole split at once."""
+    order, whose rows add up to the split, never the whole split at once.
+    Its val scores, whose NLL it takes in one flow call, equal those that
+    scoring the val split takes block by block, in both modes."""
     spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
     dataset = generate_scenario(spec, tmp_path / "scen")
-    config = RunConfig.from_dict({
-        "seed": 3, "score_mode": "combined",
-        "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
-        "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
-    })
     monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ROWS", 4)
     calls = []
 
@@ -305,9 +302,19 @@ def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "encode_batch", recording("encode", encode_batch))
     monkeypatch.setattr(pipeline, "reconstruction_error",
                         recording("decode", reconstruction_error))
-    train_pipeline(dataset, config)
-    encoded = [rows for name, rows in calls if name == "encode"]
-    decoded = [rows for name, rows in calls if name == "decode"]
-    assert max(rows for _, rows in calls) <= 4
-    assert (len(dataset.train), len(dataset.val)) == (10, 7)
-    assert encoded == [3, 3, 4, 3, 4] and decoded == [3, 4]
+    for mode in ("nll", "combined"):
+        config = RunConfig.from_dict({
+            "seed": 3, "score_mode": mode,
+            "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
+            "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
+        })
+        calls.clear()
+        trained = train_pipeline(dataset, config)
+        encoded = [rows for name, rows in calls if name == "encode"]
+        decoded = [rows for name, rows in calls if name == "decode"]
+        assert max(rows for _, rows in calls) <= 4
+        assert (len(dataset.train), len(dataset.val)) == (10, 7)
+        assert encoded == [3, 3, 4, 3, 4] and decoded == [3, 4]
+        deployed = score_frames(trained.autoencoder, trained.flow, dataset.val,
+                                trained.score_config)
+        assert np.array_equal(trained.val_scores, deployed)

@@ -132,3 +132,15 @@ def test_stream_of_unknown_kind_writes_no_frame(tmp_path):
     with pytest.raises(ConfigError, match="unknown anomaly kind 'fog'"):
         generate_stream(SMALL_SPEC, tmp_path / "stream", 8, "fog", 4)
     assert not (tmp_path / "stream").exists()
+
+
+@pytest.mark.parametrize("n_normal, n_anomalous, message", [
+    (-5, 10, "n_normal must be >= 0, got -5"),
+    (8, -1, "n_anomalous must be >= 0, got -1"),
+])
+def test_stream_of_negative_count_writes_no_frame(tmp_path, n_normal, n_anomalous, message):
+    """A negative count is refused as SynthSpec refuses one, before any
+    frame is written."""
+    with pytest.raises(ConfigError, match=message):
+        generate_stream(SMALL_SPEC, tmp_path / "stream", n_normal, "blob", n_anomalous)
+    assert not (tmp_path / "stream").exists()
