@@ -26,8 +26,8 @@ import numpy as np
 
 from .config import check_ranges
 from .data_io import FRAME_PIXELS, as_intensities
-from .errors import ContractViolationError, TrainingError
-from .nn import Activation, AdamState, DenseLayer, Mlp, adam_step, init_mlp
+from .errors import ContractViolationError
+from .nn import Activation, DenseLayer, Mlp, adam_step, init_mlp, train_epochs
 from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
@@ -199,35 +199,15 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
 
     rng = RngStream(seed)
     model = _cast(init_autoencoder(rng.derive(0), config.latent_dim), np.float32)
-    shuffle_rng = rng.derive(1)
 
-    params = model.params()
-    state = AdamState.zeros_like(params)
-    report = TrainReport()
-    n = train_x.shape[0]
+    def batch_loss(rows):
+        return _mse_loss_and_grads(model, as_intensities(train_x[rows], np.float32))
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = as_intensities(train_x[order[start:start + config.batch_size]],
-                                   np.float32)
-            loss, grads = _mse_loss_and_grads(model, batch)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"autoencoder loss non-finite at epoch {epoch}, "
-                    f"batch {start // config.batch_size}")
-            adam_step(params, grads, state, lr=config.lr)
-            # Dropped now, so the next backward pass is not made while this
-            # step's gradients are still alive.
-            del grads
-            epoch_loss += loss * batch.shape[0]
-        report.train_loss.append(epoch_loss / n)
-        report.val_loss.append(_mean_mse(model, as_intensities(val_x, np.float32)))
-    report.epochs_run = config.epochs
-    # Free the moments before the float64 copy is made, so that the copy
-    # can reuse their memory.
-    del state
+    report = TrainReport(*train_epochs(
+        model.params(), train_x.shape[0], config, rng.derive(1), batch_loss,
+        lambda: _mean_mse(model, as_intensities(val_x, np.float32)),
+        "autoencoder loss", adam_step), epochs_run=config.epochs)
+    # The Adam moments are gone, so this copy can reuse their memory.
     model = _cast(model, np.float64)
     if report.val_loss[-1] > report.val_loss[0]:
         report.warnings.append(

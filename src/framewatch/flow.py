@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_ranges
-from .errors import ContractViolationError, ScoringError, TrainingError
-from .nn import AdamState, adam_step, glorot_uniform
+from .errors import ContractViolationError, ScoringError
+from .nn import adam_step, finite, glorot_uniform, train_epochs
 from .rng import RngStream
 
 DEFAULT_NUM_LAYERS = 8
@@ -81,7 +81,7 @@ class CouplingLayer:
                 f"coupling layer of parity {self.parity!r}: conditioner shapes {shapes}; "
                 "need (2, h, |a|), (2, h), (2, |b|, h) and (2, |b|), a being the dims "
                 "i % 2 == parity, b the others and no width 0")
-        if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in self.params()):
+        if not all(map(finite, self.params())):
             raise ContractViolationError(
                 f"coupling layer of parity {self.parity!r}: parameters must be finite")
         if not (math.isfinite(self.scale_clamp) and self.scale_clamp > 0.0):
@@ -357,29 +357,10 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                      config.hidden,
                      whitening_mean=train_latents.mean(axis=0),
                      whitening_std=np.maximum(train_latents.std(axis=0), STD_FLOOR))
-    shuffle_rng = rng.derive(1)
-
     train_z0 = flow.whiten(train_latents)
-
-    params = flow.params()
-    state = AdamState.zeros_like(params)
-    report = FlowTrainReport()
-    n = train_z0.shape[0]
-
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = train_z0[order[start:start + config.batch_size]]
-            loss, grads = _nll_loss_and_grads(flow, batch)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"flow NLL non-finite at epoch {epoch}, "
-                    f"batch {start // config.batch_size}")
-            adam_step(params, grads, state, lr=config.lr)
-            del grads   # so the next backward pass does not run beside them
-            epoch_loss += loss * batch.shape[0]
-        report.train_nll.append(epoch_loss / n)
-        report.val_nll.append(float(-flow_log_prob_batch(flow, val_latents).mean()))
-    report.epochs_run = config.epochs
+    report = FlowTrainReport(*train_epochs(
+        flow.params(), train_z0.shape[0], config, rng.derive(1),
+        lambda rows: _nll_loss_and_grads(flow, train_z0[rows]),
+        lambda: float(-_log_density(*flow_forward_batch(flow, val_latents)).mean()),
+        "flow NLL", adam_step), epochs_run=config.epochs)
     return flow, report

@@ -14,6 +14,9 @@ and activation into its own product, so it leaves one array, its output.
 Given a cache list, `dense_forward_batch` and `Mlp.forward` append each
 layer's (input, output) to it; the output is the next layer's input, and
 `Mlp.backward` reads each activation's slope from it.
+
+`train_epochs` is the one minibatch-Adam loop; the autoencoder and the
+flow both train through it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ def _float_array(a) -> np.ndarray:
     else converted to float64."""
     a = np.asarray(a)
     return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
+def finite(a: np.ndarray) -> bool:
+    """Whether every element of `a` is finite (True if `a` is empty), read
+    from min and max: a NaN carries through both, and an infinity is one."""
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _apply_activation(act: Activation, z: np.ndarray) -> np.ndarray:
@@ -105,10 +114,7 @@ class DenseLayer:
         if not self.weights.size:
             raise ContractViolationError(
                 f"DenseLayer: weights of shape {self.weights.shape} have a zero width")
-        # A NaN carries through min and max, and an infinity is one of them,
-        # so this needs no boolean array the size of the weights.
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
-                   for a in (self.weights, self.bias)):
+        if not (finite(self.weights) and finite(self.bias)):
             raise ContractViolationError("DenseLayer: parameters must be finite")
 
     @property
@@ -274,10 +280,8 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             if not (a.flags.c_contiguous and a.flags.writeable):
                 raise ContractViolationError(
                     f"adam_step: {what} {i} must be a C-contiguous writable array")
-    # A NaN carries through min and max, and an infinity is one of them, so
-    # this needs no boolean array the size of a gradient.
     for i, g in enumerate(grads):
-        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        if not finite(g):
             raise TrainingError(f"adam_step: non-finite gradient at step {t}, "
                                 f"parameter {i}")
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -310,3 +314,37 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             np.subtract(pb, b, out=pb)
     state.step_count = t
 
+
+def train_epochs(params: Sequence[np.ndarray], n: int, config, shuffle_rng: RngStream,
+                 batch_loss, val_loss, name: str, step) -> tuple[list[float], list[float]]:
+    """Minibatch Adam: `config.epochs` epochs over `n` rows, each shuffled
+    by one `shuffle_rng` permutation and cut into batches of
+    `config.batch_size` rows, stepped at `config.lr`.  Returns each epoch's
+    train loss, the row-weighted mean of `batch_loss(rows)`'s losses, and
+    its `val_loss()`, taken after its last step.
+
+    `batch_loss` returns (loss, gradients ordered as `params`), and `step`,
+    the caller's `adam_step`, updates `params` in place; the Adam moments
+    live only in this call.  A non-finite batch loss (before its step) or
+    val loss raises TrainingError naming `name` and the epoch; as these
+    report a divergence, numpy's overflow and invalid warnings are off.
+    """
+    state = AdamState.zeros_like(params)
+    train_losses, val_losses = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(n)
+            total = 0.0
+            for batch, start in enumerate(range(0, n, config.batch_size)):
+                rows = order[start:start + config.batch_size]
+                loss, grads = batch_loss(rows)
+                if not math.isfinite(loss):
+                    raise TrainingError(f"{name} non-finite at epoch {epoch}, batch {batch}")
+                step(params, grads, state, lr=config.lr)
+                del grads   # so the next backward pass does not run beside them
+                total += loss * len(rows)
+            train_losses.append(total / n)
+            val_losses.append(val_loss())
+            if not math.isfinite(val_losses[-1]):
+                raise TrainingError(f"{name} non-finite at epoch {epoch} on the val split")
+    return train_losses, val_losses

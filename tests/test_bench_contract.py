@@ -18,12 +18,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import framewatch.autoencoder
+import framewatch.flow
 from framewatch import nn
-from framewatch.autoencoder import SCORE_BLOCK_ROWS, encode_batch, init_autoencoder
+from framewatch.autoencoder import (SCORE_BLOCK_ROWS, AutoencoderConfig, encode_batch,
+                                    init_autoencoder, train_autoencoder)
 from framewatch.checkpoint import load_json, pipeline_from_dict, pipeline_to_dict, save_json
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
 from framewatch.evaluation import evaluate
-from framewatch.flow import ScoredSample, coupling_forward, init_flow
+from framewatch.flow import (FlowConfig, ScoredSample, coupling_forward, init_flow,
+                             train_flow)
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, score_frames
 from framewatch.synth import (ANOMALY_LABELS, SynthSpec, apply_anomaly, generate_normal,
@@ -86,6 +90,32 @@ def test_mlp_runs_the_timed_dense_kernels(monkeypatch):
     assert calls == ["dense_forward_batch"] * 2
     mlp.backward(cache, out)
     assert calls[2:] == ["dense_backward_batch"] * 2
+
+
+def test_trainers_step_through_their_modules_adam_bindings(monkeypatch):
+    """The traced `train` run wraps autoencoder.adam_step and flow.adam_step
+    by name and reads their spans under train_autoencoder. Each trainer must
+    take every Adam step through its own module's binding, looked up when it
+    runs, or the run finds no span and fails."""
+    steps = {}
+
+    def counted(module):
+        original = module.adam_step
+
+        def wrapper(*args, **kwargs):
+            steps[module.__name__] = steps.get(module.__name__, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (framewatch.autoencoder, framewatch.flow):
+        monkeypatch.setattr(module, "adam_step", counted(module))
+    frames = RngStream(6).uniform(7 * FRAME_PIXELS).reshape(7, FRAME_PIXELS)
+    train_autoencoder(frames[:5], frames[5:],
+                      AutoencoderConfig(epochs=1, batch_size=2, latent_dim=4))
+    latents = RngStream(7).gaussian(9 * 4).reshape(9, 4)
+    train_flow(latents[:7], latents[7:],
+               FlowConfig(epochs=1, batch_size=3, num_layers=2, hidden=8))
+    assert steps == {"framewatch.autoencoder": 3, "framewatch.flow": 3}
 
 
 def test_package_calls_the_bench_makes(tmp_path):

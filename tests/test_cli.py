@@ -256,6 +256,45 @@ def test_train_empty_train_split_exits_4(workspace, tmp_path, capsys):
         "dataset protocol violation: train split is empty\n"
 
 
+DIVERGING_SYNTH = {
+    "n_train": 40,
+    "n_val": 20,
+    "n_test_normal": 5,
+    "n_per_anomaly": {"dim_light": 2, "blob": 2, "sensor_noise": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def diverging_scenario(tmp_path_factory):
+    """A scenario of 40 train frames: one autoencoder batch an epoch."""
+    root = tmp_path_factory.mktemp("diverging")
+    cfg = root / "synth.json"
+    cfg.write_text(json.dumps(DIVERGING_SYNTH))
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(root / "scen")]) == 0
+    return root / "scen"
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_diverging_train_exits_2_with_one_line(diverging_scenario, tmp_path, epochs):
+    """An autoencoder lr of 1e9 overflows the float32 val loss after the
+    first step. In a fresh interpreter, with numpy's default warnings,
+    `train` exits 2 with one `error:` line whether the run would end there
+    or go on for more epochs, and writes neither output."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"autoencoder": {"lr": 1e9, "epochs": epochs},
+                               "flow": {"epochs": 1}}))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "framewatch.cli", "train",
+                             "--config", str(cfg), "--scenario", str(diverging_scenario),
+                             "--out", str(out)], env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (out / "checkpoint.fwc").exists()
+    assert not (out / "train_report.json").exists()
+
+
 def _relabel(rows):
     """Rows 8 and 9 of labels.csv (test_00006/7.pgm, both dim_light) as one
     type with two axis sets."""

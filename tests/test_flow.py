@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from framewatch.checkpoint import _read_flow, flow_to_dict, save_json
-from framewatch.errors import CheckpointError, ContractViolationError, ScoringError
+from framewatch.errors import (CheckpointError, ContractViolationError, ScoringError,
+                               TrainingError)
 from framewatch.flow import (STD_FLOOR, CouplingLayer, FlowConfig, FlowModel,
                              _nll_loss_and_grads, coupling_forward,
                              flow_forward_batch, flow_inverse_batch,
@@ -391,3 +392,16 @@ def test_train_flow_rejects_val_of_other_width_before_training(monkeypatch, val_
     with pytest.raises(ContractViolationError, match=r"val latents .* got shape \(8,"):
         train_flow(rng.gaussian(32 * 4).reshape(32, 4), np.ones(val_shape),
                    FlowConfig(epochs=1, batch_size=16, num_layers=2, hidden=8))
+
+
+def test_train_flow_reports_a_non_finite_val_nll_as_training_error():
+    """A val latent far off the train latents overflows the val NLL after
+    the first epoch: TrainingError naming the epoch, with numpy's overflow
+    warning silenced, not a scoring error."""
+    rng = RngStream(44)
+    val = rng.gaussian(8 * 4).reshape(8, 4)
+    val[3] = 1e200
+    with pytest.raises(TrainingError,
+                       match="^flow NLL non-finite at epoch 0 on the val split$"):
+        train_flow(rng.gaussian(32 * 4).reshape(32, 4), val,
+                   FlowConfig(epochs=2, batch_size=16, num_layers=2, hidden=8))

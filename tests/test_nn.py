@@ -1,10 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import framewatch.autoencoder
+import framewatch.flow
 from framewatch.autoencoder import AutoencoderConfig, train_autoencoder
-from framewatch.data_io import FRAME_SIDE, Frame
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
+from framewatch.flow import FlowConfig, train_flow
 from framewatch.errors import ContractViolationError, TrainingError
 from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, LEAKY_SLOPE,
                            Activation, AdamState, DenseLayer, Mlp, _activation_grad,
@@ -504,6 +508,43 @@ def test_train_autoencoder_returns_float32_exact_float64():
     for a in model.params():
         assert a.dtype == np.float64
         assert _same_bits([a], [a.astype(F32).astype(np.float64)])
+
+
+def _train_tiny_autoencoder():
+    x = RngStream(5).uniform(6 * FRAME_PIXELS).reshape(6, FRAME_PIXELS)
+    train_autoencoder(x[:4], x[4:], AutoencoderConfig(epochs=2, batch_size=2, latent_dim=4))
+
+
+def _train_tiny_flow():
+    z = RngStream(6).gaussian(6 * 4).reshape(6, 4)
+    train_flow(z[:4], z[4:], FlowConfig(epochs=2, batch_size=2, num_layers=2, hidden=8))
+
+
+@pytest.mark.parametrize("module, loss_name, message, train", [
+    (framewatch.autoencoder, "_mse_loss_and_grads", "autoencoder loss",
+     _train_tiny_autoencoder),
+    (framewatch.flow, "_nll_loss_and_grads", "flow NLL", _train_tiny_flow),
+], ids=["autoencoder", "flow"])
+def test_non_finite_batch_loss_stops_before_its_step(monkeypatch, module, loss_name,
+                                                     message, train):
+    """A NaN loss on the second batch raises TrainingError naming the model,
+    epoch 0 and batch 1, and that batch takes no Adam step: the parameters
+    stay those the first batch's step left."""
+    real = getattr(module, loss_name)
+    seen = []   # (model, copy of its parameters) at each batch
+
+    def nan_on_second_batch(model, batch):
+        seen.append((model, [p.copy() for p in model.params()]))
+        loss, grads = real(model, batch)
+        return (math.nan if len(seen) == 2 else loss), grads
+
+    monkeypatch.setattr(module, loss_name, nan_on_second_batch)
+    with pytest.raises(TrainingError, match=f"^{message} non-finite at epoch 0, batch 1$"):
+        train()
+    assert len(seen) == 2
+    (model, before), (_, after_first_step) = seen
+    assert not all(np.array_equal(a, b) for a, b in zip(before, after_first_step))
+    assert all(np.array_equal(p, kept) for p, kept in zip(model.params(), after_first_step))
 
 
 # ---------------------------------------------------------------------------
