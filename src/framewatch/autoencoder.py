@@ -20,7 +20,7 @@ and the `<f8` checkpoint) computes with it, on float64 frames that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +74,6 @@ class AutoencoderModel:
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
-
-
-@dataclass
-class TrainReport:
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    epochs_run: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
@@ -203,14 +195,9 @@ def train_autoencoder(train_x: np.ndarray, val_x: np.ndarray,
     def batch_loss(rows):
         return _mse_loss_and_grads(model, as_intensities(train_x[rows], np.float32))
 
-    report = TrainReport(*train_epochs(
+    report = train_epochs(
         model.params(), train_x.shape[0], config, rng.derive(1), batch_loss,
         lambda: _mean_mse(model, as_intensities(val_x, np.float32)),
-        "autoencoder loss", adam_step), epochs_run=config.epochs)
+        "autoencoder loss", adam_step)
     # The Adam moments are gone, so this copy can reuse their memory.
-    model = _cast(model, np.float64)
-    if report.val_loss[-1] > report.val_loss[0]:
-        report.warnings.append(
-            "validation loss did not improve over training "
-            f"({report.val_loss[0]:.6g} -> {report.val_loss[-1]:.6g})")
-    return model, report
+    return _cast(model, np.float64), report

@@ -26,8 +26,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import from_dict
-from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, load_scenario,
-                      read_frame_codes)
+from .data_io import (FRAME_PIXELS, FRAME_RATE, FRAME_SIDE, list_frames,
+                      load_scenario, read_frame_codes)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      EvaluationError, IOFailure, ParseError,
                      ProtocolViolationError, TrainingError, ScoringError)
@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
     _write_json(report, out / "train_report.json")
     print(f"trained on {len(dataset.train)} frames; final val MSE "
           f"{trained.ae_report.val_loss[-1]:.6g}, final val NLL "
-          f"{trained.flow_report.val_nll[-1]:.4f}, threshold "
+          f"{trained.flow_report.val_loss[-1]:.4f}, threshold "
           f"{trained.threshold:.4f}")
     print(f"checkpoint written to {out / CHECKPOINT}")
     return EXIT_OK
@@ -181,8 +181,8 @@ def cmd_simulate(args) -> int:
         ckpt.load_json(checkpoint))
     if not frames_dir.is_dir():
         raise IOFailure(f"frames directory {frames_dir} does not exist")
-    paths = sorted(frames_dir.glob("*.pgm"))
-    if not paths:
+    frames = list_frames(frames_dir)
+    if not frames:
         raise IOFailure(f"no .pgm frames in {frames_dir}")
     _check_frame_size(ae)
 
@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
 
     def scores():
         start = time.monotonic()
-        for index, path in enumerate(paths):
+        for index, (_, name, path) in enumerate(frames):
             if args.realtime:
                 # Frame `index` is due at start + index / FRAME_RATE, however
                 # long the frames before it took to score.
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
                 score = float(score_frames(ae, flow, codes, score_config)[0])
             except (ParseError, OSError, ContractViolationError, ScoringError) as exc:
                 # Fail-safe: an unreadable frame counts as an anomaly.
-                print(f"warning: frame {path.name} unreadable ({exc}); "
+                print(f"warning: frame {name} unreadable ({exc}); "
                       "logging fail-safe stop", file=sys.stderr)
                 score = float("nan")
             yield score
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("simulate", cmd_simulate,
                     "run the deployment monitor over a frame stream", seed=False,
                     checkpoint=checkpoint,
-                    scenario="directory of .pgm frames, processed in name order",
+                    scenario=("directory of .pgm frames, processed in frame-number "
+                              "order (each name's trailing number)"),
                     out=out)
     p.add_argument("--realtime", action="store_true",
                    help="pace processing at 30 frames per second")

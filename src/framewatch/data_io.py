@@ -391,15 +391,22 @@ def _timestamp_of(filename: str) -> int:
     return int(m.group(1)) if m else 0
 
 
+def list_frames(directory: Path | str) -> list[tuple[int, str, str]]:
+    """The `.pgm` entries of `directory` as (timestamp, name, path), in
+    (timestamp, name) order: the timestamp is the name's trailing frame
+    number (0 if it has none), so `frame_10.pgm` follows `frame_9.pgm`."""
+    with os.scandir(directory) as it:
+        return sorted((_timestamp_of(e.name), e.name, e.path)
+                      for e in it if e.name.endswith(".pgm"))
+
+
 def _load_split(split_dir: Path, labels: dict[str, Optional[AnomalyLabel]],
                 split_name: str) -> Split:
-    """The split's frames in (timestamp, name) order, the codes of each
-    copied straight into its row of the split's uint8 array."""
+    """The split's frames in `list_frames` order, the codes of each copied
+    straight into its row of the split's uint8 array."""
     if not split_dir.is_dir():
         raise IOFailure(f"missing split directory {split_dir}")
-    with os.scandir(split_dir) as it:
-        entries = sorted((_timestamp_of(e.name), e.name, e.path)
-                         for e in it if e.name.endswith(".pgm"))
+    entries = list_frames(split_dir)
     pixels = np.empty((len(entries), FRAME_SIDE, FRAME_SIDE), np.uint8)
     for row, (_, name, path) in zip(pixels, entries):
         try:

@@ -32,7 +32,7 @@ serves scoring and the loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,13 +151,6 @@ class FlowConfig:
         check_ranges(self, "flow.",
                      at_least_one=("epochs", "batch_size", "num_layers", "hidden"),
                      positive=("lr", "scale_clamp"))
-
-
-@dataclass
-class FlowTrainReport:
-    train_nll: list[float] = field(default_factory=list)
-    val_nll: list[float] = field(default_factory=list)
-    epochs_run: int = 0
 
 
 def init_flow(rng: RngStream, dim: int, num_layers: int = DEFAULT_NUM_LAYERS,
@@ -358,9 +351,9 @@ def train_flow(train_latents: np.ndarray, val_latents: np.ndarray,
                      whitening_mean=train_latents.mean(axis=0),
                      whitening_std=np.maximum(train_latents.std(axis=0), STD_FLOOR))
     train_z0 = flow.whiten(train_latents)
-    report = FlowTrainReport(*train_epochs(
+    report = train_epochs(
         flow.params(), train_z0.shape[0], config, rng.derive(1),
         lambda rows: _nll_loss_and_grads(flow, train_z0[rows]),
         lambda: float(-_log_density(*flow_forward_batch(flow, val_latents)).mean()),
-        "flow NLL", adam_step), epochs_run=config.epochs)
+        "flow NLL", adam_step)
     return flow, report

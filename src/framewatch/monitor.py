@@ -119,8 +119,8 @@ def run_monitor(scores: Iterable[float], cfg: MonitorConfig) -> list[MonitorEven
 def events_to_csv(events: list[MonitorEvent]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame_index", "score", "smoothed", "phase", "action", "fault"])
+    writer.writerow(["frame_index", "score", "smoothed", "action", "fault"])
     for e in events:
         writer.writerow([e.frame_index, repr(e.score), repr(e.smoothed),
-                         e.action.name, e.action.value, int(e.fault)])
+                         e.action.value, int(e.fault)])
     return buf.getvalue()

@@ -16,7 +16,8 @@ layer's (input, output) to it; the output is the next layer's input, and
 `Mlp.backward` reads each activation's slope from it.
 
 `train_epochs` is the one minibatch-Adam loop; the autoencoder and the
-flow both train through it.
+flow both train through it, and it returns their one report type,
+`TrainReport`.
 """
 
 from __future__ import annotations
@@ -315,13 +316,23 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
     state.step_count = t
 
 
+@dataclass
+class TrainReport:
+    """Each epoch's train and val loss from `train_epochs`, and its warnings."""
+
+    train_loss: list[float]
+    val_loss: list[float]
+    warnings: list[str]
+
+
 def train_epochs(params: Sequence[np.ndarray], n: int, config, shuffle_rng: RngStream,
-                 batch_loss, val_loss, name: str, step) -> tuple[list[float], list[float]]:
+                 batch_loss, val_loss, name: str, step) -> TrainReport:
     """Minibatch Adam: `config.epochs` epochs over `n` rows, each shuffled
     by one `shuffle_rng` permutation and cut into batches of
-    `config.batch_size` rows, stepped at `config.lr`.  Returns each epoch's
+    `config.batch_size` rows, stepped at `config.lr`.  Reports each epoch's
     train loss, the row-weighted mean of `batch_loss(rows)`'s losses, and
-    its `val_loss()`, taken after its last step.
+    its `val_loss()`, taken after its last step, with one warning naming
+    `name` if the last epoch's val loss is above epoch 0's.
 
     `batch_loss` returns (loss, gradients ordered as `params`), and `step`,
     the caller's `adam_step`, updates `params` in place; the Adam moments
@@ -347,4 +358,9 @@ def train_epochs(params: Sequence[np.ndarray], n: int, config, shuffle_rng: RngS
             val_losses.append(val_loss())
             if not math.isfinite(val_losses[-1]):
                 raise TrainingError(f"{name} non-finite at epoch {epoch} on the val split")
-    return train_losses, val_losses
+    warnings = []
+    if val_losses[-1] > val_losses[0]:
+        warnings.append(f"val {name} did not improve over training: {val_losses[-1]:.6g} "
+                        f"after epoch {len(val_losses) - 1}, above {val_losses[0]:.6g} "
+                        "after epoch 0")
+    return TrainReport(train_losses, val_losses, warnings)

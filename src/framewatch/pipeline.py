@@ -12,15 +12,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
-                          frame_blocks, reconstruction_error, train_autoencoder,
-                          TrainReport)
+                          frame_blocks, reconstruction_error, train_autoencoder)
 from .config import from_dict
 from .data_io import ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
-from .flow import (FlowConfig, FlowModel, FlowTrainReport, ScoredSample,
-                   flow_log_prob_batch, train_flow)
+from .flow import (FlowConfig, FlowModel, ScoredSample, flow_log_prob_batch,
+                   train_flow)
 from .monitor import DEFAULT_CONSECUTIVE, DEFAULT_WINDOW, MonitorConfig
+from .nn import TrainReport
 from .scoring import ScoreConfig, ScoreStandardization, score_frames
 from .checkpoint import pipeline_to_dict
 
@@ -69,7 +69,7 @@ class TrainedPipeline:
     score_config: ScoreConfig
     threshold: float
     ae_report: TrainReport
-    flow_report: FlowTrainReport
+    flow_report: TrainReport
     val_scores: np.ndarray
 
 

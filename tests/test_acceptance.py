@@ -148,9 +148,9 @@ def test_criterion_5_flow_learning():
     val = RngStream(6001).gaussian(1000 * 4).reshape(1000, 4)
     flow, report = train_flow(latents, val, FlowConfig(epochs=30), seed=1)
     entropy = 2.0 * (1.0 + math.log(2.0 * math.pi))
-    diff = abs(report.val_nll[-1] - entropy)
+    diff = abs(report.val_loss[-1] - entropy)
     _report(5, "flow learning sanity", diff < 0.1,
-            f"(val NLL {report.val_nll[-1]:.4f} vs entropy {entropy:.4f})")
+            f"(val NLL {report.val_loss[-1]:.4f} vs entropy {entropy:.4f})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ in the test suite instead. They read perfbench/ and change nothing there.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,14 +25,19 @@ from framewatch import nn
 from framewatch.autoencoder import (SCORE_BLOCK_ROWS, AutoencoderConfig, encode_batch,
                                     init_autoencoder, train_autoencoder)
 from framewatch.checkpoint import load_json, pipeline_from_dict, pipeline_to_dict, save_json
-from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, load_scenario
-from framewatch.evaluation import evaluate
+from framewatch.data_io import (FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, decode_pgm,
+                                load_scenario, resize_bilinear)
+from framewatch.evaluation import (RocPoint, auc_from_scores, evaluate, roc_curve,
+                                   scores_to_csv)
 from framewatch.flow import (FlowConfig, ScoredSample, coupling_forward, init_flow,
                              train_flow)
+from framewatch.monitor import Action, MonitorConfig, MonitorState, monitor_step, run_monitor
+from framewatch.pipeline import (RunConfig, evaluate_pipeline, pipeline_checkpoint,
+                                 train_pipeline)
 from framewatch.rng import RngStream
 from framewatch.scoring import ScoreConfig, score_frames
 from framewatch.synth import (ANOMALY_LABELS, SynthSpec, apply_anomaly, generate_normal,
-                             generate_scenario)
+                             generate_scenario, generate_stream)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -175,3 +181,59 @@ def test_package_calls_the_bench_makes(tmp_path):
     report = evaluate(scored, ANOMALY_LABELS, neg_scores)
     assert report.counts == {"normal": 3, "anomalous": 2, "type:blob": 2}
     assert report.per_type_auc == {"blob": report.overall_auc}
+
+
+def test_pipeline_monitor_and_stream_calls_the_bench_makes(tmp_path):
+    """The calls perfbench/ makes that the case above does not: RunConfig
+    with its epochs, monitor settings and eval quantile; train_pipeline to
+    val_scores and threshold, and pipeline_checkpoint, whose reloaded model
+    scores the val split to those val_scores bit for bit; evaluate_pipeline
+    to (report, scored), with the report's AUCs and JSON, roc_curve and
+    scores_to_csv; the monitor built from the checkpoint's threshold and
+    stepped frame by frame as run_monitor folds it; and the stream's
+    generate_stream, decode_pgm, resize_bilinear and auc_from_scores."""
+    spec = SynthSpec(seed=2, n_train=3, n_val=4, n_test_normal=2,
+                     n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 0})
+    generate_scenario(spec, tmp_path / "scenario")
+    dataset = load_scenario(tmp_path / "scenario")
+    config = RunConfig(seed=3)
+    config.autoencoder.epochs = config.flow.epochs = 1
+    assert type(config.monitor_window) is int and type(config.monitor_consecutive) is int
+    assert 0.0 < config.eval_quantile < 1.0
+
+    trained = train_pipeline(dataset, config)
+    assert trained.val_scores.shape == (len(dataset.val),)
+    assert type(trained.threshold) is float
+    path = tmp_path / "checkpoint.fwc"
+    save_json(pipeline_checkpoint(trained, config), path)
+    ae, flow, score_config, threshold = pipeline_from_dict(load_json(path))
+    assert threshold == trained.threshold
+    assert np.array_equal(score_frames(ae, flow, dataset.val, score_config),
+                          trained.val_scores)
+
+    report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
+                                       config.eval_quantile)
+    assert set(report.per_type_auc) == {"dim_light", "blob"}
+    assert isinstance(report.overall_auc, float)
+    assert json.loads(report.to_json())["overall_auc"] == report.overall_auc
+    assert len(scored) == len(dataset.test)
+    assert all(isinstance(point, RocPoint) for point in roc_curve(scored))
+    assert len(scores_to_csv(scored).splitlines()) == len(scored) + 1
+
+    generate_stream(SynthSpec(), tmp_path / "stream", 2, "blob", 1, stream_seed=5)
+    paths = sorted((tmp_path / "stream").glob("*.pgm"))
+    assert len(paths) == 3
+    monitor = MonitorConfig(threshold=threshold, window=config.monitor_window,
+                            consecutive=config.monitor_consecutive)
+    state, scores, actions = MonitorState(), [], []
+    for path in paths:
+        pixels, width, height = decode_pgm(path.read_bytes())
+        assert pixels.shape == (height, width) == (FRAME_SIDE, FRAME_SIDE)
+        score = float(score_frames(ae, flow, [Frame(pixels)], score_config)[0])
+        state, action = monitor_step(state, score, monitor)
+        assert isinstance(action, Action)
+        scores.append(score)
+        actions.append(action)
+    assert [event.action for event in run_monitor(scores, monitor)] == actions
+    assert resize_bilinear(np.full((48, 80), 0.5)).shape == (FRAME_SIDE, FRAME_SIDE)
+    assert auc_from_scores(np.array([2.0, 3.0]), np.array([1.0, 2.5])) == 0.75

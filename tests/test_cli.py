@@ -117,8 +117,10 @@ def test_train_writes_checkpoint_and_report(workspace):
     raw = (out / "train_report.json").read_bytes()
     report = json.loads(raw)
     assert raw == (json.dumps(report, indent=1, sort_keys=True) + "\n").encode()
-    assert report["autoencoder"]["epochs_run"] == 4
-    assert report["flow"]["epochs_run"] == 6
+    for section, epochs in (("autoencoder", 4), ("flow", 6)):
+        assert sorted(report[section]) == ["train_loss", "val_loss", "warnings"]
+        assert len(report[section]["train_loss"]) == epochs
+        assert len(report[section]["val_loss"]) == epochs
 
 
 def test_train_rejects_anomalous_train_file(workspace, tmp_path):
@@ -357,6 +359,32 @@ def test_simulate_anomalous_stream_triggers(workspace, tmp_path, capsys):
     with open(out / "monitor_log.csv", newline="") as log:
         logged = [float(row["score"]) for row in csv.DictReader(log)]
     assert logged == pytest.approx(batch.tolist(), rel=1e-9)
+
+
+def test_simulate_replays_frames_in_frame_number_order(workspace, tmp_path):
+    """Frames named without zero padding replay as load_scenario orders
+    them, by trailing frame number: frame_10.pgm after frame_9.pgm, not
+    after frame_1.pgm, so the blob frames 9 to 11 log last."""
+    from framewatch.synth import SynthSpec, generate_stream
+    padded = tmp_path / "padded"
+    generate_stream(SynthSpec(**SMALL_SYNTH), padded, n_normal=9, anomaly_kind="blob",
+                    n_anomalous=3)
+    stream = tmp_path / "stream"
+    stream.mkdir()
+    paths = [stream / f"frame_{t}.pgm" for t in range(12)]
+    for t, path in enumerate(paths):
+        (padded / f"frame_{t:06d}.pgm").rename(path)
+    out = tmp_path / "sim"
+    checkpoint = workspace / "out" / "checkpoint.fwc"
+    assert main(["simulate", "--checkpoint", str(checkpoint),
+                 "--scenario", str(stream), "--out", str(out)]) == 0
+
+    ae, flow, score_config, _ = pipeline_from_dict(load_json(checkpoint))
+    codes = np.stack([read_frame_codes(path) for path in paths])
+    in_order = score_frames(ae, flow, codes, score_config)
+    with open(out / "monitor_log.csv", newline="") as log:
+        logged = [float(row["score"]) for row in csv.DictReader(log)]
+    assert logged == pytest.approx(in_order.tolist(), rel=1e-9)
 
 
 def test_simulate_scores_a_resized_frame_as_eval_does(workspace, tmp_path):

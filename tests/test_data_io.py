@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from _helpers import reference_decode_pgm, reference_read_frame_codes
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, Split, decode_pgm, encode_pgm,
-                                as_intensities, load_scenario, parse_labels,
-                                read_frame_codes, resize_bilinear)
+                                as_intensities, list_frames, load_scenario,
+                                parse_labels, read_frame_codes, resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
 from framewatch.rng import RngStream
@@ -364,6 +364,19 @@ def test_load_missing_label_entry(tmp_path):
 def _write_pgm(path, height, width, seed):
     raw = np.floor(RngStream(seed).uniform(height * width) * 256).clip(0, 255)
     path.write_bytes(encode_pgm(raw.reshape(height, width) / 255.0))
+
+
+def test_list_frames_orders_by_frame_number_then_name(tmp_path):
+    """Frame numbers order frames whatever their padding, names break ties,
+    and only `.pgm` entries are listed, with their paths."""
+    names = ["frame_1000000.pgm", "frame_999999.pgm", "frame_10.pgm", "frame_9.pgm",
+             "b_9.pgm", "c.pgm", "notes.txt"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"")
+    assert list_frames(tmp_path) == [
+        (t, name, str(tmp_path / name)) for t, name in
+        [(0, "c.pgm"), (9, "b_9.pgm"), (9, "frame_9.pgm"), (10, "frame_10.pgm"),
+         (999999, "frame_999999.pgm"), (1000000, "frame_1000000.pgm")]]
 
 
 def test_load_mixed_sizes_matches_read_frame_codes(tmp_path):

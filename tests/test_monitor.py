@@ -157,21 +157,21 @@ def test_event_log_csv():
 
 
 def test_event_log_csv_text_is_pinned():
-    """The log's exact text: the phase in capitals, the action as named,
-    fault 1 for a non-finite score, and `nan` smoothing until a finite
-    score enters the window."""
+    """The log's exact text: the action as named, once, fault 1 for a
+    non-finite score, and `nan` smoothing until a finite score enters the
+    window."""
     cfg = MonitorConfig(threshold=1.0, window=2, consecutive=2)
-    header = "frame_index,score,smoothed,phase,action,fault\n"
+    header = "frame_index,score,smoothed,action,fault\n"
     assert events_to_csv(run_monitor([0.1, 0.5, float("inf"), 3.0], cfg)) == (
         header
-        + "0,0.1,0.1,ADVANCE,Advance,0\n"
-        + "1,0.5,0.1,ADVANCE,Advance,0\n"
-        + "2,inf,0.1,STOP,Stop,1\n"
-        + "3,3.0,0.5,BACKTRACK,Backtrack,0\n")
+        + "0,0.1,0.1,Advance,0\n"
+        + "1,0.5,0.1,Advance,0\n"
+        + "2,inf,0.1,Stop,1\n"
+        + "3,3.0,0.5,Backtrack,0\n")
     assert events_to_csv(run_monitor([float("nan"), 2.0], cfg)) == (
         header
-        + "0,nan,nan,STOP,Stop,1\n"
-        + "1,2.0,2.0,BACKTRACK,Backtrack,0\n")
+        + "0,nan,nan,Stop,1\n"
+        + "1,2.0,2.0,Backtrack,0\n")
 
 
 def test_config_validation():

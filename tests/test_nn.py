@@ -11,9 +11,10 @@ from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame
 from framewatch.flow import FlowConfig, train_flow
 from framewatch.errors import ContractViolationError, TrainingError
 from framewatch.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, LEAKY_SLOPE,
-                           Activation, AdamState, DenseLayer, Mlp, _activation_grad,
-                           _apply_activation, adam_step, dense_backward_batch,
-                           dense_forward_batch, init_dense, init_mlp)
+                           Activation, AdamState, DenseLayer, Mlp, TrainReport,
+                           _activation_grad, _apply_activation, adam_step,
+                           dense_backward_batch, dense_forward_batch, init_dense,
+                           init_mlp, train_epochs)
 from framewatch.rng import RngStream
 
 from _helpers import (finite_diff_grad, max_rel_err, pack, reference_activation,
@@ -545,6 +546,23 @@ def test_non_finite_batch_loss_stops_before_its_step(monkeypatch, module, loss_n
     (model, before), (_, after_first_step) = seen
     assert not all(np.array_equal(a, b) for a, b in zip(before, after_first_step))
     assert all(np.array_equal(p, kept) for p, kept in zip(model.params(), after_first_step))
+
+
+ROSE = "val stub loss did not improve over training: 3 after epoch 2, above 1 after epoch 0"
+
+
+@pytest.mark.parametrize("val_losses, expected", [
+    ((1.0, 2.0, 3.0), [ROSE]), ((3.0, 2.0, 1.0), []), ((1.0, 1.0, 1.0), [])],
+    ids=["rising", "falling", "flat"])
+def test_train_epochs_warns_when_the_last_val_loss_is_above_epoch_0s(val_losses, expected):
+    """train_epochs reports each epoch's losses and exactly one warning,
+    naming the model and both losses, when the last epoch's val loss is
+    above epoch 0's; a fall or no change gives none."""
+    scripted = iter(val_losses)
+    report = train_epochs([np.zeros(2)], 4, AutoencoderConfig(epochs=3, batch_size=2),
+                          RngStream(0), lambda rows: (0.5, [np.zeros(2)]),
+                          lambda: next(scripted), "stub loss", adam_step)
+    assert report == TrainReport([0.5] * 3, list(val_losses), expected)
 
 
 # ---------------------------------------------------------------------------
