@@ -141,21 +141,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_frame_size(ae) -> None:
-    """CheckpointError unless the autoencoder reads the frames this build
-    decodes."""
+def _load_checkpoint(path: Path):
+    """(ae, flow, score_config, threshold) of the checkpoint at `path`;
+    CheckpointError unless its autoencoder reads FRAME_PIXELS inputs."""
+    ae, flow, score_config, threshold = ckpt.pipeline_from_dict(ckpt.load_json(path))
     if ae.input_dim != FRAME_PIXELS:
         raise CheckpointError(
             f"checkpoint input_dim {ae.input_dim} does not match the "
             f"{FRAME_PIXELS} pixels of a {FRAME_SIDE}x{FRAME_SIDE} frame")
+    return ae, flow, score_config, threshold
 
 
 def cmd_eval(args) -> int:
     config = _load_run_config(args)
     checkpoint, scenario, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("eval_report.json", "scores.csv"))
-    ae, flow, score_config, _ = ckpt.pipeline_from_dict(ckpt.load_json(checkpoint))
-    _check_frame_size(ae)
+    ae, flow, score_config, _ = _load_checkpoint(checkpoint)
     dataset = load_scenario(scenario)
 
     report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
@@ -177,14 +178,12 @@ def cmd_simulate(args) -> int:
     config = _load_run_config(args)
     checkpoint, frames_dir, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("monitor_log.csv",))
-    ae, flow, score_config, ckpt_threshold = ckpt.pipeline_from_dict(
-        ckpt.load_json(checkpoint))
+    ae, flow, score_config, ckpt_threshold = _load_checkpoint(checkpoint)
     if not frames_dir.is_dir():
         raise IOFailure(f"frames directory {frames_dir} does not exist")
     frames = list_frames(frames_dir)
     if not frames:
         raise IOFailure(f"no .pgm frames in {frames_dir}")
-    _check_frame_size(ae)
 
     cfg = config.monitor_config(ckpt_threshold)
 

@@ -5,8 +5,9 @@ On-disk layout of a scenario:
     <scenario>/train/*.pgm     normal frames only
     <scenario>/val/*.pgm       normal frames only
     <scenario>/test/*.pgm      normal and anomalous frames
-    <scenario>/labels.csv      one row per test file (may also cover
-                               train/val files to assert their normality)
+    <scenario>/labels.csv      one row per test file; a row whose name no
+                               test file has may name a train/val file, to
+                               assert its normality
 
 A ScenarioDataset holds one Split per split and is valid when built: its
 constructor enforces the split protocol; its taxonomy comes from the
@@ -331,7 +332,7 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
     first row makes its one AnomalyLabel and each later row of the type
     shares it."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # drops one leading byte order mark
     except UnicodeDecodeError as exc:
         raise ParseError(f"labels.csv is not valid UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
@@ -430,8 +431,13 @@ def load_scenario(root: Path | str) -> ScenarioDataset:
         raise IOFailure(f"missing labels file {labels_path}")
     labels = parse_labels(labels_path.read_bytes())
 
-    splits = {split: _load_split(root / split, labels, split)
-              for split in ("train", "val", "test")}
+    # A row names the test file of its name; only a name the test split
+    # lacks labels a train or val file.
+    splits = {"test": _load_split(root / "test", labels, "test")}
+    test_names = {i.partition("/")[2] for i in splits["test"].source_ids}
+    rest = {name: label for name, label in labels.items() if name not in test_names}
+    splits.update((split, _load_split(root / split, rest, split))
+                  for split in ("train", "val"))
     named = {i.partition("/")[2] for split in splits.values() for i in split.source_ids}
     for filename in labels:
         if filename not in named:

@@ -237,3 +237,37 @@ def test_pipeline_monitor_and_stream_calls_the_bench_makes(tmp_path):
     assert [event.action for event in run_monitor(scores, monitor)] == actions
     assert resize_bilinear(np.full((48, 80), 0.5)).shape == (FRAME_SIDE, FRAME_SIDE)
     assert auc_from_scores(np.array([2.0, 3.0]), np.array([1.0, 2.5])) == 0.75
+
+
+def test_kernel_suite_calls_on_a_trained_reloaded_model(tmp_path):
+    """The nn calls the kernel suite makes, on a model train_pipeline
+    returned and the checkpoint reloaded: dense_forward_batch and the
+    three-argument dense_backward_batch on every encoder and decoder layer
+    with float64 inputs, and adam_step over ae.params() with float64
+    gradients and fresh AdamState.zeros_like moments.  adam_step refuses
+    mixed dtypes, so a model that reloads any parameter in another dtype
+    fails here as it fails the traced kernel suite."""
+    spec = SynthSpec(seed=2, n_train=3, n_val=4, n_test_normal=2,
+                     n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 0})
+    generate_scenario(spec, tmp_path / "scenario")
+    config = RunConfig(seed=3)
+    config.autoencoder.epochs = config.flow.epochs = 1
+    trained = train_pipeline(load_scenario(tmp_path / "scenario"), config)
+    path = tmp_path / "checkpoint.fwc"
+    save_json(pipeline_checkpoint(trained, config), path)
+    ae = pipeline_from_dict(load_json(path))[0]
+
+    rng = RngStream(8)
+    for layer in ae.encoder.layers + ae.decoder.layers:
+        xs = rng.uniform(2 * layer.in_dim).reshape(2, layer.in_dim)
+        grad = rng.gaussian(2 * layer.out_dim).reshape(2, layer.out_dim) * 1e-3
+        assert nn.dense_forward_batch(layer, xs).shape == (2, layer.out_dim)
+        grad_inputs, grad_weights, grad_bias = nn.dense_backward_batch(layer, xs, grad)
+        assert grad_inputs.shape == xs.shape
+        assert grad_weights.shape == layer.weights.shape
+        assert grad_bias.shape == layer.bias.shape
+    params = ae.params()
+    before = [p.copy() for p in params]
+    grads = [rng.gaussian(p.size).reshape(p.shape) * 1e-3 for p in params]
+    nn.adam_step(params, grads, nn.AdamState.zeros_like(params))
+    assert all(not np.array_equal(p, b) for p, b in zip(ae.params(), before))

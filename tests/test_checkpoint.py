@@ -596,15 +596,22 @@ def test_checkpoint_for_other_frame_size_exits_5(tmp_path, capsys, command):
     assert "input_dim 16" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
 def test_eval_rejects_other_frame_size_before_loading_scenario(tmp_path, capsys,
-                                                              monkeypatch):
-    """eval checks the checkpoint's input_dim before it decodes a scenario."""
+                                                              monkeypatch, command):
+    """eval checks the checkpoint's input_dim before it decodes a scenario,
+    and simulate before it lists its frame directory."""
     def load_scenario(root):
         raise AssertionError("load_scenario called before the frame-size check")
 
+    def list_frames(directory):
+        raise AssertionError("list_frames called before the frame-size check")
+
     monkeypatch.setattr(cli, "load_scenario", load_scenario)
+    monkeypatch.setattr(cli, "list_frames", list_frames)
     path = tmp_path / "checkpoint.fwc"
     ckpt.save_json(_small_pipeline_dict(), path)
-    assert main(["eval", "--checkpoint", str(path), "--scenario", str(tmp_path / "scen"),
+    (tmp_path / "scen").mkdir()
+    assert main([command, "--checkpoint", str(path), "--scenario", str(tmp_path / "scen"),
                  "--out", str(tmp_path / "out")]) == 5
     assert "input_dim 16" in capsys.readouterr().err

@@ -552,25 +552,29 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
     assert a == b
 
 
-def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_path):
+@pytest.mark.parametrize("score_mode", ["nll", "combined"])
+def test_train_bytes_independent_of_hash_seed_and_blas_threads(workspace, tmp_path,
+                                                               score_mode):
     """`gen-synth`, `train`, `eval` and `simulate` (over the test split's
     frames) in fresh interpreters, once with string hash seed 0 and one
     BLAS thread and once with hash seed 1 and two, write the same
     checkpoint, training report, evaluation report, scores and monitor log
-    byte for byte."""
+    byte for byte, in each score mode: combined mode also decodes."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({**SMALL_RUN, "score_mode": score_mode}))
     outputs = []
     for hash_seed, threads in (("0", "1"), ("1", "2")):
         root = tmp_path / f"hash{hash_seed}-threads{threads}"
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
                    OPENBLAS_NUM_THREADS=threads)
-        run = ["--config", str(workspace / "run.json"), "--scenario", str(root / "scen")]
+        run = ["--config", str(run_cfg), "--scenario", str(root / "scen")]
         for argv in (["gen-synth", "--config", str(workspace / "synth.json"),
                       "--out", str(root / "scen")],
                      ["train", *run, "--out", str(root / "out")],
                      ["eval", *run, "--checkpoint", str(root / "out" / "checkpoint.fwc"),
                       "--out", str(root / "eval")],
-                     ["simulate", "--config", str(workspace / "run.json"),
+                     ["simulate", "--config", str(run_cfg),
                       "--checkpoint", str(root / "out" / "checkpoint.fwc"),
                       "--scenario", str(root / "scen" / "test"), "--out", str(root / "sim")]):
             subprocess.run([sys.executable, "-m", "framewatch.cli", *argv], env=env,

@@ -223,6 +223,15 @@ def test_parse_normal_row():
     assert labels["img_0001.pgm"] is None
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    """A labels.csv saved with a UTF-8 byte order mark parses as without
+    it; a second mark is part of the header and rejected."""
+    data = HEADER + b"img_0004.pgm,anomalous,tape,semantic,yes,yes,\n"
+    assert parse_labels(b"\xef\xbb\xbf" + data) == parse_labels(data)
+    with pytest.raises(ParseError, match="header"):
+        parse_labels(b"\xef\xbb\xbf" * 2 + data)
+
+
 def test_parse_bad_level_reports_line():
     data = HEADER + b"a.pgm,normal,,,,,\nb.pgm,anomalous,dust,medium,no,no,\n"
     with pytest.raises(ParseError, match="line 3"):
@@ -329,6 +338,24 @@ def test_load_accepts_normal_label_rows_for_train_and_val_files(tmp_path):
     with (tmp_path / "labels.csv").open("a") as f:
         f.write("train_00001.pgm,normal,,,,,\nval_00000.pgm,normal,,,,,\n")
     assert len(load_scenario(tmp_path).train) == 2
+
+
+def test_label_row_names_the_test_file_of_its_name(tmp_path):
+    """With frame_0.pgm to frame_2.pgm in every split, labels.csv's rows
+    label the test files: test/frame_2.pgm is anomalous, and train/ and
+    val/ files of the same names stay normal."""
+    for split in ("train", "val", "test"):
+        (tmp_path / split).mkdir()
+        for i in range(3):
+            _write_frame(tmp_path / split / f"frame_{i}.pgm", 0.2 + 0.1 * i)
+    rows = [HEADER.decode().strip(), "frame_0.pgm,normal,,,,,",
+            "frame_1.pgm,normal,,,,,", "frame_2.pgm,anomalous,blob,semantic,yes,yes,"]
+    (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
+    ds = load_scenario(tmp_path)
+    assert ds.train.labels == ds.val.labels == (None, None, None)
+    assert ds.test.labels[:2] == (None, None)
+    assert ds.test.labels[2].anomaly_type == "blob"
+    assert ds.taxonomy.keys() == {"blob"}
 
 
 def test_load_rejects_anomaly_in_train(tmp_path):

@@ -2,6 +2,8 @@
 batch of one against the batch, and the standardization that training
 derives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,31 @@ def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
     pixels = as_intensities(split.pixels)
     for frames in (split.pixels, pixels, [Frame(p) for p in pixels]):
         assert np.array_equal(score_frames(ae, flow, frames, config), scores)
+
+
+def test_nll_scoring_never_decodes(combined_run, monkeypatch):
+    """In nll mode a trained pipeline scores a Split, and one frame's codes
+    as simulate passes them, without the reconstruction error or the
+    decoder: with both made to raise, the scores are the unpatched ones."""
+    dataset, trained, _ = combined_run
+    ae, flow = trained.autoencoder, trained.flow
+    config = dataclasses.replace(trained.score_config, mode="nll")
+    split = dataset.test
+
+    def score():
+        return (score_frames(ae, flow, split, config),
+                [score_frames(ae, flow, codes[None], config) for codes in split.pixels])
+
+    expected_batch, expected_singles = score()
+
+    def decoding(*args, **kwargs):
+        raise AssertionError("nll scoring decoded")
+
+    monkeypatch.setattr(scoring, "reconstruction_error", decoding)
+    monkeypatch.setattr(ae.decoder, "forward", decoding)
+    batch, singles = score()
+    assert np.array_equal(batch, expected_batch)
+    assert all(map(np.array_equal, singles, expected_singles))
 
 
 @pytest.mark.parametrize("mode", ["nll", "combined"])
