@@ -14,15 +14,24 @@ Training sees the train and val pixels only through what it learns, and
 nothing in it reads the test split that `eval` scores, so the loaded
 scenario has a digest of its own: every frame of every split, with its
 name, timestamp, label and pixels.
+
+Neither digest sees a score, so the scores that the reloaded model deploys
+have one too: in `nll` and in `combined` mode, of the test split and of
+frames that span three scoring blocks.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from framewatch import checkpoint as ckpt
-from framewatch.data_io import as_intensities, load_scenario
+from framewatch.autoencoder import SCORE_BLOCK_ROWS
+from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, as_intensities, load_scenario
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
+from framewatch.rng import RngStream
+from framewatch.scoring import score_frames
 from framewatch.synth import SynthSpec, generate_scenario
 
 # The criterion 9 configuration.
@@ -43,6 +52,12 @@ GOLDEN_SHA256 = "82dfa00ff58eaea137d10901a0934ba5897eb8c1ac0fb7c86d1024608edf8eb
 # loader only, not on BLAS; re-pin it only for a change that alters frames
 # or labels on purpose, and record the old and the new digest.
 GOLDEN_SCENARIO_SHA256 = "e25658e9375d477c716e35fb1b71665e4cb17f2b85b4b62cfb96e3f282fd887b"
+
+# The scores of the criterion 9 model as reloaded from its checkpoint, with
+# the BLAS of GOLDEN_SHA256, the same with one BLAS thread or two.  It moves
+# with GOLDEN_SHA256, and alone for a change to scoring's numerics; re-pin
+# it on the same terms.
+GOLDEN_SCORES_SHA256 = "dc3da88653f9cac1aec0fb12781f0c6c42ff61b99930d4b59a2867e62e5c7245"
 
 
 def scenario_digest(dataset) -> str:
@@ -83,20 +98,50 @@ def parameter_digest(ae, flow, threshold) -> str:
     return digest.hexdigest()
 
 
-def test_loaded_scenario_matches_golden_digest(tmp_path):
-    generate_scenario(SynthSpec(**SYNTH), tmp_path / "scen")
-    assert scenario_digest(load_scenario(tmp_path / "scen")) == GOLDEN_SCENARIO_SHA256
+def scores_digest(ae, flow, score_config, frame_sets) -> str:
+    """sha256 over the dtype and raw bytes of `score_frames` on each of
+    `frame_sets`, in `nll` and then in `combined` mode, both with
+    `score_config`'s alpha and standardization."""
+    digest = hashlib.sha256()
+    for mode in ("nll", "combined"):
+        config = dataclasses.replace(score_config, mode=mode)
+        for frames in frame_sets:
+            scores = score_frames(ae, flow, frames, config)
+            digest.update(scores.dtype.str.encode("ascii"))
+            digest.update(scores.tobytes())
+    return digest.hexdigest()
 
 
-def test_trained_parameters_match_golden_digest(tmp_path):
-    generate_scenario(SynthSpec(**SYNTH), tmp_path / "scen")
-    dataset = load_scenario(tmp_path / "scen")
+@pytest.fixture(scope="module")
+def criterion_9_run(tmp_path_factory):
+    """The criterion 9 scenario as loaded, the pipeline trained on it, and
+    that pipeline as reloaded from its checkpoint."""
+    root = tmp_path_factory.mktemp("criterion_9")
+    generate_scenario(SynthSpec(**SYNTH), root / "scen")
+    dataset = load_scenario(root / "scen")
     config = RunConfig.from_dict(RUN)
     trained = train_pipeline(dataset, config)
+    path = root / "checkpoint.fwc"
+    ckpt.save_json(pipeline_checkpoint(trained, config), path)
+    return dataset, trained, ckpt.pipeline_from_dict(ckpt.load_json(path))
+
+
+def test_loaded_scenario_matches_golden_digest(criterion_9_run):
+    assert scenario_digest(criterion_9_run[0]) == GOLDEN_SCENARIO_SHA256
+
+
+def test_trained_parameters_match_golden_digest(criterion_9_run):
+    _, trained, (ae, flow, _, threshold) = criterion_9_run
     assert parameter_digest(trained.autoencoder, trained.flow,
                             trained.threshold) == GOLDEN_SHA256
-
-    path = tmp_path / "checkpoint.fwc"
-    ckpt.save_json(pipeline_checkpoint(trained, config), path)
-    ae, flow, _, threshold = ckpt.pipeline_from_dict(ckpt.load_json(path))
     assert parameter_digest(ae, flow, threshold) == GOLDEN_SHA256
+
+
+def test_deployed_scores_match_golden_digest(criterion_9_run):
+    """The reloaded model's scores of the test split, and of seeded uint8
+    frames that `score_frames` reads in three blocks."""
+    dataset, _, (ae, flow, score_config, _) = criterion_9_run
+    n = 2 * SCORE_BLOCK_ROWS + 3
+    codes = np.floor(RngStream(9).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
+    frame_sets = (dataset.test, codes.reshape(n, FRAME_SIDE, FRAME_SIDE))
+    assert scores_digest(ae, flow, score_config, frame_sets) == GOLDEN_SCORES_SHA256
