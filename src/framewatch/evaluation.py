@@ -96,7 +96,7 @@ def roc_curve(scored: list[ScoredSample]) -> list[RocPoint]:
                                           (fp / neg.size).tolist())]
 
 
-def choose_threshold(val_scores: np.ndarray, q: float = 0.99) -> float:
+def choose_threshold(val_scores: np.ndarray, q: float) -> float:
     """Empirical q-quantile of normal-only validation scores.
 
     Linear interpolation between order statistics, so the expected

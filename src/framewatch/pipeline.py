@@ -3,6 +3,7 @@
 This is the library-level counterpart of the CLI subcommands, so tests
 and other callers can run the pipeline without spawning a process.  The
 trainers take arrays; the dataset has passed the split protocol when built.
+Training takes its val scores through scoring's own path, as deployed.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autoencoder import (AutoencoderConfig, AutoencoderModel, encode_batch,
-                          frame_blocks, reconstruction_error, train_autoencoder)
+from .autoencoder import AutoencoderConfig, AutoencoderModel, train_autoencoder
+# Not called here: perfbench's `train` patch table wraps pipeline.encode_batch.
+from .autoencoder import encode_batch  # noqa: F401
 from .config import from_dict
 from .data_io import ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
@@ -21,7 +23,7 @@ from .flow import (FlowConfig, FlowModel, ScoredSample, flow_log_prob_batch,
                    train_flow)
 from .monitor import DEFAULT_CONSECUTIVE, DEFAULT_WINDOW, MonitorConfig
 from .nn import TrainReport
-from .scoring import ScoreConfig, ScoreStandardization, score_frames
+from .scoring import ScoreConfig, ScoreStandardization, encode_frames, score_frames
 from .checkpoint import pipeline_to_dict
 
 
@@ -79,37 +81,23 @@ def train_pipeline(dataset: ScenarioDataset, config: RunConfig) -> TrainedPipeli
 
     The autoencoder trains on the splits' codes, which it turns into
     float32 frames one batch at a time (and the val split once an epoch).
-    Each split is then read in `frame_blocks`, as scoring reads it, and
-    each block encoded once; each val block is also decoded once for its
-    reconstruction error.  The validation latents feed flow training, the
-    standardization and the validation scores.
+    `encode_frames` then encodes both splits, decoding val; the flow trains
+    on the latents, and the val NLL and reconstruction errors fit the
+    standardization and give the val scores, as `score_frames` would.
     """
     if not dataset.train:
         raise ProtocolViolationError("train split is empty")
     ae, ae_report = train_autoencoder(
         dataset.train.pixels.reshape(len(dataset.train), -1),
         dataset.val.pixels.reshape(len(dataset.val), -1), config.autoencoder, config.seed)
-    train_latents = np.concatenate([encode_batch(ae, flats)
-                                    for _, flats in frame_blocks(dataset.train)])
-    val_latents, val_recon = [], []
-    for _, flats in frame_blocks(dataset.val):
-        val_latents.append(encode_batch(ae, flats))
-        val_recon.append(reconstruction_error(ae, flats, val_latents[-1]))
-    val_latents, val_recon = np.concatenate(val_latents), np.concatenate(val_recon)
+    train_latents, _ = encode_frames(ae, dataset.train)
+    val_latents, val_recon = encode_frames(ae, dataset.val, recon=True)
     flow, flow_report = train_flow(train_latents, val_latents, config.flow,
                                    config.seed)
-
     val_nll = -flow_log_prob_batch(flow, val_latents)
-    standardization = ScoreStandardization(
-        nll_mean=float(val_nll.mean()),
-        nll_std=float(max(val_nll.std(), 1e-12)),
-        recon_mean=float(val_recon.mean()),
-        recon_std=float(max(val_recon.std(), 1e-12)),
-    )
     score_config = ScoreConfig(mode=config.score_mode, alpha=config.score_alpha,
-                               standardization=standardization)
-    val_scores = (val_nll if config.score_mode == "nll"
-                  else score_config.combined(val_nll, val_recon))
+                               standardization=ScoreStandardization.fit(val_nll, val_recon))
+    val_scores = score_config.score(val_nll, val_recon)
     threshold = choose_threshold(val_scores, config.eval_quantile)
     return TrainedPipeline(ae, flow, score_config, threshold, ae_report,
                            flow_report, val_scores)
@@ -123,7 +111,7 @@ def pipeline_checkpoint(pipeline: TrainedPipeline, config: RunConfig) -> dict:
 
 def evaluate_pipeline(ae: AutoencoderModel, flow: FlowModel,
                       score_config: ScoreConfig, dataset: ScenarioDataset,
-                      q: float = 0.99) -> tuple[EvalReport, list[ScoredSample]]:
+                      q: float) -> tuple[EvalReport, list[ScoredSample]]:
     test = dataset.test
     scores = score_frames(ae, flow, test, score_config)
     scored = [ScoredSample(source_id or f"test/{i}", float(score),

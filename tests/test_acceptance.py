@@ -392,6 +392,7 @@ def test_criterion_10_external_dataset():
         config = RunConfig()
         trained = train_pipeline(dataset, config)
         report, _ = evaluate_pipeline(trained.autoencoder, trained.flow,
-                                      trained.score_config, dataset)
+                                      trained.score_config, dataset,
+                                      config.eval_quantile)
         ok = ok and all(0.0 <= v <= 1.0 for v in report.per_type_auc.values())
     _report(10, "external dataset", ok)

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framewatch import autoencoder, checkpoint as ckpt, pipeline, scoring
+from framewatch import autoencoder, checkpoint as ckpt, scoring
 from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
                                     init_autoencoder, reconstruction_error)
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, as_intensities
@@ -75,27 +75,34 @@ def test_blocked_inputs_score_alike(models, monkeypatch, n):
     """A Split, its intensities as an (n, 64, 64) array and a list of
     Frames over their rows give bit-equal scores.  The encoder sees
     ceil(n / SCORE_BLOCK_ROWS) blocks whose sizes differ by at most one
-    row, never a one-row tail, and the first and last frame of each block
-    score as the per-frame oracle does."""
+    row, never a one-row tail, the flow sees all n latents in one call per
+    scoring, and the first and last frame of each block score as the
+    per-frame oracle does."""
     ae, flow = models
     codes = np.floor(RngStream(n).uniform(n * FRAME_PIXELS) * 256).astype(np.uint8)
     codes = codes.reshape(n, FRAME_SIDE, FRAME_SIDE)
     pixels = as_intensities(codes)
     split = Split(codes, tuple(f"f{i}" for i in range(n)), tuple(range(n)), (None,) * n)
-    blocks = []
+    blocks, flow_rows = [], []
 
     def recording(ae, flats):
         blocks.append(flats.shape[0])
         return encode_batch(ae, flats)
 
+    def flow_recording(flow, latents):
+        flow_rows.append(latents.shape[0])
+        return flow_log_prob_batch(flow, latents)
+
+    monkeypatch.setattr(scoring, "flow_log_prob_batch", flow_recording)
     monkeypatch.setattr(scoring, "encode_batch", recording)
     scores = score_frames(ae, flow, split, COMBINED)
-    monkeypatch.undo()
+    monkeypatch.setattr(scoring, "encode_batch", encode_batch)
     assert len(blocks) == -(-n // SCORE_BLOCK_ROWS) and sum(blocks) == n
     assert max(blocks) - min(blocks) <= 1
     assert np.array_equal(score_frames(ae, flow, pixels, COMBINED), scores)
     assert np.array_equal(score_frames(ae, flow, [Frame(p) for p in pixels], COMBINED),
                           scores)
+    assert flow_rows == [n] * 3
     ends = np.cumsum(blocks)
     for i in sorted({0, *(ends[:-1]), *(ends - 1)}):
         assert scores[i] == pytest.approx(
@@ -296,10 +303,9 @@ def test_train_pipeline_encodes_each_split_once(tmp_path, monkeypatch, mode):
             return fn(ae, flats, *rest)
         return wrapper
 
-    for module in (pipeline, scoring):
-        monkeypatch.setattr(module, "encode_batch", counting(encoded, encode_batch))
-        monkeypatch.setattr(module, "reconstruction_error",
-                            counting(decoded, reconstruction_error))
+    monkeypatch.setattr(scoring, "encode_batch", counting(encoded, encode_batch))
+    monkeypatch.setattr(scoring, "reconstruction_error",
+                        counting(decoded, reconstruction_error))
     trained = train_pipeline(dataset, config)
     assert sorted(encoded) == sorted([len(dataset.train), len(dataset.val)])
     assert decoded == [len(dataset.val)]
@@ -312,8 +318,8 @@ def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
     """After the autoencoder has trained, training encodes each split and
     decodes the val split in blocks of at most SCORE_BLOCK_ROWS rows, in
     order, whose rows add up to the split, never the whole split at once.
-    Its val scores, whose NLL it takes in one flow call, equal those that
-    scoring the val split takes block by block, in both modes."""
+    Its val scores equal those that scoring the val split gives, in both
+    modes."""
     spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
     dataset = generate_scenario(spec, tmp_path / "scen")
@@ -326,8 +332,8 @@ def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
             return fn(ae, flats, *rest)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "encode_batch", recording("encode", encode_batch))
-    monkeypatch.setattr(pipeline, "reconstruction_error",
+    monkeypatch.setattr(scoring, "encode_batch", recording("encode", encode_batch))
+    monkeypatch.setattr(scoring, "reconstruction_error",
                         recording("decode", reconstruction_error))
     for mode in ("nll", "combined"):
         config = RunConfig.from_dict({
