@@ -14,8 +14,7 @@ batch it gathers, and each epoch's validation loss those of the val
 split, so no float32 copy of a whole split lives through training.  The
 trained model is cast back to float64, which is exact; everything
 downstream (flow training, score standardization, the threshold, scoring
-and the `<f8` checkpoint) computes with it, on float64 frames that
-`frame_blocks` makes one block at a time.
+and the `<f8` checkpoint) computes with it.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .rng import RngStream
 
 ENCODER_HIDDEN = (512, 128)
 DEFAULT_LATENT_DIM = 64
-# The most rows that scoring and training carry through the networks at
-# once; see frame_blocks.
-SCORE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -89,40 +85,6 @@ def init_autoencoder(rng: RngStream, latent_dim: int = DEFAULT_LATENT_DIM,
     )
 
 
-def frame_blocks(frames: np.typing.ArrayLike):
-    """Yield `(rows, flats)` for ceil(n / SCORE_BLOCK_ROWS) consecutive
-    slices `rows` that cover n frames, their sizes differing by at most one
-    row, with `flats` the block's frames as (rows, pixels) float64.
-
-    The one place where frames become float64 intensities, each read by its
-    dtype (`as_intensities`).  An array or `Split` goes through `np.asarray`
-    once: its uint8 codes are divided into one float64 buffer that every
-    block reuses, and a float64 array's blocks are views of it.  The frames
-    of a list or tuple are read one by one, so codes and `Frame`s may mix,
-    then stacked.
-
-    An even split never leaves a short tail block: OpenBLAS computes a
-    product of a few rows (under about 38) with other kernels, whose rows
-    differ from a larger product's in their last bits, while rows of larger
-    blocks equal those of one product over the whole batch.  Each block
-    repacks the 4096 x 512 first-layer weights; of the sizes tried, 512
-    rows scored a large batch fastest (README, Scoring modes).
-    """
-    listed = isinstance(frames, (list, tuple))
-    frames = frames if listed else np.asarray(frames)
-    n = len(frames)
-    count = -(-n // SCORE_BLOCK_ROWS)
-    codes = not listed and n > 0 and frames.dtype == np.uint8
-    buffer = np.empty((-(-n // count), *frames.shape[1:])) if codes else None
-    for k in range(count):
-        rows = slice(n * k // count, n * (k + 1) // count)
-        size = rows.stop - rows.start
-        block = (np.stack([as_intensities(frame) for frame in frames[rows]]) if listed
-                 else as_intensities(frames[rows], out=buffer[:size] if codes else None))
-        yield rows, block.reshape(size, -1)
-        del block   # so the next block is not made beside this one
-
-
 def encode_batch(model: AutoencoderModel, flats: np.ndarray) -> np.ndarray:
     """Latent embedding of each row of a (n, input_dim) batch of flat frames."""
     return model.encoder.forward(flats)
@@ -132,7 +94,7 @@ def reconstruction_error(model: AutoencoderModel, flats: np.ndarray,
                          latents: np.ndarray) -> np.ndarray:
     """Per-row mean squared error between `flats` (n, input_dim) and the
     decoding of `latents` (n, latent_dim), their encodings, taken inside the
-    decoded array; callers pass one `frame_blocks` block."""
+    decoded array, so callers pass one block of frames at a time."""
     if flats.shape != (latents.shape[0], model.input_dim):
         raise ContractViolationError(
             f"reconstruction_error: frames shape {flats.shape}, expected "

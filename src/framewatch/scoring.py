@@ -4,7 +4,8 @@ The default score is the latent negative log-likelihood under the flow:
 low for normal frames, high for anomalous ones.  A combined mode mixes
 standardized NLL with standardized reconstruction error, by constants fit
 on the validation split that travel with the checkpoint.  Training and
-deployment both score by `encode_frames`, one flow call, `ScoreConfig.score`.
+deployment both score by `encode_frames`, one flow call, `ScoreConfig.score`;
+`encode_frames` is the package's one loop over blocks of frames.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .autoencoder import (AutoencoderModel, encode_batch, frame_blocks,
-                          reconstruction_error)
+from .autoencoder import AutoencoderModel, encode_batch, reconstruction_error
+from .data_io import as_intensities
 from .errors import ConfigError
 from .flow import FlowModel, flow_log_prob_batch
 
 SCORE_MODES = ("nll", "combined")
+# The most rows that scoring carries through the networks at once.
+SCORE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -72,17 +75,41 @@ class ScoreConfig:
 def encode_frames(ae: AutoencoderModel, frames: np.typing.ArrayLike,
                   recon: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The (n, latent_dim) latents of n frames and, if `recon`, their (n,)
-    reconstruction errors (else None).  `frames` is a list or tuple, or
-    anything `np.asarray` makes n frames of without a copy, such as a
-    `Split`; `frame_blocks` reads them one block at a time, and each block
-    is encoded once and decoded at most once."""
-    latents = np.empty((len(frames), ae.latent_dim))
-    errors = np.empty(len(frames)) if recon else None
-    for rows, flats in frame_blocks(frames):
-        block = encode_batch(ae, flats)
-        latents[rows] = block
+    reconstruction errors (else None), over ceil(n / SCORE_BLOCK_ROWS)
+    consecutive blocks whose sizes differ by at most one row, each encoded
+    once and decoded at most once.
+
+    The one place where frames become float64 intensities, each read by its
+    dtype (`as_intensities`).  An array, or anything `np.asarray` makes n
+    frames of without a copy such as a `Split`, is read once: its uint8
+    codes are divided into one float64 buffer that every block reuses, and
+    a float64 array's blocks are views of it.  The frames of a list or
+    tuple are read one by one, so codes and `Frame`s may mix, then stacked.
+
+    An even split never leaves a short tail block: OpenBLAS computes a
+    product of a few rows (under about 38) with other kernels, whose rows
+    differ from a larger product's in their last bits, while rows of larger
+    blocks equal those of one product over the whole batch.  Each block
+    repacks the 4096 x 512 first-layer weights; of the sizes tried, 512
+    rows scored a large batch fastest (README, Scoring modes).
+    """
+    listed = isinstance(frames, (list, tuple))
+    frames = frames if listed else np.asarray(frames)
+    n = len(frames)
+    count = -(-n // SCORE_BLOCK_ROWS)
+    codes = not listed and n > 0 and frames.dtype == np.uint8
+    buffer = np.empty((-(-n // count), *frames.shape[1:])) if codes else None
+    latents = np.empty((n, ae.latent_dim))
+    errors = np.empty(n) if recon else None
+    for k in range(count):
+        rows = slice(n * k // count, n * (k + 1) // count)
+        size = rows.stop - rows.start
+        flats = (np.stack([as_intensities(frame) for frame in frames[rows]]) if listed
+                 else as_intensities(frames[rows], out=buffer[:size] if codes else None)
+                 ).reshape(size, -1)
+        latents[rows] = encode_batch(ae, flats)
         if recon:
-            errors[rows] = reconstruction_error(ae, flats, block)
+            errors[rows] = reconstruction_error(ae, flats, latents[rows])
         del flats   # so the next block's frames are not made beside these
     return latents, errors
 

@@ -22,8 +22,8 @@ import pytest
 import framewatch.autoencoder
 import framewatch.flow
 from framewatch import nn
-from framewatch.autoencoder import (SCORE_BLOCK_ROWS, AutoencoderConfig, encode_batch,
-                                    init_autoencoder, train_autoencoder)
+from framewatch.autoencoder import (AutoencoderConfig, encode_batch, init_autoencoder,
+                                    train_autoencoder)
 from framewatch.checkpoint import load_json, pipeline_from_dict, pipeline_to_dict, save_json
 from framewatch.data_io import (FRAME_PIXELS, FRAME_SIDE, AnomalyLabel, Frame, decode_pgm,
                                 load_scenario, resize_bilinear)
@@ -35,7 +35,7 @@ from framewatch.monitor import Action, MonitorConfig, MonitorState, monitor_step
 from framewatch.pipeline import (RunConfig, evaluate_pipeline, pipeline_checkpoint,
                                  train_pipeline)
 from framewatch.rng import RngStream
-from framewatch.scoring import ScoreConfig, score_frames
+from framewatch.scoring import SCORE_BLOCK_ROWS, ScoreConfig, score_frames
 from framewatch.synth import (ANOMALY_LABELS, SynthSpec, apply_anomaly, generate_normal,
                              generate_scenario, generate_stream)
 

@@ -27,11 +27,10 @@ import numpy as np
 import pytest
 
 from framewatch import checkpoint as ckpt
-from framewatch.autoencoder import SCORE_BLOCK_ROWS
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, as_intensities, load_scenario
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
-from framewatch.scoring import score_frames
+from framewatch.scoring import SCORE_BLOCK_ROWS, score_frames
 from framewatch.synth import SynthSpec, generate_scenario
 
 # The criterion 9 configuration.

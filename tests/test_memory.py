@@ -24,14 +24,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framewatch.autoencoder import (ENCODER_HIDDEN, SCORE_BLOCK_ROWS, AutoencoderConfig,
-                                    encode_batch, init_autoencoder, train_autoencoder)
+from framewatch.autoencoder import (ENCODER_HIDDEN, AutoencoderConfig, encode_batch,
+                                    init_autoencoder, train_autoencoder)
 from framewatch.data_io import (FRAME_PIXELS, FRAME_SIDE, Frame, ScenarioDataset, Split,
                                 load_scenario)
 from framewatch.flow import FlowConfig, flow_log_prob_batch, init_flow, train_flow
 from framewatch.pipeline import RunConfig, train_pipeline
 from framewatch.rng import RngStream
-from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
+from framewatch.scoring import (SCORE_BLOCK_ROWS, ScoreConfig, ScoreStandardization,
+                                score_frames)
 from framewatch.synth import ANOMALY_LABELS, SynthSpec, generate_scenario
 
 ROWS = SCORE_BLOCK_ROWS   # one block, so combined scoring decodes once

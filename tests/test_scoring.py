@@ -7,15 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framewatch import autoencoder, checkpoint as ckpt, scoring
-from framewatch.autoencoder import (SCORE_BLOCK_ROWS, encode_batch,
-                                    init_autoencoder, reconstruction_error)
+from framewatch import checkpoint as ckpt, scoring
+from framewatch.autoencoder import encode_batch, init_autoencoder, reconstruction_error
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, as_intensities
 from framewatch.errors import ConfigError, ContractViolationError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
-from framewatch.scoring import ScoreConfig, ScoreStandardization, score_frames
+from framewatch.scoring import (SCORE_BLOCK_ROWS, ScoreConfig, ScoreStandardization,
+                                score_frames)
 from framewatch.synth import SynthSpec, generate_scenario
 
 LATENT = 8
@@ -239,7 +239,7 @@ def test_split_frames_and_array_score_alike(combined_run, monkeypatch):
     split = dataset.test
     ae, flow, config = trained.autoencoder, trained.flow, trained.score_config
     assert config.mode == "combined"
-    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ROWS", 4)
     encoded = []
 
     def recording(ae, flats):
@@ -323,7 +323,7 @@ def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
     spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
     dataset = generate_scenario(spec, tmp_path / "scen")
-    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ROWS", 4)
     calls = []
 
     def recording(name, fn):
