@@ -15,8 +15,8 @@ The header is the tree `pipeline_to_dict` returns, with each numpy array
 replaced by `{"shape": [...], "offset": n}`, n being the array's byte
 offset in the payload.  It holds the networks, each coupling layer's
 scale clamp, the score settings, the threshold and the quantile it was
-chosen at; loading uses all but the quantile, which is range-checked and
-not returned.  Each fact is stored once: `format_version` and
+chosen at, which `threshold_quantile` reads and range-checks for
+`eval`.  Each fact is stored once: `format_version` and
 `model_kind` only at the top level, each network's dims only as its
 weight shapes, and each coupling layer's clamp only in the flow's
 `scale_clamps` list.  The flow's `layers[k]` holds coupling layer k as
@@ -205,6 +205,15 @@ def _read_standardization(data, where: str) -> ScoreStandardization:
                   *(_number(data, name, where) for name in names))
 
 
+def threshold_quantile(data: dict) -> float:
+    """The quantile of the val scores that the checkpoint's threshold was
+    chosen at, in (0, 1)."""
+    quantile = _number(data, "threshold_quantile", "checkpoint")
+    if not 0.0 < quantile < 1.0:
+        raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")
+    return quantile
+
+
 def pipeline_from_dict(data: dict):
     """Returns (ae, flow, score_config, threshold)."""
     if not isinstance(data, dict):
@@ -221,9 +230,7 @@ def pipeline_from_dict(data: dict):
                            "checkpoint.autoencoder")
     flow = _read_flow(_get(data, "flow", "checkpoint"), "checkpoint.flow",
                       ae.latent_dim)
-    quantile = _number(data, "threshold_quantile", "checkpoint")
-    if not 0.0 < quantile < 1.0:
-        raise CheckpointError("checkpoint.threshold_quantile: must lie in (0, 1)")
+    threshold_quantile(data)
     standardization = _read_standardization(
         _get(data, "score_standardization", "checkpoint"),
         "checkpoint.score_standardization")

@@ -142,25 +142,26 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint(path: Path):
-    """(ae, flow, score_config, threshold) of the checkpoint at `path`;
-    CheckpointError unless its autoencoder reads FRAME_PIXELS inputs."""
-    ae, flow, score_config, threshold = ckpt.pipeline_from_dict(ckpt.load_json(path))
+    """(ae, flow, score_config, threshold, threshold_quantile) of the
+    checkpoint at `path`; CheckpointError unless its autoencoder reads
+    FRAME_PIXELS inputs."""
+    data = ckpt.load_json(path)
+    ae, flow, score_config, threshold = ckpt.pipeline_from_dict(data)
     if ae.input_dim != FRAME_PIXELS:
         raise CheckpointError(
             f"checkpoint input_dim {ae.input_dim} does not match the "
             f"{FRAME_PIXELS} pixels of a {FRAME_SIDE}x{FRAME_SIDE} frame")
-    return ae, flow, score_config, threshold
+    return ae, flow, score_config, threshold, ckpt.threshold_quantile(data)
 
 
 def cmd_eval(args) -> int:
-    config = _load_run_config(args)
+    _load_run_config(args)   # validated, but every setting eval uses is the checkpoint's
     checkpoint, scenario, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("eval_report.json", "scores.csv"))
-    ae, flow, score_config, _ = _load_checkpoint(checkpoint)
+    ae, flow, score_config, _, quantile = _load_checkpoint(checkpoint)
     dataset = load_scenario(scenario)
 
-    report, scored = evaluate_pipeline(ae, flow, score_config, dataset,
-                                       config.eval_quantile)
+    report, scored = evaluate_pipeline(ae, flow, score_config, dataset, quantile)
     (out / "eval_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     (out / "scores.csv").write_text(scores_to_csv(scored), encoding="utf-8")
 
@@ -178,7 +179,7 @@ def cmd_simulate(args) -> int:
     config = _load_run_config(args)
     checkpoint, frames_dir, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("monitor_log.csv",))
-    ae, flow, score_config, ckpt_threshold = _load_checkpoint(checkpoint)
+    ae, flow, score_config, ckpt_threshold, _ = _load_checkpoint(checkpoint)
     if not frames_dir.is_dir():
         raise IOFailure(f"frames directory {frames_dir} does not exist")
     frames = list_frames(frames_dir)

@@ -30,7 +30,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -324,7 +324,7 @@ def read_frame_codes(path: Path | str, out: Optional[np.ndarray] = None) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Label CSV parsing.
+# Label CSV parsing and writing.
 
 def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
     """Parse labels.csv; value None means the file is labeled normal.
@@ -379,6 +379,20 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
             raise ParseError(f"labels.csv line {lineno}: label must be "
                              f"'normal' or 'anomalous', got {label!r}")
     return out
+
+
+def labels_to_csv(rows: Iterable[tuple[str, Optional[AnomalyLabel]]]) -> str:
+    """labels.csv for `(filename, label)` rows, a label of None meaning
+    normal; `parse_labels` reads it back."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(LABELS_HEADER)
+    for filename, label in rows:
+        writer.writerow(
+            [filename, "normal"] + [""] * (len(LABELS_HEADER) - 2) if label is None
+            else [filename, "anomalous", label.anomaly_type,
+                  *(getattr(label, axis) for axis in LABEL_AXES)])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

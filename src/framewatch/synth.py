@@ -15,14 +15,14 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import check_ranges
-from .data_io import (FRAME_SIDE, LABELS_HEADER, AnomalyLabel, Frame,
-                      ScenarioDataset, encode_pgm, load_scenario)
+from .data_io import (FRAME_SIDE, AnomalyLabel, Frame, ScenarioDataset, encode_pgm,
+                      labels_to_csv, load_scenario)
 from .errors import ConfigError, IOFailure
 from .rng import RngStream
 
@@ -164,12 +164,8 @@ def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
         labels = {split: _write_frames(out_dir / split, split_kinds, spec, rng,
                                        _SPLIT_BASE[split])
                   for split, split_kinds in kinds.items()}
-        lines = [",".join(LABELS_HEADER)]
-        for name, label in zip(kinds["test"], labels["test"]):
-            row = ([name, "normal"] + [""] * (len(LABELS_HEADER) - 2) if label is None
-                   else [name, "anomalous", *astuple(label)])
-            lines.append(",".join(row))
-        (out_dir / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (out_dir / "labels.csv").write_text(
+            labels_to_csv(zip(kinds["test"], labels["test"])), encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot write scenario to {out_dir}: {exc}") from exc
     return load_scenario(out_dir)

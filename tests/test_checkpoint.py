@@ -172,6 +172,14 @@ def _small_pipeline_dict():
                                  threshold_quantile=0.99)
 
 
+def test_threshold_quantile_reads_the_stored_quantile(tmp_path):
+    """The quantile tau was chosen at is read back as saved."""
+    data = _small_pipeline_dict()
+    data["threshold_quantile"] = 0.9
+    ckpt.save_json(data, tmp_path / "p.fwc")
+    assert ckpt.threshold_quantile(ckpt.load_json(tmp_path / "p.fwc")) == 0.9
+
+
 def _set(*keys_and_value):
     *keys, value = keys_and_value
 

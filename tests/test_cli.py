@@ -147,6 +147,28 @@ def test_eval_writes_report_and_scores(workspace, tmp_path):
     assert len(rows) == 1 + 15  # header + test split size
 
 
+def test_eval_takes_its_threshold_at_the_checkpoint_quantile(workspace, tmp_path, capsys):
+    """eval computes its threshold at the quantile train chose tau at, as
+    the checkpoint stores it, so it prints and writes train's threshold
+    with no --config and with one that sets another eval_quantile."""
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({**SMALL_RUN, "eval_quantile": 0.9}))
+    trained = tmp_path / "trained"
+    assert main(["train", "--config", str(run_cfg), "--scenario", str(workspace / "scen"),
+                 "--out", str(trained)]) == 0
+    threshold = json.loads((trained / "train_report.json").read_text())["threshold"]
+    printed = capsys.readouterr().out.splitlines()[0].rsplit(" threshold ", 1)[1]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"eval_quantile": 0.5}))
+    for name, config in (("bare", []), ("other", ["--config", str(other)])):
+        out = tmp_path / name
+        assert main(["eval", *config, "--checkpoint", str(trained / "checkpoint.fwc"),
+                     "--scenario", str(workspace / "scen"), "--out", str(out)]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        assert (report["threshold"], report["threshold_quantile"]) == (threshold, 0.9)
+        assert f"threshold {printed} (val FPR " in capsys.readouterr().out
+
+
 def test_eval_corrupted_checkpoint(workspace, tmp_path):
     bad = tmp_path / "bad.fwc"
     bad.write_text("{oops")

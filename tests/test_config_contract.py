@@ -1,4 +1,5 @@
-"""Exit-code contract of config loading, probed with mutated valid configs.
+"""Exit-code contract of config loading, probed with mutated valid configs,
+and the run-config keys each command reads.
 
 Each example takes a valid run config or synth spec, mutates one key
 (dropped, given a value of another JSON type, or given an out-of-range
@@ -21,7 +22,7 @@ from framewatch.cli import build_parser, main
 from framewatch.config import from_dict
 from framewatch.errors import ConfigError
 from framewatch.pipeline import RunConfig
-from framewatch.synth import SynthSpec
+from framewatch.synth import SynthSpec, generate_scenario
 
 VALID_RUN = RunConfig().to_dict()
 VALID_SYNTH = asdict(SynthSpec())
@@ -46,6 +47,26 @@ COMMAND_FLAGS = {
     "eval": {"--config", "--checkpoint", "--scenario", "--out"},
     "simulate": {"--config", "--checkpoint", "--scenario", "--out", "--realtime"},
     "print-config": {"--config", "--seed"},
+}
+
+
+# The run-config keys that each command reading a checkpoint takes from
+# --config.  It validates the others and reads none of them: the checkpoint
+# holds the models, the score settings and the quantile tau was chosen at.
+COMMAND_READS = {
+    "eval": set(),
+    "simulate": {"monitor_window", "monitor_consecutive"},
+}
+
+# A valid run config that differs from VALID_RUN in every key; it also
+# trains the checkpoint those commands read.
+OTHER_RUN = {
+    "seed": 8,
+    "autoencoder": {"epochs": 2, "batch_size": 8, "lr": 0.002, "latent_dim": 8},
+    "flow": {"epochs": 2, "batch_size": 8, "lr": 0.002, "num_layers": 2,
+             "scale_clamp": 1.5, "hidden": 8},
+    "score_mode": "combined", "score_alpha": 0.25, "eval_quantile": 0.5,
+    "monitor_window": 2, "monitor_consecutive": 1,
 }
 
 
@@ -117,6 +138,61 @@ def test_run_config_keys_are_pinned():
 
     assert set(leaves(VALID_RUN)) == RUN_CONFIG_KEYS
     assert len(RUN_CONFIG_KEYS) == 16
+
+
+def _leaf(data, key):
+    for part in key.split("."):
+        data = data[part]
+    return data
+
+
+def _with(data, key, value):
+    data = copy.deepcopy(data)
+    *parents, name = key.split(".")
+    for part in parents:
+        data = data[part]
+    data[name] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small scenario and the checkpoint OTHER_RUN trains on it."""
+    root = tmp_path_factory.mktemp("reads")
+    generate_scenario(SynthSpec(seed=5, n_train=10, n_val=8, n_test_normal=6,
+                                n_per_anomaly={"dim_light": 2, "blob": 2,
+                                               "sensor_noise": 2}), root / "scen")
+    (root / "other.json").write_text(json.dumps(OTHER_RUN))
+    assert main(["train", "--config", str(root / "other.json"),
+                 "--scenario", str(root / "scen"), "--out", str(root / "train")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_READS))
+def test_command_reads_only_its_pinned_keys(trained, tmp_path, capsys, command):
+    """Under two valid configs that differ in every key it does not read, a
+    command writes and prints the same bytes; differing in the keys it
+    reads too, it does not."""
+    assert {key for key in RUN_CONFIG_KEYS
+            if _leaf(OTHER_RUN, key) != _leaf(VALID_RUN, key)} == RUN_CONFIG_KEYS
+    unread = OTHER_RUN
+    for key in COMMAND_READS[command]:
+        unread = _with(unread, key, _leaf(VALID_RUN, key))
+    scenario = trained / "scen" / ("test" if command == "simulate" else "")
+    capsys.readouterr()
+
+    def outputs(name, config):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(tmp_path / f"{name}.json"),
+                     "--checkpoint", str(trained / "train" / "checkpoint.fwc"),
+                     "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+        return ({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())},
+                capsys.readouterr().out)
+
+    base = outputs("valid", VALID_RUN)
+    assert outputs("unread", unread) == base
+    if COMMAND_READS[command]:
+        assert outputs("other", OTHER_RUN) != base
 
 
 def test_command_flags_are_pinned():

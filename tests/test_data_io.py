@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from _helpers import reference_decode_pgm, reference_read_frame_codes
 from framewatch.data_io import (FRAME_SIDE, AnomalyLabel, Frame,
                                 ScenarioDataset, Split, decode_pgm, encode_pgm,
-                                as_intensities, list_frames, load_scenario,
+                                as_intensities, labels_to_csv, list_frames, load_scenario,
                                 parse_labels, read_frame_codes, resize_bilinear)
 from framewatch.errors import (ContractViolationError, IOFailure, ParseError,
                                ProtocolViolationError)
 from framewatch.rng import RngStream
+from framewatch.synth import ANOMALY_LABELS
 
 HEADER = b"filename,label,anomaly_type,level,hazard,geometric,mission_relevant\n"
 # The header encode_pgm writes for a 64x64 frame, and a payload of every code.
@@ -259,6 +260,19 @@ def test_parse_bad_axis_value_reports_line(row):
 def test_label_with_two_bad_axes_reports_the_first_column(axes, first_bad):
     with pytest.raises(ContractViolationError, match=f"^invalid {first_bad}$"):
         AnomalyLabel("dust", *axes)
+
+
+def test_labels_to_csv_round_trips_through_parse_labels():
+    """Each synthetic anomaly's label, a normal row, a label with a
+    non-default mission_relevant and a file name holding a comma are read
+    back as written, under the one header parse_labels accepts."""
+    rows = {f"test_{i}.pgm": label for i, label in enumerate(ANOMALY_LABELS.values())}
+    rows["normal.pgm"] = None
+    rows["tape.pgm"] = AnomalyLabel("tape", "semantic", "yes", "yes", "no")
+    rows["a,b.pgm"] = ANOMALY_LABELS["blob"]
+    text = labels_to_csv(rows.items())
+    assert text.startswith(HEADER.decode()) and text.count("\n") == 1 + len(rows)
+    assert parse_labels(text.encode()) == rows
 
 
 def test_parse_duplicate_filename():
