@@ -146,15 +146,6 @@ def _leaf(data, key):
     return data
 
 
-def _with(data, key, value):
-    data = copy.deepcopy(data)
-    *parents, name = key.split(".")
-    for part in parents:
-        data = data[part]
-    data[name] = value
-    return data
-
-
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small scenario and the checkpoint OTHER_RUN trains on it."""
@@ -175,9 +166,7 @@ def test_command_reads_only_its_pinned_keys(trained, tmp_path, capsys, command):
     reads too, it does not."""
     assert {key for key in RUN_CONFIG_KEYS
             if _leaf(OTHER_RUN, key) != _leaf(VALID_RUN, key)} == RUN_CONFIG_KEYS
-    unread = OTHER_RUN
-    for key in COMMAND_READS[command]:
-        unread = _with(unread, key, _leaf(VALID_RUN, key))
+    unread = {**OTHER_RUN, **{key: VALID_RUN[key] for key in COMMAND_READS[command]}}
     scenario = trained / "scen" / ("test" if command == "simulate" else "")
     capsys.readouterr()
 
