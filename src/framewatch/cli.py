@@ -72,8 +72,13 @@ def _write_json(data, path: Path) -> None:
         f.write("\n")
 
 
-def _load_run_config(args) -> RunConfig:
-    config = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
+def _load_config(args):
+    """The command's config, every key and value checked: gen-synth's
+    SynthSpec or everyone else's RunConfig, built from the --config file
+    (all defaults without one), with --seed applied where given."""
+    cls, name = ((SynthSpec, "synth spec") if args.command == "gen-synth"
+                 else (RunConfig, "run config"))
+    config = from_dict(cls, _read_json(args.config, "config") if args.config else {}, name)
     if args.seed is not None:
         config.seed = args.seed
     return config
@@ -104,11 +109,7 @@ def _make_out(out: Path, names: tuple[str, ...]) -> None:
         raise IOFailure(f"output directory {out} is not writable")
 
 
-def cmd_gen_synth(args) -> int:
-    spec = (from_dict(SynthSpec, _read_json(args.config, "spec"), "synth spec")
-            if args.config else SynthSpec())
-    if args.seed is not None:
-        spec.seed = args.seed
+def cmd_gen_synth(args, spec: SynthSpec) -> int:
     [out] = _paths(args, "out")
     dataset = generate_scenario(spec, out)
     n_anom = sum(label is not None for label in dataset.test.labels)
@@ -118,8 +119,7 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = _load_run_config(args)
+def cmd_train(args, config: RunConfig) -> int:
     scenario, out = _paths(args, "scenario", "out")
     _make_out(out, (CHECKPOINT, "train_report.json"))
     dataset = load_scenario(scenario)
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
         "autoencoder": asdict(trained.ae_report),
         "flow": asdict(trained.flow_report),
         "threshold": trained.threshold,
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
     _write_json(report, out / "train_report.json")
     print(f"trained on {len(dataset.train)} frames; final val MSE "
@@ -154,8 +154,8 @@ def _load_checkpoint(path: Path):
     return ae, flow, score_config, threshold, ckpt.threshold_quantile(data)
 
 
-def cmd_eval(args) -> int:
-    _load_run_config(args)   # validated, but every setting eval uses is the checkpoint's
+def cmd_eval(args, _config: RunConfig) -> int:
+    # The config was validated; every setting eval uses is the checkpoint's.
     checkpoint, scenario, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("eval_report.json", "scores.csv"))
     ae, flow, score_config, _, quantile = _load_checkpoint(checkpoint)
@@ -175,8 +175,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = _load_run_config(args)
+def cmd_simulate(args, config: RunConfig) -> int:
     checkpoint, frames_dir, out = _paths(args, "checkpoint", "scenario", "out")
     _make_out(out, ("monitor_log.csv",))
     ae, flow, score_config, ckpt_threshold, _ = _load_checkpoint(checkpoint)
@@ -219,9 +218,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_print_config(args) -> int:
-    config = _load_run_config(args)
-    print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+def cmd_print_config(args, config: RunConfig) -> int:
+    print(json.dumps(asdict(config), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,14 +8,13 @@ Training takes its val scores through scoring's own path, as deployed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autoencoder import AutoencoderConfig, AutoencoderModel, train_autoencoder
 # Not called here: perfbench's `train` patch table wraps pipeline.encode_batch.
 from .autoencoder import encode_batch  # noqa: F401
-from .config import from_dict
 from .data_io import ScenarioDataset
 from .errors import ConfigError, ProtocolViolationError
 from .evaluation import EvalReport, choose_threshold, evaluate
@@ -54,14 +53,6 @@ class RunConfig:
     def monitor_config(self, threshold: float) -> MonitorConfig:
         """The monitor settings around `threshold`, the checkpoint's tau."""
         return MonitorConfig(threshold, self.monitor_window, self.monitor_consecutive)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Build from parsed JSON, checking every key and value type."""
-        return from_dict(cls, data, "run config")
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check_ranges
 from .data_io import (FRAME_SIDE, AnomalyLabel, Frame, ScenarioDataset, encode_pgm,
-                      labels_to_csv, load_scenario)
+                      labels_to_csv, list_frames, load_scenario)
 from .errors import ConfigError, IOFailure
 from .rng import RngStream
 
@@ -124,27 +124,24 @@ def _refuse_other_frames(frames_dir: Path, kinds: dict[str, str | None]) -> None
     frames about to be written there: they would be read beside them as
     one split."""
     if frames_dir.is_dir():
-        others = [p for p in frames_dir.glob("*.pgm") if p.name not in kinds]
+        others = [name for _, name, _ in list_frames(frames_dir) if name not in kinds]
         if others:
             raise IOFailure(f"{frames_dir} holds {len(others)} .pgm files that this "
                             "spec would not write; use an empty directory")
 
 
 def _write_frames(frames_dir: Path, kinds: dict[str, str | None], spec: SynthSpec,
-                  rng: RngStream, base: int) -> list[AnomalyLabel | None]:
+                  rng: RngStream, base: int) -> None:
     """Write the t-th file named in `kinds` into `frames_dir`: the normal
     frame drawn from `rng.derive(base + t)`, overlaid with the anomaly of
     its kind, drawn from `rng.derive(_ANOMALY_BASE + t)`, unless that kind
-    is None.  Returns the frames' labels in order."""
+    is None."""
     frames_dir.mkdir(parents=True, exist_ok=True)
-    labels = []
     for t, (name, kind) in enumerate(kinds.items()):
-        frame, label = generate_normal(rng.derive(base + t), t), None
+        frame = generate_normal(rng.derive(base + t), t)
         if kind is not None:
-            frame, label = apply_anomaly(frame, kind, spec, rng.derive(_ANOMALY_BASE + t))
+            frame, _ = apply_anomaly(frame, kind, spec, rng.derive(_ANOMALY_BASE + t))
         (frames_dir / name).write_bytes(encode_pgm(frame.pixels))
-        labels.append(label)
-    return labels
 
 
 def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
@@ -161,11 +158,11 @@ def generate_scenario(spec: SynthSpec, out_dir: Path | str) -> ScenarioDataset:
         for split, split_kinds in kinds.items():
             _refuse_other_frames(out_dir / split, split_kinds)
         rng = RngStream(spec.seed)
-        labels = {split: _write_frames(out_dir / split, split_kinds, spec, rng,
-                                       _SPLIT_BASE[split])
-                  for split, split_kinds in kinds.items()}
-        (out_dir / "labels.csv").write_text(
-            labels_to_csv(zip(kinds["test"], labels["test"])), encoding="utf-8")
+        for split, split_kinds in kinds.items():
+            _write_frames(out_dir / split, split_kinds, spec, rng, _SPLIT_BASE[split])
+        (out_dir / "labels.csv").write_text(labels_to_csv(
+            (name, ANOMALY_LABELS.get(kind)) for name, kind in kinds["test"].items()),
+            encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot write scenario to {out_dir}: {exc}") from exc
     return load_scenario(out_dir)

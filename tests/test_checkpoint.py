@@ -17,6 +17,7 @@ from framewatch import checkpoint as ckpt
 from framewatch import cli
 from framewatch.autoencoder import encode_batch, init_autoencoder
 from framewatch.cli import main
+from framewatch.config import from_dict
 from framewatch.data_io import FRAME_SIDE, Frame
 from framewatch.errors import CheckpointError, ConfigError, IOFailure
 from framewatch.flow import flow_log_prob_batch, init_flow
@@ -579,7 +580,7 @@ def test_score_settings_checked_by_score_config(mode, alpha):
     message = str(direct.value)
     assert ("score_mode" if mode == "max" else "score_alpha") in message
     with pytest.raises(ConfigError) as run:
-        RunConfig.from_dict({"score_mode": mode, "score_alpha": alpha})
+        from_dict(RunConfig, {"score_mode": mode, "score_alpha": alpha}, "run config")
     assert str(run.value) == message
     data = {**_small_pipeline_dict(), "score_mode": mode, "score_alpha": alpha}
     with pytest.raises(CheckpointError) as loaded:

@@ -24,7 +24,7 @@ from framewatch.errors import ConfigError
 from framewatch.pipeline import RunConfig
 from framewatch.synth import SynthSpec, generate_scenario
 
-VALID_RUN = RunConfig().to_dict()
+VALID_RUN = asdict(RunConfig())
 VALID_SYNTH = asdict(SynthSpec())
 
 # Every settable value of the run config, as a dotted key.  Adding or
@@ -202,4 +202,4 @@ def test_removed_key_is_unknown(key):
     data = {section: {name: 0.5}} if section else {name: "x"}
     label = f"{section} keys" if section else "run config keys"
     with pytest.raises(ConfigError, match=f"unknown {label}: \\['{name}'\\]"):
-        RunConfig.from_dict(data)
+        from_dict(RunConfig, data, "run config")

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from framewatch import checkpoint as ckpt
+from framewatch.config import from_dict
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, as_intensities, load_scenario
 from framewatch.pipeline import RunConfig, pipeline_checkpoint, train_pipeline
 from framewatch.rng import RngStream
@@ -118,7 +119,7 @@ def criterion_9_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("criterion_9")
     generate_scenario(SynthSpec(**SYNTH), root / "scen")
     dataset = load_scenario(root / "scen")
-    config = RunConfig.from_dict(RUN)
+    config = from_dict(RunConfig, RUN, "run config")
     trained = train_pipeline(dataset, config)
     path = root / "checkpoint.fwc"
     ckpt.save_json(pipeline_checkpoint(trained, config), path)

@@ -9,6 +9,7 @@ import pytest
 
 from framewatch import checkpoint as ckpt, scoring
 from framewatch.autoencoder import encode_batch, init_autoencoder, reconstruction_error
+from framewatch.config import from_dict
 from framewatch.data_io import FRAME_PIXELS, FRAME_SIDE, Frame, Split, as_intensities
 from framewatch.errors import ConfigError, ContractViolationError, ScoringError
 from framewatch.flow import flow_log_prob_batch, init_flow
@@ -196,11 +197,11 @@ def combined_run(tmp_path_factory):
     spec = SynthSpec(seed=5, n_train=16, n_val=24, n_test_normal=4,
                      n_per_anomaly={"dim_light": 2, "blob": 2, "sensor_noise": 2})
     dataset = generate_scenario(spec, root / "scen")
-    config = RunConfig.from_dict({
+    config = from_dict(RunConfig, {
         "seed": 5, "score_mode": "combined", "score_alpha": 0.4,
         "autoencoder": {"epochs": 3, "batch_size": 8, "latent_dim": 16},
         "flow": {"epochs": 4, "batch_size": 8, "num_layers": 4, "hidden": 16},
-    })
+    }, "run config")
     trained = train_pipeline(dataset, config)
     path = root / "checkpoint.fwc"
     ckpt.save_json(pipeline_checkpoint(trained, config), path)
@@ -290,11 +291,11 @@ def test_train_pipeline_encodes_each_split_once(tmp_path, monkeypatch, mode):
     spec = SynthSpec(seed=3, n_train=10, n_val=7, n_test_normal=3,
                      n_per_anomaly={"dim_light": 1, "blob": 1, "sensor_noise": 1})
     dataset = generate_scenario(spec, tmp_path / "scen")
-    config = RunConfig.from_dict({
+    config = from_dict(RunConfig, {
         "seed": 3, "score_mode": mode,
         "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
         "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
-    })
+    }, "run config")
     encoded, decoded = [], []
 
     def counting(calls, fn):
@@ -336,11 +337,11 @@ def test_train_pipeline_reads_each_split_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(scoring, "reconstruction_error",
                         recording("decode", reconstruction_error))
     for mode in ("nll", "combined"):
-        config = RunConfig.from_dict({
+        config = from_dict(RunConfig, {
             "seed": 3, "score_mode": mode,
             "autoencoder": {"epochs": 1, "batch_size": 8, "latent_dim": 8},
             "flow": {"epochs": 1, "batch_size": 8, "num_layers": 2, "hidden": 8},
-        })
+        }, "run config")
         calls.clear()
         trained = train_pipeline(dataset, config)
         encoded = [rows for name, rows in calls if name == "encode"]
