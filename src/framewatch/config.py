@@ -8,6 +8,7 @@ __post_init__, so a bad value fails at load, before any training.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -55,10 +56,11 @@ def _check(value, expected: type, label: str) -> None:
 
 def check_ranges(config, prefix: str, at_least_one=(), positive=()) -> None:
     """Range checks for a config's __post_init__: each `at_least_one` field
-    must be >= 1 and each `positive` field > 0.  A failure is a ConfigError
-    naming `prefix + field`; NaN fails every check."""
-    for names, ok, bound in ((at_least_one, lambda v: v >= 1, ">= 1"),
-                             (positive, lambda v: v > 0.0, "> 0")):
+    must be >= 1 and each `positive` field > 0 and finite as a float.  A
+    failure is a ConfigError naming `prefix + field`; NaN fails every check."""
+    for names, ok, bound in (
+            (at_least_one, lambda v: v >= 1, ">= 1"),
+            (positive, lambda v: 0.0 < v <= sys.float_info.max, "finite and > 0")):
         for name in names:
             value = getattr(config, name)
             if not ok(value):

@@ -336,14 +336,17 @@ def parse_labels(data: bytes) -> dict[str, Optional[AnomalyLabel]]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"labels.csv is not valid UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != LABELS_HEADER:
+    try:  # each row with the line it ends on, past any quoted newline
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # a field over the size limit, or a bare CR
+        raise ParseError(f"labels.csv line {reader.line_num}: {exc}") from None
+    if not rows or rows[0][1] != LABELS_HEADER:
         raise ParseError(
             f"labels.csv header must be exactly {','.join(LABELS_HEADER)}")
     out: dict[str, Optional[AnomalyLabel]] = {}
     # By anomaly type: the line, axes and label of its first row.
     first_row: dict[str, tuple[int, tuple[str, ...], AnomalyLabel]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(LABELS_HEADER):

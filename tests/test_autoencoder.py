@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,14 @@ def test_reconstruction_error_zero_when_identical():
 
 def test_reconstruction_error_analytic():
     assert _recon_one(_zero_model(), _frame(0.0)) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("flats_shape, latents_shape", [((2, 16), (3, 4)), ((2, 15), (2, 4))])
+def test_reconstruction_error_rejects_mismatched_shapes(flats_shape, latents_shape):
+    model = init_autoencoder(RngStream(5), 4, input_dim=16, hidden=(8,))
+    message = f"frames shape {flats_shape}, expected ({latents_shape[0]}, 16)"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        reconstruction_error(model, np.zeros(flats_shape), np.zeros(latents_shape))
 
 
 def test_reconstruction_error_matches_loop_oracle():

@@ -181,6 +181,14 @@ def test_threshold_quantile_reads_the_stored_quantile(tmp_path):
     assert ckpt.threshold_quantile(ckpt.load_json(tmp_path / "p.fwc")) == 0.9
 
 
+def test_scale_clamps_that_are_not_a_list_are_refused():
+    data = _small_pipeline_dict()
+    data["flow"]["scale_clamps"] = 2.0
+    with pytest.raises(CheckpointError,
+                       match=r"^checkpoint\.flow\.scale_clamps: expected a list$"):
+        ckpt.pipeline_from_dict(data)
+
+
 def _set(*keys_and_value):
     *keys, value = keys_and_value
 

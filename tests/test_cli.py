@@ -268,6 +268,26 @@ def test_eval_bad_frame_exits_3_naming_it(workspace, tmp_path, capsys, edit, mes
     assert capsys.readouterr().err == f"i/o error: {message.format(scen=scen)}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_edit_label_row(5, "x" * 131_073 + ",normal,,,,,"),
+     "labels.csv line 5: field larger than field limit (131072)"),
+    (_edit_label_row(3, "test_00001.pgm,nor\rmal,,,,,"),
+     "labels.csv line 3: new-line character seen in unquoted field"),
+], ids=["field-over-limit", "bare-cr"])
+def test_train_on_labels_the_csv_reader_rejects_exits_3(workspace, tmp_path, capsys,
+                                                        edit, message):
+    """A labels.csv that the CSV reader itself rejects exits 3 with one line
+    naming the file and line, not with a traceback."""
+    import shutil
+    scen = tmp_path / "scen"
+    shutil.copytree(workspace / "scen", scen)
+    edit(scen)
+    assert main(["train", "--config", str(workspace / "run.json"), "--scenario", str(scen),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {message}") and err.count("\n") == 1
+
+
 def test_train_empty_train_split_exits_4(workspace, tmp_path, capsys):
     import shutil
     scen = tmp_path / "scen"
@@ -634,6 +654,9 @@ BAD_CONFIGS = {
     "autoencoder_beta1_one": {"autoencoder": {"beta1": 1.0}},
     "negative_flow_beta2": {"flow": {"beta2": -0.1}},
     "zero_scale_clamp": {"flow": {"scale_clamp": 0}},
+    "infinite_scale_clamp": {"flow": {"scale_clamp": float("inf")}},
+    "infinite_autoencoder_lr": {"autoencoder": {"lr": float("inf")}},
+    "flow_lr_integer_past_float_range": {"flow": {"lr": 10 ** 400}},
     "nan_threshold": {"monitor_threshold": float("nan")},
     "infinite_threshold": {"monitor_threshold": float("inf")},
     "negative_infinite_threshold": {"monitor_threshold": float("-inf")},
@@ -744,6 +767,24 @@ def test_bad_synth_spec_exits_2(tmp_path, capsys, name):
     assert captured.err.startswith("config error: ")
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_spec_with_an_unknown_kind_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_SYNTH, "n_per_anomaly": {"blob": 2, "smoke": 1}}))
+    assert main(["gen-synth", "--config", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown anomaly kind 'smoke'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_gen_synth_under_a_regular_file_exits_3(workspace, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "scen"
+    assert main(["gen-synth", "--config", str(workspace / "synth.json"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: cannot write scenario to {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_synth_spec_types_positive_control(tmp_path):

@@ -9,6 +9,7 @@ never writes a file.
 """
 
 import copy
+import itertools
 import json
 import tempfile
 from dataclasses import asdict
@@ -39,6 +40,8 @@ RUN_CONFIG_KEYS = {
     "monitor_window", "monitor_consecutive",
 }
 
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Every subcommand's flags.  Adding or removing a flag edits this table.
 COMMAND_FLAGS = {
@@ -185,11 +188,21 @@ def test_command_reads_only_its_pinned_keys(trained, tmp_path, capsys, command):
 
 
 def test_command_flags_are_pinned():
+    """The parser, COMMAND_FLAGS and the README's `| command | flags |`
+    table give every subcommand the same flags, so a flag change that
+    skips the README fails here."""
     subcommands = next(action for action in build_parser()._actions
                        if action.dest == "command").choices
     assert {name: {flag for action in parser._actions for flag in action.option_strings
                    if flag not in ("-h", "--help")}
             for name, parser in subcommands.items()} == COMMAND_FLAGS
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | flags |") + 2   # past the |---| row
+    readme = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        readme[command.strip("`")] = {flag.strip().strip("`") for flag in flags.split(",")}
+    assert readme == COMMAND_FLAGS
 
 
 @pytest.mark.parametrize("key", ["out", "scenario"] + [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -304,6 +306,50 @@ def test_parse_normal_with_axis_columns_rejected():
 def test_parse_wrong_header():
     with pytest.raises(ParseError, match="header"):
         parse_labels(b"file,label\na,normal\n")
+
+
+def test_parse_rejects_labels_that_are_not_utf8():
+    with pytest.raises(ParseError, match="^labels.csv is not valid UTF-8: "):
+        parse_labels(HEADER + b"a.pgm,normal,,,,,\n\xff.pgm,normal,,,,,\n")
+
+
+def test_parse_skips_a_blank_line_between_rows():
+    rows = [b"a.pgm,normal,,,,,\n", b"b.pgm,anomalous,tape,semantic,yes,yes,\n"]
+    assert parse_labels(HEADER + rows[0] + b"\n" + rows[1]) == \
+        parse_labels(HEADER + b"".join(rows))
+
+
+def test_parse_reports_the_file_line_after_a_quoted_newline():
+    """A row's line is the file's line, also after a file name that holds
+    a quoted newline and so spans two lines."""
+    data = HEADER + b'"a\nb.pgm",normal,,,,,\nc.pgm,weird,,,,,\n'
+    with pytest.raises(ParseError, match="^labels.csv line 4: label must be"):
+        parse_labels(data)
+
+
+# Rows the CSV reader itself rejects, and the line each error names.
+UNREADABLE_LABELS = {
+    "field_over_limit": (HEADER + b"a.pgm,normal,,,,,\n" + b"x" * 131_073
+                         + b".pgm,normal,,,,,\n",
+                         "labels.csv line 3: field larger than field limit (131072)"),
+    "bare_cr_line_endings": (HEADER.replace(b"\n", b"\r") + b"a.pgm,normal,,,,,\r",
+                             "labels.csv line 1: new-line character seen in unquoted field"),
+    "bare_cr_in_a_row": (HEADER + b"a.pgm,nor\rmal,,,,,\n",
+                         "labels.csv line 2: new-line character seen in unquoted field"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_LABELS))
+def test_load_reports_a_csv_error_as_a_parse_error(tmp_path, name):
+    """An error of the CSV reader is a ParseError naming labels.csv and
+    the line it stopped on, like every other malformed labels file."""
+    data, message = UNREADABLE_LABELS[name]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_labels(data)
+    _make_fixture(tmp_path)
+    (tmp_path / "labels.csv").write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        load_scenario(tmp_path)
 
 
 # ---------------------------------------------------------------------------

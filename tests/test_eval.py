@@ -82,6 +82,15 @@ def test_auc_random_scores_near_half():
 # ---------------------------------------------------------------------------
 # ROC curve
 
+@pytest.mark.parametrize("types, counts", [((None, None), "2 normal, 0 anomalous"),
+                                           (("blob",), "0 normal, 1 anomalous")])
+def test_roc_single_class_rejected(types, counts):
+    scored = [ScoredSample(f"s{i}", float(i), anomaly_type=t) for i, t in enumerate(types)]
+    with pytest.raises(EvaluationError, match=f"at least one normal and one anomalous "
+                                              f"sample \\(got {counts}\\)$"):
+        roc_curve(scored)
+
+
 def test_roc_perfect_passes_through_corner():
     points = roc_curve(_scored([0.1, 0.2], [0.8, 0.9]))
     assert any(p.true_positive_rate == 1.0 and p.false_positive_rate == 0.0

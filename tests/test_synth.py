@@ -1,4 +1,5 @@
 import filecmp
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,3 +145,10 @@ def test_stream_of_negative_count_writes_no_frame(tmp_path, n_normal, n_anomalou
     with pytest.raises(ConfigError, match=message):
         generate_stream(SMALL_SPEC, tmp_path / "stream", n_normal, "blob", n_anomalous)
     assert not (tmp_path / "stream").exists()
+
+
+def test_stream_under_a_regular_file_raises_io_failure(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "stream"
+    with pytest.raises(IOFailure, match=f"^cannot write stream to {re.escape(str(out))}: "):
+        generate_stream(SMALL_SPEC, out, 2)
